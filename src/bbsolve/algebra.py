@@ -23,7 +23,6 @@ recognised and certified by exact back-substitution.
 """
 
 from fractions import Fraction
-import math
 
 import mpmath
 from mpmath import mp
@@ -75,12 +74,6 @@ class GaussianRational:
     # -- predicates ------------------------------------------------------
     def is_zero(self):
         return self.re == 0 and self.im == 0
-
-    def is_rational(self):
-        return self.im == 0
-
-    def is_integer(self):
-        return self.im == 0 and self.re.denominator == 1
 
     # -- arithmetic ------------------------------------------------------
     @staticmethod
@@ -155,9 +148,6 @@ class GaussianRational:
             n >>= 1
         return out
 
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
     # -- conversions -----------------------------------------------------
     def to_mpc(self, prec=DEFAULT_PREC):
         with mp.workprec(prec):
@@ -192,7 +182,6 @@ class GaussianRational:
 
 GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
-GR_I = GaussianRational(0, 1)
 
 
 def _rnd(mag, prec):
@@ -334,25 +323,15 @@ class BigComplex:
             e = abs(r) * (self.err / abs(self.val)) / b + _rnd(abs(r), prec)
         return BigComplex(r, e, prec)
 
-    def conjugate(self):
-        return BigComplex(mpmath.conj(self.val), self.err, self.prec, exact=None)
-
     # -- predicates ------------------------------------------------------
     def abs_upper(self):
         return abs(self.val) + self.err
-
-    def abs_lower(self):
-        lo = abs(self.val) - self.err
-        return lo if lo > 0 else mpmath.mpf(0)
 
     def is_zero(self):
         """Certified-zero flag: exactly zero, or indistinguishable from zero."""
         if self.exact is not None:
             return self.exact.is_zero()
         return abs(self.val) <= self.err
-
-    def is_nonzero(self):
-        return abs(self.val) > self.err
 
     def __complex__(self):
         return complex(self.val)
@@ -545,21 +524,6 @@ class UPoly:
             a, b = b, a % b
         return a.monic() if not a.is_zero() else a
 
-    def xgcd(self, other):
-        """Extended gcd: returns (g, u, v) monic g with u*self + v*other = g."""
-        r0, r1 = self, other
-        s0, s1 = UPoly.constant(GR_ONE), UPoly()
-        t0, t1 = UPoly(), UPoly.constant(GR_ONE)
-        while not r1.is_zero():
-            q, r = divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-            t0, t1 = t1, t0 - q * t1
-        if r0.is_zero():
-            return r0, s0, t0
-        inv = r0.lc().inverse()
-        return r0.monic(), s0 * inv, t0 * inv
-
     def squarefree_decomposition(self):
         """Yun's algorithm: list of (factor, multiplicity), factors monic squarefree."""
         if self.degree() < 1:
@@ -593,31 +557,8 @@ class UPoly:
             return 0, self
         return v, UPoly(self.coeffs[v:])
 
-    def rational_normalize(self):
-        """Scale by a positive rational so coefficients are Gaussian integers with gcd 1."""
-        if self.is_zero():
-            return self
-        den = 1
-        for c in self.coeffs:
-            den = den * c.re.denominator // math.gcd(den, c.re.denominator)
-            den = den * c.im.denominator // math.gcd(den, c.im.denominator)
-        num = 0
-        for c in self.coeffs:
-            num = math.gcd(num, abs(c.re.numerator * (den // c.re.denominator)))
-            num = math.gcd(num, abs(c.im.numerator * (den // c.im.denominator)))
-        if num == 0:
-            return self
-        return self * Fraction(den, num)
-
     def __repr__(self):
         return f"UPoly({list(self.coeffs)!r})"
-
-
-def upoly_from_roots(roots):
-    out = UPoly.constant(GR_ONE)
-    for r in roots:
-        out = out * UPoly([-GaussianRational._coerce(r), GR_ONE])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -990,15 +931,15 @@ def squarefree_in_p(P):
 
 
 class RatQ:
-    """Rational function in q: reduced UPoly pair with monic denominator."""
+    """Rational function in one variable: reduced UPoly pair, monic denominator."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None, reduce=True):
+    def __init__(self, num, den=None):
         den = den if den is not None else UPoly.constant(GR_ONE)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if reduce and not num.is_zero():
+        if not num.is_zero():
             g = num.gcd(den)
             if g.degree() >= 1:
                 num, den = num // g, den // g
@@ -1024,6 +965,10 @@ class RatQ:
         if o.is_zero():
             raise ZeroDivisionError("division by zero rational function")
         return RatQ(self.num * o.den, self.den * o.num)
+
+    def derivative(self):
+        return RatQ(self.num.derivative() * self.den - self.num * self.den.derivative(),
+                    self.den * self.den)
 
 
 def _rq_poly_divmod(A, B):

@@ -17,9 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (BigComplex, GR_ONE, GR_ZERO, GaussianRational, UPoly,
-                      coeff_is_zero, falling, is_exact, roots_univariate,
-                      DEFAULT_PREC)
+from .algebra import (GR_ONE, GR_ZERO, GaussianRational, RatQ, UPoly,
+                      falling, is_exact, roots_univariate, DEFAULT_PREC)
 from .conditions import classify_kappa
 from .errors import SingularEncounter, ToleranceLoss
 from .eqparse import upoly_str
@@ -112,34 +111,15 @@ def stirling2(k, j):
 
 def theta_pow(R_num, R_den, k):
     """(w d/dw)^k applied to R = R_num/R_den, via the Stirling expansion
-    Theta^k R = sum_j S(k, j) w^j R^(j)(w); returns a (num, den) pair."""
-    num = UPoly()
-    den = UPoly.constant(GR_ONE)
-    dnum, dden = R_num, R_den
+    Theta^k R = sum_j S(k, j) w^j R^(j)(w); returns a reduced (num, den) pair."""
+    acc = RatQ(UPoly())
+    dR = RatQ(R_num, R_den)
     for j in range(1, k + 1):
-        dnum, dden = _dq_rat(dnum, dden)
+        dR = dR.derivative()
         s = stirling2(k, j)
-        if s == 0:
-            continue
-        wj = UPoly.monomial(j, GaussianRational(s))
-        num = num * dden + den * (wj * dnum)
-        den = den * dden
-        num, den = _reduce_rat(num, den)
-    return num, den
-
-
-def _dq_rat(N, D):
-    return _reduce_rat(N.derivative() * D - N * D.derivative(), D * D)
-
-
-def _reduce_rat(N, D):
-    if N.is_zero():
-        return UPoly(), UPoly.constant(GR_ONE)
-    g = N.gcd(D)
-    if g.degree() >= 1:
-        N, D = N // g, D // g
-    lcinv = D.lc().inverse()
-    return N * lcinv, D * lcinv
+        if s != 0:
+            acc = acc + RatQ(UPoly.monomial(j, GaussianRational(s))) * dR
+    return acc.num, acc.den
 
 
 def match_exponential(eq, degree_cap=6, precision=DEFAULT_PREC, notes=None):
@@ -189,14 +169,11 @@ def reconstruct_exponential(eq, probe, period, degree_cap=6, precision=DEFAULT_P
         return None
     for deg_n in range(1, degree_cap + 1):
         for deg_d in range(0, degree_cap + 1):
-            fit = _fit_rational_in_w(eq, probe, a_num, deg_n, deg_d)
-            if fit is None:
-                continue
-            Rn, Rd = fit
-            if _certify_exponential(eq, a_g, Rn, Rd):
+            R = _fit_rational_in_w(eq, probe, a_num, deg_n, deg_d)
+            if R is not None and _certify_exponential(eq, a_g, R):
                 a_poly = UPoly([-a_g, GR_ONE])
                 return ExponentialMatch(a_poly=a_poly, a_values=(a_g,),
-                                        R_num=Rn, R_den=Rd, exact=True)
+                                        R_num=R.num, R_den=R.den, exact=True)
     return None
 
 
@@ -241,9 +218,7 @@ def _fit_rational_in_w(eq, probe, a, deg_n, deg_d, nsample=None, tol=1e-8):
         if g is None:
             return None
         coeffs.append(g)
-    Rn = UPoly(coeffs[:deg_n + 1])
-    Rd = UPoly(coeffs[deg_n + 1:] + [GR_ONE])
-    return _reduce_rat(Rn, Rd)
+    return RatQ(UPoly(coeffs[:deg_n + 1]), UPoly(coeffs[deg_n + 1:] + [GR_ONE]))
 
 
 def _lstsq_complex(rows, rhs):
@@ -271,41 +246,23 @@ def _lstsq_complex(rows, rhs):
     return atb
 
 
-def _certify_exponential(eq, a_g, Rn, Rd):
-    """Exact back-substitution of y = R(w), w = e^(az): a^k Theta^k R == F(R)."""
-    tn, td = theta_pow(Rn, Rd, eq.k)
-    ak = a_g ** eq.k
-    lhs_n, lhs_d = tn * ak, td
-    # F(R) with F = P-resolved N/D evaluated at R
+def _certify_exponential(eq, a_g, R):
+    """Exact back-substitution of y = R(w), w = e^(az): a^k Theta^k R == F(R),
+    with F = N/D the resolved right-hand side, checked as a^k Theta^k R D(R) == N(R)."""
     if eq.resolved is None:
         return False
     N, D = eq.resolved
-    fn, fd = _compose_rat(N, Rn, Rd)
-    gn, gd = _compose_rat(D, Rn, Rd)
-    rhs_n, rhs_d = _reduce_rat(fn * gd, fd * gn)
-    diff_n = lhs_n * rhs_d - rhs_n * lhs_d
-    return diff_n.is_zero()
+    tn, td = theta_pow(R.num, R.den, eq.k)
+    lhs = RatQ(tn * a_g ** eq.k, td)
+    return (lhs * _compose_rat(D, R) - _compose_rat(N, R)).is_zero()
 
 
-def _compose_rat(U, Rn, Rd):
-    """U(R) for a polynomial U and rational R = Rn/Rd, as a reduced pair.
-
-    U(R) = sum_j U_j Rn^j Rd^(d-j) / Rd^d.
-    """
-    d = U.degree()
-    if d < 0:
-        return UPoly(), UPoly.constant(GR_ONE)
-    rn_pows = [UPoly.constant(GR_ONE)]
-    rd_pows = [UPoly.constant(GR_ONE)]
-    for _ in range(d):
-        rn_pows.append(rn_pows[-1] * Rn)
-        rd_pows.append(rd_pows[-1] * Rd)
-    num = UPoly()
-    for j in range(d + 1):
-        if U[j].is_zero():
-            continue
-        num = num + rn_pows[j] * rd_pows[d - j] * U[j]
-    return _reduce_rat(num, rd_pows[d])
+def _compose_rat(U, R):
+    """U(R) for a polynomial U and a rational function R, by Horner's rule."""
+    out = RatQ(UPoly())
+    for c in reversed(U.coeffs):
+        out = out * R + RatQ(UPoly.constant(c))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +374,7 @@ class _Flow:
         self.Pq_terms = [(i, j, complex(c)) for (i, j), c in sorted(Pq.terms.items())]
         self._fact = [math.factorial(i) for i in range(self.order + self.k + 2)]
         # first-integral projection data: (s_num, s_den) complex coefficient
-        # lists for s(y); the constant is pinned per trajectory via set_fi_state
+        # lists for s(y); the constant is pinned by anchor_first_integral
         self.fi = None
         self.fi_c = None
         if first_integral is not None and self.k % 2 == 0:
@@ -447,9 +404,19 @@ class _Flow:
             dv = dv * y + c
         return nv / dv
 
-    def set_fi_state(self, state):
+    def anchor_first_integral(self, germ):
+        """Pin the first-integral constant on a point of ``germ`` near its pole."""
         if self.fi is not None:
+            state, _ = self.germ_state(germ, 0.55 * germ.trust * (0.902 + 0.431j))
             self.fi_c = self.phi_value(state) - self.s_value(state[0])
+
+    def germ_state(self, germ, u):
+        """The state (y, ..., y^(k-1)) at offset u from the pole of ``germ``,
+        and p projected onto the curve (curve mode) or None (resolved mode)."""
+        vals = germ.eval_derivs(u, self.k)
+        state = tuple(vals[:self.k])
+        p = None if self.resolved is not None else self._project(vals[self.k], state[0])
+        return state, p
 
     def project_first_integral(self, state):
         """One Newton correction of y^(k-1) onto Phi_k(state) = s(y) + c."""
@@ -608,20 +575,6 @@ class _Flow:
         scale = sum(abs(c) * abs(p) ** i * abs(y) ** j for i, j, c in self.P_terms)
         return val / scale if scale > 0 else val
 
-    def p_value(self, state):
-        """p = y^(k) from the resolved form (resolved mode only)."""
-        Ncf, Dcf = self.resolved
-        y = state[0]
-        nv = 0j
-        for c in reversed(Ncf):
-            nv = nv * y + c
-        dv = 0j
-        for c in reversed(Dcf):
-            dv = dv * y + c
-        if dv == 0:
-            raise SingularEncounter("resolved denominator vanished")
-        return nv / dv
-
 
 def _unit(z):
     a = abs(z)
@@ -736,11 +689,7 @@ def run_segment(flow, z0, state, p0, z1, germs, events, tol=DEFAULT_TRAJ_TOL,
                         raise ToleranceLoss("pole hopping did not progress")
                     u_new = max(abs(z - z_p), 0.06 * g.trust)
                     z_new = z_p + u_new * dirv
-                    vals = g.eval_derivs(z_new - z_p, max(flow.k - 1, 0))
-                    state = tuple(vals[:flow.k])
-                    if flow.resolved is None:
-                        pv = g.eval_derivs(z_new - z_p, flow.k)[flow.k]
-                        p = flow._project(pv, state[0])
+                    state, p = flow.germ_state(g, z_new - z_p)
                     z = z_new
                     if record is not None:
                         record.append((z, state))
@@ -790,11 +739,7 @@ def continue_trajectory(eq, seed_series, path, tol=DEFAULT_TRAJ_TOL, germs=None)
     g0 = germ_numeric(seed_series, "seed")
     allg = [g0] + [g for g in (germs or []) if g.germ_id != "seed"]
     z0 = complex(path[0])
-    vals = g0.eval_derivs(z0, max(eq.k, flow.k))
-    state = tuple(vals[:flow.k])
-    p = None
-    if flow.resolved is None:
-        p = flow._project(vals[flow.k], state[0])
+    state, p = flow.germ_state(g0, z0)
     events = [PoleEvent(z=0j, order=g0.n, germ_id=g0.germ_id, residual=0.0)]
     record = [(z0, state)]
     max_defect = 0.0
@@ -822,10 +767,7 @@ def sweep_poles(eq, germ_family, tol=DEFAULT_TRAJ_TOL, budget=13, probe_len=8.0,
     """
     flow = _Flow(eq, tol, first_integral=first_integral)
     germs = [germ_numeric(ls, f"g{i}") for i, ls in enumerate(germ_family)]
-    if flow.fi is not None:
-        u_fi = 0.55 * germs[0].trust * (0.902 + 0.431j)
-        v0 = germs[0].eval_derivs(u_fi, max(flow.k - 1, 1))
-        flow.set_fi_state(tuple(v0[:flow.k]))
+    flow.anchor_first_integral(germs[0])
     # detuned off the symmetry axes: straight rays through curve branch
     # points (dP/dp = 0) would stall the continuation
     dirs = [cmath.exp(1j * (cmath.pi * t / 4 + 0.0537)) for t in range(8)]
@@ -853,11 +795,7 @@ def sweep_poles(eq, germ_family, tol=DEFAULT_TRAJ_TOL, budget=13, probe_len=8.0,
                 break
             segments += 1
             z_s = ev.z + start_off * dirv
-            vals = g.eval_derivs(z_s - ev.z, max(flow.k, eq.k))
-            state = tuple(vals[:flow.k])
-            p = None
-            if flow.resolved is None:
-                p = flow._project(vals[flow.k], state[0])
+            state, p = flow.germ_state(g, z_s - ev.z)
             try:
                 run_segment(flow, z_s, state, p, ev.z + reach * dirv, germs,
                             events, tol, max_steps=500)
@@ -1002,10 +940,7 @@ def _verify_period(state_probe, pts, T, state_tol):
 def make_probe(eq, events, germs, tol=DEFAULT_TRAJ_TOL, first_integral=None):
     """State evaluator z -> (y, y', ..., y^(k-1)) via germ-anchored continuation."""
     flow = _Flow(eq, tol, first_integral=first_integral)
-    if flow.fi is not None:
-        u_fi = 0.55 * germs[0].trust * (0.902 + 0.431j)
-        v0 = germs[0].eval_derivs(u_fi, max(flow.k - 1, 1))
-        flow.set_fi_state(tuple(v0[:flow.k]))
+    flow.anchor_first_integral(germs[0])
 
     def probe(z):
         z = complex(z)
@@ -1016,11 +951,7 @@ def make_probe(eq, events, germs, tol=DEFAULT_TRAJ_TOL, first_integral=None):
             return None
         off = min(0.31, 0.4 * g.trust, max(0.9 * r, 1e-3))
         z_s = ev.z + off * _unit(z - ev.z)
-        vals = g.eval_derivs(z_s - ev.z, max(flow.k, eq.k))
-        state = tuple(vals[:flow.k])
-        p = None
-        if flow.resolved is None:
-            p = flow._project(vals[flow.k], state[0])
+        state, p = flow.germ_state(g, z_s - ev.z)
         if abs(z_s - z) < 1e-12:
             return state
         try:

@@ -14,10 +14,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace as dc_replace
 from fractions import Fraction
 
 from . import __version__
-from .algebra import GaussianRational, coeff_is_zero, is_exact, DEFAULT_PREC
+from .algebra import (GaussianRational, coeff_is_zero, is_exact,
+                      squarefree_in_p, squarefree_part_in_p, DEFAULT_PREC)
 from .conditions import (attach_degree_bound, screen_admissibility, residue_screen)
 from .curve import (branches_at_infinity, exactness_check, newton_polygon,
                     residue_pdq)
@@ -29,7 +31,6 @@ from .classify import (assemble_verdict, detect_periods, make_probe,
                        DEFAULT_RATIO_TOL, DEFAULT_TRAJ_TOL)
 from .series import (coeff_to_json, enumerate_series, series_to_json,
                      verify_series)
-from .algebra import squarefree_in_p, squarefree_part_in_p
 
 SCHEMA_VERSION = 1
 
@@ -96,19 +97,17 @@ def _parse_c(text):
 # the analysis pipeline
 # ---------------------------------------------------------------------------
 
-def analyze(equation, opts=None):
-    """Full pipeline: parse -> curve -> conditions -> series -> classify.
+def _prepare(equation, opts):
+    """The front end every command shares: parse, apply --k, reduce P to its
+    squarefree part, then polygon, depth, branches and the admissibility screen.
 
-    Returns (report dict, exit_code)."""
-    opts = opts or Options()
+    Returns (eq, warnings, polygon, depth, branches, report); ``warnings``
+    holds what this step adds to the parser's notes."""
     eq = parse_equation(equation)
     if opts.k_override is not None:
-        from dataclasses import replace as dc_replace
         eq = dc_replace(eq, k=opts.k_override)
-    warnings = list(eq.notes)
-    assumptions = ["irreducibility of P assumed (not verified)"]
+    warnings = []
     if not squarefree_in_p(eq.P):
-        from dataclasses import replace as dc_replace
         P_sf = squarefree_part_in_p(eq.P)
         warnings.append("P is not squarefree in p: the equation is reducible; "
                         "the analysis below uses its squarefree part "
@@ -120,36 +119,73 @@ def analyze(equation, opts=None):
             lcinv = D.lc().inverse()
             resolved = (N * lcinv, D * lcinv)
         eq = dc_replace(eq, P=P_sf, resolved=resolved)
-
     polygon = newton_polygon(eq.P)
     depth = opts.depth or default_depth(eq.k, polygon)
     branches = branches_at_infinity(eq.P, depth, opts.precision)
+    lead_const = eq.P.coeff_in_p(eq.P.deg_p()).degree() == 0
+    report = screen_admissibility(eq.k, branches, leading_p_coeff_constant=lead_const)
+    return eq, warnings, polygon, depth, branches, report
+
+
+def _deepened(eq, branches, pairs, N, precision):
+    """Branches by id, re-expanded when the germs of ``pairs`` up to index N
+    need more terms than the branches carry."""
+    bmap = {b.id: b for b in branches}
+    need = max((-(-bmap[bid].m * N // n) + 4 for bid, n in pairs), default=0)
+    if any(b.depth < need for b in branches):
+        bmap = {b.id: b for b in branches_at_infinity(eq.P, need, precision)}
+    return bmap
+
+
+def _germs(eq, bmap, pairs, notes, failure, **kwargs):
+    """Germs of every (branch id, n) pair and the (n, count) inventory; a pair
+    whose enumeration fails adds ``failure`` (formatted) to ``notes``."""
+    germs, inventory = [], []
+    for bid, n in pairs:
+        try:
+            found = enumerate_series(eq, bmap[bid], n, **kwargs)
+        except BBError as exc:
+            notes.append(failure.format(bid=bid, n=n, exc=exc))
+            continue
+        germs.extend(found)
+        inventory.append((n, len(found)))
+    return germs, inventory
+
+
+def _germ_json(eq, ls):
+    entry = series_to_json(ls)
+    entry["verify_residual_order"] = (verify_series(eq, ls)
+                                      if not ls.has_free_parameter() else None)
+    return entry
+
+
+def _germ_lines(s, coeffs_label):
+    return [f"  n={s['n']} branch={s['branch']} resonance={s['resonance']}"
+            + (f" verify_order={s['verify_residual_order']}"
+               if s["verify_residual_order"] is not None else ""),
+            f"    {coeffs_label}{_coeffs_text(s['coeffs'], s['n'])}"]
+
+
+def analyze(equation, opts=None):
+    """Full pipeline: parse -> curve -> conditions -> series -> classify.
+
+    Returns (report dict, exit_code)."""
+    opts = opts or Options()
+    eq, warnings, polygon, depth, branches, report = _prepare(equation, opts)
+    warnings = list(eq.notes) + warnings
+    assumptions = ["irreducibility of P assumed (not verified)"]
     ev = exactness_check(branches, resolved=eq.resolved, precision=opts.precision)
     if ev.mode == "general":
         assumptions.append("genus-0 assumed for the exactness verdict (general mode)")
-
-    lead_const = eq.P.coeff_in_p(eq.P.deg_p()).degree() == 0
-    report = screen_admissibility(eq.k, branches, leading_p_coeff_constant=lead_const)
     report = residue_screen(report, ev, eq.k)
 
-    # series enumeration
-    germs = []
     germ_notes = []
-    c_req = opts.c if opts.c != "default" else (None if eq.k % 2 == 0 else None)
-    inventory = []
-    if report.pole_solutions_possible:
-        pairs = report.admissible_pairs()
-        bmap = {b.id: b for b in branches}
-        for bid, n in pairs:
-            try:
-                found = enumerate_series(eq, bmap[bid], n, c=c_req,
-                                         N=opts.N, precision=opts.precision,
-                                         collect_notes=germ_notes)
-            except BBError as exc:
-                germ_notes.append(f"branch {bid}, n={n}: {exc}")
-                continue
-            germs.extend(found)
-            inventory.append((n, len(found)))
+    germs, inventory = _germs(
+        eq, {b.id: b for b in branches},
+        report.admissible_pairs() if report.pole_solutions_possible else [],
+        germ_notes, "branch {bid}, n={n}: {exc}",
+        c=None if opts.c == "default" else opts.c, N=opts.N,
+        precision=opts.precision, collect_notes=germ_notes)
     report = attach_degree_bound(report, inventory)
 
     verdict = None
@@ -188,22 +224,10 @@ def _numeric_classification(eq, report, branches, ev, opts, notes):
         return None, (), []
     N_traj = max(opts.N or 0, 24)
     pairs = report.admissible_pairs()
-    bmap = {b.id: b for b in branches}
-    need = 0
-    for bid, n in pairs:
-        m = bmap[bid].m
-        need = max(need, -(-m * N_traj // n) + 4)
-    if any(bmap[bid].depth < need for bid, _ in pairs):
-        deep = branches_at_infinity(eq.P, need, opts.precision)
-        bmap = {b.id: b for b in deep}
-    family = []
-    for bid, n in pairs:
-        try:
-            family.extend(enumerate_series(eq, bmap[bid], n, c=c_traj,
-                                           N=N_traj, precision=opts.precision))
-        except BBError as exc:
-            notes.append(f"germ for continuation unavailable ({bid}, n={n}): {exc}")
-            continue
+    family, _ = _germs(eq, _deepened(eq, branches, pairs, N_traj, opts.precision),
+                       pairs, notes,
+                       "germ for continuation unavailable ({bid}, n={n}): {exc}",
+                       c=c_traj, N=N_traj, precision=opts.precision)
     if not family:
         return None, (), []
     if eq.k % 2 == 0:
@@ -278,9 +302,7 @@ def _build_report(eq, opts, depth, assumptions, warnings, polygon, branches,
     }
     series_json = []
     for ls in germs:
-        entry = series_to_json(ls)
-        entry["verify_residual_order"] = (verify_series(eq, ls)
-                                          if not ls.has_free_parameter() else None)
+        entry = _germ_json(eq, ls)
         entry["root_choice"] = ls.root_choice
         series_json.append(entry)
     verdict_json = None
@@ -359,10 +381,7 @@ def render_text(report):
     if report["series"]:
         add("Laurent germs:")
         for s in report["series"]:
-            add(f"  n={s['n']} branch={s['branch']} resonance={s['resonance']}"
-                + (f" verify_order={s['verify_residual_order']}"
-                   if s["verify_residual_order"] is not None else ""))
-            add(f"    coeffs: {_coeffs_text(s['coeffs'], s['n'])}")
+            lines.extend(_germ_lines(s, "coeffs: "))
     for note in report.get("series_notes", []):
         add(f"  series note: {note}")
     v = report["classification"]
@@ -409,47 +428,24 @@ def cmd_analyze(equation, opts):
 
 
 def cmd_series(equation, opts):
-    eq = parse_equation(equation)
-    polygon = newton_polygon(eq.P)
-    depth = opts.depth or default_depth(eq.k, polygon)
-    branches = branches_at_infinity(eq.P, depth, opts.precision)
-    lead_const = eq.P.coeff_in_p(eq.P.deg_p()).degree() == 0
-    report = screen_admissibility(eq.k, branches, leading_p_coeff_constant=lead_const)
-    c_req = None if opts.c in ("default", None) else opts.c
+    eq, notes, _polygon, _depth, branches, report = _prepare(equation, opts)
+    pairs = report.admissible_pairs()
     bmap = {b.id: b for b in branches}
     if opts.N is not None and opts.depth is None:
         # a deep truncation request needs deeper branch expansions
-        need = depth
-        for bid, n in report.admissible_pairs():
-            need = max(need, -(-bmap[bid].m * opts.N // n) + 4)
-        if need > depth:
-            bmap = {b.id: b for b in
-                    branches_at_infinity(eq.P, need, opts.precision)}
-    rows = []
-    notes = []
-    for bid, n in report.admissible_pairs():
-        if opts.n is not None and n != opts.n:
-            continue
-        try:
-            found = enumerate_series(eq, bmap[bid], n, c=c_req, N=opts.N,
-                                     precision=opts.precision, collect_notes=notes)
-        except BBError as exc:
-            notes.append(f"branch {bid}, n={n}: {exc}")
-            continue
-        for ls in found:
-            entry = series_to_json(ls)
-            entry["verify_residual_order"] = (verify_series(eq, ls)
-                                              if not ls.has_free_parameter() else None)
-            rows.append(entry)
+        bmap = _deepened(eq, branches, pairs, opts.N, opts.precision)
+    if opts.n is not None:
+        pairs = [(bid, n) for bid, n in pairs if n == opts.n]
+    germs, _ = _germs(eq, bmap, pairs, notes, "branch {bid}, n={n}: {exc}",
+                      c=None if opts.c == "default" else opts.c, N=opts.N,
+                      precision=opts.precision, collect_notes=notes)
+    rows = [_germ_json(eq, ls) for ls in germs]
     out = {"input": canonical_string(eq), "series": rows, "notes": notes}
     if opts.fmt == "json":
         return render_json(out), 0
     lines = [f"germs for {out['input']}:"]
     for s in rows:
-        lines.append(f"  n={s['n']} branch={s['branch']} resonance={s['resonance']}"
-                     + (f" verify_order={s['verify_residual_order']}"
-                        if s["verify_residual_order"] is not None else ""))
-        lines.append(f"    {_coeffs_text(s['coeffs'], s['n'])}")
+        lines += _germ_lines(s, "")
     lines += [f"note: {n}" for n in notes]
     if not rows:
         lines.append("  (none)")
@@ -457,10 +453,7 @@ def cmd_series(equation, opts):
 
 
 def cmd_residues(equation, opts):
-    eq = parse_equation(equation)
-    polygon = newton_polygon(eq.P)
-    depth = opts.depth or default_depth(eq.k, polygon)
-    branches = branches_at_infinity(eq.P, depth, opts.precision)
+    eq, warnings, _polygon, _depth, branches, _report = _prepare(equation, opts)
     ev = exactness_check(branches, resolved=eq.resolved, precision=opts.precision)
     rows = []
     for b in branches:
@@ -473,7 +466,7 @@ def cmd_residues(equation, opts):
             rows.append({"place": r.place, "value": coeff_to_json(r.value),
                          "certified_zero": r.certified_zero})
     out = {"input": canonical_string(eq), "exact": ev.exact, "mode": ev.mode,
-           "s": ev.s_string(), "residues": rows, "notes": list(ev.notes)}
+           "s": ev.s_string(), "residues": rows, "notes": warnings + list(ev.notes)}
     if opts.fmt == "json":
         return render_json(out), 0
     lines = [f"residues of p dq for {out['input']} "

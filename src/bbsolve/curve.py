@@ -243,15 +243,6 @@ def residue_pdq(branch):
     return c * GaussianRational(-branch.m) if is_exact(c) else c * (-branch.m)
 
 
-def residue_is_certified_zero(branch):
-    r = residue_pdq(branch)
-    return coeff_is_zero(r)
-
-
-def _lcm(a, b):
-    return a * b // math.gcd(a, b)
-
-
 def branches_at_infinity(P, depth, precision=DEFAULT_PREC):
     """All places of P(p, q) = 0 over q = infinity, expanded to ``depth`` terms.
 
@@ -313,14 +304,8 @@ def _check_branch_count(branches, deg_p):
 
 def _branches_linear(P, depth, kappa_max):
     """deg_p = 1: p = N/D expanded at infinity by exact series division."""
-    D = P.coeff_in_p(1)
-    N = -P.coeff_in_p(0)
-    vt = Fraction(int(math.ceil(kappa_max)) + depth + 3)
-    num = FracSeries({Fraction(-j): c for j, c in enumerate(N.coeffs)}, vt)
-    den = FracSeries({Fraction(-j): c for j, c in enumerate(D.coeffs)}, vt)
-    if den.lead() is None:
-        raise DegenerateInput("zero denominator in resolved form")
-    pser = num * den.inverse()
+    pser = laurent_at_infinity(-P.coeff_in_p(0), P.coeff_in_p(1),
+                               -(math.ceil(kappa_max) + depth + 2))
     lead = pser.lead()
     if lead is None:
         kappa = Fraction(0)
@@ -359,27 +344,13 @@ def _branches_finite(Ptilde, d, depth, precision):
     grouped = _group_roots(roots)
     for c_root, _mult in grouped:
         cval = c_root.exact if c_root.exact is not None else c_root
-        Hc = _shift_p(Ptilde, cval)
+        Hc = _np_substitute(Ptilde, cval, 0, 1)
         for wser, m in _np_branches(Hc, tau, _MAX_NP_RECURSION, precision):
             pser = wser + FracSeries({Fraction(0): cval}, wser.valid_to)
             lead = pser.lead()
             kappa = Fraction(0) if (lead and lead[0] == 0) else -(lead[0] if lead else 0)
             out.append((kappa, pser, m))
     return out
-
-
-def _shift_p(H, c):
-    out = {}
-    for (a, b), coeff in H.items():
-        for r in range(a + 1):
-            key = (r, b)
-            add = coeff * _binom(a, r) * (c ** (a - r)) if a - r else coeff * _binom(a, r)
-            out[key] = out[key] + add if key in out else add
-    return {k: v for k, v in out.items() if not coeff_is_zero(v)}
-
-
-def _binom(n, r):
-    return math.comb(n, r)
 
 
 def _group_roots(roots):
@@ -423,7 +394,7 @@ def _np_substitute(H, c, s, m):
         base_t = s * a + m * b
         for r in range(a + 1):
             key = (r, base_t)
-            add = coeff * _binom(a, r)
+            add = coeff * math.comb(a, r)
             if a - r:
                 add = add * (c ** (a - r))
             out[key] = out[key] + add if key in out else add

@@ -135,7 +135,7 @@ class _Rat:
 
     def __truediv__(self, o):
         if o.num.is_zero():
-            raise ZeroDivisionError("division by zero in equation")
+            raise DegenerateInput("division by zero in equation")
         return _Rat(self.num * o.den, self.den * o.num)
 
     def __neg__(self):
@@ -309,7 +309,7 @@ def _parse_ode(text):
     N = num.coeff_in_p(0)
     D = den.coeff_in_p(0)
     if D.is_zero():
-        raise ZeroDivisionError("right-hand side has zero denominator")
+        raise DegenerateInput("right-hand side has zero denominator")
     notes = []
     g = N.gcd(D)
     if g.degree() >= 1:

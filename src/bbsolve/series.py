@@ -26,7 +26,8 @@ from .algebra import (BigComplex, GR_ONE, GR_ZERO, GaussianRational,
                       all_nth_roots, as_gaussian, binom_frac, coeff_is_zero,
                       falling, is_exact, pochhammer, DEFAULT_PREC)
 from .curve import first_integral_series
-from .errors import (DepthTooSmall, InconsistentResonance, NoRoots)
+from .errors import (DepthTooSmall, InconsistentResonance, NoRoots,
+                     PrecisionExhausted)
 
 _BIGN = 10 ** 9
 
@@ -86,9 +87,6 @@ class ZSeries:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
         return GR_ZERO
-
-    def lead_exp(self):
-        return self.start if self.coeffs else None
 
     def truncate(self, hi):
         n = hi - self.start + 1
@@ -365,19 +363,21 @@ def _coeff_close(a, b):
     return abs(av - bv) <= tol
 
 
-def _branch_powers(branch, n, k):
-    """[(absolute z-start, eta exponent e_i, A_i)] for the p(y) terms.
+def _power_table(terms, m, n):
+    """[(absolute z-start, eta exponent e, A)] for terms A q^x on a branch.
 
-    Each branch term A_i q^(kappa - i/m) becomes, evaluated at y,
-    A_i eta0^(e_i) z^(-n (kappa - i/m)) G^(e_i)  with  e_i = m kappa - i.
+    Evaluated at y, each term becomes  A eta0^e z^(-n x) G^e  with  e = m x.
+    The terms are the branch's own for p(y) (x = kappa - i/m), and those of
+    the termwise integral of p dq for s(y) (x = kappa + 1 - i/m).
     """
-    m = branch.m
     out = []
-    for q_exp, A in branch.terms:
+    for q_exp, A in terms:
         e = m * q_exp
-        assert e.denominator == 1, "branch exponent off the 1/m grid"
-        z_start = -Fraction(n) * q_exp
-        assert z_start.denominator == 1, "m | n gate violated"
+        if e.denominator != 1:
+            raise PrecisionExhausted(f"exponent {q_exp} off the u-grid of ramification {m}")
+        z_start = -n * q_exp
+        if z_start.denominator != 1:
+            raise NoRoots(f"ramification {m} does not divide pole order {n}")
         out.append((int(z_start), int(e), A))
     return out
 
@@ -425,7 +425,7 @@ def _build_series(k, n, branch, root, c, N, precision):
     j_res = 2 * n + k if k % 2 == 0 else None
     coeffs = [root.c0] + [GR_ZERO] * N
     free_emitted = False
-    pterms = _branch_powers(branch, n, k)
+    pterms = _power_table(branch.terms, m, n)
     for j in range(1, N + 1):
         if free_emitted:
             break
@@ -471,27 +471,7 @@ def _residual_coeff_at(k, n, coeffs, j, pterms, eta0, m):
     target = j - n - k
     lhs = y.derivative_n(k).coeff(target)
     # G = (1 + w)^(1/m), w = sum_{j'>=1} (c_j'/c_0) z^j'
-    G = _g_series(y, m, cap_rel)
-    rhs = GR_ZERO
-    Ginv = None
-    powers = {}
-    for z_start, e_i, A in pterms:
-        rel_needed = target - z_start
-        if rel_needed < 0:
-            continue
-        Ge = powers.get(e_i)
-        if Ge is None:
-            if e_i >= 0:
-                Ge = G.pow_int(e_i, cap=cap_rel)
-            else:
-                if Ginv is None:
-                    Ginv = G.inverse(cap=cap_rel)
-                Ge = Ginv.pow_int(-e_i, cap=cap_rel)
-            powers[e_i] = Ge
-        scalar = _eta_power(eta0, e_i)
-        contrib = Ge.coeff(rel_needed)
-        term = A * scalar * contrib if not _is_exact_zero(contrib) else GR_ZERO
-        rhs = rhs + term if not _is_exact_zero(term) else rhs
+    rhs = _coeff_of_powers(pterms, _g_series(y, m, cap_rel), eta0, cap_rel, target)
     lhs_val = lhs if not _is_exact_zero(lhs) else GR_ZERO
     return lhs_val - rhs
 
@@ -523,35 +503,16 @@ def _eta_power(eta0, e):
     return eta0 ** e
 
 
-def _s_powers(branch, n, k):
-    """[(absolute z-start, eta exponent e, coeff)] for the s(y) terms.
+def _coeff_of_powers(table, G, eta0, cap_rel, target):
+    """Coefficient of z^target in  sum A eta0^e z^start G^e  over a power table.
 
-    s = termwise integral of p dq; the term coeff * q^(kappa+1-i/m) becomes
-    coeff * eta0^e z^(-n (kappa+1-i/m)) G^e  with  e = m (kappa+1) - i.
+    Each G^e (and G^-1) is computed once, truncated at relative order cap_rel.
     """
-    m = branch.m
-    out = []
-    for q_exp, coeff in first_integral_series(branch):
-        e = m * q_exp
-        assert e.denominator == 1
-        z_start = -Fraction(n) * q_exp
-        assert z_start.denominator == 1
-        out.append((int(z_start), int(e), coeff))
-    return out
-
-
-def _pin_resonant(k, n, branch, root, coeffs, c, j_res):
-    """Solve the constant term of Phi_k(y) = s(y) + c for c_{2n+k}."""
-    s_terms = _s_powers(branch, n, k)
-    cap_rel = j_res
-    y = ZSeries(-n, coeffs[:j_res])       # resonant coefficient treated as 0
-    phi0 = bracket_phi(k, y).coeff(0)
-    G = _g_series(y, branch.m, cap_rel)
-    s0 = GR_ZERO
+    total = GR_ZERO
     Ginv = None
     powers = {}
-    for z_start, e, A in s_terms:
-        rel_needed = 0 - z_start
+    for z_start, e, A in table:
+        rel_needed = target - z_start
         if rel_needed < 0:
             continue
         Ge = powers.get(e)
@@ -565,7 +526,16 @@ def _pin_resonant(k, n, branch, root, coeffs, c, j_res):
             powers[e] = Ge
         contrib = Ge.coeff(rel_needed)
         if not _is_exact_zero(contrib):
-            s0 = s0 + A * _eta_power(root.eta0, e) * contrib
+            total = total + A * _eta_power(eta0, e) * contrib
+    return total
+
+
+def _pin_resonant(k, n, branch, root, coeffs, c, j_res):
+    """Solve the constant term of Phi_k(y) = s(y) + c for c_{2n+k}."""
+    s_terms = _power_table(first_integral_series(branch), branch.m, n)
+    y = ZSeries(-n, coeffs[:j_res])       # resonant coefficient treated as 0
+    phi0 = bracket_phi(k, y).coeff(0)
+    s0 = _coeff_of_powers(s_terms, _g_series(y, branch.m, j_res), root.eta0, j_res, 0)
     T0 = (phi0 if not _is_exact_zero(phi0) else GR_ZERO) - s0
     pin = pinning_coefficient(k, n, root.c0)
     cc = c if not isinstance(c, (int, Fraction)) else GaussianRational(c)

@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from bbsolve.algebra import BigComplex, GaussianRational, UPoly
+from bbsolve.algebra import BigComplex, GaussianRational, RatQ, UPoly
 from bbsolve.classify import (PoleEvent, assemble_verdict, continue_trajectory,
                               detect_periods, match_exponential, match_monomial,
                               stirling2, sweep_poles, theta_pow, make_probe,
-                              germ_numeric, _reduce_rat)
+                              germ_numeric)
 from bbsolve.conditions import screen_admissibility
 from bbsolve.curve import branches_at_infinity
 from bbsolve.eqparse import parse_equation
@@ -99,7 +99,8 @@ class TestThetaOperator:
                 dn, dd = Rn, Rd
                 for _ in range(k):
                     ddn = dn.derivative() * dd - dn * dd.derivative()
-                    dn, dd = _reduce_rat(UPoly([0, 1]) * ddn, dd * dd)
+                    r = RatQ(UPoly([0, 1]) * ddn, dd * dd)
+                    dn, dd = r.num, r.den
                 assert (num * dd - dn * den).is_zero()
 
 

@@ -3,8 +3,11 @@
 import json
 import os
 
-from bbsolve.cli import (Options, analyze, cmd_classify, cmd_residues,
+import pytest
+
+from bbsolve.cli import (Options, _parse_c, analyze, cmd_classify, cmd_residues,
                          cmd_selftest, cmd_series, main, render_json)
+from bbsolve.errors import DegenerateInput
 from minischema import validate
 
 SCHEMA = json.load(open(os.path.join(os.path.dirname(__file__), "..", "src",
@@ -36,6 +39,14 @@ class TestAnalyze:
     def test_squarefree_warning(self):
         rep, _ = analyze("P: p^2 - 2*p*q + q^2 ; k=1", Options(no_classify=True))
         assert any("squarefree" in w for w in rep["warnings"])
+        # series and residues share the front end, so they analyse the
+        # squarefree part too instead of failing on the repeated factor
+        for cmd in (cmd_series, cmd_residues):
+            out, code = cmd("P: p^2 - 2*p*q + q^2 ; k=1", Options(fmt="json"))
+            assert code == 0
+            data = json.loads(out)
+            assert data["input"] == "P: p - q ; k=1"
+            assert any("squarefree" in n for n in data["notes"])
 
     def test_every_numeric_value_carries_error(self):
         rep, _ = analyze("y'' = 4*y^3", Options(no_classify=True))
@@ -78,6 +89,14 @@ class TestCommands:
         assert places["infinity"]["value"] == {"rat": "-1"}
         assert places["q=0"]["value"] == {"rat": "1"}
 
+    def test_k_override(self):
+        out, _ = cmd_series("y'' = 6*y^2", Options(k_override=4, fmt="json"))
+        data = json.loads(out)
+        assert data["input"].endswith("k=4")
+        assert [s["n"] for s in data["series"]] == [4]
+        out, _ = cmd_residues("y'' = 6*y^2", Options(k_override=4, fmt="json"))
+        assert json.loads(out)["input"].endswith("k=4")
+
     def test_classify_command(self):
         out, code = cmd_classify("y' = y^2", Options(fmt="json"))
         data = json.loads(out)
@@ -107,6 +126,10 @@ class TestMain:
         code = main(["analyze", "y'' = sin(y)"])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_zero_division_in_c_rejected(self):
+        with pytest.raises(DegenerateInput):
+            _parse_c("1/0")
 
     def test_env_precision(self, capsys, monkeypatch):
         monkeypatch.setenv("BBSOLVE_PRECISION", "192")

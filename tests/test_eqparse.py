@@ -124,6 +124,11 @@ class TestRejections:
         with pytest.raises(DegenerateInput):
             parse_equation("P: p - q ; k=0")
 
+    def test_division_by_zero_rejected(self):
+        for text in ("y'' = 6*y^2 + 1/(y - y)", "P: p - 1/(q - q) ; k=1"):
+            with pytest.raises(DegenerateInput):
+                parse_equation(text)
+
     def test_division_in_raw_mode(self):
         with pytest.raises(NotPolynomial):
             parse_equation("P: p/q - 1 ; k=1")
