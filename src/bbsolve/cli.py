@@ -61,22 +61,35 @@ def default_depth(k, polygon):
     return max(4 * (n_max + k) + 8, deg_p * (kappa_top + 1) + 2)
 
 
+def _at_least(name, value, low):
+    """``value`` when it is None or an integer >= low; BBError otherwise."""
+    if value is not None and (not isinstance(value, int) or value < low):
+        raise BBError(f"{name} must be an integer >= {low}, got {value!r}")
+    return value
+
+
 class Options:
     def __init__(self, c="default", N=None, depth=None, precision=None,
                  tol=DEFAULT_TRAJ_TOL, ratio_tol=DEFAULT_RATIO_TOL,
                  degree_cap=None, no_classify=False, fmt="text", n=None,
                  k_override=None):
         env = os.environ.get("BBSOLVE_PRECISION")
-        self.precision = precision or (int(env) if env else DEFAULT_PREC)
+        if precision is None and env:
+            try:
+                precision = int(env)
+            except ValueError:
+                raise BBError(f"BBSOLVE_PRECISION must be an integer, got {env!r}") from None
+        self.precision = _at_least(
+            "precision", DEFAULT_PREC if precision is None else precision, 1)
         self.c = c
-        self.N = N
-        self.depth = depth
+        self.N = _at_least("N", N, 0)
+        self.depth = _at_least("depth", depth, 1)
         self.tol = tol
         self.ratio_tol = ratio_tol
-        self.degree_cap = degree_cap
+        self.degree_cap = _at_least("degree cap", degree_cap, 1)
         self.no_classify = no_classify
         self.fmt = fmt
-        self.n = n
+        self.n = _at_least("n", n, 1)
         self.k_override = k_override
 
 
@@ -102,7 +115,7 @@ def _prepare(equation, opts):
     squarefree part, then polygon, depth, branches and the admissibility screen.
 
     Returns (eq, warnings, polygon, depth, branches, report); ``warnings``
-    holds what this step adds to the parser's notes."""
+    holds the parser's notes followed by what this step adds."""
     eq = parse_equation(equation)
     if opts.k_override is not None:
         eq = dc_replace(eq, k=opts.k_override)
@@ -124,7 +137,7 @@ def _prepare(equation, opts):
     branches = branches_at_infinity(eq.P, depth, opts.precision)
     lead_const = eq.P.coeff_in_p(eq.P.deg_p()).degree() == 0
     report = screen_admissibility(eq.k, branches, leading_p_coeff_constant=lead_const)
-    return eq, warnings, polygon, depth, branches, report
+    return eq, list(eq.notes) + warnings, polygon, depth, branches, report
 
 
 def _deepened(eq, branches, pairs, N, precision):
@@ -172,7 +185,6 @@ def analyze(equation, opts=None):
     Returns (report dict, exit_code)."""
     opts = opts or Options()
     eq, warnings, polygon, depth, branches, report = _prepare(equation, opts)
-    warnings = list(eq.notes) + warnings
     assumptions = ["irreducibility of P assumed (not verified)"]
     ev = exactness_check(branches, resolved=eq.resolved, precision=opts.precision)
     if ev.mode == "general":

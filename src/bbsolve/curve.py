@@ -16,129 +16,11 @@ from fractions import Fraction
 import math
 
 from .algebra import (BigComplex, GR_ONE, GR_ZERO, GaussianRational,
-                      UPoly, all_nth_roots, as_gaussian, coeff_is_zero,
+                      UPoly, ZSeries, all_nth_roots, as_gaussian, coeff_is_zero,
                       is_exact, roots_univariate, solve_linear, DEFAULT_PREC)
 from .errors import DegenerateInput, InsufficientDepth, PrecisionExhausted
 
 _MAX_NP_RECURSION = 64
-
-
-# ---------------------------------------------------------------------------
-# fractional-exponent Laurent series in one local variable
-# ---------------------------------------------------------------------------
-
-class FracSeries:
-    """Truncated series sum coeff * t^exp with rational exponents.
-
-    ``valid_to`` is the inclusive exponent bound through which coefficients
-    are complete; absent exponents below it are exact zeros.
-    """
-
-    __slots__ = ("terms", "valid_to")
-
-    def __init__(self, terms, valid_to):
-        cleaned = {}
-        vt = Fraction(valid_to)
-        for e, c in (terms.items() if isinstance(terms, dict) else terms):
-            e = Fraction(e)
-            if e > vt or coeff_is_zero(c):
-                continue
-            cleaned[e] = cleaned[e] + c if e in cleaned else c
-            if coeff_is_zero(cleaned[e]):
-                del cleaned[e]
-        self.terms = cleaned
-        self.valid_to = vt
-
-    def items(self):
-        return sorted(self.terms.items())
-
-    def lead(self):
-        """(exponent, coeff) of the lowest term; None for (truncation-)zero."""
-        if not self.terms:
-            return None
-        e = min(self.terms)
-        return e, self.terms[e]
-
-    def coeff(self, e):
-        return self.terms.get(Fraction(e), GR_ZERO)
-
-    def truncate(self, bound):
-        b = min(self.valid_to, Fraction(bound))
-        return FracSeries({e: c for e, c in self.terms.items() if e <= b}, b)
-
-    def __add__(self, other):
-        vt = min(self.valid_to, other.valid_to)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out[e] + c if e in out else c
-        return FracSeries(out, vt)
-
-    def __neg__(self):
-        return FracSeries({e: -c for e, c in self.terms.items()}, self.valid_to)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c, dexp=0):
-        d = Fraction(dexp)
-        return FracSeries({e + d: x * c for e, x in self.terms.items()},
-                          self.valid_to + d)
-
-    def __mul__(self, other):
-        la = self.lead()
-        lb = other.lead()
-        if la is None or lb is None:
-            a_lead = self.valid_to if la is None else la[0]
-            b_lead = other.valid_to if lb is None else lb[0]
-            return FracSeries({}, min(self.valid_to + b_lead, other.valid_to + a_lead))
-        vt = min(self.valid_to + lb[0], other.valid_to + la[0])
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                if e > vt:
-                    continue
-                prod = c1 * c2
-                out[e] = out[e] + prod if e in out else prod
-        return FracSeries(out, vt)
-
-    _BIG = Fraction(10 ** 9)
-
-    def pow_int(self, n):
-        if n < 0:
-            return self.inverse().pow_int(-n)
-        out = FracSeries({Fraction(0): GR_ONE}, self._BIG)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
-
-    def inverse(self):
-        lead = self.lead()
-        if lead is None:
-            raise ZeroDivisionError("inverting a series with no visible terms")
-        e0, c0 = lead
-        rel = self.valid_to - e0
-        # r = tail / lead term, r has positive leading exponent
-        r = FracSeries({e - e0: c * (GR_ONE / c0 if isinstance(c0, GaussianRational)
-                                     else c0 ** -1)
-                        for e, c in self.terms.items() if e != e0}, rel)
-        inv_c0 = (c0.inverse() if isinstance(c0, GaussianRational) else 1 / c0)
-        acc = FracSeries({Fraction(0): GR_ONE}, rel)
-        term = FracSeries({Fraction(0): GR_ONE}, rel)
-        r_lead = r.lead()
-        if r_lead is not None:
-            steps = int(rel / r_lead[0]) + 1
-            for _ in range(steps):
-                term = (term * r).scale(GaussianRational(-1))
-                if term.lead() is None:
-                    break
-                acc = acc + term
-        return acc.scale(inv_c0, -e0)
 
 
 # ---------------------------------------------------------------------------
@@ -266,26 +148,19 @@ def branches_at_infinity(P, depth, precision=DEFAULT_PREC):
     # deterministic ids: sort by kappa descending, then lead coeff key
     def sort_key(item):
         kappa, series, m = item
-        lead = series.lead()
-        c = lead[1] if lead else GR_ZERO
+        c = series.coeffs[0] if series.coeffs else GR_ZERO
         cx = complex(c) if not isinstance(c, BigComplex) else complex(c.val)
         return (-kappa, round(cx.real, 9), round(cx.imag, 9))
     raw.sort(key=sort_key)
     out = []
     for n_id, (kappa, pser, m) in enumerate(raw):
+        # pser is in u = q^(-1/m): u-exponent e sits at q-exponent -e/m
+        valid_q = max(Fraction(-pser.valid_to, m), kappa - Fraction(depth, m))
         terms = []
-        cut = kappa - Fraction(depth, m)
-        for e_t, c in pser.items():
-            q_exp = -e_t
-            if q_exp < cut:
-                continue
-            i_grid = (kappa - q_exp) * m
-            if i_grid.denominator != 1 or i_grid < 0:
-                raise PrecisionExhausted(
-                    f"exponent {q_exp} off the u-grid of ramification {m}")
-            terms.append((q_exp, c))
-        terms.sort(key=lambda tc: tc[0], reverse=True)
-        valid_q = max(-pser.valid_to, cut)
+        for e_u, c in pser.items():
+            q_exp = Fraction(-e_u, m)
+            if q_exp >= valid_q and not coeff_is_zero(c):
+                terms.append((q_exp, c))
         lead = terms[0][1] if terms else GR_ZERO
         out.append(PuiseuxBranch(
             id=f"b{n_id}", m=m, kappa=kappa, lead=lead, terms=tuple(terms),
@@ -306,23 +181,22 @@ def _branches_linear(P, depth, kappa_max):
     """deg_p = 1: p = N/D expanded at infinity by exact series division."""
     pser = laurent_at_infinity(-P.coeff_in_p(0), P.coeff_in_p(1),
                                -(math.ceil(kappa_max) + depth + 2))
-    lead = pser.lead()
-    if lead is None:
-        kappa = Fraction(0)
-    else:
-        kappa = -lead[0]
-    return [(kappa, pser, 1)]
+    return [(_kappa(pser, 1), pser, 1)]
+
+
+def _kappa(pser, m):
+    """Leading q-exponent of an expansion in u = q^(-1/m); 0 when it is empty."""
+    return Fraction(-pser.start, m) if pser.coeffs else Fraction(0)
 
 
 def _branches_unbounded(Ptilde, d, depth, kappa_max, precision):
     """Places with p -> infinity: invert p = 1/v, expand v -> 0."""
     Phat = {(d - i, b): c for (i, b), c in Ptilde.items()}
-    tau = Fraction(int(math.ceil(kappa_max)) + depth + 3)
+    tau = math.ceil(kappa_max) + depth + 3
     out = []
     for vser, m in _np_branches(Phat, tau, _MAX_NP_RECURSION, precision):
         pser = vser.inverse()
-        lead = pser.lead()
-        kappa = -lead[0]
+        kappa = _kappa(pser, m)
         if kappa <= 0:
             continue  # not a p-unbounded place; covered by the finite scan
         out.append((kappa, pser, m))
@@ -339,17 +213,15 @@ def _branches_finite(Ptilde, d, depth, precision):
     out = []
     if top.degree() < 1:
         return out
-    tau = Fraction(depth + 3)
+    tau = depth + 3
     roots = roots_univariate(top, precision)
     grouped = _group_roots(roots)
     for c_root, _mult in grouped:
         cval = c_root.exact if c_root.exact is not None else c_root
         Hc = _np_substitute(Ptilde, cval, 0, 1)
         for wser, m in _np_branches(Hc, tau, _MAX_NP_RECURSION, precision):
-            pser = wser + FracSeries({Fraction(0): cval}, wser.valid_to)
-            lead = pser.lead()
-            kappa = Fraction(0) if (lead and lead[0] == 0) else -(lead[0] if lead else 0)
-            out.append((kappa, pser, m))
+            pser = wser + ZSeries(0, [cval], wser.valid_to)
+            out.append((_kappa(pser, m), pser, m))
     return out
 
 
@@ -402,9 +274,10 @@ def _np_substitute(H, c, s, m):
 
 
 def _np_branches(H, tau, fuel, precision):
-    """Branches w(t) -> 0 of H(w, t) = 0 with exponents <= tau computed.
+    """Branches w(t) -> 0 of H(w, t) = 0 with t-exponents <= tau computed.
 
-    H: dict {(deg_w, deg_t): coeff}.  Returns list of (FracSeries, m).
+    H: dict {(deg_w, deg_t): coeff}; tau: int.  Returns a list of (w, m),
+    w a ZSeries in u = t^(1/m).
     """
     if fuel <= 0:
         raise PrecisionExhausted("branch separation did not terminate")
@@ -437,7 +310,7 @@ def _np_branches(H, tau, fuel, precision):
             c = _pick_mth_root(Xroot, m, precision)
             Hs = _strip_t(_np_substitute(H, c, s, m))
             tau_child = m * tau - s
-            prefix = FracSeries({gamma: c}, tau)
+            prefix = ZSeries(s, [c], m * tau)
             if tau_child < 0:
                 out.append((prefix, m))
                 continue
@@ -449,22 +322,19 @@ def _np_branches(H, tau, fuel, precision):
                 continue
             if r == 1:
                 tail = _newton_lift(Hs, tau_child)
-                out.append((_compose(prefix, tail, gamma, m, tau), m))
+                out.append((_compose(c, s, tail, 1, m * tau), m))
             else:
                 for sub, msub in _np_branches(Hs, tau_child, fuel - 1, precision):
-                    out.append((_compose(prefix, sub, gamma, m, tau), m * msub))
+                    out.append((_compose(c, s, sub, msub, m * tau), m * msub))
     return out
 
 
-def _compose(prefix, sub, gamma, m, tau):
-    """w = t^gamma * (c + sub(t^(1/m))) given prefix = {gamma: c}."""
-    terms = dict(prefix.terms)
-    for e, c in sub.terms.items():
-        ee = gamma + e / m
-        if ee <= tau:
-            terms[ee] = terms[ee] + c if ee in terms else c
-    vt = min(tau, gamma + sub.valid_to / m)
-    return FracSeries(terms, vt)
+def _compose(c, s, sub, msub, tau_t1):
+    """w = t1^s (c + sub(u)) on the u-grid of sub, t1 = u^msub, truncated at
+    t1-exponent tau_t1."""
+    w = sub + ZSeries(0, [c])
+    shift = s * msub
+    return ZSeries(w.start + shift, w.coeffs, w.valid_to + shift).truncate(tau_t1 * msub)
 
 
 def _strip_t(H):
@@ -529,43 +399,40 @@ def _newton_lift(H, tau):
     Correct coefficients double per Newton step; validity bookkeeping is
     managed through the step order pi, not through the intermediate series.
     """
-    tau = Fraction(tau)
-    big = FracSeries._BIG
     by_a = {}
     for (a, b), c in H.items():
-        by_a.setdefault(a, {})[Fraction(b)] = c
+        by_a.setdefault(a, {})[b] = c
     amax = max(by_a)
-    coeff_series = {a: FracSeries(bs, big) for a, bs in by_a.items()}
+    coeff_series = {a: ZSeries(0, [bs.get(b, GR_ZERO) for b in range(max(bs) + 1)])
+                    for a, bs in by_a.items()}
     dcoeff_series = {a: s.scale(GaussianRational(a))
                      for a, s in coeff_series.items() if a >= 1}
-    x = FracSeries({}, big)
-    pi = Fraction(0)
+    x = ZSeries.zero()
+    pi = 0
     guard = 0
     while pi < tau:
         pi = min(2 * pi + 1, tau)
         guard += 1
         if guard > 64:
             raise PrecisionExhausted("Newton lifting failed to converge")
-        hv = _bihorner(coeff_series, amax, x, big, cap=pi + 1).truncate(pi + 1)
-        hw = _bihorner(dcoeff_series, amax, x, big, shift=1, cap=pi + 1).truncate(pi + 1)
-        x = FracSeries((x - hv * hw.inverse()).truncate(pi).terms, big)
+        hv = _bihorner(coeff_series, amax, x, pi + 1).truncate(pi + 1)
+        hw = _bihorner(dcoeff_series, amax, x, pi + 1, shift=1).truncate(pi + 1)
+        step = (x - hv * hw.inverse()).truncate(pi)
+        x = ZSeries(step.start, step.coeffs)
     return x.truncate(tau)
 
 
-def _bihorner(coeff_series, amax, x, valid, shift=0, cap=None):
+def _bihorner(coeff_series, amax, x, cap, shift=0):
     acc = None
     for a in range(amax, shift - 1, -1):
         cs = coeff_series.get(a)
         if acc is None:
-            acc = cs if cs is not None else FracSeries({}, valid)
+            acc = cs if cs is not None else ZSeries.zero()
             continue
-        acc = acc * x
-        if cap is not None:
-            acc = FracSeries({e: c for e, c in acc.terms.items() if e <= cap},
-                             acc.valid_to)
+        acc = acc.mul(x, cap=cap)
         if cs is not None:
             acc = acc + cs
-    return acc if acc is not None else FracSeries({}, valid)
+    return acc if acc is not None else ZSeries.zero()
 
 
 # ---------------------------------------------------------------------------
@@ -635,20 +502,20 @@ def hermite_ostrogradsky(N, D):
 def laurent_at_infinity(N, D, down_to):
     """Expansion of N/D in powers of q down to exponent ``down_to``, exact.
 
-    Returns FracSeries in t = 1/q (so q^j appears at t-exponent -j).
+    Returns a ZSeries in t = 1/q (so q^j appears at t-exponent -j).
     """
     if D.is_zero():
         raise ZeroDivisionError("zero denominator")
-    vt = Fraction(-down_to + 1)
-    num = FracSeries({Fraction(-j): c for j, c in enumerate(N.coeffs)}, vt)
-    den = FracSeries({Fraction(-j): c for j, c in enumerate(D.coeffs)}, vt)
+    vt = 1 - down_to
+    num = ZSeries(1 - len(N.coeffs), reversed(N.coeffs), vt)
+    den = ZSeries(1 - len(D.coeffs), reversed(D.coeffs), vt)
     return num * den.inverse()
 
 
 def residue_at_infinity_resolved(N, D):
     """Exact residue of (N/D) dq at q = infinity: -[q^-1](N/D)."""
     ser = laurent_at_infinity(N, D, down_to=-2)
-    c = ser.coeff(Fraction(1))
+    c = ser.coeff(1)
     return -c if not coeff_is_zero(c) else GR_ZERO
 
 

@@ -22,14 +22,12 @@ branch choices are absorbed, duplicates removed).
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (BigComplex, GR_ONE, GR_ZERO, GaussianRational,
-                      all_nth_roots, as_gaussian, binom_frac, coeff_is_zero,
-                      falling, is_exact, pochhammer, DEFAULT_PREC)
+from .algebra import (BigComplex, GR_ONE, GR_ZERO, GaussianRational, ZSeries,
+                      _is_exact_zero, all_nth_roots, as_gaussian, binom_frac,
+                      coeff_is_zero, falling, is_exact, pochhammer, DEFAULT_PREC)
 from .curve import first_integral_series
 from .errors import (DepthTooSmall, InconsistentResonance, NoRoots,
                      PrecisionExhausted)
-
-_BIGN = 10 ** 9
 
 
 class FreeCoefficient:
@@ -47,177 +45,6 @@ class FreeCoefficient:
 
 
 FREE = FreeCoefficient()
-
-
-# ---------------------------------------------------------------------------
-# integer-grid Laurent series
-# ---------------------------------------------------------------------------
-
-class ZSeries:
-    """sum coeffs[i] * z^(start + i), coefficients valid through exponent valid_to."""
-
-    __slots__ = ("start", "coeffs", "valid_to")
-
-    def __init__(self, start, coeffs, valid_to=_BIGN):
-        cs = list(coeffs)
-        lead = 0
-        while lead < len(cs) and _is_exact_zero(cs[lead]):
-            lead += 1
-        cs = cs[lead:]
-        start += lead
-        while cs and _is_exact_zero(cs[-1]):
-            cs.pop()
-        self.start = start
-        self.coeffs = cs
-        self.valid_to = valid_to
-
-    @staticmethod
-    def zero(valid_to=_BIGN):
-        return ZSeries(0, [], valid_to)
-
-    @staticmethod
-    def one():
-        return ZSeries(0, [GR_ONE])
-
-    def is_visibly_zero(self):
-        return not self.coeffs
-
-    def coeff(self, e):
-        i = e - self.start
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return GR_ZERO
-
-    def truncate(self, hi):
-        n = hi - self.start + 1
-        return ZSeries(self.start, self.coeffs[:max(n, 0)], min(self.valid_to, hi))
-
-    def __add__(self, other):
-        vt = min(self.valid_to, other.valid_to)
-        if not self.coeffs:
-            return ZSeries(other.start, other.coeffs, vt)
-        if not other.coeffs:
-            return ZSeries(self.start, self.coeffs, vt)
-        start = min(self.start, other.start)
-        end = max(self.start + len(self.coeffs), other.start + len(other.coeffs))
-        out = [GR_ZERO] * (end - start)
-        for i, c in enumerate(self.coeffs):
-            out[self.start - start + i] = c
-        for i, c in enumerate(other.coeffs):
-            j = other.start - start + i
-            out[j] = out[j] + c
-        return ZSeries(start, out, vt)
-
-    def __neg__(self):
-        return ZSeries(self.start, [-c for c in self.coeffs], self.valid_to)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c, shift=0):
-        return ZSeries(self.start + shift, [x * c for x in self.coeffs], self.valid_to + shift)
-
-    def mul(self, other, cap=None):
-        if not self.coeffs or not other.coeffs:
-            a_lead = self.start if self.coeffs else self.valid_to
-            b_lead = other.start if other.coeffs else other.valid_to
-            return ZSeries.zero(min(self.valid_to + b_lead, other.valid_to + a_lead))
-        vt = min(self.valid_to + other.start, other.valid_to + self.start)
-        if cap is not None:
-            vt = min(vt, cap)
-        start = self.start + other.start
-        width = min(len(self.coeffs) + len(other.coeffs) - 1, vt - start + 1)
-        if width <= 0:
-            return ZSeries.zero(vt)
-        out = [GR_ZERO] * width
-        for i, a in enumerate(self.coeffs):
-            if _is_exact_zero(a):
-                continue
-            jmax = min(len(other.coeffs), width - i)
-            for j in range(jmax):
-                b = other.coeffs[j]
-                if _is_exact_zero(b):
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return ZSeries(start, out, vt)
-
-    def __mul__(self, other):
-        return self.mul(other)
-
-    def pow_int(self, e, cap=None):
-        if e < 0:
-            return self.inverse(cap=cap).pow_int(-e, cap=cap)
-        out = ZSeries.one()
-        base = self
-        while e:
-            if e & 1:
-                out = out.mul(base, cap=cap)
-            e >>= 1
-            if e:
-                base = base.mul(base, cap=cap)
-        return out
-
-    def inverse(self, cap=None):
-        if not self.coeffs:
-            raise ZeroDivisionError("inverting a series with no visible terms")
-        e0 = self.start
-        c0 = self.coeffs[0]
-        rel = self.valid_to - e0
-        if cap is not None:
-            rel = min(rel, cap - (-e0) + 0)
-        rel = min(rel, _BIGN)
-        inv0 = c0.inverse() if isinstance(c0, GaussianRational) else 1 / c0
-        nterms = int(rel) + 1 if rel < _BIGN else len(self.coeffs) * 4 + 8
-        out = [GR_ZERO] * max(nterms, 1)
-        out[0] = inv0
-        for idx in range(1, len(out)):
-            acc = None
-            for j in range(1, min(idx, len(self.coeffs) - 1) + 1):
-                a = self.coeffs[j]
-                if _is_exact_zero(a):
-                    continue
-                term = a * out[idx - j]
-                acc = term if acc is None else acc + term
-            out[idx] = -(acc * inv0) if acc is not None else GR_ZERO
-        return ZSeries(-e0, out, rel - e0)
-
-    def derivative(self):
-        out = []
-        for i, c in enumerate(self.coeffs):
-            e = self.start + i
-            out.append(c * e)
-        return ZSeries(self.start - 1, out, self.valid_to - 1)
-
-    def derivative_n(self, k):
-        s = self
-        for _ in range(k):
-            s = s.derivative()
-        return s
-
-    def items(self):
-        return [(self.start + i, c) for i, c in enumerate(self.coeffs)]
-
-    def first_noncertified_zero(self):
-        """Smallest exponent <= valid_to whose coefficient is not certified zero."""
-        for i, c in enumerate(self.coeffs):
-            e = self.start + i
-            if e > self.valid_to:
-                break
-            if not coeff_is_zero(c):
-                return e
-        return None
-
-    def __repr__(self):
-        parts = [f"{c}*z^{self.start + i}" for i, c in enumerate(self.coeffs[:6])]
-        return f"ZSeries({' + '.join(parts)}{' + ...' if len(self.coeffs) > 6 else ''})"
-
-
-def _is_exact_zero(c):
-    if isinstance(c, GaussianRational):
-        return c.is_zero()
-    if isinstance(c, (int, Fraction)):
-        return c == 0
-    return False  # numeric values are kept even when tiny
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +411,7 @@ def verify_series(eq, ls):
         y = y.truncate(-ls.n + ls.resonant_index() - 1)
     p_ser = y.derivative_n(eq.k)
     e_min = min(i * (-ls.n - eq.k) + j * (-ls.n) for (i, j) in eq.P.terms)
-    acc = ZSeries.zero(valid_to=_BIGN)
+    acc = ZSeries.zero()
     for (i, j), a in sorted(eq.P.terms.items()):
         term = p_ser.pow_int(i).mul(y.pow_int(j))
         acc = acc + term.scale(a)

@@ -6,7 +6,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bbsolve.algebra import (BiPoly, GaussianRational, UPoly,
+from bbsolve.algebra import (BiPoly, BigComplex, GaussianRational, UPoly,
                              all_nth_roots, falling, pochhammer,
                              roots_univariate, solve_linear, squarefree_in_p)
 from bbsolve.errors import DegenerateInput
@@ -51,6 +51,17 @@ class TestGaussianRational:
         i = GaussianRational(0, 1)
         assert i ** 2 == GaussianRational(-1)
         assert (GaussianRational(3, 4) / GaussianRational(3, 4)) == GaussianRational(1)
+
+
+class TestBigComplex:
+    @pytest.mark.xfail(strict=True, reason="BigComplex.__neg__ rounds to mpmath's "
+                       "ambient 53-bit precision but keeps the 256-bit error bound")
+    def test_negation_stays_in_its_disk(self):
+        g = GaussianRational(Fraction(1, 3), Fraction(2, 7))
+        x = BigComplex.from_exact(g)
+        for value, exact in ((-x, -g), (1 - x, 1 - g)):
+            with mpmath.mp.workprec(600):
+                assert abs(value.val - exact.to_mpc(600)) <= value.err
 
 
 class TestRoots:

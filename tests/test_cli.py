@@ -97,6 +97,12 @@ class TestCommands:
         out, _ = cmd_residues("y'' = 6*y^2", Options(k_override=4, fmt="json"))
         assert json.loads(out)["input"].endswith("k=4")
 
+    def test_parser_notes_reach_series_and_residues(self):
+        for cmd in (cmd_series, cmd_residues):
+            out, _ = cmd("y'' = 6*y^3/y", Options(fmt="json"))
+            assert ("common factor cancelled from the right-hand side"
+                    in json.loads(out)["notes"])
+
     def test_classify_command(self):
         out, code = cmd_classify("y' = y^2", Options(fmt="json"))
         data = json.loads(out)
@@ -141,6 +147,21 @@ class TestMain:
                      "--no-classify", "--precision", "320"])
         data = json.loads(capsys.readouterr().out)
         assert data["settings"]["precision_bits"] == 320
+
+    @pytest.mark.parametrize("flags", [
+        ["--precision", "0"], ["--precision", "-5"], ["--N", "-3"],
+        ["--depth", "0"], ["--n", "0"], ["--degree-cap", "0"]])
+    def test_bad_numeric_option_rejected(self, capsys, flags):
+        code = main(["series", "y'' = 6*y^2"] + flags)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-5"])
+    def test_bad_env_precision_rejected(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("BBSOLVE_PRECISION", value)
+        code = main(["series", "y'' = 6*y^2"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestDepthDefaults:

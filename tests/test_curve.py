@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from bbsolve.algebra import GaussianRational, coeff_is_zero
-from bbsolve.curve import (FracSeries, branches_at_infinity, exactness_check,
+from bbsolve.algebra import GR_ZERO, GaussianRational, ZSeries, coeff_is_zero
+from bbsolve.curve import (branches_at_infinity, exactness_check,
                            first_integral_series, hermite_ostrogradsky,
                            newton_polygon, residue_at_infinity_resolved,
                            residue_pdq)
@@ -16,15 +16,21 @@ F = Fraction
 
 
 def branch_backsubstitution_order(P, branch):
-    """Largest q-exponent bound through which P(p(u), u^-m) visibly vanishes."""
-    big = FracSeries._BIG
-    pser = FracSeries({-e: c for e, c in branch.terms}, -branch.valid_q_to)
+    """Largest t-exponent bound (t = 1/q) through which P(p(u), u^-m) visibly
+    vanishes; p is expanded in u = t^(1/m)."""
+    m = branch.m
+    by_u = {int(-m * e): c for e, c in branch.terms}    # q^e sits at u^(-m e)
+    start = min(by_u)
+    pser = ZSeries(start, [by_u.get(start + i, GR_ZERO)
+                           for i in range(max(by_u) - start + 1)],
+                   int(-m * branch.valid_q_to))
     acc = None
     for (i, j), a in sorted(P.terms.items()):
-        term = pser.pow_int(i).scale(a, F(-j))
+        term = pser.pow_int(i).scale(a, -m * j)
         acc = term if acc is None else acc + term
-    bad = [e for e, c in acc.items() if not coeff_is_zero(c)]
-    return acc.valid_to if not bad else min(bad)
+    # ZSeries keeps coefficients past valid_to; only those up to it count
+    bad = [e for e, c in acc.items() if e <= acc.valid_to and not coeff_is_zero(c)]
+    return F(acc.valid_to if not bad else min(bad), m)
 
 
 class TestNewtonPolygon:
@@ -97,10 +103,22 @@ class TestBranches:
             assert sorted(branch_multiset) == sorted(
                 edge_multiset + [F(0)] * (len(branch_multiset) - len(edge_multiset)))
 
+    def test_nested_newton_puiseux(self):
+        # (p - q)^m = q: the edge root has multiplicity m, so the expansion
+        # recurses once and composes a tail of ramification m
+        for text, m in (("P: p^2 - 2*p*q + q^2 - q ; k=1", 2),
+                        ("P: p^3 - 3*p^2*q + 3*p*q^2 - q^3 - q ; k=1", 3)):
+            b, = branches_at_infinity(parse_equation(text).P, depth=12)
+            assert (b.m, b.kappa) == (m, F(1))
+            assert b.terms == ((F(1), GaussianRational(1)),
+                               (F(1, m), GaussianRational(1)))
+
     def test_backsubstitution_vanishes(self):
         for text, depth in (("P: p^2 - 4*q^3 + 4*q ; k=1", 14),
                             ("y'' = y^3 + 1/y", 10),
-                            ("P: p^3 + p*q^2 + q^3 ; k=1", 10)):
+                            ("P: p^3 + p*q^2 + q^3 ; k=1", 10),
+                            ("P: p^2 - 2*p*q + q^2 - q ; k=1", 12),
+                            ("P: p^3 - 3*p^2*q + 3*p*q^2 - q^3 - q ; k=1", 12)):
             eq = parse_equation(text)
             for b in branches_at_infinity(eq.P, depth=depth):
                 order = branch_backsubstitution_order(eq.P, b)
