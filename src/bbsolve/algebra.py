@@ -1187,7 +1187,8 @@ def squarefree_part_in_p(P):
         _q, r = _rq_poly_divmod(a, b)
         a, b = b, r
     quo, rem = _rq_poly_divmod(A, a)
-    assert not rem, "gcd does not divide P"
+    if rem:
+        raise DegenerateInput("gcd(P, dP/dp) does not divide P")
     # clear denominators to an exact BiPoly
     den_lcm = UPoly.constant(GR_ONE)
     for f in quo:

@@ -20,7 +20,8 @@ from fractions import Fraction
 from .algebra import (GR_ONE, GR_ZERO, GaussianRational, RatQ, UPoly,
                       falling, is_exact, roots_univariate, DEFAULT_PREC)
 from .conditions import classify_kappa
-from .errors import SingularEncounter, ToleranceLoss
+from .errors import (DegenerateInput, PrecisionExhausted, SingularEncounter,
+                     ToleranceLoss)
 from .eqparse import upoly_str
 
 DEFAULT_TRAJ_TOL = 1e-10
@@ -72,8 +73,10 @@ def match_monomial(eq, precision=DEFAULT_PREC):
         _v, core = g.shift_valuation()
         if core.degree() < 1:
             continue
-        for expo in sorted(buckets):  # exactness assertion: gcd divides every bucket
-            assert (buckets[expo] % core).is_zero()
+        for expo in sorted(buckets):  # exactness check: gcd divides every bucket
+            if not (buckets[expo] % core).is_zero():
+                raise PrecisionExhausted(
+                    f"monomial gcd does not divide the z^{expo} bucket")
         roots = [r for r in roots_univariate(core, precision) if not r.is_zero()]
         vals = tuple(r.exact if r.exact is not None else r for r in roots)
         if vals:
@@ -150,7 +153,8 @@ def match_exponential(eq, degree_cap=6, precision=DEFAULT_PREC, notes=None):
                                             exact=True))
                 # certification: a^k Theta^k R = lambda R + mu modulo a^k = lambda.
                 # Theta R = w; both sides reduce to lambda w + (lambda shift + mu) = lambda w.
-                assert (lam * shift + mu).is_zero()
+                if not (lam * shift + mu).is_zero():
+                    raise PrecisionExhausted("exponential mode fails back-substitution")
     if not out and notes is not None:
         notes.append(f"no exact exponential match within degree cap {degree_cap}")
     return out
@@ -447,10 +451,29 @@ class _Flow:
             acc += c * (ypows[d][j] if j < len(ypows[d]) else 0j)
         return acc
 
+    @staticmethod
+    def _bipoly_series(terms, ppows, ypows, j):
+        """Coefficient j of sum c p^i y^jq given cached powers of p and y.
+
+        A zero exponent reads the other factor's series directly instead of
+        convolving it with the series 1."""
+        acc = 0
+        for i, jq, c in terms:
+            if i == 0:
+                acc += c * ypows[jq][j]
+            elif jq == 0:
+                acc += c * ppows[i][j]
+            else:
+                acc += c * _Flow._conv_at(ppows[i], ypows[jq], j)
+        return acc
+
     def taylor(self, state, p0=None):
         """Taylor coefficients Y[0..order] at the current point.
 
         Returns (Y, Pser) where Pser is the series of p (curve mode) or None.
+        Every series involved gains exactly one coefficient per order j, and
+        coefficient j reads only coefficients that are final by then, so one
+        expansion costs O(order^2).
         """
         k, M = self.k, self.order
         Y = [state[i] / self._fact[i] for i in range(k)] + [0j] * (M - k + 1)
@@ -460,52 +483,49 @@ class _Flow:
             ypows = [[1.0 + 0j] + [0j] * M, Y] \
                 + [[0j] * (M + 1) for _ in range(max(degmax - 1, 0))]
             W = [0j] * (M + 1)
-            D0 = Dcf[0]
+            Dser = []          # series of D(y), one coefficient per j
             for j in range(0, M - k + 1):
                 for d in range(2, degmax + 1):
                     ypows[d][j] = self._conv_at(ypows[d - 1], Y, j)
-                if j == 0 and len(Dcf) > 1:
-                    D0 = self._poly_series(Dcf, ypows, 0)
                 Nj = self._poly_series(Ncf, ypows, j)
                 if len(Dcf) == 1:
                     Wj = Nj / Dcf[0]
                 else:
-                    if abs(D0) < 1e-280:
+                    Dser.append(self._poly_series(Dcf, ypows, j))
+                    if abs(Dser[0]) < 1e-280:
                         raise SingularEncounter(
                             "denominator of the resolved form vanishes on the path")
-                    Wj = (Nj - sum(self._poly_series(Dcf, ypows, i) * W[j - i]
-                                   for i in range(1, j + 1))) / D0
+                    Wj = (Nj - sum(Dser[i] * W[j - i]
+                                   for i in range(1, j + 1))) / Dser[0]
                 W[j] = Wj
                 Y[j + k] = Wj * self._fact[j] / self._fact[j + k]
             return Y, None
-        # general curve mode
+        # general curve mode: p' = -(P_q(p, y) / P_p(p, y)) y'
         if p0 is None:
             raise ValueError("curve mode needs the p component in the state")
-        dp = max(i for i, _, _ in self.P_terms)
-        dq = max(j for _, j, _ in self.P_terms)
+        read = self.Pp_terms + self.Pq_terms
+        dp = max([1] + [i for i, _, _ in read])
+        dq = max([1] + [jq for _, jq, _ in read])
         Pser = [p0] + [0j] * M
-        ypows = [[1.0 + 0j] + [0j] * M, Y] \
-            + [[0j] * (M + 1) for _ in range(max(dq, 1) - 1)]
-        ppows = [[1.0 + 0j] + [0j] * M, Pser] \
-            + [[0j] * (M + 1) for _ in range(max(dp, 1) - 1)]
-        num = [0j] * (M + 1)   # series of -P_q(p, y) * y'
+        ypows = [[1.0 + 0j] + [0j] * M, Y] + [[0j] * (M + 1) for _ in range(dq - 1)]
+        ppows = [[1.0 + 0j] + [0j] * M, Pser] + [[0j] * (M + 1) for _ in range(dp - 1)]
         den = [0j] * (M + 1)   # series of P_p(p, y)
+        pq = [0j] * (M + 1)    # series of P_q(p, y)
+        yprime = [0j] * (M + 1)
         quo = [0j] * (M + 1)
         for j in range(0, M - k + 1):
             Y[j + k] = Pser[j] * self._fact[j] / self._fact[j + k]
-            for d in range(2, max(dq, 1) + 1):
+            for d in range(2, dq + 1):
                 ypows[d][j] = self._conv_at(ypows[d - 1], Y, j)
-            for d in range(2, max(dp, 1) + 1):
+            for d in range(2, dp + 1):
                 ppows[d][j] = self._conv_at(ppows[d - 1], Pser, j)
-            den[j] = sum(c * self._conv_at(ppows[i], ypows[jq], j)
-                         for i, jq, c in self.Pp_terms)
-            yprime = [(idx + 1) * Y[idx + 1] for idx in range(j + 1)]
-            pq_series = [sum(c * self._conv_at(ppows[i], ypows[jq], idx)
-                             for i, jq, c in self.Pq_terms) for idx in range(j + 1)]
-            num[j] = -sum(pq_series[idx] * yprime[j - idx] for idx in range(j + 1))
+            den[j] = self._bipoly_series(self.Pp_terms, ppows, ypows, j)
+            pq[j] = self._bipoly_series(self.Pq_terms, ppows, ypows, j)
+            yprime[j] = (j + 1) * Y[j + 1]
+            num = -sum(pq[idx] * yprime[j - idx] for idx in range(j + 1))
             if abs(den[0]) < 1e-280:
                 raise SingularEncounter("dP/dp = 0 on the path: curve branch point")
-            quo[j] = (num[j] - sum(den[i] * quo[j - i] for i in range(1, j + 1))) / den[0]
+            quo[j] = (num - sum(den[i] * quo[j - i] for i in range(1, j + 1))) / den[0]
             Pser[j + 1] = quo[j] / (j + 1)
         return Y, Pser
 
@@ -546,8 +566,8 @@ class _Flow:
         order = (slope / intercept).real + 1.0
         return d, order
 
-    def advance(self, z, state, p_cur, h):
-        Y, Pser = self.taylor(state, p_cur)
+    def advance(self, Y, Pser, h):
+        """State and projected p at step h, from the expansion ``taylor`` gave."""
         k = self.k
         new_state = []
         for i in range(k):
@@ -704,7 +724,7 @@ def run_segment(flow, z0, state, p0, z1, germs, events, tol=DEFAULT_TRAJ_TOL,
         if h_mag <= 1e-13 * (1 + abs(z)):
             raise ToleranceLoss(f"step collapsed near z={z:.6g}")
         h = h_mag * dirv
-        state, p_new = flow.advance(z, state, p, h)
+        state, p_new = flow.advance(Y, Pser, h)
         state = flow.project_first_integral(state)
         z = z + h
         if flow.resolved is None:
@@ -982,7 +1002,8 @@ class ClassificationVerdict:
     periods: tuple = ()
 
     def __post_init__(self):
-        assert self.label in LABELS
+        if self.label not in LABELS:
+            raise DegenerateInput(f"unknown verdict label {self.label!r}")
 
 
 def assemble_verdict(report, series_list, mono_matches=(), exp_matches=(),

@@ -282,15 +282,21 @@ def _np_branches(H, tau, fuel, precision):
     if fuel <= 0:
         raise PrecisionExhausted("branch separation did not terminate")
     H = _strip_t(H)
-    H, _wmult = _strip_w(H)
+    H, wmult = _strip_w(H)
     if not H:
         return []
+    out = []
+    if wmult:
+        # a factor w^e of H is the branch w = 0 itself: the prefix is exact
+        if wmult != 1:
+            raise PrecisionExhausted(
+                "terminating branch of multiplicity > 1: input not squarefree")
+        out.append((ZSeries.zero(tau), 1))
     by_a = {}
     for (a, b), c in H.items():
         by_a[a] = min(by_a.get(a, b), b)
     pts = sorted(by_a.items())
     hull = _lower_hull(pts)
-    out = []
     for (a1, b1), (a2, b2) in zip(hull, hull[1:]):
         if b2 >= b1:
             continue  # gamma <= 0: not a w -> 0 continuation

@@ -9,7 +9,7 @@ from bbsolve.algebra import BigComplex, GaussianRational, RatQ, UPoly
 from bbsolve.classify import (PoleEvent, assemble_verdict, continue_trajectory,
                               detect_periods, match_exponential, match_monomial,
                               stirling2, sweep_poles, theta_pow, make_probe,
-                              germ_numeric)
+                              germ_numeric, _Flow)
 from bbsolve.conditions import screen_admissibility
 from bbsolve.curve import branches_at_infinity
 from bbsolve.eqparse import parse_equation
@@ -222,7 +222,8 @@ class TestVerdicts:
 
     def test_label_validation(self):
         from bbsolve.classify import ClassificationVerdict
-        with pytest.raises(AssertionError):
+        from bbsolve.errors import DegenerateInput
+        with pytest.raises(DegenerateInput):
             ClassificationVerdict(label="mystery", confidence="exact", evidence=())
 
 
@@ -300,3 +301,105 @@ class TestScaledLattice:
         for T in pr.periods:
             assert min(abs(T - want), abs(T - 1j * want)) < 1e-8
         assert abs(pr.ratio - 1j) < 1e-8
+
+
+def _reference_taylor(flow, state, p0=None):
+    """The direct quadratic-per-order Taylor recurrences, kept as an oracle:
+    every order j re-evaluates the whole series of D(y) (resolved mode) or of
+    P_q(p, y) (curve mode), and every power of p and y up to deg P is built."""
+    conv = flow._conv_at
+    k, M, fact = flow.k, flow.order, flow._fact
+    Y = [state[i] / fact[i] for i in range(k)] + [0j] * (M - k + 1)
+    if flow.resolved is not None:
+        Ncf, Dcf = flow.resolved
+        degmax = max(len(Ncf), len(Dcf)) - 1
+        ypows = [[1.0 + 0j] + [0j] * M, Y] \
+            + [[0j] * (M + 1) for _ in range(max(degmax - 1, 0))]
+        W = [0j] * (M + 1)
+        D0 = Dcf[0]
+        for j in range(0, M - k + 1):
+            for d in range(2, degmax + 1):
+                ypows[d][j] = conv(ypows[d - 1], Y, j)
+            if j == 0 and len(Dcf) > 1:
+                D0 = flow._poly_series(Dcf, ypows, 0)
+            Nj = flow._poly_series(Ncf, ypows, j)
+            if len(Dcf) == 1:
+                Wj = Nj / Dcf[0]
+            else:
+                Wj = (Nj - sum(flow._poly_series(Dcf, ypows, i) * W[j - i]
+                               for i in range(1, j + 1))) / D0
+            W[j] = Wj
+            Y[j + k] = Wj * fact[j] / fact[j + k]
+        return Y, None
+    dp = max(i for i, _, _ in flow.P_terms)
+    dq = max(j for _, j, _ in flow.P_terms)
+    Pser = [p0] + [0j] * M
+    ypows = [[1.0 + 0j] + [0j] * M, Y] \
+        + [[0j] * (M + 1) for _ in range(max(dq, 1) - 1)]
+    ppows = [[1.0 + 0j] + [0j] * M, Pser] \
+        + [[0j] * (M + 1) for _ in range(max(dp, 1) - 1)]
+    num = [0j] * (M + 1)
+    den = [0j] * (M + 1)
+    quo = [0j] * (M + 1)
+    for j in range(0, M - k + 1):
+        Y[j + k] = Pser[j] * fact[j] / fact[j + k]
+        for d in range(2, max(dq, 1) + 1):
+            ypows[d][j] = conv(ypows[d - 1], Y, j)
+        for d in range(2, max(dp, 1) + 1):
+            ppows[d][j] = conv(ppows[d - 1], Pser, j)
+        den[j] = sum(c * conv(ppows[i], ypows[jq], j) for i, jq, c in flow.Pp_terms)
+        yprime = [(idx + 1) * Y[idx + 1] for idx in range(j + 1)]
+        pq_series = [sum(c * conv(ppows[i], ypows[jq], idx)
+                         for i, jq, c in flow.Pq_terms) for idx in range(j + 1)]
+        num[j] = -sum(pq_series[idx] * yprime[j - idx] for idx in range(j + 1))
+        quo[j] = (num[j] - sum(den[i] * quo[j - i] for i in range(1, j + 1))) / den[0]
+        Pser[j + 1] = quo[j] / (j + 1)
+    return Y, Pser
+
+
+class TestTaylorFlow:
+    def test_one_expansion_per_step(self, monkeypatch):
+        # every step or pole hop appends one record and needs one expansion
+        eq = parse_equation("y'' = 6*y^2")
+        bs = branches_at_infinity(eq.P, depth=16)
+        germ, = enumerate_series(eq, bs[0], 2, c=GaussianRational(1), N=14)
+        calls = {"taylor": 0, "germ_state": 0}
+        taylor, germ_state = _Flow.taylor, _Flow.germ_state
+
+        def counting_taylor(self, state, p0=None):
+            calls["taylor"] += 1
+            return taylor(self, state, p0)
+
+        def counting_germ_state(self, g, u):
+            calls["germ_state"] += 1
+            return germ_state(self, g, u)
+
+        monkeypatch.setattr(_Flow, "taylor", counting_taylor)
+        monkeypatch.setattr(_Flow, "germ_state", counting_germ_state)
+        traj = continue_trajectory(eq, germ, [0.2 + 0.1j, 2.5 + 0.2j, 2.0 + 2.4j])
+        assert traj.completed
+        assert calls["germ_state"] >= 2       # the start, then at least one hop
+        assert calls["taylor"] == len(traj.steps) - 1
+
+    @pytest.mark.parametrize("text, y, yp", [
+        ("P: p^2 - q^3 ; k=2", 1.3 + 0.4j, -0.6 + 0.9j),
+        ("P: p^2 - 4*q^3 + 4*q ; k=1", 0.7 - 1.1j, None),
+    ])
+    def test_curve_mode_matches_reference(self, text, y, yp):
+        flow = _Flow(parse_equation(text))
+        state = (y,) if yp is None else (y, yp)
+        p = flow._project(cmath.sqrt(4 * y ** 3), y)
+        Y, Pser = flow.taylor(state, p)
+        Y_ref, Pser_ref = _reference_taylor(flow, state, p)
+        assert Y == Y_ref and Pser == Pser_ref
+        assert any(c != 0 for c in Y[flow.k + 4:])
+
+    def test_resolved_mode_matches_reference(self):
+        # nonconstant denominator: the D(y) series enters every order
+        flow = _Flow(parse_equation("y'' = 4*y^3 + 1/y"))
+        assert len(flow.resolved[1]) > 1
+        state = (0.8 + 0.3j, -0.4 + 0.7j)
+        Y, Pser = flow.taylor(state)
+        Y_ref, _ = _reference_taylor(flow, state)
+        assert Pser is None and Y == Y_ref
+        assert any(c != 0 for c in Y[flow.k + 4:])

@@ -1,7 +1,10 @@
 """CLI commands, report schema, exit codes, determinism."""
 
+import ast
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -103,6 +106,14 @@ class TestCommands:
             assert ("common factor cancelled from the right-hand side"
                     in json.loads(out)["notes"])
 
+    def test_residues_keep_exact_finite_place(self):
+        # (p - 1)(p - q): the place p = 1 is exact, a factor w of P(1 + w, q)
+        out, code = cmd_residues("P: p^2 - p*q - p + q ; k=1", Options(fmt="json"))
+        data = json.loads(out)
+        assert code == 0
+        assert len(data["residues"]) == 2
+        assert all(r["value"] == {"rat": "0"} for r in data["residues"])
+
     def test_classify_command(self):
         out, code = cmd_classify("y' = y^2", Options(fmt="json"))
         data = json.loads(out)
@@ -178,3 +189,38 @@ class TestDepthDefaults:
                             Options(N=40, fmt="json"))
         data = json.loads(out)
         assert len(data["series"][0]["coeffs"]) == 41
+
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+
+
+def _run_module(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+class TestModuleEntryPoint:
+    def test_python_m_bbsolve_is_quiet(self):
+        res = _run_module("-m", "bbsolve", "analyze", "y' = y^2")
+        assert res.returncode == 0
+        assert res.stderr == ""
+        assert "rational" in res.stdout
+
+    def test_optimized_run_prints_same_json(self, capsys):
+        # python -O strips assert statements; library checks must not rely on them
+        code = main(["analyze", "y'' = 6*y^2", "--format", "json"])
+        expected = capsys.readouterr().out
+        res = _run_module("-O", "-m", "bbsolve", "analyze", "y'' = 6*y^2",
+                          "--format", "json")
+        assert (res.returncode, res.stdout) == (code, expected)
+
+    def test_library_has_no_assert_statements(self):
+        pkg = os.path.join(SRC, "bbsolve")
+        for name in sorted(os.listdir(pkg)):
+            if name.endswith(".py"):
+                with open(os.path.join(pkg, name)) as fh:
+                    tree = ast.parse(fh.read(), name)
+                lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+                assert lines == [], f"{name}: assert at lines {lines}"

@@ -125,6 +125,14 @@ class TestBranches:
                 # vanishing must hold through an order growing with depth
                 assert order >= depth / (2 * b.m) - 2
 
+    def test_exact_finite_place_kept(self):
+        # (p - 1)(p - q): p = 1 is a branch on which the expansion terminates
+        eq = parse_equation("P: p^2 - p*q - p + q ; k=1")
+        bs = branches_at_infinity(eq.P, depth=6)
+        assert sorted((b.kappa, b.terms) for b in bs) == [
+            (F(0), ((F(0), GaussianRational(1)),)),
+            (F(1), ((F(1), GaussianRational(1)),))]
+
     def test_branch_count_matches_deg_p(self):
         eq = parse_equation("P: p^2*q - p - q ; k=1")
         bs = branches_at_infinity(eq.P, depth=6)
