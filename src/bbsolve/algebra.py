@@ -51,15 +51,6 @@ def falling(e, k):
     return out
 
 
-def binom_frac(alpha, r):
-    """Binomial coefficient C(alpha, r) for rational alpha, integer r >= 0."""
-    alpha = Fraction(alpha)
-    num = Fraction(1)
-    for i in range(r):
-        num *= (alpha - i) / (i + 1)
-    return num
-
-
 class GaussianRational:
     """Exact complex number with rational real and imaginary parts."""
 

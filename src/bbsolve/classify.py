@@ -6,7 +6,9 @@ a^k = lambda).  Numeric evidence second: high-order Taylor continuation of
 the germ through the plane, pole crossing by matching the exact Laurent germ
 near each pole, and a lattice fit on the recorded pole set.  Two independent
 periods with nonreal ratio mean elliptic; one period means rational in
-e^(az); a single non-recurring pole with rational tail means rational.
+e^(az).  A single non-recurring pole on a finite probe proves nothing and
+leaves the verdict undetermined unless an exact rational solution is
+certified.
 
 Numeric verdicts are labelled confidence="numeric"; only back-substituted
 identities are "exact".
@@ -1011,8 +1013,10 @@ def assemble_verdict(report, series_list, mono_matches=(), exp_matches=(),
     """Combine screening, exact matches, and numeric period evidence.
 
     Priority: screening failures; then exact closed forms valid at the
-    analysed first-integral constant; then verified periods (numeric); then
-    a single non-recurring pole (rational, numeric); else undetermined.
+    analysed first-integral constant; then verified periods (numeric); else
+    undetermined.  A single non-recurring pole with no certified exact match
+    is kept as evidence only: one pole on a finite probe is not a rational
+    solution.
     """
     evidence = list(notes)
     for m in mono_matches:
@@ -1050,10 +1054,8 @@ def assemble_verdict(report, series_list, mono_matches=(), exp_matches=(),
                                      evidence=tuple(evidence),
                                      degree_bound=report.degree_bound)
     if len(pole_events) == 1:
-        evidence.append("continuation found a single non-recurring pole")
-        return ClassificationVerdict(label="rational", confidence="numeric",
-                                     evidence=tuple(evidence),
-                                     degree_bound=report.degree_bound)
+        evidence.append("continuation found a single non-recurring pole; "
+                        "no exact rational solution certified")
     return ClassificationVerdict(label="undetermined", confidence="heuristic",
                                  evidence=tuple(evidence),
                                  degree_bound=report.degree_bound)

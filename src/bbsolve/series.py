@@ -17,14 +17,22 @@ Fractional powers of y are taken on a single determination eta_0 of
 c_0^(1/m); the admissible determinations are the g = m k / n roots of
 eta^g = D_0 / A_0, and each one yields one candidate series (conjugate
 branch choices are absorbed, duplicates removed).
+
+Each term A q^x of the branch (and of s, for pinning) evaluates at
+y = c_0 z^(-n) (1 + w) to A eta_0^e z^(-n x) (1 + w)^(e/m), e = m x.  The
+germ keeps one list per distinct e, holding the coefficients of
+(1 + w)^(e/m); every index adds one coefficient to each list by J.C.P.
+Miller's power recurrence (Knuth, TAOCP vol. 2, 4.7), O(j) work with no
+series powers or inverses.  Numeric coefficients are only multiplied and
+added, never negated: BigComplex negation rounds to 53 bits.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (BigComplex, GR_ONE, GR_ZERO, GaussianRational, ZSeries,
-                      _is_exact_zero, all_nth_roots, as_gaussian, binom_frac,
-                      coeff_is_zero, falling, is_exact, pochhammer, DEFAULT_PREC)
+                      _is_exact_zero, all_nth_roots, as_gaussian, coeff_is_zero,
+                      falling, is_exact, pochhammer, DEFAULT_PREC)
 from .curve import first_integral_series
 from .errors import (DepthTooSmall, InconsistentResonance, NoRoots,
                      PrecisionExhausted)
@@ -66,7 +74,7 @@ def bracket_phi(k, y):
     for i in range(1, half):
         term = derivs[k - i] * derivs[i]
         if i % 2 == 0:
-            term = -term
+            term = term.scale(GaussianRational(-1))
         acc = term if acc is None else acc + term
     mid = derivs[half] * derivs[half]
     sign = 1 if half % 2 == 1 else -1
@@ -190,25 +198,6 @@ def _coeff_close(a, b):
     return abs(av - bv) <= tol
 
 
-def _power_table(terms, m, n):
-    """[(absolute z-start, eta exponent e, A)] for terms A q^x on a branch.
-
-    Evaluated at y, each term becomes  A eta0^e z^(-n x) G^e  with  e = m x.
-    The terms are the branch's own for p(y) (x = kappa - i/m), and those of
-    the termwise integral of p dq for s(y) (x = kappa + 1 - i/m).
-    """
-    out = []
-    for q_exp, A in terms:
-        e = m * q_exp
-        if e.denominator != 1:
-            raise PrecisionExhausted(f"exponent {q_exp} off the u-grid of ramification {m}")
-        z_start = -n * q_exp
-        if z_start.denominator != 1:
-            raise NoRoots(f"ramification {m} does not divide pole order {n}")
-        out.append((int(z_start), int(e), A))
-    return out
-
-
 def _needed_branch_depth(branch, n, N):
     """Branch must reach q-exponent kappa - N/n... (u-index i <= m*N/n)."""
     need_q = branch.kappa - Fraction(N, n)
@@ -237,7 +226,7 @@ def enumerate_series(eq, branch, n, c=None, N=None, precision=DEFAULT_PREC,
     out = []
     for root in leading_roots(k, n, branch, precision):
         try:
-            ls = _build_series(k, n, branch, root, c, N, precision)
+            ls = _build_series(k, n, branch, root, c, N)
         except InconsistentResonance as exc:
             if collect_notes is not None:
                 collect_notes.append(
@@ -247,126 +236,135 @@ def enumerate_series(eq, branch, n, c=None, N=None, precision=DEFAULT_PREC,
     return _dedup(out)
 
 
-def _build_series(k, n, branch, root, c, N, precision):
-    m = branch.m
+def _build_series(k, n, branch, root, c, N):
     j_res = 2 * n + k if k % 2 == 0 else None
-    coeffs = [root.c0] + [GR_ZERO] * N
-    free_emitted = False
-    pterms = _power_table(branch.terms, m, n)
+    powers = _Powers(root, branch.m, n)
+    pterms = powers.table(branch.terms)
     for j in range(1, N + 1):
-        if free_emitted:
-            break
+        # coefficient of z^(j - n - k) in p(y) with c_j = 0; y^(k) has none
+        rhs = powers.coeff(pterms, j - n - k)
         bracket = recurrence_bracket(k, n, j)
-        Ej = _residual_coeff_at(k, n, coeffs, j, pterms, root.eta0, m)
         if bracket != 0:
-            num = -Ej
-            coeffs[j] = (num * GaussianRational(Fraction(1, 1) / bracket)
-                         if is_exact(num) else num * (1 / bracket))
+            powers.set_coeff(j, rhs * GaussianRational(1 / bracket))
             continue
         if j != j_res:
             raise InconsistentResonance(
                 f"unexpected vanishing bracket at index {j} (expected {j_res})")
-        if not coeff_is_zero(Ej):
+        if not coeff_is_zero(rhs):
+            forced = rhs * GaussianRational(-1)
             raise InconsistentResonance(
-                f"resonant index {j}: forced term {_fmt_coeff(Ej)} is nonzero "
+                f"resonant index {j}: forced term {_fmt_coeff(forced)} is nonzero "
                 "(this reflects a nonzero residue of p dq); no series with this c0")
         if c is None:
-            coeffs[j] = FREE
-            free_emitted = True
-            continue
-        coeffs[j] = _pin_resonant(k, n, branch, root, coeffs, c, j)
-    if free_emitted:
-        N_eff = j_res
-        coeffs = coeffs[:N_eff + 1]
-        status = "free_parameter"
-        c_val = None
-    else:
-        N_eff = N
-        status = "none" if j_res is None else "pinned"
-        c_val = None if j_res is None else c
-        if j_res is not None and c is None:
-            status = "free_parameter"  # unreachable; guard
-    return LaurentSeries(n=n, k=k, coeffs=tuple(coeffs), N=N_eff,
-                         resonance_status=status, c=c_val,
+            return LaurentSeries(n=n, k=k, coeffs=tuple(powers.coeffs) + (FREE,),
+                                 N=j_res, resonance_status="free_parameter", c=None,
+                                 branch_id=branch.id, root_choice=root.index)
+        powers.set_coeff(j, _pin_resonant(k, n, branch, root, powers, c))
+    return LaurentSeries(n=n, k=k, coeffs=tuple(powers.coeffs), N=N,
+                         resonance_status="none" if j_res is None else "pinned",
+                         c=None if j_res is None else c,
                          branch_id=branch.id, root_choice=root.index)
 
 
-def _residual_coeff_at(k, n, coeffs, j, pterms, eta0, m):
-    """Coefficient of z^(j - n - k) in y^(k) - p(y), with c_j treated as 0."""
-    cap_rel = j
-    y = ZSeries(-n, coeffs[:j])
-    target = j - n - k
-    lhs = y.derivative_n(k).coeff(target)
-    # G = (1 + w)^(1/m), w = sum_{j'>=1} (c_j'/c_0) z^j'
-    rhs = _coeff_of_powers(pterms, _g_series(y, m, cap_rel), eta0, cap_rel, target)
-    lhs_val = lhs if not _is_exact_zero(lhs) else GR_ZERO
-    return lhs_val - rhs
+class _Powers:
+    """The germ's coefficients c_j and, for each exponent e a power table
+    asks for, the list H_e = (1 + w)^(e/m), w = sum_{i>=1} (c_i/c_0) z^i.
 
+    A list gains one coefficient per index by Miller's recurrence, read off
+    (1 + w) H' = (e/m) w' H:
 
-def _g_series(y, m, cap_rel):
-    """(1 + w)^(1/m) truncated at relative order cap_rel, w = tail(y)/lead(y)."""
-    c0 = y.coeffs[0]
-    inv0 = c0.inverse() if isinstance(c0, GaussianRational) else 1 / c0
-    w = ZSeries(0, [GR_ZERO] + [ci * inv0 for ci in y.coeffs[1:]]).truncate(cap_rel)
-    if m == 1:
-        return ZSeries(0, [GR_ONE]) + w
-    acc = ZSeries(0, [GR_ONE])
-    wk = ZSeries(0, [GR_ONE])
-    alpha = Fraction(1, m)
-    for r in range(1, cap_rel + 1):
-        wk = wk.mul(w, cap=cap_rel)
-        if wk.is_visibly_zero():
-            break
-        b = binom_frac(alpha, r)
-        acc = acc + wk.scale(GaussianRational(b))
-    return acc
+        H_j = 1/(m j) * sum_{i=1..j} ((e + m) i - m j) w_i H_{j-i}.
 
-
-def _eta_power(eta0, e):
-    if e == 0:
-        return GR_ONE
-    if is_exact(eta0):
-        return as_gaussian(eta0) ** e
-    return eta0 ** e
-
-
-def _coeff_of_powers(table, G, eta0, cap_rel, target):
-    """Coefficient of z^target in  sum A eta0^e z^start G^e  over a power table.
-
-    Each G^e (and G^-1) is computed once, truncated at relative order cap_rel.
+    At index j, before c_j is known, H_e[j] is read with w_j = 0; set_coeff
+    then adds the missing (e/m) w_j to every list that holds index j.  Terms
+    that vanish exactly (zero weight, e = 0, exact-zero factors) are skipped,
+    so a coefficient that is structurally zero stays an exact zero on a
+    numeric germ.
     """
-    total = GR_ZERO
-    Ginv = None
-    powers = {}
-    for z_start, e, A in table:
-        rel_needed = target - z_start
-        if rel_needed < 0:
-            continue
-        Ge = powers.get(e)
-        if Ge is None:
-            if e >= 0:
-                Ge = G.pow_int(e, cap=cap_rel)
-            else:
-                if Ginv is None:
-                    Ginv = G.inverse(cap=cap_rel)
-                Ge = Ginv.pow_int(-e, cap=cap_rel)
-            powers[e] = Ge
-        contrib = Ge.coeff(rel_needed)
-        if not _is_exact_zero(contrib):
-            total = total + A * _eta_power(eta0, e) * contrib
-    return total
+
+    def __init__(self, root, m, n):
+        c0 = root.c0
+        self.eta0 = as_gaussian(root.eta0) if is_exact(root.eta0) else root.eta0
+        self.m = m
+        self.n = n
+        self.coeffs = [c0]
+        self.inv0 = c0.inverse() if isinstance(c0, GaussianRational) else 1 / c0
+        self.w = [GR_ZERO]          # w_i = c_i / c_0 for every known index
+        self.nonzero = []           # indices i >= 1 with w_i not exact zero
+        self.lists = {}             # e -> [H_0, H_1, ...]
+
+    def table(self, terms):
+        """[(e, n x, A eta0^e)] for terms A q^x, e = m x: the branch's own
+        for p(y), or those of the termwise integral of p dq for s(y).  A
+        term adds A eta0^e H_e[t + n x] to the coefficient of z^t.
+        """
+        out = []
+        for q_exp, A in terms:
+            e = self.m * q_exp
+            if e.denominator != 1:
+                raise PrecisionExhausted(
+                    f"exponent {q_exp} off the u-grid of ramification {self.m}")
+            if (self.n * q_exp).denominator != 1:
+                raise NoRoots(f"ramification {self.m} does not divide pole order {self.n}")
+            e = int(e)
+            out.append((e, int(self.n * q_exp), A * (self.eta0 ** e if e else GR_ONE)))
+        return out
+
+    def coeff(self, table, target):
+        """Coefficient of z^target in sum A eta0^e z^(-n x) H_e over a table."""
+        total = None
+        for e, shift, K in table:
+            r = target + shift
+            if r < 0:
+                continue
+            h = self._power_coeff(e, r)
+            if not _is_exact_zero(h):
+                term = K * h
+                total = term if total is None else total + term
+        return GR_ZERO if total is None else total
+
+    def _power_coeff(self, e, r):
+        """[z^r] H_e, extending the list by Miller's recurrence as needed."""
+        H = self.lists.setdefault(e, [GR_ONE])
+        w, m = self.w, self.m
+        while len(H) <= r:
+            j = len(H)
+            acc = None
+            for i in self.nonzero:
+                if i > j:
+                    break
+                h = H[j - i]
+                weight = (e + m) * i - m * j
+                if weight == 0 or _is_exact_zero(h):
+                    continue
+                term = w[i] * h * GaussianRational(weight)
+                acc = term if acc is None else acc + term
+            H.append(GR_ZERO if acc is None else acc * GaussianRational(Fraction(1, m * j)))
+        return H[r]
+
+    def set_coeff(self, j, cj):
+        self.coeffs.append(cj)
+        if _is_exact_zero(cj):
+            self.w.append(GR_ZERO)
+            return
+        wj = cj * self.inv0
+        self.w.append(wj)
+        self.nonzero.append(j)
+        for e, H in self.lists.items():
+            if len(H) > j and e != 0:
+                H[j] = H[j] + wj * GaussianRational(Fraction(e, self.m))
 
 
-def _pin_resonant(k, n, branch, root, coeffs, c, j_res):
+def _pin_resonant(k, n, branch, root, powers, c):
     """Solve the constant term of Phi_k(y) = s(y) + c for c_{2n+k}."""
-    s_terms = _power_table(first_integral_series(branch), branch.m, n)
-    y = ZSeries(-n, coeffs[:j_res])       # resonant coefficient treated as 0
+    minus = GaussianRational(-1)
+    y = ZSeries(-n, powers.coeffs)       # resonant coefficient treated as 0
     phi0 = bracket_phi(k, y).coeff(0)
-    s0 = _coeff_of_powers(s_terms, _g_series(y, branch.m, j_res), root.eta0, j_res, 0)
-    T0 = (phi0 if not _is_exact_zero(phi0) else GR_ZERO) - s0
+    s0 = powers.coeff(powers.table(first_integral_series(branch)), 0)
+    T0 = phi0 + s0 * minus
     pin = pinning_coefficient(k, n, root.c0)
     cc = c if not isinstance(c, (int, Fraction)) else GaussianRational(c)
-    num = T0 - cc
+    num = T0 + cc * minus
     return num * pin.inverse() if (is_exact(num) and is_exact(pin)) else num * (1 / pin)
 
 

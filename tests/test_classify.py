@@ -220,6 +220,15 @@ class TestVerdicts:
                               pole_events=events)
         assert v2.confidence == "exact" and v2.label == v1.label
 
+    def test_single_pole_is_undetermined(self):
+        # one pole on a finite probe, no certified exact match: evidence only
+        _eq, rep = self._report("y''' = -1*y^4 + 1*y^3 + -1*y^2")
+        assert rep.pole_solutions_possible
+        events = [PoleEvent(z=0j, order=1, germ_id="g0", residual=0.0)]
+        v = assemble_verdict(rep, [], pole_events=events)
+        assert (v.label, v.confidence) == ("undetermined", "heuristic")
+        assert any("single non-recurring pole" in e for e in v.evidence)
+
     def test_label_validation(self):
         from bbsolve.classify import ClassificationVerdict
         from bbsolve.errors import DegenerateInput

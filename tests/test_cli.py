@@ -57,6 +57,16 @@ class TestAnalyze:
             for cj in s["coeffs"]:
                 assert ("rat" in cj) or ("err" in cj) or ("free" in cj)
 
+    def test_single_pole_verdict_is_undetermined(self):
+        # the sweep finds one pole and no exact closed form is certified;
+        # the three numeric germs verify through their whole window
+        rep, code = analyze("y''' = -1*y^4 + 1*y^3 + -1*y^2")
+        verdict = rep["classification"]
+        assert code == 0
+        assert (verdict["label"], verdict["confidence"]) == ("undetermined", "heuristic")
+        assert any("single non-recurring pole" in e for e in verdict["evidence"])
+        assert [s["verify_residual_order"] for s in rep["series"]] == [10, 10, 10]
+
     def test_deterministic_json(self):
         a, _ = analyze("y'' = 6*y^2 - 2")
         b, _ = analyze("y'' = 6*y^2 - 2")

@@ -5,13 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from bbsolve.algebra import BigComplex, GaussianRational, coeff_is_zero
-from bbsolve.curve import branches_at_infinity
+from bbsolve.algebra import (GR_ONE, GR_ZERO, BigComplex, GaussianRational,
+                             as_gaussian, coeff_is_zero, is_exact)
+from bbsolve.cli import Options, _deepened, _prepare
+from bbsolve.curve import branches_at_infinity, first_integral_series
 from bbsolve.eqparse import parse_equation
 from bbsolve.errors import NoRoots
 from bbsolve.series import (FREE, ZSeries, bracket_phi, enumerate_series,
-                            leading_coefficients, pinning_coefficient,
-                            recurrence_bracket, series_to_json, verify_series)
+                            leading_coefficients, leading_roots,
+                            pinning_coefficient, recurrence_bracket,
+                            series_to_json, verify_series)
 
 F = Fraction
 
@@ -251,3 +254,151 @@ class TestSerialization:
         irr, *_ = enumerate_series(eq3, bs3[0], 1, c=0, N=8)
         j3 = series_to_json(irr)
         assert set(j3["coeffs"][0]) == {"re", "im", "err"}
+
+
+def _reference_germ(k, n, branch, root, c, N):
+    """The binomial-sum germ loop, kept as an oracle: at every index j it
+    rebuilds G = (1 + w)^(1/m) as a sum of truncated powers of w and every
+    G^e with ZSeries.pow_int / inverse.  Exact germs only; returns the
+    coefficient list."""
+    m = branch.m
+    eta0 = as_gaussian(root.eta0)
+
+    def table(terms):
+        return [(int(-n * x), int(m * x), A) for x, A in terms]
+
+    def g_series(y, cap):
+        inv0 = y.coeffs[0].inverse()
+        w = ZSeries(0, [GR_ZERO] + [ci * inv0 for ci in y.coeffs[1:]]).truncate(cap)
+        acc, wk, binom = ZSeries(0, [GR_ONE]), ZSeries(0, [GR_ONE]), F(1)
+        for r in range(1, cap + 1):
+            wk = wk.mul(w, cap=cap)
+            if wk.is_visibly_zero():
+                break
+            binom *= (F(1, m) - (r - 1)) / r
+            acc = acc + wk.scale(GaussianRational(binom))
+        return acc
+
+    def coeff_of_powers(terms, G, cap, target):
+        total, powers = GR_ZERO, {}
+        for z_start, e, A in terms:
+            if target - z_start < 0:
+                continue
+            if e not in powers:
+                powers[e] = (G.pow_int(e, cap=cap) if e >= 0
+                             else G.inverse(cap=cap).pow_int(-e, cap=cap))
+            total = total + A * eta0 ** e * powers[e].coeff(target - z_start)
+        return total
+
+    pterms = table(branch.terms)
+    coeffs = [root.c0]
+    for j in range(1, N + 1):
+        y = ZSeries(-n, coeffs)
+        Ej = (y.derivative_n(k).coeff(j - n - k)
+              - coeff_of_powers(pterms, g_series(y, j), j, j - n - k))
+        bracket = recurrence_bracket(k, n, j)
+        if bracket != 0:
+            coeffs.append(-Ej * GaussianRational(1 / bracket))
+            continue
+        assert coeff_is_zero(Ej)
+        if c is None:
+            return coeffs + [FREE]
+        phi0 = bracket_phi(k, y).coeff(0)
+        s0 = coeff_of_powers(table(first_integral_series(branch)), g_series(y, j), j, 0)
+        coeffs.append((phi0 - s0 - c) * pinning_coefficient(k, n, root.c0).inverse())
+    return coeffs
+
+
+# the seven (equation, pole order) pairs of the golden corpus that have germs
+CORPUS_GERMS = [("y'' = 6*y^2", 2), ("y'' = 6*y^2 - 2", 2),
+                ("P: p^2 - 4*q^3 + 4*q ; k=1", 2), ("y' = y^2", 1),
+                ("y' = y^2 - 1", 1), ("y'' = y^2", 2), ("P: p^2 - q^3 ; k=2", 4)]
+
+
+def germ_case(text, n, N):
+    """(equation, the branch feeding pole order n, deep enough for index N)."""
+    eq, _notes, _polygon, _depth, branches, report = _prepare(text, Options())
+    bid, = [b for b, nn in report.admissible_pairs() if nn == n]
+    return eq, _deepened(eq, branches, [(bid, n)], N, 256)[bid]
+
+
+class TestMillerRecurrence:
+    """The one-coefficient-per-index engine equals the binomial-sum oracle."""
+
+    def check(self, eq, branch, n, c, N):
+        got = enumerate_series(eq, branch, n, c=c, N=N)
+        roots = leading_roots(eq.k, n, branch)
+        assert got
+        for ls in got:
+            want = _reference_germ(eq.k, n, branch, roots[ls.root_choice], c, N)
+            assert list(ls.coeffs) == want
+        return got
+
+    @pytest.mark.parametrize("text, n", CORPUS_GERMS)
+    def test_corpus_germs(self, text, n):
+        eq, branch = germ_case(text, n, 24)
+        self.check(eq, branch, n, None, 24)
+        if eq.k % 2 == 0:
+            self.check(eq, branch, n, GaussianRational(1), 24)
+
+    def test_weierstrass_germ_n48(self):
+        eq, branch = germ_case("P: p^2 - 4*q^3 + 4*q ; k=1", 2, 48)
+        assert branch.m == 2
+        ls, = self.check(eq, branch, 2, None, 48)
+        assert len(ls.coeffs) == 49 and not coeff_is_zero(ls.coeffs[48])
+
+    @pytest.mark.parametrize("c", [GaussianRational(0), GaussianRational(1), None])
+    def test_pinned_and_free(self, c):
+        eq, bs = setup_eq("y'' = 6*y^2", depth=24)
+        self.check(eq, bs[0], 2, c, 16)
+
+    def test_work_scales_quadratically(self, monkeypatch):
+        # doubling N costs well under 8x the multiplications, and no
+        # truncated power or inverse series is built
+        eq, branch = germ_case("P: p^2 - 4*q^3 + 4*q ; k=1", 2, 48)
+        calls = {"mul": 0, "pow_int": 0, "inverse": 0}
+
+        def counting(name, fn):
+            def wrapped(*a, **kw):
+                calls[name] += 1
+                return fn(*a, **kw)
+            return wrapped
+
+        monkeypatch.setattr(GaussianRational, "__mul__",
+                            counting("mul", GaussianRational.__mul__))
+        monkeypatch.setattr(ZSeries, "pow_int", counting("pow_int", ZSeries.pow_int))
+        monkeypatch.setattr(ZSeries, "inverse", counting("inverse", ZSeries.inverse))
+        work = []
+        for N in (24, 48):
+            calls["mul"] = 0
+            enumerate_series(eq, branch, 2, N=N)
+            work.append(calls["mul"])
+        assert calls["pow_int"] == 0 and calls["inverse"] == 0
+        assert work[1] <= 8 * work[0], work
+
+
+class TestNumericGermAccuracy:
+    """256-bit germs vanish through the whole verify window: no coefficient
+    passes through a 53-bit rounding."""
+
+    @pytest.mark.parametrize("text, c, N, want", [
+        ("y''' = -1*y^4 + 1*y^3 + -1*y^2", None, None, 10),
+        ("y'''' = 6*y^3 + 1/y^2", GaussianRational(1), 16, 17),
+        ("y'' = 3*y^3", GaussianRational(1), 16, 17),
+    ])
+    def test_full_verify_order(self, text, c, N, want):
+        eq, _notes, _polygon, _depth, branches, report = _prepare(text, Options())
+        (bid, n), = report.admissible_pairs()
+        branch = _deepened(eq, branches, [(bid, n)], N or 0, 256)[bid]
+        germs = enumerate_series(eq, branch, n, c=c, N=N)
+        assert germs and not any(is_exact(ls.coeffs[0]) for ls in germs)
+        assert [verify_series(eq, ls) for ls in germs] == [want] * len(germs)
+
+    def test_resonance_check_is_certified(self):
+        # the forced term at the resonant index is zero to 256 bits, so both
+        # numeric leading roots keep their germ instead of failing the check
+        eq, bs = setup_eq("y'' = -1*y^3 + 5*y^1 + 9")
+        notes = []
+        germs = enumerate_series(eq, bs[0], 1, c=None, collect_notes=notes)
+        assert notes == [] and len(germs) == 2
+        assert all(ls.resonance_status == "free_parameter" for ls in germs)
