@@ -1,11 +1,12 @@
 """From a numerically detected period to an exact closed form.
 
 A rank-1 pole lattice suggests y = R(e^(az)) with a = 2 pi i / T.  The
-multiplier is recognised as an exact number, R is fitted rationally at
-sampled trajectory points, the coefficients are recognised exactly, and the
-candidate is certified by back-substitution through the operator expansion
-(w d/dw)^k = sum_j S(k, j) w^j d^j/dw^j  (Stirling numbers of the second
-kind).  Only certified identities are reported as exact.  Run:
+multiplier is recognised as an exact number.  With s = e^(az) - 1, the exact
+Laurent germ at the pole z = 0 becomes a Laurent series in s (z = log(1+s)/a),
+and R = A(s)/(s^n B(s)) is its Pade approximant, solved in exact arithmetic.
+The candidate is certified by back-substitution through the operator
+expansion (w d/dw)^k = sum_j S(k, j) w^j d^j/dw^j  (Stirling numbers of the
+second kind).  Only certified identities are reported as exact.  Run:
 
     python demos/05_exponential_certificates.py
 """

@@ -5,9 +5,11 @@ Number types
 Exact rationals are stdlib ``fractions.Fraction`` (already reduced, positive
 denominator).  ``GaussianRational`` pairs two Fractions as an exact complex
 rational.  ``BigComplex`` is an mpmath-backed complex float of configurable
-binary precision carrying a conservative absolute error bound; when a value
-is recognised as exactly rational the witness is kept on the ``exact``
-attribute.
+binary precision carrying a conservative absolute error bound.  A value known
+exactly is always a GaussianRational; a BigComplex only ever stands for a
+value that is not.  Both types answer the same arithmetic (``+ - * /``,
+``**``, ``inverse()``, int and Fraction operands, ``complex()``), so callers
+need not ask which one they hold.
 
 Polynomials
 -----------
@@ -184,14 +186,14 @@ def _rnd(mag, prec):
 class BigComplex:
     """Arbitrary-precision complex value with a conservative absolute error bound.
 
-    ``err`` bounds the distance to the represented exact value; every
-    operation propagates it outward (never shrinks it).  ``exact`` optionally
-    carries a GaussianRational witness when the value is known exactly.
+    ``err`` bounds the distance to the represented value; every operation
+    propagates it outward (never shrinks it).  Exact operands (int, Fraction,
+    GaussianRational) are coerced through ``from_exact``.
     """
 
-    __slots__ = ("val", "err", "prec", "exact")
+    __slots__ = ("val", "err", "prec")
 
-    def __init__(self, val, err=0, prec=DEFAULT_PREC, exact=None):
+    def __init__(self, val, err=0, prec=DEFAULT_PREC):
         # never reconstruct an existing mpc/mpf: mpmath would re-round it to
         # the ambient context precision
         if not isinstance(val, mpmath.mpc):
@@ -203,7 +205,6 @@ class BigComplex:
         object.__setattr__(self, "val", val)
         object.__setattr__(self, "err", err)
         object.__setattr__(self, "prec", int(prec))
-        object.__setattr__(self, "exact", exact)
         if self.err < 0:
             raise ValueError("error bound must be nonnegative")
 
@@ -216,7 +217,7 @@ class BigComplex:
         with mp.workprec(prec + 8):
             v = g.to_mpc(prec + 8)
             e = _rnd(abs(v), prec) if not _fraction_fits(g, prec) else mpmath.mpf(0)
-        return BigComplex(v, e, prec, exact=g)
+        return BigComplex(v, e, prec)
 
     # -- coercion --------------------------------------------------------
     @staticmethod
@@ -289,11 +290,14 @@ class BigComplex:
             return NotImplemented
         return o / self
 
+    def inverse(self):
+        return 1 / self
+
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            return (BigComplex(1, 0, self.prec) / self) ** (-n)
+            return self.inverse() ** (-n)
         out = BigComplex(1, 0, self.prec)
         base = self
         while n:
@@ -320,9 +324,7 @@ class BigComplex:
         return abs(self.val) + self.err
 
     def is_zero(self):
-        """Certified-zero flag: exactly zero, or indistinguishable from zero."""
-        if self.exact is not None:
-            return self.exact.is_zero()
+        """Certified-zero flag: the disk contains zero."""
         return abs(self.val) <= self.err
 
     def __complex__(self):
@@ -349,8 +351,6 @@ def as_gaussian(x):
         return x
     if isinstance(x, (int, Fraction)):
         return GaussianRational(x)
-    if isinstance(x, BigComplex) and x.exact is not None:
-        return x.exact
     raise TypeError(f"not an exact value: {x!r}")
 
 
@@ -848,8 +848,9 @@ def roots_univariate(poly, precision=DEFAULT_PREC):
     """All complex roots with multiplicity, certified error <= 2^(-precision/2).
 
     Accepts a UPoly (exact coefficients) or a list of coefficients (ascending;
-    exact values and/or BigComplex).  Roots come back as BigComplex sorted
-    lexicographically by (real, imag); exact roots carry their witness.
+    exact values and/or BigComplex).  Roots come back sorted lexicographically
+    by (real, imag): a root certified exact by back-substitution is a
+    GaussianRational, every other root a BigComplex disk.
     """
     if isinstance(poly, UPoly):
         exact_poly = poly
@@ -878,7 +879,7 @@ def _roots_exact(poly, precision):
     v, core = poly.shift_valuation()
     out = []
     for _ in range(v):
-        out.append(BigComplex(0, 0, precision, exact=GR_ZERO))
+        out.append(GR_ZERO)
     if core.degree() >= 1:
         for factor, mult in core.squarefree_decomposition():
             roots = _roots_squarefree(factor, precision)
@@ -890,8 +891,7 @@ def _roots_exact(poly, precision):
 
 def _roots_squarefree(factor, precision):
     if factor.degree() == 1:
-        g = (-factor[0]) / factor[1]
-        return [BigComplex(g.to_mpc(precision + 16), 0, precision, exact=g)]
+        return [(-factor[0]) / factor[1]]
     target = mpmath.mpf(2) ** (-(precision // 2))
     work = precision + 32
     for _ in range(4):
@@ -902,10 +902,8 @@ def _roots_squarefree(factor, precision):
                 out = []
                 for val, e in pairs:
                     exact = _try_exactify(val, e, factor)
-                    if exact is not None:
-                        out.append(BigComplex(exact.to_mpc(work), 0, precision, exact=exact))
-                    else:
-                        out.append(BigComplex(val, e, precision))
+                    out.append(exact if exact is not None
+                               else BigComplex(val, e, precision))
                 return out
         work *= 2
     raise PrecisionExhausted(
@@ -930,15 +928,17 @@ def _roots_numeric(coeffs, precision):
 
 def _sort_roots(roots):
     def key(r):
+        v = coeff_to_mpc(r)
         with mp.workprec(64):
             grid = mpmath.mpf(2) ** 40
-            return (int(mpmath.floor(r.val.real * grid)),
-                    int(mpmath.floor(r.val.imag * grid)))
+            return (int(mpmath.floor(v.real * grid)),
+                    int(mpmath.floor(v.imag * grid)))
     return sorted(roots, key=key)
 
 
 def all_nth_roots(value, b, precision=DEFAULT_PREC):
-    """All b-th roots of a coefficient value, exact when recognisable."""
+    """All b-th roots of a coefficient value; as in roots_univariate, the
+    certified-exact ones are GaussianRational."""
     if is_exact(value):
         g = as_gaussian(value)
         poly = UPoly([-g] + [GR_ZERO] * (b - 1) + [GR_ONE])

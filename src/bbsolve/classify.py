@@ -6,9 +6,10 @@ a^k = lambda).  Numeric evidence second: high-order Taylor continuation of
 the germ through the plane, pole crossing by matching the exact Laurent germ
 near each pole, and a lattice fit on the recorded pole set.  Two independent
 periods with nonreal ratio mean elliptic; one period means rational in
-e^(az).  A single non-recurring pole on a finite probe proves nothing and
-leaves the verdict undetermined unless an exact rational solution is
-certified.
+e^(az), and its multiplier a turns the exact germ into an exact Pade
+approximant R that back-substitution may certify.  A single non-recurring
+pole on a finite probe proves nothing and leaves the verdict undetermined
+unless an exact rational solution is certified.
 
 Numeric verdicts are labelled confidence="numeric"; only back-substituted
 identities are "exact".
@@ -19,8 +20,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (GR_ONE, GR_ZERO, GaussianRational, RatQ, UPoly,
-                      falling, is_exact, roots_univariate, DEFAULT_PREC)
+from .algebra import (GR_ONE, GR_ZERO, GaussianRational, RatQ, UPoly, ZSeries,
+                      falling, is_exact, roots_univariate, solve_linear,
+                      DEFAULT_PREC)
 from .conditions import classify_kappa
 from .errors import (DegenerateInput, PrecisionExhausted, SingularEncounter,
                      ToleranceLoss)
@@ -79,8 +81,7 @@ def match_monomial(eq, precision=DEFAULT_PREC):
             if not (buckets[expo] % core).is_zero():
                 raise PrecisionExhausted(
                     f"monomial gcd does not divide the z^{expo} bucket")
-        roots = [r for r in roots_univariate(core, precision) if not r.is_zero()]
-        vals = tuple(r.exact if r.exact is not None else r for r in roots)
+        vals = tuple(r for r in roots_univariate(core, precision) if not r.is_zero())
         if vals:
             out.append(MonomialMatch(n=n, defining_poly=core, roots=vals))
     return out
@@ -127,14 +128,13 @@ def theta_pow(R_num, R_den, k):
     return acc.num, acc.den
 
 
-def match_exponential(eq, degree_cap=6, precision=DEFAULT_PREC, notes=None):
-    """Exact solutions y = R(e^(az)).
+def match_exponential(eq, precision=DEFAULT_PREC, notes=None):
+    """Exact solutions y = R(e^(az)) of affine equations.
 
     Affine right-hand sides y^(k) = lambda y + mu give the complete family of
-    pure modes (R(w) = w - mu/lambda, a^k = lambda), certified exactly.  For
-    nonlinear equations the identity system in (a, R) is not searched
-    symbolically here; numeric period evidence may still reconstruct and
-    certify an R (see reconstruct_exponential).  No match within the cap is
+    pure modes (R(w) = w - mu/lambda, a^k = lambda), certified exactly.  No
+    other equation is searched without a period: a verified numeric period
+    may still certify an R through reconstruct_exponential.  No match is
     reported through ``notes``, not as a failure.
     """
     out = []
@@ -145,8 +145,7 @@ def match_exponential(eq, degree_cap=6, precision=DEFAULT_PREC, notes=None):
             mu = N[0]
             if not lam.is_zero():
                 a_poly = UPoly([-lam] + [GR_ZERO] * (eq.k - 1) + [GR_ONE])
-                roots = roots_univariate(a_poly, precision)
-                vals = tuple(r.exact if r.exact is not None else r for r in roots)
+                vals = tuple(roots_univariate(a_poly, precision))
                 shift = -(mu * lam.inverse())
                 R_num = UPoly([shift, GR_ONE])
                 out.append(ExponentialMatch(a_poly=a_poly, a_values=vals,
@@ -158,24 +157,32 @@ def match_exponential(eq, degree_cap=6, precision=DEFAULT_PREC, notes=None):
                 if not (lam * shift + mu).is_zero():
                     raise PrecisionExhausted("exponential mode fails back-substitution")
     if not out and notes is not None:
-        notes.append(f"no exact exponential match within degree cap {degree_cap}")
+        notes.append("no exact exponential match: without a period, only affine "
+                     "right-hand sides are matched")
     return out
 
 
-def reconstruct_exponential(eq, probe, period, degree_cap=6, precision=DEFAULT_PREC):
+def reconstruct_exponential(eq, germ, period, degree_cap=6):
     """Try to certify y = R(e^(az)) from a verified period: a = 2 pi i / T.
 
-    Samples the trajectory, fits a rational R of degree <= cap at sample
-    points, recognises the coefficients exactly, and back-substitutes through
-    the Stirling expansion.  Returns an ExponentialMatch or None.
+    ``germ`` is the exact Laurent germ y = sum c_j z^(j-n) at the pole z = 0.
+    With s = e^(az) - 1, z = log(1 + s)/a turns it into a Laurent series in
+    s; R = A(s)/(s^n B(s)) is its Pade approximant, solved exactly for each
+    (deg num, deg den) in turn and kept only when back-substitution through
+    the Stirling expansion certifies it.  Returns an ExponentialMatch, or None
+    when the germ is not exact or nothing within the cap is certified.
     """
-    a_num = 2j * cmath.pi / complex(period)
-    a_g = _recognise_gaussian(a_num)
-    if a_g is None:
+    a_g = _recognise_gaussian(2j * cmath.pi / complex(period))
+    n = germ.n
+    if a_g is None or n > degree_cap or germ.has_free_parameter() \
+            or not all(is_exact(c) for c in germ.coeffs):
         return None
+    # s^n y(s) two indices past what the largest Pade system reads
+    M = min(2 * degree_cap - n + 2, len(germ.coeffs) - 1)
+    Y = _germ_in_s(germ.coeffs, n, a_g, M)
     for deg_n in range(1, degree_cap + 1):
-        for deg_d in range(0, degree_cap + 1):
-            R = _fit_rational_in_w(eq, probe, a_num, deg_n, deg_d)
+        for deg_d in range(n, degree_cap + 1):
+            R = _pade_in_w(Y, n, deg_n, deg_d - n)
             if R is not None and _certify_exponential(eq, a_g, R):
                 a_poly = UPoly([-a_g, GR_ONE])
                 return ExponentialMatch(a_poly=a_poly, a_values=(a_g,),
@@ -191,65 +198,52 @@ def _recognise_gaussian(z, bound=10 ** 6, tol=1e-9):
     return None
 
 
-def _fit_rational_in_w(eq, probe, a, deg_n, deg_d, nsample=None, tol=1e-8):
-    """Least-structure rational interpolation y_i (w_i - ...) linear system."""
-    unknowns = deg_n + 1 + deg_d  # denominator monic
-    nsample = nsample or unknowns + 4
-    samples = []
-    base = 0.37 + 0.21j
-    for idx in range(nsample):
-        z = base + idx * (0.501 + 0.113j)
-        st = probe(z)
-        if st is None:
-            return None
-        w = cmath.exp(a * z)
-        samples.append((w, st[0]))
+def _germ_in_s(coeffs, n, a, M):
+    """[Y_0, ..., Y_M] of Y(s) = s^n y(z(s)), z = log(1 + s)/a.
+
+    With log(1 + s) = s l(s):  Y = a^n l(s)^-n G(z(s)),  G(z) = sum c_j z^j,
+    composed by Horner's rule on series truncated at s^M.
+    """
+    ell = ZSeries(0, [GaussianRational(Fraction((-1) ** i, i + 1))
+                      for i in range(M + 1)], M)
+    z = ell.scale(a.inverse(), shift=1)
+    G = ZSeries.zero(M)
+    for c in reversed(coeffs[:M + 1]):
+        G = G.mul(z, cap=M) + ZSeries(0, [c], M)
+    Y = G.mul(ell.pow_int(-n, cap=M), cap=M).scale(a ** n)
+    return [Y.coeff(i) for i in range(M + 1)]
+
+
+def _pade_in_w(Y, n, dn, db):
+    """R(w) = A(s)/(s^n B(s)) at s = w - 1, deg A <= dn, deg B <= db, B(0) = 1,
+    with B Y - A = O(s^(dn + db + 1)).
+
+    None when Y is too short, the system is singular, or B Y - A misses a
+    coefficient of Y past those it was solved from: B Y = A holds exactly
+    when R is the germ, and that cheap test spares most exact certifications.
+    """
+    size = dn + 1 + db
+    if size >= len(Y):
+        return None
     rows = []
-    rhs = []
-    for w, yv in samples:
-        row = [w ** j for j in range(deg_n + 1)]
-        row += [-yv * w ** j for j in range(deg_d)]
+    for i in range(size):
+        row = [GR_ZERO] * size
+        if i <= dn:
+            row[i] = -1
+        for t in range(1, min(i, db) + 1):
+            row[dn + t] = Y[i - t]
         rows.append(row)
-        rhs.append(yv * w ** deg_d)
-    sol = _lstsq_complex(rows, rhs)
-    if sol is None:
+    try:
+        sol = solve_linear(rows, [-y for y in Y[:size]])
+    except ValueError:
         return None
-    resid = max(abs(sum(r * s for r, s in zip(row, sol)) - b)
-                for row, b in zip(rows, rhs))
-    if resid > tol * max(1.0, max(abs(b) for b in rhs)):
-        return None
-    coeffs = []
-    for v in sol:
-        g = _recognise_gaussian(v)
-        if g is None:
+    B = [GR_ONE] + sol[dn + 1:]
+    for i in range(size, len(Y)):
+        if not sum((B[t] * Y[i - t] for t in range(db + 1)), GR_ZERO).is_zero():
             return None
-        coeffs.append(g)
-    return RatQ(UPoly(coeffs[:deg_n + 1]), UPoly(coeffs[deg_n + 1:] + [GR_ONE]))
-
-
-def _lstsq_complex(rows, rhs):
-    """Normal-equation solve in double precision; None when ill-posed."""
-    m = len(rows)
-    n = len(rows[0])
-    ata = [[sum(rows[i][r].conjugate() * rows[i][c] for i in range(m))
-            for c in range(n)] for r in range(n)]
-    atb = [sum(rows[i][r].conjugate() * rhs[i] for i in range(m)) for r in range(n)]
-    # Gaussian elimination with partial pivoting
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(ata[r][col]))
-        if abs(ata[piv][col]) < 1e-13:
-            return None
-        ata[col], ata[piv] = ata[piv], ata[col]
-        atb[col], atb[piv] = atb[piv], atb[col]
-        inv = 1 / ata[col][col]
-        ata[col] = [x * inv for x in ata[col]]
-        atb[col] *= inv
-        for r in range(n):
-            if r != col and ata[r][col] != 0:
-                f = ata[r][col]
-                ata[r] = [ata[r][j] - f * ata[col][j] for j in range(n)]
-                atb[r] -= f * atb[col]
-    return atb
+    s = RatQ(UPoly([-1, 1]))
+    den = UPoly([GR_ZERO] * n + B)
+    return _compose_rat(UPoly(sol[:dn + 1]), s) / _compose_rat(den, s)
 
 
 def _certify_exponential(eq, a_g, R):
@@ -329,9 +323,7 @@ def _germ_trust(coeffs):
 def germ_numeric(ls, germ_id=None):
     if ls.has_free_parameter():
         raise ValueError("free-parameter germ cannot be evaluated numerically; pin c")
-    cs = []
-    for c in ls.coeffs:
-        cs.append(complex(c) if is_exact(c) else complex(c.val))
+    cs = [complex(c) for c in ls.coeffs]
     return NumericGerm(germ_id=germ_id or ls.branch_id, n=ls.n, coeffs=tuple(cs),
                        trust=_germ_trust(cs))
 

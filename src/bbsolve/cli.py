@@ -70,9 +70,8 @@ def _at_least(name, value, low):
 
 class Options:
     def __init__(self, c="default", N=None, depth=None, precision=None,
-                 tol=DEFAULT_TRAJ_TOL, ratio_tol=DEFAULT_RATIO_TOL,
-                 degree_cap=None, no_classify=False, fmt="text", n=None,
-                 k_override=None):
+                 tol=DEFAULT_TRAJ_TOL, degree_cap=None, no_classify=False,
+                 fmt="text", n=None, k_override=None):
         env = os.environ.get("BBSOLVE_PRECISION")
         if precision is None and env:
             try:
@@ -85,7 +84,6 @@ class Options:
         self.N = _at_least("N", N, 0)
         self.depth = _at_least("depth", depth, 1)
         self.tol = tol
-        self.ratio_tol = ratio_tol
         self.degree_cap = _at_least("degree cap", degree_cap, 1)
         self.no_classify = no_classify
         self.fmt = fmt
@@ -206,9 +204,7 @@ def analyze(equation, opts=None):
     mono = match_monomial(eq, opts.precision)
     expo = []
     if report.kappa_one_count >= 1:
-        # cap defaults to the heuristic degree bound when one exists
-        cap = opts.degree_cap or report.degree_bound or 6
-        expo = match_exponential(eq, cap, opts.precision, notes=classify_notes)
+        expo = match_exponential(eq, opts.precision, notes=classify_notes)
     if not opts.no_classify:
         period_result, pole_events, rec_matches = _numeric_classification(
             eq, report, branches, ev, opts, classify_notes)
@@ -250,14 +246,15 @@ def _numeric_classification(eq, report, branches, ev, opts, notes):
         events, _flow, ngerms = sweep_poles(eq, family, tol=opts.tol,
                                             first_integral=fi)
         probe = make_probe(eq, events, ngerms, tol=opts.tol, first_integral=fi)
-        pr = detect_periods(events, tol=opts.ratio_tol, state_probe=probe)
+        pr = detect_periods(events, tol=DEFAULT_RATIO_TOL, state_probe=probe)
     except BBError as exc:
         notes.append(f"numeric continuation failed: {exc}")
         return None, (), []
     recs = []
     if pr.rank == 1 and pr.verified and eq.resolved is not None:
         from .classify import reconstruct_exponential
-        rec = reconstruct_exponential(eq, probe, pr.periods[0],
+        # the seed germ: the sweep's pole at z = 0
+        rec = reconstruct_exponential(eq, family[0], pr.periods[0],
                                       degree_cap=opts.degree_cap or
                                       report.degree_bound or 6)
         if rec is not None:
@@ -334,7 +331,7 @@ def _build_report(eq, opts, depth, assumptions, warnings, polygon, branches,
                   "resolved": (ratfunc_str(*eq.resolved, var="y")
                                if eq.resolved else None)},
         "settings": {"precision_bits": opts.precision, "depth": depth,
-                     "trajectory_tol": opts.tol, "period_ratio_tol": opts.ratio_tol,
+                     "trajectory_tol": opts.tol, "period_ratio_tol": DEFAULT_RATIO_TOL,
                      "series_N": opts.N,
                      "c": ("free" if opts.c is None else
                            "default" if opts.c == "default" else
@@ -585,14 +582,10 @@ def cmd_selftest(opts):
             if D2.degree() >= 1 and not P2.is_zero():
                 from .algebra import roots_univariate
                 D2p = D2.derivative()
-                for root in roots_univariate(D2):
-                    alpha = root.exact if root.exact is not None else root
-                    dv = D2p.eval(alpha)
-                    rv = P2.eval(alpha)
-                    total = total + rv * (dv.inverse() if is_exact(dv) else 1 / dv)
-            if not coeff_is_zero(total if not is_exact(total) else total):
-                if not (is_exact(total) and total.is_zero()):
-                    return False
+                for alpha in roots_univariate(D2):
+                    total = total + P2.eval(alpha) * D2p.eval(alpha).inverse()
+            if not coeff_is_zero(total):
+                return False
         return True
 
     check("first-integral bracket identity", bracket_identity)

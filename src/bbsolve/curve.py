@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 import math
 
-from .algebra import (BigComplex, GR_ONE, GR_ZERO, GaussianRational,
-                      UPoly, ZSeries, all_nth_roots, as_gaussian, coeff_is_zero,
+from .algebra import (GR_ONE, GR_ZERO, GaussianRational, UPoly, ZSeries,
+                      all_nth_roots, coeff_err, coeff_is_zero, coeff_to_mpc,
                       is_exact, roots_univariate, solve_linear, DEFAULT_PREC)
 from .errors import DegenerateInput, InsufficientDepth, PrecisionExhausted
 
@@ -121,8 +121,7 @@ def residue_pdq(branch):
         raise InsufficientDepth(
             f"branch {branch.id} expanded only to q-exponent {branch.valid_q_to}; "
             "the residue needs exponent -1")
-    c = branch.coeff_at_qexp(-1)
-    return c * GaussianRational(-branch.m) if is_exact(c) else c * (-branch.m)
+    return branch.coeff_at_qexp(-1) * (-branch.m)
 
 
 def branches_at_infinity(P, depth, precision=DEFAULT_PREC):
@@ -148,8 +147,7 @@ def branches_at_infinity(P, depth, precision=DEFAULT_PREC):
     # deterministic ids: sort by kappa descending, then lead coeff key
     def sort_key(item):
         kappa, series, m = item
-        c = series.coeffs[0] if series.coeffs else GR_ZERO
-        cx = complex(c) if not isinstance(c, BigComplex) else complex(c.val)
+        cx = complex(series.coeffs[0]) if series.coeffs else 0j
         return (-kappa, round(cx.real, 9), round(cx.imag, 9))
     raw.sort(key=sort_key)
     out = []
@@ -217,10 +215,9 @@ def _branches_finite(Ptilde, d, depth, precision):
     roots = roots_univariate(top, precision)
     grouped = _group_roots(roots)
     for c_root, _mult in grouped:
-        cval = c_root.exact if c_root.exact is not None else c_root
-        Hc = _np_substitute(Ptilde, cval, 0, 1)
+        Hc = _np_substitute(Ptilde, c_root, 0, 1)
         for wser, m in _np_branches(Hc, tau, _MAX_NP_RECURSION, precision):
-            pser = wser + ZSeries(0, [cval], wser.valid_to)
+            pser = wser + ZSeries(0, [c_root], wser.valid_to)
             out.append((_kappa(pser, m), pser, m))
     return out
 
@@ -229,28 +226,19 @@ def _group_roots(roots):
     """Collapse the multiplicity-repeated output of roots_univariate."""
     groups = []
     for r in roots:
-        placed = False
         for g in groups:
-            r0 = g[0]
-            if r.exact is not None and r0.exact is not None:
-                same = r.exact == r0.exact
-            else:
-                same = abs(r.val - r0.val) <= (r.err + r0.err)
-                if same and (r.err + r0.err) == 0:
-                    same = r.val == r0.val
-            if same:
+            # multiply by -1 rather than negate: BigComplex negation rounds
+            if coeff_is_zero(r + g[0] * -1):
                 g[1] += 1
-                placed = True
                 break
-        if not placed:
+        else:
             groups.append([r, 1])
     # overlapping but unequal numeric roots cannot be told apart
     for a in range(len(groups)):
         for b in range(a + 1, len(groups)):
             ra, rb = groups[a][0], groups[b][0]
-            if ra.exact is not None and rb.exact is not None:
-                continue
-            if abs(ra.val - rb.val) <= 2 * (ra.err + rb.err) and abs(ra.val - rb.val) != 0:
+            gap = abs(coeff_to_mpc(ra) - coeff_to_mpc(rb))
+            if gap != 0 and gap <= 2 * (coeff_err(ra) + coeff_err(rb)):
                 raise PrecisionExhausted("root clusters overlap; raise precision")
     return [(g[0], g[1]) for g in groups]
 
@@ -384,15 +372,12 @@ def _edge_roots(Ex, precision):
 
 
 def _pick_mth_root(X, m, precision):
-    """Deterministic representative among the conjugate leading coefficients."""
-    val = X.exact if (isinstance(X, BigComplex) and X.exact is not None) else X
+    """Deterministic representative among the conjugate leading coefficients:
+    the first exact m-th root when there is one."""
     if m == 1:
-        return val if is_exact(val) else val
-    cands = all_nth_roots(val, m, precision)
-    for c in cands:
-        if isinstance(c, BigComplex) and c.exact is not None:
-            return c.exact
-    return cands[0]
+        return X
+    cands = all_nth_roots(X, m, precision)
+    return next((c for c in cands if is_exact(c)), cands[0])
 
 
 def _is_zero_at_w0(H):
@@ -411,7 +396,7 @@ def _newton_lift(H, tau):
     amax = max(by_a)
     coeff_series = {a: ZSeries(0, [bs.get(b, GR_ZERO) for b in range(max(bs) + 1)])
                     for a, bs in by_a.items()}
-    dcoeff_series = {a: s.scale(GaussianRational(a))
+    dcoeff_series = {a: s.scale(a)
                      for a, s in coeff_series.items() if a >= 1}
     x = ZSeries.zero()
     pi = 0
@@ -541,15 +526,11 @@ def exactness_check(branches, resolved=None, precision=DEFAULT_PREC):
         exact = P2.is_zero()
         if D2.degree() >= 1:
             D2p = D2.derivative()
-            for root in roots_univariate(D2, precision):
-                alpha = root.exact if root.exact is not None else root
+            for alpha in roots_univariate(D2, precision):
                 if P2.is_zero():
                     rows.append(ResidueRow(_place_label(alpha), GR_ZERO, True))
                     continue
-                dval = D2p.eval(alpha)
-                rval = P2.eval(alpha)
-                res = rval * (dval.inverse() if isinstance(dval, GaussianRational)
-                              else 1 / dval)
+                res = P2.eval(alpha) * D2p.eval(alpha).inverse()
                 rows.append(ResidueRow(_place_label(alpha), res, coeff_is_zero(res)))
         res_inf = residue_at_infinity_resolved(N, D)
         rows.append(ResidueRow("infinity", res_inf, coeff_is_zero(res_inf)))
@@ -577,8 +558,8 @@ def exactness_check(branches, resolved=None, precision=DEFAULT_PREC):
 def _place_label(alpha):
     if is_exact(alpha):
         from .eqparse import gaussian_str
-        return f"q={gaussian_str(as_gaussian(alpha))}"
-    return f"q~{complex(alpha.val):.6g}"
+        return f"q={gaussian_str(alpha)}"
+    return f"q~{complex(alpha):.6g}"
 
 
 def first_integral_series(branch):
@@ -593,6 +574,5 @@ def first_integral_series(branch):
                 continue
             raise InsufficientDepth(
                 "p dq has a nonzero residue on this branch; no termwise integral")
-        factor = Fraction(1) / (e + 1)
-        out.append((e + 1, c * GaussianRational(factor) if is_exact(c) else c * factor))
+        out.append((e + 1, c * (1 / (e + 1))))
     return tuple(out)

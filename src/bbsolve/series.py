@@ -30,7 +30,7 @@ added, never negated: BigComplex negation rounds to 53 bits.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (BigComplex, GR_ONE, GR_ZERO, GaussianRational, ZSeries,
+from .algebra import (GR_ONE, GR_ZERO, GaussianRational, ZSeries,
                       _is_exact_zero, all_nth_roots, as_gaussian, coeff_is_zero,
                       falling, is_exact, pochhammer, DEFAULT_PREC)
 from .curve import first_integral_series
@@ -74,11 +74,11 @@ def bracket_phi(k, y):
     for i in range(1, half):
         term = derivs[k - i] * derivs[i]
         if i % 2 == 0:
-            term = term.scale(GaussianRational(-1))
+            term = term.scale(-1)
         acc = term if acc is None else acc + term
     mid = derivs[half] * derivs[half]
     sign = 1 if half % 2 == 1 else -1
-    mid = mid.scale(GaussianRational(Fraction(sign, 2)))
+    mid = mid.scale(Fraction(sign, 2))
     return mid if acc is None else acc + mid
 
 
@@ -116,14 +116,10 @@ def leading_roots(k, n, branch, precision=DEFAULT_PREC):
     if g is None:
         raise NoRoots(f"m*k/n = {m}*{k}/{n} is not an integer")
     D0 = GaussianRational(falling(-n, k))
-    A0 = branch.lead
-    rhs = (D0 * A0.inverse()) if is_exact(A0) else D0 * (1 / A0)
-    roots = all_nth_roots(rhs, g, precision)
+    roots = all_nth_roots(D0 * branch.lead.inverse(), g, precision)
     out = []
-    for idx, r in enumerate(roots):
-        eta0 = r.exact if (isinstance(r, BigComplex) and r.exact is not None) else r
-        c0 = eta0 ** m
-        out.append(LeadingRoot(c0=c0, eta0=eta0, index=idx))
+    for idx, eta0 in enumerate(roots):
+        out.append(LeadingRoot(c0=eta0 ** m, eta0=eta0, index=idx))
     if not out:
         raise NoRoots("no nonzero leading coefficient")
     return out
@@ -146,15 +142,13 @@ def pinning_coefficient(k, n, c0):
         raise ValueError("pinning requires even k")
     if n < 1:
         raise ValueError("n must be a positive integer")
-    if coeff_is_zero(c0 if not isinstance(c0, (int, Fraction)) else GaussianRational(c0)):
+    if coeff_is_zero(c0):
         raise ValueError("c0 must be nonzero")
     total = Fraction(0)
     base = Fraction(pochhammer(n, k + 1))  # (n+k)!/(n-1)!
     for mm in range(k):
         total += base / (n + mm + 1)
-    if isinstance(c0, (int, Fraction)):
-        c0 = GaussianRational(c0)
-    return c0 * GaussianRational(total) if is_exact(c0) else c0 * total
+    return GaussianRational(total) * c0
 
 
 # ---------------------------------------------------------------------------
@@ -186,16 +180,9 @@ class LaurentSeries:
 
 
 def _coeff_close(a, b):
-    if is_exact(a) and is_exact(b):
-        return as_gaussian(a) == as_gaussian(b)
-    av = a.to_mpc() if is_exact(a) else a.val
-    bv = b.to_mpc() if is_exact(b) else b.val
-    ae = a.err if isinstance(a, BigComplex) else 0
-    be = b.err if isinstance(b, BigComplex) else 0
-    tol = ae + be
-    if tol == 0:
-        tol = 1e-30 * (1 + abs(av) + abs(bv))
-    return abs(av - bv) <= tol
+    """Equal when both are exact; overlapping disks otherwise.  Multiplies by
+    -1 rather than negating: BigComplex negation rounds to 53 bits."""
+    return coeff_is_zero(a + b * -1)
 
 
 def _needed_branch_depth(branch, n, N):
@@ -245,13 +232,13 @@ def _build_series(k, n, branch, root, c, N):
         rhs = powers.coeff(pterms, j - n - k)
         bracket = recurrence_bracket(k, n, j)
         if bracket != 0:
-            powers.set_coeff(j, rhs * GaussianRational(1 / bracket))
+            powers.set_coeff(j, rhs * (1 / bracket))
             continue
         if j != j_res:
             raise InconsistentResonance(
                 f"unexpected vanishing bracket at index {j} (expected {j_res})")
         if not coeff_is_zero(rhs):
-            forced = rhs * GaussianRational(-1)
+            forced = rhs * -1
             raise InconsistentResonance(
                 f"resonant index {j}: forced term {_fmt_coeff(forced)} is nonzero "
                 "(this reflects a nonzero residue of p dq); no series with this c0")
@@ -283,12 +270,11 @@ class _Powers:
     """
 
     def __init__(self, root, m, n):
-        c0 = root.c0
-        self.eta0 = as_gaussian(root.eta0) if is_exact(root.eta0) else root.eta0
+        self.eta0 = root.eta0
         self.m = m
         self.n = n
-        self.coeffs = [c0]
-        self.inv0 = c0.inverse() if isinstance(c0, GaussianRational) else 1 / c0
+        self.coeffs = [root.c0]
+        self.inv0 = root.c0.inverse()
         self.w = [GR_ZERO]          # w_i = c_i / c_0 for every known index
         self.nonzero = []           # indices i >= 1 with w_i not exact zero
         self.lists = {}             # e -> [H_0, H_1, ...]
@@ -337,9 +323,9 @@ class _Powers:
                 weight = (e + m) * i - m * j
                 if weight == 0 or _is_exact_zero(h):
                     continue
-                term = w[i] * h * GaussianRational(weight)
+                term = w[i] * h * weight
                 acc = term if acc is None else acc + term
-            H.append(GR_ZERO if acc is None else acc * GaussianRational(Fraction(1, m * j)))
+            H.append(GR_ZERO if acc is None else acc * Fraction(1, m * j))
         return H[r]
 
     def set_coeff(self, j, cj):
@@ -352,20 +338,16 @@ class _Powers:
         self.nonzero.append(j)
         for e, H in self.lists.items():
             if len(H) > j and e != 0:
-                H[j] = H[j] + wj * GaussianRational(Fraction(e, self.m))
+                H[j] = H[j] + wj * Fraction(e, self.m)
 
 
 def _pin_resonant(k, n, branch, root, powers, c):
     """Solve the constant term of Phi_k(y) = s(y) + c for c_{2n+k}."""
-    minus = GaussianRational(-1)
     y = ZSeries(-n, powers.coeffs)       # resonant coefficient treated as 0
     phi0 = bracket_phi(k, y).coeff(0)
     s0 = powers.coeff(powers.table(first_integral_series(branch)), 0)
-    T0 = phi0 + s0 * minus
-    pin = pinning_coefficient(k, n, root.c0)
-    cc = c if not isinstance(c, (int, Fraction)) else GaussianRational(c)
-    num = T0 + cc * minus
-    return num * pin.inverse() if (is_exact(num) and is_exact(pin)) else num * (1 / pin)
+    num = phi0 + s0 * -1 + c * -1
+    return num * pinning_coefficient(k, n, root.c0).inverse()
 
 
 def _dedup(series_list):
@@ -387,8 +369,7 @@ def _dedup(series_list):
 
 
 def _series_sort_key(s):
-    c0 = s.coeffs[0]
-    cx = complex(c0) if is_exact(c0) else complex(c0.val)
+    cx = complex(s.coeffs[0])
     return (s.n, round(cx.real, 12), round(cx.imag, 12), s.root_choice)
 
 

@@ -1,11 +1,13 @@
 """Exact matchers, operator expansion, continuation, period detection."""
 
 import cmath
+import math
 from fractions import Fraction
 
 import pytest
 
 from bbsolve.algebra import BigComplex, GaussianRational, RatQ, UPoly
+from bbsolve.cli import analyze
 from bbsolve.classify import (PoleEvent, assemble_verdict, continue_trajectory,
                               detect_periods, match_exponential, match_monomial,
                               stirling2, sweep_poles, theta_pow, make_probe,
@@ -66,10 +68,10 @@ class TestExponentialMatcher:
 
     def test_riccati_not_exponential(self):
         notes = []
-        ms = match_exponential(parse_equation("y' = y^2"), degree_cap=3,
-                               notes=notes)
+        ms = match_exponential(parse_equation("y' = y^2"), notes=notes)
         assert ms == []
-        assert any("no exact exponential match" in n for n in notes)
+        assert notes == ["no exact exponential match: without a period, only "
+                         "affine right-hand sides are matched"]
 
     def test_affine_shift(self):
         ms = match_exponential(parse_equation("y'' = 4*y - 8"))
@@ -77,6 +79,25 @@ class TestExponentialMatcher:
         # y = w + 2 with w = e^(az), a^2 = 4
         assert str(m.R_num.coeffs[0]) == "2"
         assert sorted(str(v) for v in m.a_values) == ["-2", "2"]
+
+
+class TestRiccatiOrbit:
+    """y' = y^2 - 1 (y = -coth z, period i pi) under y -> mu y, z -> lambda z:
+    Y(z) = mu y(lambda z) solves Y' = (lambda/mu) Y^2 - mu lambda, so the label
+    and its exact certificate must persist and the period scale by 1/lambda."""
+
+    @pytest.mark.parametrize("text, lam", [
+        ("y' = y^2 - 1", 1),
+        ("y' = 3*y^2 - 3", 3),              # mu = 1, lambda = 3
+        ("y' = y^2/2 - 1/2", F(1, 2)),      # mu = 1, lambda = 1/2
+        ("y' = -1*y^2 + 4", -2),            # mu = 2, lambda = -2
+    ])
+    def test_exact_exponential_and_scaled_period(self, text, lam):
+        v = analyze(text)[0]["classification"]
+        assert (v["label"], v["confidence"]) == ("rational_in_exponential", "exact")
+        assert any(e.startswith("exact exponential solution") for e in v["evidence"])
+        (re, im), = v["periods"]
+        assert abs(re) < 1e-9 and abs(abs(im) - math.pi / abs(lam)) < 1e-9
 
 
 class TestThetaOperator:

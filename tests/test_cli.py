@@ -67,6 +67,19 @@ class TestAnalyze:
         assert any("single non-recurring pole" in e for e in verdict["evidence"])
         assert [s["verify_residual_order"] for s in rep["series"]] == [10, 10, 10]
 
+    def test_numeric_leading_coefficients(self):
+        # the lead sqrt(2) is not exact: leading_roots takes all_nth_roots of
+        # a BigComplex, through BigComplex.root
+        rep, _code = analyze("P: p^2 - 2*q^6 ; k=2")
+        c0s = [complex(c["re"], c["im"]) for c in
+               (s["coeffs"][0] for s in rep["series"]) if "err" in c]
+        assert len(c0s) == len(rep["series"]) == 4
+        assert all(abs(c ** 4 - 2) < 1e-12 for c in c0s)
+        v = rep["classification"]
+        assert (v["label"], v["confidence"]) == ("rational", "exact")
+        assert ("exact monomial solution: y = c*z^-1 with c a root of c^4 - 2 = 0"
+                in v["evidence"])
+
     def test_deterministic_json(self):
         a, _ = analyze("y'' = 6*y^2 - 2")
         b, _ = analyze("y'' = 6*y^2 - 2")
@@ -234,3 +247,25 @@ class TestModuleEntryPoint:
                     tree = ast.parse(fh.read(), name)
                 lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
                 assert lines == [], f"{name}: assert at lines {lines}"
+
+    def test_number_types_stay_inside_algebra(self):
+        # a value known exactly is a GaussianRational and anything else a
+        # BigComplex; both answer the same arithmetic, so only algebra.py may
+        # name BigComplex or dispatch on either type (__init__.py re-exports)
+        pkg = os.path.join(SRC, "bbsolve")
+        types = {"BigComplex", "GaussianRational"}
+        for name in sorted(os.listdir(pkg)):
+            if not name.endswith(".py") or name in ("algebra.py", "__init__.py"):
+                continue
+            with open(os.path.join(pkg, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            bad = []
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    bad += [node.lineno for a in node.names if a.name == "BigComplex"]
+                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                      and node.func.id == "isinstance" and len(node.args) == 2):
+                    named = {getattr(n, "id", getattr(n, "attr", None))
+                             for n in ast.walk(node.args[1])}
+                    bad += [node.lineno] if named & types else []
+            assert bad == [], f"{name}: BigComplex import or type dispatch at lines {bad}"

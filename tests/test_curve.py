@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from bbsolve.algebra import GR_ZERO, GaussianRational, ZSeries, coeff_is_zero
+from bbsolve.algebra import (GR_ZERO, GaussianRational, ZSeries, coeff_is_zero,
+                             is_exact)
 from bbsolve.curve import (branches_at_infinity, exactness_check,
                            first_integral_series, hermite_ostrogradsky,
                            newton_polygon, residue_at_infinity_resolved,
@@ -218,9 +219,8 @@ class TestExactness:
         _qp, _p1, _d1, P2, D2 = hermite_ostrogradsky(N, D)
         from bbsolve.algebra import roots_univariate
         total = residue_at_infinity_resolved(N, D)
-        for root in roots_univariate(D2):
-            alpha = root.exact
-            assert alpha is not None
+        for alpha in roots_univariate(D2):
+            assert is_exact(alpha)
             total = total + P2.eval(alpha) * D2.derivative().eval(alpha).inverse()
         assert total == GaussianRational(0)
 
