@@ -22,12 +22,12 @@ germ, = enumerate_series(eq, branch, 2, N=24)
 print("germ at the pole:",
       [(i - 2, str(c)) for i, c in enumerate(germ.coeffs) if str(c) != "0"][:5])
 
-events, _flow, ngerms = sweep_poles(eq, [germ], budget=12)
+events, flow, ngerms = sweep_poles(eq, [germ], budget=12)
 print(f"\nfound {len(events)} poles:")
 for ev in events:
     print(f"   {ev.z:+.9f}   order {ev.order}")
 
-probe = make_probe(eq, events, ngerms)
+probe = make_probe(flow, events, ngerms)
 pr = detect_periods(events, state_probe=probe)
 print(f"\nlattice rank {pr.rank}, verified by state match: {pr.verified}")
 T1, T2 = pr.periods

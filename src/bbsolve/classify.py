@@ -276,12 +276,6 @@ class NumericGerm:
     coeffs: tuple      # complex, index j <-> exponent j - n
     trust: float = 0.8  # offset radius where the truncated tail is negligible
 
-    def eval(self, u):
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * u + c
-        return acc * u ** (-self.n)
-
     def eval_derivs(self, u, count):
         """Value and the first ``count`` derivatives at offset u from the pole."""
         out = []
@@ -777,7 +771,8 @@ def sweep_poles(eq, germ_family, tol=DEFAULT_TRAJ_TOL, budget=13, probe_len=8.0,
 
     Probes 8 rays from every discovered pole; each ray is integrated with
     pole hopping and every crossing recorded.  Deterministic processing
-    order.  Returns (events, flow) with events sorted by (|z|, arg).
+    order.  Returns (events, flow, numeric germs) with events sorted by
+    (|z|, arg); the flow is anchored on the seed germ, ready for make_probe.
     """
     flow = _Flow(eq, tol, first_integral=first_integral)
     germs = [germ_numeric(ls, f"g{i}") for i, ls in enumerate(germ_family)]
@@ -951,10 +946,9 @@ def _verify_period(state_probe, pts, T, state_tol):
     return checked >= 2
 
 
-def make_probe(eq, events, germs, tol=DEFAULT_TRAJ_TOL, first_integral=None):
-    """State evaluator z -> (y, y', ..., y^(k-1)) via germ-anchored continuation."""
-    flow = _Flow(eq, tol, first_integral=first_integral)
-    flow.anchor_first_integral(germs[0])
+def make_probe(flow, events, germs):
+    """State evaluator z -> (y, y', ..., y^(k-1)) via germ-anchored
+    continuation, on the anchored ``flow`` that sweep_poles returns."""
 
     def probe(z):
         z = complex(z)
@@ -971,7 +965,7 @@ def make_probe(eq, events, germs, tol=DEFAULT_TRAJ_TOL, first_integral=None):
         try:
             scratch = list(events)
             state, p, _, done = run_segment(flow, z_s, state, p, z, germs,
-                                            scratch, tol, max_steps=300)
+                                            scratch, flow.tol, max_steps=300)
         except (ToleranceLoss, SingularEncounter, OverflowError):
             return None
         return state if done else None

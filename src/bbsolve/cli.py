@@ -33,6 +33,8 @@ from .series import (coeff_to_json, enumerate_series, series_to_json,
                      verify_series)
 
 SCHEMA_VERSION = 1
+# germ index of the family the numeric continuation starts from
+CONTINUATION_N = 24
 
 
 def _frac_str(x):
@@ -45,20 +47,31 @@ def _cxpair(z):
     return [z.real, z.imag]
 
 
-def default_depth(k, polygon):
-    """4 (n_max + k) + 8 over admissible pole orders, and always enough for
-    every branch to reach its residue term (u-index m (kappa + 1))."""
+def default_depth(k, polygon, N=None, base=None):
+    """Puiseux depth in u-terms for a command whose germs reach index N.
+
+    ``base`` defaults to 4 (n_max + k) + 8 over admissible pole orders, and
+    always enough for every branch to reach its residue term (u-index
+    m (kappa + 1)).  A place of ramification m feeds germs of pole order n
+    only when m divides n, and the m of all places sum to deg_p, so index N
+    needs at most ceil(min(n, deg_p) N / n) + 4 u-terms; the depth covers
+    that too."""
     import math as _math
     from .conditions import classify_kappa
     n_max = 0
     kappa_top = 0
+    germ_need = 0
     deg_p = max(i for e in polygon.upper_edges for i in (e.i1, e.i2))
     for e in polygon.upper_edges:
         kappa_top = max(kappa_top, _math.ceil(max(e.kappa, 0)))
         label, n = classify_kappa(k, e.kappa)
         if label == "kappa_one_plus_k_over_n":
             n_max = max(n_max, n)
-    return max(4 * (n_max + k) + 8, deg_p * (kappa_top + 1) + 2)
+            if N is not None:
+                germ_need = max(germ_need, -(-min(n, deg_p) * N // n) + 4)
+    if base is None:
+        base = max(4 * (n_max + k) + 8, deg_p * (kappa_top + 1) + 2)
+    return max(base, germ_need)
 
 
 def _at_least(name, value, low):
@@ -80,7 +93,8 @@ class Options:
                 raise BBError(f"BBSOLVE_PRECISION must be an integer, got {env!r}") from None
         self.precision = _at_least(
             "precision", DEFAULT_PREC if precision is None else precision, 1)
-        self.c = c
+        # an int or Fraction constant from a library caller is exact
+        self.c = GaussianRational(c) if isinstance(c, (int, Fraction)) else c
         self.N = _at_least("N", N, 0)
         self.depth = _at_least("depth", depth, 1)
         self.tol = tol
@@ -108,9 +122,10 @@ def _parse_c(text):
 # the analysis pipeline
 # ---------------------------------------------------------------------------
 
-def _prepare(equation, opts):
+def _prepare(equation, opts, N_germ=None):
     """The front end every command shares: parse, apply --k, reduce P to its
     squarefree part, then polygon, depth, branches and the admissibility screen.
+    The branches are expanded once, deep enough for germs up to index N_germ.
 
     Returns (eq, warnings, polygon, depth, branches, report); ``warnings``
     holds the parser's notes followed by what this step adds."""
@@ -131,26 +146,17 @@ def _prepare(equation, opts):
             resolved = (N * lcinv, D * lcinv)
         eq = dc_replace(eq, P=P_sf, resolved=resolved)
     polygon = newton_polygon(eq.P)
-    depth = opts.depth or default_depth(eq.k, polygon)
+    depth = default_depth(eq.k, polygon, N_germ, opts.depth)
     branches = branches_at_infinity(eq.P, depth, opts.precision)
     lead_const = eq.P.coeff_in_p(eq.P.deg_p()).degree() == 0
     report = screen_admissibility(eq.k, branches, leading_p_coeff_constant=lead_const)
     return eq, list(eq.notes) + warnings, polygon, depth, branches, report
 
 
-def _deepened(eq, branches, pairs, N, precision):
-    """Branches by id, re-expanded when the germs of ``pairs`` up to index N
-    need more terms than the branches carry."""
-    bmap = {b.id: b for b in branches}
-    need = max((-(-bmap[bid].m * N // n) + 4 for bid, n in pairs), default=0)
-    if any(b.depth < need for b in branches):
-        bmap = {b.id: b for b in branches_at_infinity(eq.P, need, precision)}
-    return bmap
-
-
-def _germs(eq, bmap, pairs, notes, failure, **kwargs):
+def _germs(eq, branches, pairs, notes, failure, **kwargs):
     """Germs of every (branch id, n) pair and the (n, count) inventory; a pair
     whose enumeration fails adds ``failure`` (formatted) to ``notes``."""
+    bmap = {b.id: b for b in branches}
     germs, inventory = [], []
     for bid, n in pairs:
         try:
@@ -182,7 +188,8 @@ def analyze(equation, opts=None):
 
     Returns (report dict, exit_code)."""
     opts = opts or Options()
-    eq, warnings, polygon, depth, branches, report = _prepare(equation, opts)
+    N_germ = opts.N if opts.no_classify else max(opts.N or 0, CONTINUATION_N)
+    eq, warnings, polygon, depth, branches, report = _prepare(equation, opts, N_germ)
     assumptions = ["irreducibility of P assumed (not verified)"]
     ev = exactness_check(branches, resolved=eq.resolved, precision=opts.precision)
     if ev.mode == "general":
@@ -191,7 +198,7 @@ def analyze(equation, opts=None):
 
     germ_notes = []
     germs, inventory = _germs(
-        eq, {b.id: b for b in branches},
+        eq, branches,
         report.admissible_pairs() if report.pole_solutions_possible else [],
         germ_notes, "branch {bid}, n={n}: {exc}",
         c=None if opts.c == "default" else opts.c, N=opts.N,
@@ -207,7 +214,7 @@ def analyze(equation, opts=None):
         expo = match_exponential(eq, opts.precision, notes=classify_notes)
     if not opts.no_classify:
         period_result, pole_events, rec_matches = _numeric_classification(
-            eq, report, branches, ev, opts, classify_notes)
+            eq, report, branches, ev, opts, N_germ, classify_notes)
         verdict = assemble_verdict(report, germs, mono, expo + rec_matches,
                                    period_result, pole_events=pole_events,
                                    notes=classify_notes)
@@ -219,8 +226,8 @@ def analyze(equation, opts=None):
     return out, code
 
 
-def _numeric_classification(eq, report, branches, ev, opts, notes):
-    """Pole sweep + period detection on a representative germ family.
+def _numeric_classification(eq, report, branches, ev, opts, N_traj, notes):
+    """Pole sweep + period detection on a germ family up to index N_traj.
 
     Returns (PeriodResult or None, pole events, reconstructed exact matches)."""
     if not report.pole_solutions_possible:
@@ -230,10 +237,7 @@ def _numeric_classification(eq, report, branches, ev, opts, notes):
     if eq.k % 2 == 0 and not (report.exactness_required and ev.exact):
         notes.append("numeric continuation skipped: no certified first integral")
         return None, (), []
-    N_traj = max(opts.N or 0, 24)
-    pairs = report.admissible_pairs()
-    family, _ = _germs(eq, _deepened(eq, branches, pairs, N_traj, opts.precision),
-                       pairs, notes,
+    family, _ = _germs(eq, branches, report.admissible_pairs(), notes,
                        "germ for continuation unavailable ({bid}, n={n}): {exc}",
                        c=c_traj, N=N_traj, precision=opts.precision)
     if not family:
@@ -243,9 +247,9 @@ def _numeric_classification(eq, report, branches, ev, opts, notes):
                      f"{gaussian_str(c_traj) if is_exact(c_traj) else c_traj}")
     fi = ev.s_rational if (ev.mode == "resolved" and ev.exact) else None
     try:
-        events, _flow, ngerms = sweep_poles(eq, family, tol=opts.tol,
-                                            first_integral=fi)
-        probe = make_probe(eq, events, ngerms, tol=opts.tol, first_integral=fi)
+        events, flow, ngerms = sweep_poles(eq, family, tol=opts.tol,
+                                           first_integral=fi)
+        probe = make_probe(flow, events, ngerms)
         pr = detect_periods(events, tol=DEFAULT_RATIO_TOL, state_probe=probe)
     except BBError as exc:
         notes.append(f"numeric continuation failed: {exc}")
@@ -437,15 +441,11 @@ def cmd_analyze(equation, opts):
 
 
 def cmd_series(equation, opts):
-    eq, notes, _polygon, _depth, branches, report = _prepare(equation, opts)
+    eq, notes, _polygon, _depth, branches, report = _prepare(equation, opts, opts.N)
     pairs = report.admissible_pairs()
-    bmap = {b.id: b for b in branches}
-    if opts.N is not None and opts.depth is None:
-        # a deep truncation request needs deeper branch expansions
-        bmap = _deepened(eq, branches, pairs, opts.N, opts.precision)
     if opts.n is not None:
         pairs = [(bid, n) for bid, n in pairs if n == opts.n]
-    germs, _ = _germs(eq, bmap, pairs, notes, "branch {bid}, n={n}: {exc}",
+    germs, _ = _germs(eq, branches, pairs, notes, "branch {bid}, n={n}: {exc}",
                       c=None if opts.c == "default" else opts.c, N=opts.N,
                       precision=opts.precision, collect_notes=notes)
     rows = [_germ_json(eq, ls) for ls in germs]

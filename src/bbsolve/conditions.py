@@ -107,7 +107,7 @@ def screen_admissibility(k, branches, leading_p_coeff_constant=True):
         k=k,
         per_branch=tuple(per),
         kappa_one_count=kappa_one,
-        admissible_n=tuple(sorted(admissible)) if possible else tuple(sorted(admissible)),
+        admissible_n=tuple(sorted(admissible)),
         pole_solutions_possible=possible and bool(admissible),
         exactness_required=exactness_required,
         integrality_ok=leading_p_coeff_constant,

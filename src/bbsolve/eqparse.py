@@ -304,8 +304,6 @@ def _parse_ode(text):
     if kind != "END":
         raise EquationSyntaxError(f"trailing input {v!r}", at)
     num, den = rhs.num, rhs.den
-    if num.deg_p() > 0 or den.deg_p() > 0:
-        raise UnsupportedForm("p may not appear in an ODE right-hand side")
     N = num.coeff_in_p(0)
     D = den.coeff_in_p(0)
     if D.is_zero():

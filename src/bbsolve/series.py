@@ -205,13 +205,15 @@ def enumerate_series(eq, branch, n, c=None, N=None, precision=DEFAULT_PREC,
         N = 2 * n + k + 4
     if k % 2 == 0 and N < 2 * n + k:
         N = 2 * n + k
+    # a branch that cannot feed order n says so before its depth is judged
+    roots = leading_roots(k, n, branch, precision)
     if not _needed_branch_depth(branch, n, N):
         raise DepthTooSmall(
             f"branch {branch.id} expanded to q-exponent {branch.valid_q_to}, but "
             f"index N={N} needs {branch.kappa - Fraction(N, n)}; recompute branches "
             "with a larger depth")
     out = []
-    for root in leading_roots(k, n, branch, precision):
+    for root in roots:
         try:
             ls = _build_series(k, n, branch, root, c, N)
         except InconsistentResonance as exc:

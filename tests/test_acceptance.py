@@ -236,10 +236,10 @@ def test_criterion_08_elliptic_detection():
             ev = exactness_check(branches, resolved=eq.resolved)
             assert ev.exact
             fi = ev.s_rational
-        events, _flow, ngerms = sweep_poles(eq, germs, budget=12,
-                                            first_integral=fi)
+        events, flow, ngerms = sweep_poles(eq, germs, budget=12,
+                                           first_integral=fi)
         assert len(events) >= 8
-        probe = make_probe(eq, events, ngerms, first_integral=fi)
+        probe = make_probe(flow, events, ngerms)
         pr = detect_periods(events, tol=1e-4, state_probe=probe)
         assert pr.rank == 2 and pr.verified, text
         assert abs(pr.ratio - 1j) < 1e-4, f"{text}: ratio {pr.ratio}"

@@ -266,8 +266,8 @@ class TestAgainstJacobiForm:
         eq = parse_equation("P: p^2 - 4*q^3 + 4*q ; k=1")
         bs = branches_at_infinity(eq.P, depth=40)
         germ, = enumerate_series(eq, bs[0], 2, N=24)
-        events, _f, ngerms = sweep_poles(eq, [germ], budget=6)
-        probe = make_probe(eq, events, ngerms)
+        events, flow, ngerms = sweep_poles(eq, [germ], budget=6)
+        probe = make_probe(flow, events, ngerms)
         s2 = mpmath.sqrt(2)
         for z in (0.31 + 0.22j, 0.8 - 0.4j, 1.4 + 0.9j):
             got = probe(z)[0]
@@ -286,9 +286,9 @@ class TestEquianharmonicSymmetry:
         bs = branches_at_infinity(eq.P, depth=40)
         germ, = enumerate_series(eq, bs[0], 2, c=GaussianRational(1), N=24)
         ev = exactness_check(bs, resolved=eq.resolved)
-        events, _f, ngerms = sweep_poles(eq, [germ], budget=12,
-                                         first_integral=ev.s_rational)
-        probe = make_probe(eq, events, ngerms, first_integral=ev.s_rational)
+        events, flow, ngerms = sweep_poles(eq, [germ], budget=12,
+                                           first_integral=ev.s_rational)
+        probe = make_probe(flow, events, ngerms)
         pr = detect_periods(events, state_probe=probe)
         assert pr.rank == 2 and pr.verified
         assert abs(abs(pr.ratio) - 1) < 1e-6
@@ -322,9 +322,9 @@ class TestScaledLattice:
         bs = branches_at_infinity(eq.P, depth=40)
         germs = enumerate_series(eq, bs[0], 2, c=GaussianRational(0), N=24)
         ev = exactness_check(bs, resolved=eq.resolved)
-        events, _f, ng = sweep_poles(eq, germs, budget=12,
-                                     first_integral=ev.s_rational)
-        probe = make_probe(eq, events, ng, first_integral=ev.s_rational)
+        events, flow, ng = sweep_poles(eq, germs, budget=12,
+                                       first_integral=ev.s_rational)
+        probe = make_probe(flow, events, ng)
         pr = detect_periods(events, state_probe=probe)
         assert pr.rank == 2 and pr.verified
         want = float(mpmath.pi / mpmath.agm(mpmath.sqrt(2), 1)) / 10
@@ -410,6 +410,20 @@ class TestTaylorFlow:
         assert traj.completed
         assert calls["germ_state"] >= 2       # the start, then at least one hop
         assert calls["taylor"] == len(traj.steps) - 1
+
+    def test_one_flow_per_analysis(self, monkeypatch):
+        # the period probe continues on the flow the sweep anchored
+        built = []
+        init = _Flow.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(_Flow, "__init__", counting_init)
+        rep, _ = analyze("y'' = 6*y^2")
+        assert rep["classification"]["label"] == "elliptic"
+        assert len(built) == 1
 
     @pytest.mark.parametrize("text, y, yp", [
         ("P: p^2 - q^3 ; k=2", 1.3 + 0.4j, -0.6 + 0.9j),

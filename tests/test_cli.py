@@ -5,11 +5,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from bbsolve.curve import branches_at_infinity
 from bbsolve.cli import (Options, _parse_c, analyze, cmd_classify, cmd_residues,
                          cmd_selftest, cmd_series, main, render_json)
+from bbsolve.algebra import GaussianRational
 from bbsolve.errors import DegenerateInput
 from minischema import validate
 
@@ -79,6 +82,13 @@ class TestAnalyze:
         assert (v["label"], v["confidence"]) == ("rational", "exact")
         assert ("exact monomial solution: y = c*z^-1 with c a root of c^4 - 2 = 0"
                 in v["evidence"])
+
+    @pytest.mark.parametrize("c", [1, Fraction(1)])
+    def test_library_int_constant(self, c):
+        # an int or Fraction first-integral constant means the exact value
+        rep, _ = analyze("y'' = 6*y^2", Options(c=c))
+        want, _ = analyze("y'' = 6*y^2", Options(c=GaussianRational(1)))
+        assert rep == want and rep["settings"]["c"] == "1"
 
     def test_deterministic_json(self):
         a, _ = analyze("y'' = 6*y^2 - 2")
@@ -212,6 +222,47 @@ class TestDepthDefaults:
                             Options(N=40, fmt="json"))
         data = json.loads(out)
         assert len(data["series"][0]["coeffs"]) == 41
+
+    def test_analyze_deepens_for_large_N(self):
+        rep, _ = analyze("P: p^2 - 4*q^3 + 4*q ; k=1", Options(N=40))
+        germ, = rep["series"]
+        assert germ["n"] == 2 and len(germ["coeffs"]) == 41
+        assert not any("depth" in note for note in rep["series_notes"])
+        # the depth reported is the one the branches were expanded to
+        assert rep["settings"]["depth"] == 44
+
+    def test_one_expansion_per_command(self, monkeypatch):
+        import bbsolve.cli as cli
+        depths = []
+
+        def counting(P, depth, precision):
+            depths.append(depth)
+            return branches_at_infinity(P, depth, precision)
+
+        monkeypatch.setattr(cli, "branches_at_infinity", counting)
+        text = "P: p^2 - 4*q^3 + 4*q ; k=1"
+        for run in (lambda: analyze(text, Options(N=40)),
+                    lambda: analyze(text),
+                    lambda: cmd_series(text, Options(N=40))):
+            depths.clear()
+            run()
+            assert len(depths) == 1, depths
+
+    def test_depth_option_is_a_floor(self):
+        # --depth below what the germs need is raised to it, not obeyed
+        out, _ = cmd_series("P: p^2 - 4*q^3 + 4*q ; k=1",
+                            Options(N=40, depth=12, fmt="json"))
+        data = json.loads(out)
+        assert len(data["series"][0]["coeffs"]) == 41 and data["notes"] == []
+
+    def test_ramification_gate_precedes_depth_check(self):
+        # (p - q^2)^2 = q^3 has one place with m = 2 over an n = 1 edge: no
+        # germ exists, and the note says why instead of asking for depth
+        out, _ = cmd_series("P: (p - q^2)^2 - q^3 ; k=1",
+                            Options(N=30, depth=30, fmt="json"))
+        data = json.loads(out)
+        assert data["series"] == []
+        assert "ramification 2 does not divide pole order 1" in data["notes"][0]
 
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")

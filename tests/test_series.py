@@ -7,7 +7,7 @@ import pytest
 
 from bbsolve.algebra import (GR_ONE, GR_ZERO, BigComplex, GaussianRational,
                              as_gaussian, coeff_is_zero, is_exact)
-from bbsolve.cli import Options, _deepened, _prepare
+from bbsolve.cli import Options, _prepare
 from bbsolve.curve import branches_at_infinity, first_integral_series
 from bbsolve.eqparse import parse_equation
 from bbsolve.errors import NoRoots
@@ -317,9 +317,9 @@ CORPUS_GERMS = [("y'' = 6*y^2", 2), ("y'' = 6*y^2 - 2", 2),
 
 def germ_case(text, n, N):
     """(equation, the branch feeding pole order n, deep enough for index N)."""
-    eq, _notes, _polygon, _depth, branches, report = _prepare(text, Options())
+    eq, _notes, _polygon, _depth, branches, report = _prepare(text, Options(), N)
     bid, = [b for b, nn in report.admissible_pairs() if nn == n]
-    return eq, _deepened(eq, branches, [(bid, n)], N, 256)[bid]
+    return eq, next(b for b in branches if b.id == bid)
 
 
 class TestMillerRecurrence:
@@ -387,9 +387,9 @@ class TestNumericGermAccuracy:
         ("y'' = 3*y^3", GaussianRational(1), 16, 17),
     ])
     def test_full_verify_order(self, text, c, N, want):
-        eq, _notes, _polygon, _depth, branches, report = _prepare(text, Options())
+        eq, _notes, _polygon, _depth, branches, report = _prepare(text, Options(), N)
         (bid, n), = report.admissible_pairs()
-        branch = _deepened(eq, branches, [(bid, n)], N or 0, 256)[bid]
+        branch, = [b for b in branches if b.id == bid]
         germs = enumerate_series(eq, branch, n, c=c, N=N)
         assert germs and not any(is_exact(ls.coeffs[0]) for ls in germs)
         assert [verify_series(eq, ls) for ls in germs] == [want] * len(germs)
