@@ -1096,12 +1096,21 @@ def squarefree_in_p(P):
 
     Primitive pseudo-remainder sequence; exact throughout.
     """
-    if P.deg_p() < 1:
-        raise DegenerateInput("P is constant in p")
-    A = P.as_ppoly()
-    B = P.partial_p().as_ppoly()
-    g = _ppoly_gcd_degree(A, B)
-    return g == 0
+    return len(_gcd_with_p_derivative(P)) == 1
+
+
+def squarefree_part_in_p(P):
+    """P divided by G = gcd(P, dP/dp), normalised; P itself when squarefree.
+
+    G is the last element of the primitive pseudo-remainder sequence, made
+    primitive in q, so by Gauss's lemma it divides the primitive part of P
+    exactly in Q(i)[q][p]; the quotient is primitive in q too.
+    """
+    G = _gcd_with_p_derivative(P)
+    if len(G) == 1:
+        return P
+    quo = _ppoly_exact_div(_ppoly_primitive(P.as_ppoly()), G)
+    return BiPoly.from_ppoly(quo).normalized_pmajor()
 
 
 class RatQ:
@@ -1145,50 +1154,6 @@ class RatQ:
                     self.den * self.den)
 
 
-def _rq_poly_divmod(A, B):
-    """Division in RatQ[p]: A, B lists of RatQ ascending; B nonzero."""
-    rem = list(A)
-    while rem and rem[-1].is_zero():
-        rem.pop()
-    db = len(B) - 1
-    quo = [RatQ(UPoly())] * max(0, len(rem) - db)
-    binv = RatQ(B[-1].den, B[-1].num)
-    while len(rem) - 1 >= db and rem:
-        dr = len(rem) - 1
-        f = rem[-1] * binv
-        quo[dr - db] = f
-        for i in range(db + 1):
-            rem[dr - db + i] = rem[dr - db + i] - f * B[i]
-        while rem and rem[-1].is_zero():
-            rem.pop()
-    return quo, rem
-
-
-def squarefree_part_in_p(P):
-    """P divided by gcd(P, dP/dp) over the rational-function field, as a BiPoly.
-
-    Returns P itself when already squarefree.
-    """
-    if squarefree_in_p(P):
-        return P
-    A = [RatQ(u) for u in P.as_ppoly()]
-    B = [RatQ(u) for u in P.partial_p().as_ppoly()]
-    a, b = A, B
-    while any(not x.is_zero() for x in b):
-        _q, r = _rq_poly_divmod(a, b)
-        a, b = b, r
-    quo, rem = _rq_poly_divmod(A, a)
-    if rem:
-        raise DegenerateInput("gcd(P, dP/dp) does not divide P")
-    # clear denominators to an exact BiPoly
-    den_lcm = UPoly.constant(GR_ONE)
-    for f in quo:
-        g = den_lcm.gcd(f.den)
-        den_lcm = den_lcm * (f.den // g)
-    cleared = [(f.num * (den_lcm // f.den)) for f in quo]
-    return BiPoly.from_ppoly(cleared).normalized_pmajor()
-
-
 def _ppoly_content(ps):
     g = UPoly()
     for up in ps:
@@ -1226,18 +1191,31 @@ def _ppoly_prem(A, B):
     return r
 
 
-def _ppoly_gcd_degree(A, B):
-    A = _ppoly_trim(list(A))
-    B = _ppoly_trim(list(B))
-    if not A:
-        return len(B) - 1
-    if not B:
-        return len(A) - 1
+def _gcd_with_p_derivative(P):
+    """gcd(P, dP/dp) in p, primitive in q, by the primitive PRS."""
+    if P.deg_p() < 1:
+        raise DegenerateInput("P is constant in p")
+    A, B = P.as_ppoly(), P.partial_p().as_ppoly()
     while B:
-        R = _ppoly_prem(A, B)
-        R = _ppoly_primitive(R)
-        A, B = B, R
-    return len(A) - 1
+        A, B = B, _ppoly_primitive(_ppoly_prem(A, B))
+    return _ppoly_primitive(A)
+
+
+def _ppoly_exact_div(A, B):
+    """A / B in Q(i)[q][p]; DegenerateInput unless B divides A."""
+    rem = list(A)
+    db = len(B) - 1
+    quo = [UPoly()] * (len(rem) - db)
+    for i in range(len(rem) - 1, db - 1, -1):
+        if rem[i].is_zero():
+            continue
+        f = rem[i] // B[-1]
+        quo[i - db] = f
+        for j, b in enumerate(B):
+            rem[i - db + j] = rem[i - db + j] - f * b
+    if any(not r.is_zero() for r in rem):
+        raise DegenerateInput("gcd(P, dP/dp) does not divide P")
+    return quo
 
 
 def solve_linear(rows, rhs):

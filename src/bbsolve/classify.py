@@ -881,6 +881,7 @@ def detect_periods(pole_events, tol=DEFAULT_RATIO_TOL, state_probe=None,
         T2 = -T2
     ok = (_verify_period(state_probe, pts, T1, state_tol)
           and _verify_period(state_probe, pts, T2, state_tol))
+    T1, T2 = _rebase(T1, T2, tol)
     return PeriodResult(2, (T1, T2), T2 / T1, ok,
                         "pole set fits a rank-2 lattice")
 
@@ -916,6 +917,18 @@ def _gauss_reduce(T1, T2):
         if T2n == T2:
             break
         T2 = T2n
+    return T1, T2
+
+
+def _rebase(T1, T2, tol):
+    """The basis of the same lattice whose ratio tau = T2/T1 has Re tau in
+    (-1/2, 1/2], and Re tau >= 0 when |tau| = 1, both within ``tol``."""
+    shift = math.floor(0.5 + tol - (T2 / T1).real)
+    if shift:
+        T2 = T2 + shift * T1
+    tau = T2 / T1
+    if abs(abs(tau) - 1) <= tol and tau.real < -tol:
+        T1, T2 = T2, -T1
     return T1, T2
 
 

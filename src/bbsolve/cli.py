@@ -12,19 +12,19 @@ none_with_pole / entire_only; 1 error.
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace as dc_replace
 from fractions import Fraction
 
 from . import __version__
-from .algebra import (GaussianRational, coeff_is_zero, is_exact,
-                      squarefree_in_p, squarefree_part_in_p, DEFAULT_PREC)
+from .algebra import GaussianRational, coeff_is_zero, is_exact, DEFAULT_PREC
 from .conditions import (attach_degree_bound, screen_admissibility, residue_screen)
 from .curve import (branches_at_infinity, exactness_check, newton_polygon,
                     residue_pdq)
-from .eqparse import (canonical_string, gaussian_str, parse_equation,
-                      ratfunc_str)
+from .eqparse import (canonical_string, gaussian_str, parse_constant,
+                      parse_equation, ratfunc_str)
 from .errors import BBError
 from .classify import (assemble_verdict, detect_periods, make_probe,
                        match_exponential, match_monomial, sweep_poles,
@@ -97,6 +97,8 @@ class Options:
         self.c = GaussianRational(c) if isinstance(c, (int, Fraction)) else c
         self.N = _at_least("N", N, 0)
         self.depth = _at_least("depth", depth, 1)
+        if not (isinstance(tol, (int, float)) and 0 < tol < math.inf):
+            raise BBError(f"tol must be a finite number > 0, got {tol!r}")
         self.tol = tol
         self.degree_cap = _at_least("degree cap", degree_cap, 1)
         self.no_classify = no_classify
@@ -110,12 +112,7 @@ def _parse_c(text):
         return "default"
     if text == "free":
         return None
-    from .eqparse import _Parser
-    p = _Parser(text, {})
-    val = p.parse_expr()
-    num, den = val.num, val.den
-    g = num.coeff(0, 0) * den.coeff(0, 0).inverse()
-    return g
+    return parse_constant(text)
 
 
 # ---------------------------------------------------------------------------
@@ -123,34 +120,22 @@ def _parse_c(text):
 # ---------------------------------------------------------------------------
 
 def _prepare(equation, opts, N_germ=None):
-    """The front end every command shares: parse, apply --k, reduce P to its
-    squarefree part, then polygon, depth, branches and the admissibility screen.
-    The branches are expanded once, deep enough for germs up to index N_germ.
+    """The front end every command shares: parse (which reduces P to its
+    squarefree part), apply --k, then polygon, depth, branches and the
+    admissibility screen.  The branches are expanded once, deep enough for
+    germs up to index N_germ.
 
-    Returns (eq, warnings, polygon, depth, branches, report); ``warnings``
-    holds the parser's notes followed by what this step adds."""
+    Returns (eq, notes, polygon, depth, branches, report); ``notes`` are the
+    parser's."""
     eq = parse_equation(equation)
     if opts.k_override is not None:
         eq = dc_replace(eq, k=opts.k_override)
-    warnings = []
-    if not squarefree_in_p(eq.P):
-        P_sf = squarefree_part_in_p(eq.P)
-        warnings.append("P is not squarefree in p: the equation is reducible; "
-                        "the analysis below uses its squarefree part "
-                        "(repeated factors removed)")
-        resolved = None
-        if P_sf.deg_p() == 1:
-            D = P_sf.coeff_in_p(1)
-            N = -P_sf.coeff_in_p(0)
-            lcinv = D.lc().inverse()
-            resolved = (N * lcinv, D * lcinv)
-        eq = dc_replace(eq, P=P_sf, resolved=resolved)
     polygon = newton_polygon(eq.P)
     depth = default_depth(eq.k, polygon, N_germ, opts.depth)
     branches = branches_at_infinity(eq.P, depth, opts.precision)
     lead_const = eq.P.coeff_in_p(eq.P.deg_p()).degree() == 0
     report = screen_admissibility(eq.k, branches, leading_p_coeff_constant=lead_const)
-    return eq, list(eq.notes) + warnings, polygon, depth, branches, report
+    return eq, list(eq.notes), polygon, depth, branches, report
 
 
 def _germs(eq, branches, pairs, notes, failure, **kwargs):
@@ -490,6 +475,8 @@ def cmd_residues(equation, opts):
 
 
 def cmd_classify(equation, opts):
+    if opts.no_classify:
+        raise BBError("classify cannot run with --no-classify")
     report, code = analyze(equation, opts)
     v = report["classification"]
     out = {"input": report["input"]["canonical"], "classification": v}

@@ -11,7 +11,9 @@ Two accepted syntaxes normalise to one EquationSpec:
 Numbers are integers, decimals, or rationals written with ``/``; the complex
 unit ``i`` is allowed; whitespace is insignificant.  Rational right-hand
 sides are cleared to polynomial P by multiplying through by the denominator;
-linear-in-p raw inputs are recognised as resolved y^(k) = N(q)/D(q).
+linear-in-p raw inputs are recognised as resolved y^(k) = N(q)/D(q).  A raw P
+that is not squarefree in p is replaced by its squarefree part, with a note,
+so every EquationSpec is squarefree in p.
 
 P is stored normalised: the lex-leading coefficient (p-degree major) is 1.
 ``canonical_string`` prints that normal form, and parsing it back returns an
@@ -22,7 +24,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import BiPoly, GaussianRational, GR_ONE, GR_ZERO, UPoly
+from .algebra import (BiPoly, GaussianRational, GR_ONE, GR_ZERO, UPoly,
+                      squarefree_part_in_p)
 from .errors import (DegenerateInput, EquationSyntaxError, NotPolynomial,
                      UnsupportedForm)
 
@@ -181,6 +184,11 @@ class _Parser:
             raise EquationSyntaxError(f"found {v or 'end of input'!r}", at, (repr(val),))
         return self.next()
 
+    def expect_end(self):
+        kind, v, at = self.peek()
+        if kind != "END":
+            raise EquationSyntaxError(f"trailing input {v!r}", at)
+
     def parse_expr(self):
         node = self.parse_term()
         while self.peek()[1] in ("+", "-"):
@@ -294,33 +302,41 @@ def parse_equation(text):
     return _parse_ode(text)
 
 
+def parse_constant(text):
+    """An exact constant such as ``2*i + 1`` or ``-1/3``; the whole text must parse."""
+    parser = _Parser(text, {})
+    val = parser.parse_expr()
+    parser.expect_end()
+    return val.num.coeff(0, 0) * val.den.coeff(0, 0).inverse()
+
+
 def _parse_ode(text):
     q_var = _Rat(BiPoly({(0, 1): GR_ONE}))
     parser = _Parser(text, {"y": q_var})
     k = _parse_yterm(parser)
     parser.expect("=")
     rhs = parser.parse_expr()
-    kind, v, at = parser.peek()
-    if kind != "END":
-        raise EquationSyntaxError(f"trailing input {v!r}", at)
-    num, den = rhs.num, rhs.den
-    N = num.coeff_in_p(0)
-    D = den.coeff_in_p(0)
+    parser.expect_end()
+    N = rhs.num.coeff_in_p(0)
+    D = rhs.den.coeff_in_p(0)
     if D.is_zero():
         raise DegenerateInput("right-hand side has zero denominator")
     notes = []
-    g = N.gcd(D)
-    if g.degree() >= 1:
-        N, D = N // g, D // g
-        notes.append("common factor cancelled from the right-hand side")
-    lc = D.lc().inverse()
-    N, D = N * lc, D * lc
-    P = _bipoly_from_resolved(N, D)
-    return EquationSpec(P=P, k=k, resolved=(N, D), source_text=text,
+    P, resolved = _resolve(N, D, notes,
+                           "common factor cancelled from the right-hand side")
+    return EquationSpec(P=P, k=k, resolved=resolved, source_text=text,
                         notes=tuple(notes))
 
 
-def _bipoly_from_resolved(N, D):
+def _resolve(N, D, notes, note):
+    """P = D p - N and the resolved form (N, D) of y^(k) = N/D: a common
+    factor of N and D is cancelled (appending ``note``) and D made monic."""
+    g = N.gcd(D)
+    if g.degree() >= 1:
+        N, D = N // g, D // g
+        notes.append(note)
+    lc = D.lc().inverse()
+    N, D = N * lc, D * lc
     terms = {}
     for j, c in enumerate(D.coeffs):
         if not c.is_zero():
@@ -333,7 +349,7 @@ def _bipoly_from_resolved(N, D):
                 terms.pop(key, None)
             else:
                 terms[key] = s
-    return BiPoly(terms)
+    return BiPoly(terms), (N, D)
 
 
 def _parse_raw(text):
@@ -352,9 +368,7 @@ def _parse_raw(text):
     if kind != "NUM" or "." in v:
         raise EquationSyntaxError("derivative order must be an integer", at)
     k = int(v)
-    kind, v, at = parser.peek()
-    if kind != "END":
-        raise EquationSyntaxError(f"trailing input {v!r}", at)
+    parser.expect_end()
 
     notes = []
     num, den = expr.num, expr.den
@@ -365,18 +379,18 @@ def _parse_raw(text):
     if P.is_zero():
         raise DegenerateInput("P is identically zero")
     P = P.normalized_pmajor()
+    if P.deg_p() >= 2:
+        P_sf = squarefree_part_in_p(P)
+        if P_sf.deg_p() < P.deg_p():
+            P = P_sf
+            notes.append("P is not squarefree in p: the equation is reducible; "
+                         "the analysis below uses its squarefree part "
+                         "(repeated factors removed)")
     resolved = None
     if P.deg_p() == 1:
-        D = P.coeff_in_p(1)
-        N = -P.coeff_in_p(0)
-        g = N.gcd(D)
-        if g.degree() >= 1:
-            N, D = N // g, D // g
-            notes.append("common factor removed: P had a component constant in p")
-            P = _bipoly_from_resolved(N, D)
-        lcinv = D.lc().inverse()
-        N, D = N * lcinv, D * lcinv
-        resolved = (N, D)
+        P, resolved = _resolve(
+            -P.coeff_in_p(0), P.coeff_in_p(1), notes,
+            "common factor removed: P had a component constant in p")
     return EquationSpec(P=P, k=k, resolved=resolved, source_text=text,
                         notes=tuple(notes))
 

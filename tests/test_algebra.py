@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from bbsolve.algebra import (BiPoly, BigComplex, GaussianRational, UPoly,
                              all_nth_roots, coeff_to_mpc, falling, is_exact,
                              pochhammer, roots_univariate, solve_linear,
-                             squarefree_in_p)
+                             squarefree_in_p, squarefree_part_in_p)
 from bbsolve.errors import DegenerateInput
 
 rationals = st.builds(Fraction,
@@ -132,6 +132,17 @@ class TestRoots:
         assert sorted(str(r) for r in rs) == ["-2", "2"]
 
 
+# F, G monic in p with small integer coefficients of degree <= 2 in q, and a
+# nonzero content c(q), for the squarefree-part property
+small_q_poly = st.lists(st.integers(min_value=-2, max_value=2), min_size=1,
+                        max_size=3)
+monic_in_p = st.integers(min_value=1, max_value=2).flatmap(
+    lambda d: st.lists(small_q_poly, min_size=d, max_size=d).map(
+        lambda lower: BiPoly({(d, 0): 1, **{
+            (i, j): c for i, cs in enumerate(lower)
+            for j, c in enumerate(cs) if c}})))
+
+
 class TestSquarefree:
     def test_separable_quadratic(self):
         assert squarefree_in_p(BiPoly({(2, 0): 1, (0, 1): -1}))
@@ -143,6 +154,44 @@ class TestSquarefree:
     def test_weierstrass(self):
         P = BiPoly({(2, 0): 1, (0, 3): -4, (0, 1): 4})
         assert squarefree_in_p(P)
+
+    @staticmethod
+    def _divides(A, B):
+        """A | B in Q(i)[q][p], by long division: A has a constant p-leading
+        coefficient."""
+        da = A.deg_p()
+        inv = A.coeff_in_p(da).lc().inverse()
+        while not B.is_zero() and B.deg_p() >= da:
+            db = B.deg_p()
+            lead = BiPoly({(db - da, j): c * inv
+                           for j, c in enumerate(B.coeff_in_p(db).coeffs)
+                           if not c.is_zero()})
+            B = B - lead * A
+        return B.is_zero()
+
+    @settings(max_examples=25, deadline=None)
+    @given(monic_in_p, monic_in_p,
+           small_q_poly.filter(any).map(
+               lambda cs: BiPoly({(0, j): c for j, c in enumerate(cs) if c})))
+    def test_squarefree_part_of_product(self, F, G, c):
+        P = F * G * G * c
+        R = squarefree_part_in_p(P)
+        assert squarefree_in_p(R)
+        assert R.coeff_in_p(R.deg_p()).degree() == 0
+        content = R.coeff_in_p(0)
+        for i in range(1, R.deg_p() + 1):
+            content = content.gcd(R.coeff_in_p(i))
+        assert content.degree() == 0                 # primitive in q
+        assert self._divides(R, P)
+        # every factor of F G^2 is in R: F G^2 divides a power of R
+        Rpow = R
+        for _ in range(P.deg_p() - 1):
+            Rpow = Rpow * R
+        assert self._divides(F * G * G, Rpow)
+
+    def test_squarefree_part_returns_squarefree_input(self):
+        P = BiPoly({(2, 1): 1, (2, 0): 1, (0, 2): -1})      # (q + 1) p^2 - q^2
+        assert squarefree_part_in_p(P) is P
 
 
 class TestLinearSolve:

@@ -202,6 +202,27 @@ class TestDetectPeriods:
         assert pr.rank == 2 and pr.verified
         assert abs(pr.ratio - 1j) < 1e-9
 
+    @staticmethod
+    def _lattice_events(T1, T2):
+        pts = [a * T1 + b * T2 for a in range(-2, 3) for b in range(-2, 3)]
+        return [PoleEvent(z=z, order=2, germ_id="g0", residual=0.0)
+                for z in sorted(pts, key=lambda t: (abs(t), t.real))]
+
+    def test_one_basis_per_lattice(self):
+        # the equianharmonic lattice is reported with Re tau = +1/2 whichever
+        # basis the pole set suggests: the periods y'' = 3/2*y^2 sweeps to
+        # (ratio -1/2 + i sqrt(3)/2 before rebasing) and an exact basis
+        r = 4.3273635
+        for T1, T2 in ((3.74760672 + 2.16368175j, -3.74760672 + 2.16368175j),
+                       (r * cmath.exp(1j * math.pi / 6), r * cmath.exp(5j * math.pi / 6))):
+            pr = detect_periods(self._lattice_events(T1, T2))
+            assert pr.rank == 2
+            assert abs(pr.ratio - cmath.exp(1j * math.pi / 3)) < 1e-8, pr.ratio
+        # on |tau| = 1, Re tau a rounding error below 0 is left alone
+        for eps in (3e-14, -3e-14):
+            pr = detect_periods(self._lattice_events(1.0 + 0j, complex(eps, 1)))
+            assert pr.rank == 2 and abs(pr.ratio - complex(eps, 1)) < 1e-15
+
     def test_single_pole_inconclusive(self):
         events = [PoleEvent(z=0j, order=1, germ_id="g0", residual=0.0)]
         pr = detect_periods(events)

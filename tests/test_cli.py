@@ -54,6 +54,13 @@ class TestAnalyze:
             assert data["input"] == "P: p - q ; k=1"
             assert any("squarefree" in n for n in data["notes"])
 
+    def test_squarefree_part_has_no_stray_factor(self):
+        # the squarefree part of (p + 1)(p^2 - q)^2 is (p + 1)(p^2 - q), with
+        # no factor in q that would add a Newton-polygon edge
+        rep, _ = analyze("P: (p + 1)*(p^2 - q)^2 ; k=1", Options(no_classify=True))
+        assert rep["input"]["canonical"] == "P: p^3 + p^2 - p*q - q ; k=1"
+        assert any("squarefree" in w for w in rep["warnings"])
+
     def test_every_numeric_value_carries_error(self):
         rep, _ = analyze("y'' = 4*y^3", Options(no_classify=True))
         for s in rep["series"]:
@@ -180,6 +187,26 @@ class TestMain:
     def test_zero_division_in_c_rejected(self):
         with pytest.raises(DegenerateInput):
             _parse_c("1/0")
+
+    @pytest.mark.parametrize("value", ["1 2", "3)", "1/3 junk"])
+    def test_trailing_input_in_c_rejected(self, capsys, value):
+        code = main(["series", "y'' = 6*y^2", "--c", value])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_c_takes_one_constant(self):
+        assert _parse_c("2*i + 1") == GaussianRational(1, 2)
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "0", "inf"])
+    def test_bad_tol_rejected(self, capsys, value):
+        code = main(["classify", "y''=6*y^2", "--tol", value])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_classify_refuses_no_classify(self, capsys):
+        code = main(["classify", "y''=6*y^2", "--no-classify"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_env_precision(self, capsys, monkeypatch):
         monkeypatch.setenv("BBSOLVE_PRECISION", "192")
@@ -320,3 +347,25 @@ class TestModuleEntryPoint:
                              for n in ast.walk(node.args[1])}
                     bad += [node.lineno] if named & types else []
             assert bad == [], f"{name}: BigComplex import or type dispatch at lines {bad}"
+
+    def test_squarefree_reduction_stays_in_the_parser(self):
+        # the parser reduces P to its squarefree part, so cli imports no
+        # squarefree helper, and only eqparse.py names its _Parser
+        pkg = os.path.join(SRC, "bbsolve")
+        for name in sorted(os.listdir(pkg)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(pkg, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            names = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.alias):
+                    names.add(node.name)
+                elif isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+            if name == "cli.py":
+                assert not any("squarefree" in n for n in names)
+            if name != "eqparse.py":
+                assert "_Parser" not in names, name

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bbsolve.algebra import BiPoly, GaussianRational
-from bbsolve.eqparse import (EquationSpec, canonical_string, parse_equation,
-                             upoly_str)
+from bbsolve.algebra import BiPoly, GaussianRational, squarefree_part_in_p
+from bbsolve.eqparse import (EquationSpec, canonical_string, parse_constant,
+                             parse_equation, upoly_str)
 from bbsolve.errors import (DegenerateInput, EquationSyntaxError,
                             NotPolynomial, UnsupportedForm)
 
@@ -50,6 +50,21 @@ class TestParse:
         s = parse_equation("y' = i*y^2")
         assert s.P.coeff(0, 2) == GaussianRational(0, -1)
 
+    def test_raw_form_reduced_to_squarefree_part(self):
+        s = parse_equation("P: (p^2 - q)^2*(q + 1) ; k=1")
+        assert s.P == BiPoly({(2, 0): 1, (0, 1): -1}) and s.resolved is None
+        assert len(s.notes) == 1 and "not squarefree" in s.notes[0]
+        # reduced to one factor linear in p, it is resolved like any such P
+        s = parse_equation("P: (p - q)^2 ; k=1")
+        assert s.P == BiPoly({(1, 0): 1, (0, 1): -1})
+        assert [upoly_str(u) for u in s.resolved] == ["q", "1"]
+
+    def test_constant(self):
+        assert parse_constant("-1/3") == GaussianRational(Fraction(-1, 3))
+        for text in ("1/3 junk", "q"):
+            with pytest.raises(EquationSyntaxError):
+                parse_constant(text)
+
     def test_linear_raw_detects_resolved(self):
         s = parse_equation("P: q*p - q^4 - 1 ; k=2")
         assert s.resolved is not None
@@ -85,7 +100,8 @@ class TestCanonical:
         if spec.P.deg_p() == 1:
             return   # canonical raw parse re-derives resolved; compare P only
         back = parse_equation(canonical_string(spec))
-        assert back.P == spec.P and back.k == spec.k
+        # the parser reduces P to its squarefree part (P itself if squarefree)
+        assert back.P == squarefree_part_in_p(spec.P) and back.k == spec.k
 
     def test_roundtrip_resolved(self):
         for text in ("y'' = 6*y^2", "y''' = y", "y'' = y^3 + 1/y",
