@@ -26,6 +26,7 @@ recognised and certified by exact back-substitution.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 from mpmath import mp
@@ -180,7 +181,12 @@ GR_ONE = GaussianRational(1)
 
 def _rnd(mag, prec):
     # conservative per-operation rounding slack: a few ulps of the magnitude
-    return mag * mpmath.mpf(2) ** (4 - prec)
+    return mag * _ulps(prec)
+
+
+@lru_cache(maxsize=64)
+def _ulps(prec):
+    return mpmath.mpf(2) ** (4 - prec)   # a power of two: exact at any precision
 
 
 class BigComplex:
@@ -213,11 +219,10 @@ class BigComplex:
 
     @staticmethod
     def from_exact(x, prec=DEFAULT_PREC):
-        g = x if isinstance(x, GaussianRational) else GaussianRational(x)
-        with mp.workprec(prec + 8):
-            v = g.to_mpc(prec + 8)
-            e = _rnd(abs(v), prec) if not _fraction_fits(g, prec) else mpmath.mpf(0)
-        return BigComplex(v, e, prec)
+        # equal values share one key whatever their exact type: 2 == Fraction(2)
+        if isinstance(x, GaussianRational):
+            return _exact_ball(x.re, x.im, prec)
+        return _exact_ball(x, 0, prec)
 
     # -- coercion --------------------------------------------------------
     @staticmethod
@@ -332,6 +337,18 @@ class BigComplex:
 
     def __repr__(self):
         return f"BigComplex({mpmath.nstr(self.val, 17)}, err={mpmath.nstr(self.err, 3)})"
+
+
+@lru_cache(maxsize=256)
+def _exact_ball(re, im, prec):
+    """The ball of re + i im, memoised: the same few exact operands (recurrence
+    weights, coefficients of P) meet every numeric operation, and balls are
+    immutable."""
+    g = GaussianRational(re, im)
+    with mp.workprec(prec + 8):
+        v = g.to_mpc(prec + 8)
+        e = _rnd(abs(v), prec) if not _fraction_fits(g, prec) else mpmath.mpf(0)
+    return BigComplex(v, e, prec)
 
 
 def _fraction_fits(g, prec):
@@ -1111,6 +1128,16 @@ def squarefree_part_in_p(P):
         return P
     quo = _ppoly_exact_div(_ppoly_primitive(P.as_ppoly()), G)
     return BiPoly.from_ppoly(quo).normalized_pmajor()
+
+
+def primitive_in_q(P):
+    """P divided by its content in q (the gcd of its coefficients in p),
+    normalised; P itself when that content is constant."""
+    ps = P.as_ppoly()
+    prim = _ppoly_primitive(ps)
+    if prim is ps:
+        return P
+    return BiPoly.from_ppoly(prim).normalized_pmajor()
 
 
 class RatQ:

@@ -618,9 +618,7 @@ def main(argv=None):
     subs.add_parser("selftest")
     args = parser.parse_args(argv)
     if args.command == "selftest":
-        text, code = cmd_selftest(Options())
-        print(text)
-        return code
+        return _emit(*cmd_selftest(Options()))
     try:
         opts = Options(c=_parse_c(args.c), N=args.N, depth=args.depth,
                        precision=args.precision, tol=args.tol,
@@ -635,7 +633,19 @@ def main(argv=None):
     except ZeroDivisionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(text)
+    return _emit(text, code)
+
+
+def _emit(text, code):
+    """Print the report; exit 1 without a traceback when the reader has
+    closed the pipe (the recipe of the Python ``signal`` documentation)."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: point it at devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

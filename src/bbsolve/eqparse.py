@@ -12,8 +12,10 @@ Numbers are integers, decimals, or rationals written with ``/``; the complex
 unit ``i`` is allowed; whitespace is insignificant.  Rational right-hand
 sides are cleared to polynomial P by multiplying through by the denominator;
 linear-in-p raw inputs are recognised as resolved y^(k) = N(q)/D(q).  A raw P
-that is not squarefree in p is replaced by its squarefree part, with a note,
-so every EquationSpec is squarefree in p.
+of p-degree 2 or more that is not squarefree in p is replaced by its
+squarefree part, and one that keeps a factor constant in p (which only adds
+constant solutions) is made primitive in q, each with a note, so every
+EquationSpec is squarefree in p.
 
 P is stored normalised: the lex-leading coefficient (p-degree major) is 1.
 ``canonical_string`` prints that normal form, and parsing it back returns an
@@ -25,7 +27,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import (BiPoly, GaussianRational, GR_ONE, GR_ZERO, UPoly,
-                      squarefree_part_in_p)
+                      primitive_in_q, squarefree_part_in_p)
 from .errors import (DegenerateInput, EquationSyntaxError, NotPolynomial,
                      UnsupportedForm)
 
@@ -119,7 +121,8 @@ def _num_to_fraction(text, pos):
 # ---------------------------------------------------------------------------
 
 class _Rat:
-    """Unreduced quotient of BiPolys, just enough algebra for parsing."""
+    """Quotient of BiPolys, just enough algebra for parsing; never reduced,
+    but a sum over two denominators in q alone is put over their lcm."""
 
     __slots__ = ("num", "den")
 
@@ -128,10 +131,24 @@ class _Rat:
         self.den = den if den is not None else _ONE_BP
 
     def __add__(self, o):
-        return _Rat(self.num * o.den + o.num * self.den, self.den * o.den)
+        a, b = self._cofactors(o)
+        return _Rat(self.num * a + o.num * b, self.den * a)
 
     def __sub__(self, o):
-        return _Rat(self.num * o.den - o.num * self.den, self.den * o.den)
+        a, b = self._cofactors(o)
+        return _Rat(self.num * a - o.num * b, self.den * a)
+
+    def _cofactors(self, o):
+        """(a, b) with self.den * a == o.den * b: the common denominator is
+        the lcm when both denominators are non-constant and free of p (so
+        1/y + 1/y^2 stays over y^2), the product otherwise."""
+        d1, d2 = self.den, o.den
+        if d1.deg_p() == 0 and d2.deg_p() == 0 and d1.deg_q() > 0 and d2.deg_q() > 0:
+            u1, u2 = d1.coeff_in_p(0), d2.coeff_in_p(0)
+            g = u1.gcd(u2)
+            if g.degree() >= 1:
+                return BiPoly.from_ppoly([u2 // g]), BiPoly.from_ppoly([u1 // g])
+        return o.den, self.den
 
     def __mul__(self, o):
         return _Rat(self.num * o.num, self.den * o.den)
@@ -352,6 +369,9 @@ def _resolve(N, D, notes, note):
     return BiPoly(terms), (N, D)
 
 
+_CONTENT_NOTE = "common factor removed: P had a component constant in p"
+
+
 def _parse_raw(text):
     p_var = _Rat(BiPoly({(1, 0): GR_ONE}))
     q_var = _Rat(BiPoly({(0, 1): GR_ONE}))
@@ -386,11 +406,16 @@ def _parse_raw(text):
             notes.append("P is not squarefree in p: the equation is reducible; "
                          "the analysis below uses its squarefree part "
                          "(repeated factors removed)")
+        # the squarefree part is primitive in q already; P itself may not be
+        P_prim = primitive_in_q(P)
+        if P_prim is not P:
+            P = P_prim
+            notes.append(_CONTENT_NOTE)
     resolved = None
     if P.deg_p() == 1:
         P, resolved = _resolve(
             -P.coeff_in_p(0), P.coeff_in_p(1), notes,
-            "common factor removed: P had a component constant in p")
+            _CONTENT_NOTE)
     return EquationSpec(P=P, k=k, resolved=resolved, source_text=text,
                         notes=tuple(notes))
 

@@ -382,6 +382,11 @@ def _series_sort_key(s):
 def verify_series(eq, ls):
     """Back-substitute the truncated germ into P(y^(k), y).
 
+    The powers of y and of y^(k) are built once per call, as two ladders
+    (each rung the previous one times the base) up to the highest exponent
+    P uses; every term of P reads one rung from each, or a single rung when
+    its other exponent is zero.
+
     Returns the number of consecutive certified-zero coefficients of the
     residual, counted from the lowest exponent P could produce.  With the
     truncation N the count is guaranteed only up to the validity window; a
@@ -392,15 +397,25 @@ def verify_series(eq, ls):
         y = y.truncate(-ls.n + ls.resonant_index() - 1)
     p_ser = y.derivative_n(eq.k)
     e_min = min(i * (-ls.n - eq.k) + j * (-ls.n) for (i, j) in eq.P.terms)
+    p_pow = _ladder(p_ser, eq.P.deg_p())
+    y_pow = _ladder(y, eq.P.deg_q())
     acc = ZSeries.zero()
     for (i, j), a in sorted(eq.P.terms.items()):
-        term = p_ser.pow_int(i).mul(y.pow_int(j))
+        term = p_pow[i].mul(y_pow[j]) if i and j else p_pow[i] if i else y_pow[j]
         acc = acc + term.scale(a)
     bad = acc.first_noncertified_zero()
     window_hi = acc.valid_to
     if bad is None:
         return int(window_hi - e_min + 1)
     return int(bad - e_min)
+
+
+def _ladder(base, top):
+    """[base^0, base^1, ..., base^top], each rung the previous one times base."""
+    rungs = [ZSeries.one(), base]
+    while len(rungs) <= top:
+        rungs.append(rungs[-1].mul(base))
+    return rungs
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bbsolve.algebra import (BiPoly, BigComplex, GaussianRational, UPoly,
-                             all_nth_roots, coeff_to_mpc, falling, is_exact,
-                             pochhammer, roots_univariate, solve_linear,
-                             squarefree_in_p, squarefree_part_in_p)
+                             _exact_ball, all_nth_roots, coeff_to_mpc, falling,
+                             is_exact, pochhammer, roots_univariate,
+                             solve_linear, squarefree_in_p, squarefree_part_in_p)
 from bbsolve.errors import DegenerateInput
 
 rationals = st.builds(Fraction,
@@ -63,6 +63,22 @@ class TestBigComplex:
         for value, exact in ((-x, -g), (1 - x, 1 - g)):
             with mpmath.mp.workprec(600):
                 assert abs(value.val - exact.to_mpc(600)) <= value.err
+
+    @pytest.mark.parametrize("x", [7, Fraction(-5, 3),
+                                   GaussianRational(Fraction(1, 3), Fraction(2, 7))])
+    @pytest.mark.parametrize("prec", [256, 113])
+    def test_memoised_ball_equals_a_fresh_conversion(self, x, prec):
+        _exact_ball.cache_clear()
+        first = BigComplex.from_exact(x, prec)
+        again = BigComplex.from_exact(x, prec)
+        g = x if isinstance(x, GaussianRational) else GaussianRational(x)
+        fresh = _exact_ball.__wrapped__(g.re, g.im, prec)
+        assert again is first
+        for ball in (first, again):
+            assert (ball.val, ball.err, ball.prec) == (fresh.val, fresh.err, fresh.prec)
+        assert (first.err == 0) == isinstance(x, int)   # 7 converts exactly
+        with mpmath.mp.workprec(600):
+            assert abs(first.val - g.to_mpc(600)) <= first.err
 
 
 class TestRoots:

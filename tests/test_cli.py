@@ -54,6 +54,13 @@ class TestAnalyze:
             assert data["input"] == "P: p - q ; k=1"
             assert any("squarefree" in n for n in data["notes"])
 
+    def test_content_in_q_keeps_the_verdict(self):
+        rep, _ = analyze("P: (q + 1)*(p^2 - 4*q^3 + 4*q) ; k=1")
+        ref, _ = analyze("P: p^2 - 4*q^3 + 4*q ; k=1")
+        assert rep["classification"]["label"] == ref["classification"]["label"]
+        assert ref["classification"]["label"] == "elliptic"
+        assert "common factor removed: P had a component constant in p" in rep["warnings"]
+
     def test_squarefree_part_has_no_stray_factor(self):
         # the squarefree part of (p + 1)(p^2 - q)^2 is (p + 1)(p^2 - q), with
         # no factor in q that would add a Newton-polygon edge
@@ -303,6 +310,17 @@ def _run_module(*args):
 
 
 class TestModuleEntryPoint:
+    def test_closed_pipe_exits_without_traceback(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bbsolve", "analyze", "y'' = 6*y^2", "--no-classify"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()                 # the reader is gone before any output
+        _out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 1
+        assert b"Traceback" not in err and b"BrokenPipeError" not in err
+
     def test_python_m_bbsolve_is_quiet(self):
         res = _run_module("-m", "bbsolve", "analyze", "y' = y^2")
         assert res.returncode == 0

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bbsolve.algebra import BiPoly, GaussianRational, squarefree_part_in_p
+from bbsolve.algebra import (BiPoly, GaussianRational, primitive_in_q,
+                             squarefree_part_in_p)
 from bbsolve.eqparse import (EquationSpec, canonical_string, parse_constant,
                              parse_equation, upoly_str)
 from bbsolve.errors import (DegenerateInput, EquationSyntaxError,
@@ -59,6 +60,23 @@ class TestParse:
         assert s.P == BiPoly({(1, 0): 1, (0, 1): -1})
         assert [upoly_str(u) for u in s.resolved] == ["q", "1"]
 
+    def test_raw_form_made_primitive_in_q(self):
+        # a squarefree P keeps no content in q: (q + 1) only adds the
+        # constant solution y = -1, which has no pole
+        s = parse_equation("P: (q + 1)*(p^2 - 4*q^3 + 4*q) ; k=1")
+        assert s == parse_equation("P: p^2 - 4*q^3 + 4*q ; k=1")
+        assert s.notes == ("common factor removed: P had a component constant in p",)
+
+    def test_sum_over_lcm_of_denominators(self):
+        # 1/y + 1/y^2 has no common factor to cancel: no note
+        s = parse_equation("y' = 1/y + 1/y^2")
+        assert s.notes == ()
+        assert [upoly_str(u) for u in s.resolved] == ["q + 1", "q^2"]
+        s = parse_equation("y' = 1/y + 1/(y^2 + y)")
+        assert s.notes == () and upoly_str(s.resolved[1]) == "q^2 + q"
+        assert parse_equation("y'' = 6*y^3/y").notes == (
+            "common factor cancelled from the right-hand side",)
+
     def test_constant(self):
         assert parse_constant("-1/3") == GaussianRational(Fraction(-1, 3))
         for text in ("1/3 junk", "q"):
@@ -100,8 +118,10 @@ class TestCanonical:
         if spec.P.deg_p() == 1:
             return   # canonical raw parse re-derives resolved; compare P only
         back = parse_equation(canonical_string(spec))
-        # the parser reduces P to its squarefree part (P itself if squarefree)
-        assert back.P == squarefree_part_in_p(spec.P) and back.k == spec.k
+        # the parser reduces P to its squarefree part (P itself if squarefree),
+        # primitive in q
+        assert back.P == primitive_in_q(squarefree_part_in_p(spec.P))
+        assert back.k == spec.k
 
     def test_roundtrip_resolved(self):
         for text in ("y'' = 6*y^2", "y''' = y", "y'' = y^3 + 1/y",
@@ -148,3 +168,5 @@ class TestRejections:
     def test_division_in_raw_mode(self):
         with pytest.raises(NotPolynomial):
             parse_equation("P: p/q - 1 ; k=1")
+        with pytest.raises(NotPolynomial):
+            parse_equation("P: p + 1/q + 1/q ; k=1")

@@ -1,13 +1,15 @@
 """The Laurent-germ engine: brackets, leading roots, recurrence, pinning."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from bbsolve.algebra import (GR_ONE, GR_ZERO, BigComplex, GaussianRational,
-                             as_gaussian, coeff_is_zero, is_exact)
-from bbsolve.cli import Options, _prepare
+from bbsolve.algebra import (DEFAULT_PREC, GR_ONE, GR_ZERO, BigComplex,
+                             GaussianRational, _exact_ball, as_gaussian,
+                             coeff_is_zero, is_exact)
+from bbsolve.cli import Options, _prepare, analyze
 from bbsolve.curve import branches_at_infinity, first_integral_series
 from bbsolve.eqparse import parse_equation
 from bbsolve.errors import NoRoots
@@ -377,20 +379,28 @@ class TestMillerRecurrence:
         assert work[1] <= 8 * work[0], work
 
 
+NUMERIC_GERMS = [
+    ("y''' = -1*y^4 + 1*y^3 + -1*y^2", None, None, 10),
+    ("y'''' = 6*y^3 + 1/y^2", GaussianRational(1), 16, 17),
+    ("y'' = 3*y^3", GaussianRational(1), 16, 17),
+]
+
+
+def numeric_germs(text, c, N):
+    """(equation, the germs of its one admissible pair) at constant c."""
+    eq, _notes, _polygon, _depth, branches, report = _prepare(text, Options(), N)
+    (bid, n), = report.admissible_pairs()
+    branch, = [b for b in branches if b.id == bid]
+    return eq, enumerate_series(eq, branch, n, c=c, N=N)
+
+
 class TestNumericGermAccuracy:
     """256-bit germs vanish through the whole verify window: no coefficient
     passes through a 53-bit rounding."""
 
-    @pytest.mark.parametrize("text, c, N, want", [
-        ("y''' = -1*y^4 + 1*y^3 + -1*y^2", None, None, 10),
-        ("y'''' = 6*y^3 + 1/y^2", GaussianRational(1), 16, 17),
-        ("y'' = 3*y^3", GaussianRational(1), 16, 17),
-    ])
+    @pytest.mark.parametrize("text, c, N, want", NUMERIC_GERMS)
     def test_full_verify_order(self, text, c, N, want):
-        eq, _notes, _polygon, _depth, branches, report = _prepare(text, Options(), N)
-        (bid, n), = report.admissible_pairs()
-        branch, = [b for b in branches if b.id == bid]
-        germs = enumerate_series(eq, branch, n, c=c, N=N)
+        eq, germs = numeric_germs(text, c, N)
         assert germs and not any(is_exact(ls.coeffs[0]) for ls in germs)
         assert [verify_series(eq, ls) for ls in germs] == [want] * len(germs)
 
@@ -402,3 +412,100 @@ class TestNumericGermAccuracy:
         germs = enumerate_series(eq, bs[0], 1, c=None, collect_notes=notes)
         assert notes == [] and len(germs) == 2
         assert all(ls.resonance_status == "free_parameter" for ls in germs)
+
+
+def _reference_verify(eq, ls):
+    """The per-term back-substitution, kept as an oracle: every term of P
+    rebuilds its powers of y and y^(k) with ZSeries.pow_int."""
+    y = ls.as_zseries()
+    if ls.has_free_parameter():
+        y = y.truncate(-ls.n + ls.resonant_index() - 1)
+    p_ser = y.derivative_n(eq.k)
+    e_min = min(i * (-ls.n - eq.k) + j * (-ls.n) for (i, j) in eq.P.terms)
+    acc = ZSeries.zero()
+    for (i, j), a in sorted(eq.P.terms.items()):
+        acc = acc + p_ser.pow_int(i).mul(y.pow_int(j)).scale(a)
+    bad = acc.first_noncertified_zero()
+    return int(acc.valid_to - e_min + 1) if bad is None else int(bad - e_min)
+
+
+class TestVerifyLadders:
+    """verify_series reads shared power ladders and agrees with the
+    per-term pow_int oracle."""
+
+    def agree(self, eq, germs):
+        assert germs
+        orders = [verify_series(eq, ls) for ls in germs]
+        assert orders == [_reference_verify(eq, ls) for ls in germs]
+        return orders
+
+    @pytest.mark.parametrize("text, n", CORPUS_GERMS)
+    def test_corpus_germs(self, text, n):
+        eq, branch = germ_case(text, n, 24)
+        self.agree(eq, enumerate_series(eq, branch, n, c=None, N=24))
+        if eq.k % 2 == 0:
+            self.agree(eq, enumerate_series(eq, branch, n, c=GaussianRational(1), N=24))
+
+    @pytest.mark.parametrize("text, c, N, want", NUMERIC_GERMS)
+    def test_numeric_germs(self, text, c, N, want):
+        assert self.agree(*numeric_germs(text, c, N))[0] == want
+
+    def test_free_parameter_germs(self):
+        # numeric leading roots, resonant coefficient left free
+        eq, bs = setup_eq("y'' = -1*y^3 + 5*y^1 + 9")
+        germs = enumerate_series(eq, bs[0], 1, c=None)
+        assert all(ls.has_free_parameter() for ls in germs)
+        self.agree(eq, germs)
+
+    def test_corrupted_numeric_germ(self):
+        eq, (good, *_) = numeric_germs(*NUMERIC_GERMS[0][:3])
+        coeffs = list(good.coeffs)
+        coeffs[3] = coeffs[3] * GaussianRational(F(3, 2))
+        bad = replace(good, coeffs=tuple(coeffs))
+        assert self.agree(eq, [bad]) < self.agree(eq, [good])
+
+    def test_work_is_one_ladder_per_base(self, monkeypatch):
+        # no power is rebuilt: (deg_p P - 1) + (deg_q P - 1) ladder rungs,
+        # plus one product per term of P with both exponents positive
+        eq, branch = germ_case("P: p^2 - 4*q^3 + 4*q ; k=1", 2, 24)
+        cases = [numeric_germs(*NUMERIC_GERMS[0][:3]),
+                 (eq, enumerate_series(eq, branch, 2, N=24))]
+        calls = {"mul": 0, "pow_int": 0}
+
+        def counting(name, fn):
+            def wrapped(*a, **kw):
+                calls[name] += 1
+                return fn(*a, **kw)
+            return wrapped
+
+        monkeypatch.setattr(ZSeries, "mul", counting("mul", ZSeries.mul))
+        monkeypatch.setattr(ZSeries, "pow_int", counting("pow_int", ZSeries.pow_int))
+        for eq, germs in cases:
+            mixed = sum(1 for i, j in eq.P.terms if i and j)
+            for ls in germs:
+                calls["mul"] = 0
+                verify_series(eq, ls)
+                assert calls["pow_int"] == 0
+                assert calls["mul"] <= (eq.P.deg_p() - 1) + (eq.P.deg_q() - 1) + mixed
+
+    def test_each_exact_operand_becomes_a_ball_once(self, monkeypatch):
+        converted, inside = [], [False]
+        from_exact, to_mpc = BigComplex.from_exact, GaussianRational.to_mpc
+
+        def counting_from_exact(x, prec=DEFAULT_PREC):
+            inside[0] = True
+            try:
+                return from_exact(x, prec)
+            finally:
+                inside[0] = False
+
+        def counting_to_mpc(self, prec=DEFAULT_PREC):
+            if inside[0]:
+                converted.append((self, prec))
+            return to_mpc(self, prec)
+
+        monkeypatch.setattr(BigComplex, "from_exact", staticmethod(counting_from_exact))
+        monkeypatch.setattr(GaussianRational, "to_mpc", counting_to_mpc)
+        _exact_ball.cache_clear()
+        analyze("y''' = -1*y^4 + 1*y^3 + -1*y^2", Options(no_classify=True))
+        assert converted and len(converted) == len(set(converted))
