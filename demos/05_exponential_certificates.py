@@ -4,9 +4,11 @@ A rank-1 pole lattice suggests y = R(e^(az)) with a = 2 pi i / T.  The
 multiplier is recognised as an exact number.  With s = e^(az) - 1, the exact
 Laurent germ at the pole z = 0 becomes a Laurent series in s (z = log(1+s)/a),
 and R = A(s)/(s^n B(s)) is its Pade approximant, solved in exact arithmetic.
-The candidate is certified by back-substitution through the operator
-expansion (w d/dw)^k = sum_j S(k, j) w^j d^j/dw^j  (Stirling numbers of the
-second kind).  Only certified identities are reported as exact.  Run:
+The candidate R = A/B in w = e^(az) is certified by one polynomial identity:
+with Theta = w d/dw, Theta^k (A/B) = T_k / B^(k+1), where T_0 = A and
+T_(j+1) = w (T_j' B - (j+1) T_j B'), and y^(k) = N(y)/D(y) holds exactly when
+a^k T_k D~ B^(deg N) = N~ B^(k+1+deg D), with N~ = B^(deg N) N(A/B) and
+D~ = B^(deg D) D(A/B).  Only certified identities are reported as exact.  Run:
 
     python demos/05_exponential_certificates.py
 """

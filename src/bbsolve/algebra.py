@@ -1140,47 +1140,6 @@ def primitive_in_q(P):
     return BiPoly.from_ppoly(prim).normalized_pmajor()
 
 
-class RatQ:
-    """Rational function in one variable: reduced UPoly pair, monic denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        den = den if den is not None else UPoly.constant(GR_ONE)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if not num.is_zero():
-            g = num.gcd(den)
-            if g.degree() >= 1:
-                num, den = num // g, den // g
-        if num.is_zero():
-            den = UPoly.constant(GR_ONE)
-        lcinv = den.lc().inverse()
-        self.num = num * lcinv
-        self.den = den * lcinv
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def __add__(self, o):
-        return RatQ(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    def __sub__(self, o):
-        return RatQ(self.num * o.den - o.num * self.den, self.den * o.den)
-
-    def __mul__(self, o):
-        return RatQ(self.num * o.num, self.den * o.den)
-
-    def __truediv__(self, o):
-        if o.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatQ(self.num * o.den, self.den * o.num)
-
-    def derivative(self):
-        return RatQ(self.num.derivative() * self.den - self.num * self.den.derivative(),
-                    self.den * self.den)
-
-
 def _ppoly_content(ps):
     g = UPoly()
     for up in ps:

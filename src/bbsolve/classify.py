@@ -7,9 +7,11 @@ the germ through the plane, pole crossing by matching the exact Laurent germ
 near each pole, and a lattice fit on the recorded pole set.  Two independent
 periods with nonreal ratio mean elliptic; one period means rational in
 e^(az), and its multiplier a turns the exact germ into an exact Pade
-approximant R that back-substitution may certify.  A single non-recurring
-pole on a finite probe proves nothing and leaves the verdict undetermined
-unless an exact rational solution is certified.
+approximant R = A/B.  Both exponential matchers certify y = A(w)/B(w),
+w = e^(az), by one cleared-denominator polynomial identity
+(_certify_exponential).  A single non-recurring pole on a finite probe
+proves nothing and leaves the verdict undetermined unless an exact rational
+solution is certified.
 
 Numeric verdicts are labelled confidence="numeric"; only back-substituted
 identities are "exact".
@@ -20,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (GR_ONE, GR_ZERO, GaussianRational, RatQ, UPoly, ZSeries,
+from .algebra import (GR_ONE, GR_ZERO, GaussianRational, UPoly, ZSeries,
                       falling, is_exact, roots_univariate, solve_linear,
                       DEFAULT_PREC)
 from .conditions import classify_kappa
@@ -107,27 +109,6 @@ class ExponentialMatch:
                 f"{upoly_str(self.a_poly, 'a')} = 0")
 
 
-def stirling2(k, j):
-    """Stirling number of the second kind S(k, j)."""
-    total = 0
-    for r in range(j + 1):
-        total += (-1) ** (j - r) * math.comb(j, r) * r ** k
-    return total // math.factorial(j)
-
-
-def theta_pow(R_num, R_den, k):
-    """(w d/dw)^k applied to R = R_num/R_den, via the Stirling expansion
-    Theta^k R = sum_j S(k, j) w^j R^(j)(w); returns a reduced (num, den) pair."""
-    acc = RatQ(UPoly())
-    dR = RatQ(R_num, R_den)
-    for j in range(1, k + 1):
-        dR = dR.derivative()
-        s = stirling2(k, j)
-        if s != 0:
-            acc = acc + RatQ(UPoly.monomial(j, GaussianRational(s))) * dR
-    return acc.num, acc.den
-
-
 def match_exponential(eq, precision=DEFAULT_PREC, notes=None):
     """Exact solutions y = R(e^(az)) of affine equations.
 
@@ -146,16 +127,12 @@ def match_exponential(eq, precision=DEFAULT_PREC, notes=None):
             if not lam.is_zero():
                 a_poly = UPoly([-lam] + [GR_ZERO] * (eq.k - 1) + [GR_ONE])
                 vals = tuple(roots_univariate(a_poly, precision))
-                shift = -(mu * lam.inverse())
-                R_num = UPoly([shift, GR_ONE])
-                out.append(ExponentialMatch(a_poly=a_poly, a_values=vals,
-                                            R_num=R_num,
-                                            R_den=UPoly.constant(GR_ONE),
-                                            exact=True))
-                # certification: a^k Theta^k R = lambda R + mu modulo a^k = lambda.
-                # Theta R = w; both sides reduce to lambda w + (lambda shift + mu) = lambda w.
-                if not (lam * shift + mu).is_zero():
+                R_num = UPoly([-(mu * lam.inverse()), GR_ONE])
+                R_den = UPoly.constant(GR_ONE)
+                if not _certify_exponential(eq, lam, R_num, R_den):
                     raise PrecisionExhausted("exponential mode fails back-substitution")
+                out.append(ExponentialMatch(a_poly=a_poly, a_values=vals,
+                                            R_num=R_num, R_den=R_den, exact=True))
     if not out and notes is not None:
         notes.append("no exact exponential match: without a period, only affine "
                      "right-hand sides are matched")
@@ -168,8 +145,8 @@ def reconstruct_exponential(eq, germ, period, degree_cap=6):
     ``germ`` is the exact Laurent germ y = sum c_j z^(j-n) at the pole z = 0.
     With s = e^(az) - 1, z = log(1 + s)/a turns it into a Laurent series in
     s; R = A(s)/(s^n B(s)) is its Pade approximant, solved exactly for each
-    (deg num, deg den) in turn and kept only when back-substitution through
-    the Stirling expansion certifies it.  Returns an ExponentialMatch, or None
+    (deg num, deg den) in turn and kept only when _certify_exponential proves
+    the cleared-denominator identity.  Returns an ExponentialMatch, or None
     when the germ is not exact or nothing within the cap is certified.
     """
     a_g = _recognise_gaussian(2j * cmath.pi / complex(period))
@@ -180,13 +157,14 @@ def reconstruct_exponential(eq, germ, period, degree_cap=6):
     # s^n y(s) two indices past what the largest Pade system reads
     M = min(2 * degree_cap - n + 2, len(germ.coeffs) - 1)
     Y = _germ_in_s(germ.coeffs, n, a_g, M)
+    a_k = a_g ** eq.k
     for deg_n in range(1, degree_cap + 1):
         for deg_d in range(n, degree_cap + 1):
             R = _pade_in_w(Y, n, deg_n, deg_d - n)
-            if R is not None and _certify_exponential(eq, a_g, R):
+            if R is not None and _certify_exponential(eq, a_k, *R):
                 a_poly = UPoly([-a_g, GR_ONE])
                 return ExponentialMatch(a_poly=a_poly, a_values=(a_g,),
-                                        R_num=R.num, R_den=R.den, exact=True)
+                                        R_num=R[0], R_den=R[1], exact=True)
     return None
 
 
@@ -216,7 +194,8 @@ def _germ_in_s(coeffs, n, a, M):
 
 def _pade_in_w(Y, n, dn, db):
     """R(w) = A(s)/(s^n B(s)) at s = w - 1, deg A <= dn, deg B <= db, B(0) = 1,
-    with B Y - A = O(s^(dn + db + 1)).
+    with B Y - A = O(s^(dn + db + 1)); returned as a coprime pair (num, den)
+    of polynomials in w with den monic.
 
     None when Y is too short, the system is singular, or B Y - A misses a
     coefficient of Y past those it was solved from: B Y = A holds exactly
@@ -241,27 +220,49 @@ def _pade_in_w(Y, n, dn, db):
     for i in range(size, len(Y)):
         if not sum((B[t] * Y[i - t] for t in range(db + 1)), GR_ZERO).is_zero():
             return None
-    s = RatQ(UPoly([-1, 1]))
-    den = UPoly([GR_ZERO] * n + B)
-    return _compose_rat(UPoly(sol[:dn + 1]), s) / _compose_rat(den, s)
+    s, one = UPoly([-1, 1]), UPoly.constant(GR_ONE)
+    num = _homogenised(UPoly(sol[:dn + 1]), s, one)
+    den = _homogenised(UPoly([GR_ZERO] * n + B), s, one)
+    g = num.gcd(den)
+    num, den = num // g, den // g
+    lc_inv = den.lc().inverse()
+    return num * lc_inv, den * lc_inv
 
 
-def _certify_exponential(eq, a_g, R):
-    """Exact back-substitution of y = R(w), w = e^(az): a^k Theta^k R == F(R),
-    with F = N/D the resolved right-hand side, checked as a^k Theta^k R D(R) == N(R)."""
+def _certify_exponential(eq, a_k, A, B):
+    """Exact back-substitution of y = A(w)/B(w), w = e^(az), into the resolved
+    form y^(k) = N(y)/D(y), given a^k exactly.
+
+    With Theta = w d/dw, y^(k) = a^k Theta^k (A/B) = a^k T_k / B^(k+1), where
+    T_0 = A and T_(j+1) = w (T_j' B - (j + 1) T_j B').  Clearing denominators
+    with N~ = B^(deg N) N(A/B) and D~ = B^(deg D) D(A/B), the equation holds
+    exactly when a^k T_k D~ B^(deg N) == N~ B^(k + 1 + deg D); the common
+    power of B is cancelled first, so its exponent may land on either side.
+    """
     if eq.resolved is None:
         return False
     N, D = eq.resolved
-    tn, td = theta_pow(R.num, R.den, eq.k)
-    lhs = RatQ(tn * a_g ** eq.k, td)
-    return (lhs * _compose_rat(D, R) - _compose_rat(N, R)).is_zero()
+    w, dB = UPoly.monomial(1), B.derivative()
+    T = A
+    for j in range(eq.k):
+        T = w * (T.derivative() * B - T * dB * (j + 1))
+    lhs = T * _homogenised(D, A, B) * a_k
+    rhs = _homogenised(N, A, B)
+    excess = eq.k + 1 + D.degree() - N.degree()
+    for _ in range(excess):
+        rhs = rhs * B
+    for _ in range(-excess):
+        lhs = lhs * B
+    return lhs == rhs
 
 
-def _compose_rat(U, R):
-    """U(R) for a polynomial U and a rational function R, by Horner's rule."""
-    out = RatQ(UPoly())
+def _homogenised(U, A, B):
+    """B^(deg U) U(A/B), by Horner's rule with the powers of B built alongside;
+    U(A) when B = 1."""
+    out, B_pow = UPoly(), UPoly.constant(GR_ONE)
     for c in reversed(U.coeffs):
-        out = out * R + RatQ(UPoly.constant(c))
+        out = out * A + B_pow * c
+        B_pow = B_pow * B
     return out
 
 

@@ -20,15 +20,16 @@ from fractions import Fraction
 
 from . import __version__
 from .algebra import GaussianRational, coeff_is_zero, is_exact, DEFAULT_PREC
-from .conditions import (attach_degree_bound, screen_admissibility, residue_screen)
+from .conditions import (attach_degree_bound, classify_kappa, screen_admissibility,
+                         residue_screen)
 from .curve import (branches_at_infinity, exactness_check, newton_polygon,
                     residue_pdq)
 from .eqparse import (canonical_string, gaussian_str, parse_constant,
                       parse_equation, ratfunc_str)
 from .errors import BBError
 from .classify import (assemble_verdict, detect_periods, make_probe,
-                       match_exponential, match_monomial, sweep_poles,
-                       DEFAULT_RATIO_TOL, DEFAULT_TRAJ_TOL)
+                       match_exponential, match_monomial, reconstruct_exponential,
+                       sweep_poles, DEFAULT_RATIO_TOL, DEFAULT_TRAJ_TOL)
 from .series import (coeff_to_json, enumerate_series, series_to_json,
                      verify_series)
 
@@ -56,14 +57,12 @@ def default_depth(k, polygon, N=None, base=None):
     only when m divides n, and the m of all places sum to deg_p, so index N
     needs at most ceil(min(n, deg_p) N / n) + 4 u-terms; the depth covers
     that too."""
-    import math as _math
-    from .conditions import classify_kappa
     n_max = 0
     kappa_top = 0
     germ_need = 0
     deg_p = max(i for e in polygon.upper_edges for i in (e.i1, e.i2))
     for e in polygon.upper_edges:
-        kappa_top = max(kappa_top, _math.ceil(max(e.kappa, 0)))
+        kappa_top = max(kappa_top, math.ceil(max(e.kappa, 0)))
         label, n = classify_kappa(k, e.kappa)
         if label == "kappa_one_plus_k_over_n":
             n_max = max(n_max, n)
@@ -83,7 +82,7 @@ def _at_least(name, value, low):
 
 class Options:
     def __init__(self, c="default", N=None, depth=None, precision=None,
-                 tol=DEFAULT_TRAJ_TOL, degree_cap=None, no_classify=False,
+                 tol=DEFAULT_TRAJ_TOL, no_classify=False,
                  fmt="text", n=None, k_override=None):
         env = os.environ.get("BBSOLVE_PRECISION")
         if precision is None and env:
@@ -93,6 +92,8 @@ class Options:
                 raise BBError(f"BBSOLVE_PRECISION must be an integer, got {env!r}") from None
         self.precision = _at_least(
             "precision", DEFAULT_PREC if precision is None else precision, 1)
+        if not (c is None or c == "default" or is_exact(c)):
+            raise BBError(f"c must be 'default', None or an exact number, got {c!r}")
         # an int or Fraction constant from a library caller is exact
         self.c = GaussianRational(c) if isinstance(c, (int, Fraction)) else c
         self.N = _at_least("N", N, 0)
@@ -100,7 +101,6 @@ class Options:
         if not (isinstance(tol, (int, float)) and 0 < tol < math.inf):
             raise BBError(f"tol must be a finite number > 0, got {tol!r}")
         self.tol = tol
-        self.degree_cap = _at_least("degree cap", degree_cap, 1)
         self.no_classify = no_classify
         self.fmt = fmt
         self.n = _at_least("n", n, 1)
@@ -191,13 +191,12 @@ def analyze(equation, opts=None):
     report = attach_degree_bound(report, inventory)
 
     verdict = None
-    period_result = None
     classify_notes = []
     mono = match_monomial(eq, opts.precision)
-    expo = []
-    if report.kappa_one_count >= 1:
-        expo = match_exponential(eq, opts.precision, notes=classify_notes)
     if not opts.no_classify:
+        expo = []
+        if report.kappa_one_count >= 1:
+            expo = match_exponential(eq, opts.precision, notes=classify_notes)
         period_result, pole_events, rec_matches = _numeric_classification(
             eq, report, branches, ev, opts, N_germ, classify_notes)
         verdict = assemble_verdict(report, germs, mono, expo + rec_matches,
@@ -241,11 +240,9 @@ def _numeric_classification(eq, report, branches, ev, opts, N_traj, notes):
         return None, (), []
     recs = []
     if pr.rank == 1 and pr.verified and eq.resolved is not None:
-        from .classify import reconstruct_exponential
         # the seed germ: the sweep's pole at z = 0
         rec = reconstruct_exponential(eq, family[0], pr.periods[0],
-                                      degree_cap=opts.degree_cap or
-                                      report.degree_bound or 6)
+                                      degree_cap=report.degree_bound or 6)
         if rec is not None:
             notes.append("rank-1 lattice upgraded to an exact closed form")
             recs.append(rec)
@@ -601,7 +598,6 @@ def _common(sub):
     sub.add_argument("--depth", type=int, default=None)
     sub.add_argument("--precision", type=int, default=None)
     sub.add_argument("--tol", type=float, default=DEFAULT_TRAJ_TOL)
-    sub.add_argument("--degree-cap", type=int, default=None, dest="degree_cap")
     sub.add_argument("--no-classify", action="store_true", dest="no_classify")
     sub.add_argument("--format", choices=("text", "json"), default="text",
                      dest="fmt")
@@ -622,7 +618,7 @@ def main(argv=None):
     try:
         opts = Options(c=_parse_c(args.c), N=args.N, depth=args.depth,
                        precision=args.precision, tol=args.tol,
-                       degree_cap=args.degree_cap, no_classify=args.no_classify,
+                       no_classify=args.no_classify,
                        fmt=args.fmt, n=args.n, k_override=args.k_override)
         fn = {"analyze": cmd_analyze, "series": cmd_series,
               "residues": cmd_residues, "classify": cmd_classify}[args.command]

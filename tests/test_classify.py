@@ -1,4 +1,4 @@
-"""Exact matchers, operator expansion, continuation, period detection."""
+"""Exact matchers, the exponential certificate, continuation, period detection."""
 
 import cmath
 import math
@@ -6,12 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from bbsolve.algebra import BigComplex, GaussianRational, RatQ, UPoly
+from bbsolve.algebra import BigComplex, GaussianRational, UPoly
 from bbsolve.cli import analyze
 from bbsolve.classify import (PoleEvent, assemble_verdict, continue_trajectory,
                               detect_periods, match_exponential, match_monomial,
-                              stirling2, sweep_poles, theta_pow, make_probe,
-                              germ_numeric, _Flow)
+                              sweep_poles, make_probe, germ_numeric,
+                              _certify_exponential, _Flow)
 from bbsolve.conditions import screen_admissibility
 from bbsolve.curve import branches_at_infinity
 from bbsolve.eqparse import parse_equation
@@ -100,29 +100,36 @@ class TestRiccatiOrbit:
         assert abs(re) < 1e-9 and abs(abs(im) - math.pi / abs(lam)) < 1e-9
 
 
-class TestThetaOperator:
-    def test_stirling_values(self):
-        assert [stirling2(4, j) for j in range(1, 5)] == [1, 7, 6, 1]
-        assert [stirling2(3, j) for j in range(1, 4)] == [1, 3, 1]
+class TestExponentialCertificate:
+    """_certify_exponential: y = A(w)/B(w), w = e^(az), against y^(k) = N/D."""
 
-    def test_operator_identity_on_rationals(self):
-        # (w d/dw)^k computed by the Stirling expansion must equal k
-        # successive applications of w d/dw
-        samples = [
-            (UPoly([0, 1]), UPoly([1])),                 # w
-            (UPoly([1, 2, 1]), UPoly([-1, 1])),          # (w+1)^2/(w-1)
-            (UPoly([0, 0, 3]), UPoly([2, 0, 1])),        # 3w^2/(w^2+2)
-        ]
-        for k in (1, 2, 3, 4):
-            for Rn, Rd in samples:
-                num, den = theta_pow(Rn, Rd, k)
-                # direct repeated application
-                dn, dd = Rn, Rd
-                for _ in range(k):
-                    ddn = dn.derivative() * dd - dn * dd.derivative()
-                    r = RatQ(UPoly([0, 1]) * ddn, dd * dd)
-                    dn, dd = r.num, r.den
-                assert (num * dd - dn * den).is_zero()
+    CASES = [
+        # y = -coth z = -(w + 1)/(w - 1), w = e^(2z): a^k = 2, k = 1
+        ("y' = y^2 - 1", 2, UPoly([-1, -1]), UPoly([-1, 1])),
+        # y = tanh z = (w - 1)/(w + 1), w = e^(2z): a^k = 4, k = 2
+        ("y'' = 2*y^3 - 2*y", 4, UPoly([-1, 1]), UPoly([1, 1])),
+        # the affine mode y = w with a^3 = 1: B = 1
+        ("y''' = y", 1, UPoly([0, 1]), UPoly([1])),
+        # y = 1/(2 cosh z - 2) = w/(w - 1)^2, w = e^z: one power of B lands on N~
+        ("y'' = 6*y^2 + y", 1, UPoly([0, 1]), UPoly([1, -2, 1])),
+    ]
+
+    @pytest.mark.parametrize("text, a_k, A, B", CASES)
+    def test_accepts_closed_form(self, text, a_k, A, B):
+        assert _certify_exponential(parse_equation(text), GaussianRational(a_k), A, B)
+
+    @pytest.mark.parametrize("text, a_k, A, B", CASES)
+    def test_rejects_perturbed_numerator(self, text, a_k, A, B):
+        # perturb the constant term: on y''' = y every multiple of w is a solution
+        bent = A + GaussianRational(F(1, 3))
+        assert not _certify_exponential(parse_equation(text), GaussianRational(a_k),
+                                        bent, B)
+
+    def test_power_of_b_on_the_left(self):
+        # y' = y^3: deg N = 3 exceeds k + 1 + deg D = 2
+        eq = parse_equation("y' = y^3")
+        assert _certify_exponential(eq, GaussianRational(2), UPoly([-1, -1]),
+                                    UPoly([-1, 1])) is False
 
 
 class TestTrajectory:

@@ -9,11 +9,12 @@ from fractions import Fraction
 
 import pytest
 
+from bbsolve import cli
 from bbsolve.curve import branches_at_infinity
 from bbsolve.cli import (Options, _parse_c, analyze, cmd_classify, cmd_residues,
                          cmd_selftest, cmd_series, main, render_json)
 from bbsolve.algebra import GaussianRational
-from bbsolve.errors import DegenerateInput
+from bbsolve.errors import BBError, DegenerateInput
 from minischema import validate
 
 SCHEMA = json.load(open(os.path.join(os.path.dirname(__file__), "..", "src",
@@ -103,6 +104,21 @@ class TestAnalyze:
         rep, _ = analyze("y'' = 6*y^2", Options(c=c))
         want, _ = analyze("y'' = 6*y^2", Options(c=GaussianRational(1)))
         assert rep == want and rep["settings"]["c"] == "1"
+
+    @pytest.mark.parametrize("c", [0.5, 1j, "abc"])
+    def test_library_inexact_constant_rejected(self, c):
+        with pytest.raises(BBError, match="c must be"):
+            analyze("y'' = 6*y^2", Options(c=c))
+
+    def test_no_classify_skips_exponential_matcher(self, monkeypatch):
+        calls = []
+        real = cli.match_exponential
+        monkeypatch.setattr(cli, "match_exponential",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        analyze("y''' = y", Options(no_classify=True))
+        assert calls == []
+        analyze("y''' = y")
+        assert calls == [1]
 
     def test_deterministic_json(self):
         a, _ = analyze("y'' = 6*y^2 - 2")
@@ -228,7 +244,7 @@ class TestMain:
 
     @pytest.mark.parametrize("flags", [
         ["--precision", "0"], ["--precision", "-5"], ["--N", "-3"],
-        ["--depth", "0"], ["--n", "0"], ["--degree-cap", "0"]])
+        ["--depth", "0"], ["--n", "0"]])
     def test_bad_numeric_option_rejected(self, capsys, flags):
         code = main(["series", "y'' = 6*y^2"] + flags)
         assert code == 1
