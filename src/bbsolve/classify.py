@@ -19,8 +19,9 @@ identities are "exact".
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .algebra import (GR_ONE, GR_ZERO, GaussianRational, UPoly, ZSeries,
                       falling, is_exact, roots_univariate, solve_linear,
@@ -276,19 +277,23 @@ class NumericGerm:
     n: int
     coeffs: tuple      # complex, index j <-> exponent j - n
     trust: float = 0.8  # offset radius where the truncated tail is negligible
+    # _tables[m]: the m-th derivative's coefficients, index j <-> exponent j - n - m
+    _tables: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def eval_derivs(self, u, count):
         """Value and the first ``count`` derivatives at offset u from the pole."""
+        tables = self._tables
+        if not tables:
+            tables.append(self.coeffs)
+        while len(tables) <= count:
+            start = 1 - self.n - len(tables)
+            tables.append([c * (start + idx) for idx, c in enumerate(tables[-1])])
         out = []
-        coeffs = list(self.coeffs)
-        start = -self.n
-        for _ in range(count + 1):
+        for m in range(count + 1):
             acc = 0j
-            for idx in range(len(coeffs) - 1, -1, -1):
-                acc = acc * u + coeffs[idx]
-            out.append(acc * u ** start)
-            coeffs = [coeffs[idx] * (start + idx) for idx in range(len(coeffs))]
-            start -= 1
+            for c in reversed(tables[m]):
+                acc = acc * u + c
+            out.append(acc * u ** (-self.n - m))
         return out
 
 
@@ -360,6 +365,9 @@ class _Flow:
             N, D = eq.resolved
             self.resolved = ([complex(c) for c in N.coeffs],
                              [complex(c) for c in D.coeffs])
+            # the (degree, coefficient) pairs of N and D that _poly_series reads
+            self._nonzero = tuple([(d, c) for d, c in enumerate(cf) if c != 0]
+                                  for cf in self.resolved)
         self.P_terms = [(i, j, complex(c)) for (i, j), c in sorted(eq.P.terms.items())]
         Pp = eq.P.partial_p()
         Pq = eq.P.partial_q()
@@ -425,19 +433,16 @@ class _Flow:
 
     # -- series helpers ---------------------------------------------------
 
-    @staticmethod
-    def _conv_at(a, b, j):
-        lo = max(0, j - len(b) + 1)
-        hi = min(j, len(a) - 1)
-        return sum(a[i] * b[j - i] for i in range(lo, hi + 1))
+    # Each Cauchy product is sum(map(mul, a[lo:], b[:j - lo + 1][::-1])): the
+    # products and additions of sum(a[i] * b[j - i] for i in lo..j), in that
+    # order from the start 0, with no generator frame; map stops at b[0].
 
-    def _poly_series(self, coeffs, ypows, j):
-        """Coefficient j of sum coeffs[d] * y^d given cached powers of y."""
+    @staticmethod
+    def _poly_series(pairs, ypows, j):
+        """Coefficient j of sum c y^d over the pairs (d, c), given powers of y."""
         acc = 0j
-        for d, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            acc += c * (ypows[d][j] if j < len(ypows[d]) else 0j)
+        for d, c in pairs:
+            acc += c * ypows[d][j]
         return acc
 
     @staticmethod
@@ -453,7 +458,7 @@ class _Flow:
             elif jq == 0:
                 acc += c * ppows[i][j]
             else:
-                acc += c * _Flow._conv_at(ppows[i], ypows[jq], j)
+                acc += c * sum(map(mul, ppows[i], ypows[jq][j::-1]))
         return acc
 
     def taylor(self, state, p0=None):
@@ -464,30 +469,31 @@ class _Flow:
         coefficient j reads only coefficients that are final by then, so one
         expansion costs O(order^2).
         """
-        k, M = self.k, self.order
-        Y = [state[i] / self._fact[i] for i in range(k)] + [0j] * (M - k + 1)
+        k, M, fact = self.k, self.order, self._fact
+        Y = [state[i] / fact[i] for i in range(k)] + [0j] * (M - k + 1)
         if self.resolved is not None:
             Ncf, Dcf = self.resolved
+            Nnz, Dnz = self._nonzero
             degmax = max(len(Ncf), len(Dcf)) - 1
             ypows = [[1.0 + 0j] + [0j] * M, Y] \
                 + [[0j] * (M + 1) for _ in range(max(degmax - 1, 0))]
             W = [0j] * (M + 1)
             Dser = []          # series of D(y), one coefficient per j
             for j in range(0, M - k + 1):
+                Yrev = Y[j::-1]
                 for d in range(2, degmax + 1):
-                    ypows[d][j] = self._conv_at(ypows[d - 1], Y, j)
-                Nj = self._poly_series(Ncf, ypows, j)
+                    ypows[d][j] = sum(map(mul, ypows[d - 1], Yrev))
+                Nj = self._poly_series(Nnz, ypows, j)
                 if len(Dcf) == 1:
                     Wj = Nj / Dcf[0]
                 else:
-                    Dser.append(self._poly_series(Dcf, ypows, j))
+                    Dser.append(self._poly_series(Dnz, ypows, j))
                     if abs(Dser[0]) < 1e-280:
                         raise SingularEncounter(
                             "denominator of the resolved form vanishes on the path")
-                    Wj = (Nj - sum(Dser[i] * W[j - i]
-                                   for i in range(1, j + 1))) / Dser[0]
+                    Wj = (Nj - sum(map(mul, Dser[1:], W[:j][::-1]))) / Dser[0]
                 W[j] = Wj
-                Y[j + k] = Wj * self._fact[j] / self._fact[j + k]
+                Y[j + k] = Wj * fact[j] / fact[j + k]
             return Y, None
         # general curve mode: p' = -(P_q(p, y) / P_p(p, y)) y'
         if p0 is None:
@@ -503,18 +509,19 @@ class _Flow:
         yprime = [0j] * (M + 1)
         quo = [0j] * (M + 1)
         for j in range(0, M - k + 1):
-            Y[j + k] = Pser[j] * self._fact[j] / self._fact[j + k]
+            Y[j + k] = Pser[j] * fact[j] / fact[j + k]
+            Yrev, Prev = Y[j::-1], Pser[j::-1]
             for d in range(2, dq + 1):
-                ypows[d][j] = self._conv_at(ypows[d - 1], Y, j)
+                ypows[d][j] = sum(map(mul, ypows[d - 1], Yrev))
             for d in range(2, dp + 1):
-                ppows[d][j] = self._conv_at(ppows[d - 1], Pser, j)
+                ppows[d][j] = sum(map(mul, ppows[d - 1], Prev))
             den[j] = self._bipoly_series(self.Pp_terms, ppows, ypows, j)
             pq[j] = self._bipoly_series(self.Pq_terms, ppows, ypows, j)
             yprime[j] = (j + 1) * Y[j + 1]
-            num = -sum(pq[idx] * yprime[j - idx] for idx in range(j + 1))
+            num = -sum(map(mul, pq, yprime[j::-1]))
             if abs(den[0]) < 1e-280:
                 raise SingularEncounter("dP/dp = 0 on the path: curve branch point")
-            quo[j] = (num - sum(den[i] * quo[j - i] for i in range(1, j + 1))) / den[0]
+            quo[j] = (num - sum(map(mul, den[1:], quo[:j][::-1]))) / den[0]
             Pser[j + 1] = quo[j] / (j + 1)
         return Y, Pser
 
@@ -542,8 +549,8 @@ class _Flow:
         xs = [1.0 / j for j, _ in ratios]
         us = [u for _, u in ratios]
         nn = len(xs)
-        sx = sum(xs); sxx = sum(x * x for x in xs)
-        su = sum(us); sxu = sum(x * u for x, u in zip(xs, us))
+        sx = sum(xs); sxx = sum(map(mul, xs, xs))
+        su = sum(us); sxu = sum(map(mul, xs, us))
         det = nn * sxx - sx * sx
         if abs(det) < 1e-30:
             return None, None
@@ -666,6 +673,7 @@ def run_segment(flow, z0, state, p0, z1, germs, events, tol=DEFAULT_TRAJ_TOL,
     total_len = abs(z1 - z0)
     hop_guard = 0
     passes = 0
+    reach = 0.75 * max(g.trust for g in germs)
     for _ in range(max_steps):
         remaining = ((z1 - z) / dirv).real
         if remaining < 1e-12 * (1 + total_len):
@@ -678,7 +686,6 @@ def run_segment(flow, z0, state, p0, z1, germs, events, tol=DEFAULT_TRAJ_TOL,
         Y, Pser = flow.taylor(state, p)
         rho = flow.radius_estimate(Y)
         d_est, n_est = flow.singularity_estimate(Y)
-        reach = 0.75 * max(g.trust for g in germs)
         near_pole = (d_est is not None and abs(d_est) < reach
                      and rho < 1.7 * reach and abs(d_est) < 3 * rho)
         if near_pole:
@@ -840,11 +847,26 @@ def detect_periods(pole_events, tol=DEFAULT_RATIO_TOL, state_probe=None,
                    state_tol=1e-6):
     """Fit the pole set to a rank-1 or rank-2 lattice and verify by state match.
 
-    Distances are fit by integer-relation on pairwise differences; candidate
-    periods are confirmed only when the full trajectory state agrees at
-    z and z + T for three test points (when a probe is available).
+    The poles of one germ lie on one coset of the lattice, so the germ with
+    the most poles is fitted first; unless that gives a verified rank 2, all
+    poles are fitted too, and the higher (verified, rank) wins, mixed on a tie.
     """
     pts = [ev.z for ev in pole_events]
+    groups = {}
+    for ev in pole_events:
+        groups.setdefault(ev.germ_id, []).append(ev.z)
+    own = max(groups.values(), key=len, default=pts)
+    best = _fit_lattice(own, tol, state_probe, state_tol)
+    if len(own) < len(pts) and not (best.verified and best.rank == 2):
+        mixed = _fit_lattice(pts, tol, state_probe, state_tol)
+        best = max((mixed, best), key=lambda r: (r.verified, r.rank))
+    return best
+
+
+def _fit_lattice(pts, tol, state_probe, state_tol):
+    """Distances are fit by integer-relation on pairwise differences; candidate
+    periods are confirmed only when the full trajectory state agrees at
+    z and z + T for three test points (when a probe is available)."""
     if len(pts) < 2:
         return PeriodResult(0, (), None, False, "fewer than two poles")
     seen = {}

@@ -5,12 +5,14 @@ implementations (tests/oracle_series.py, tests/oracle_periods.py) that share
 no code with the package.
 """
 
+import hashlib
 import json
 import random
 import time
 from fractions import Fraction
 
-from bbsolve.algebra import (GaussianRational, UPoly, coeff_is_zero, is_exact)
+from bbsolve.algebra import (DEFAULT_PREC, GaussianRational, UPoly, coeff_is_zero,
+                             is_exact)
 from bbsolve.classify import (detect_periods, make_probe, match_exponential,
                               match_monomial, sweep_poles)
 from bbsolve.cli import Options, analyze, render_json
@@ -317,3 +319,38 @@ def test_criterion_10_determinism():
         json.loads(ja)   # well-formed
     dt = _elapsed_ok(t0, 180, "criterion 10")
     _report(f"criterion 10: byte-identical JSON over {len(GOLDEN_CORPUS)} equations", dt)
+
+
+# sha256 of render_json(analyze(text)) for each GOLDEN_CORPUS equation at the
+# default options.  A report changed on purpose updates this table and says
+# so in CHANGES.md; a speed-up leaves it alone.
+GOLDEN_SHA256 = {
+    "y'' = 6*y^2": "c446136bd2d797453454bb3e93e74af1ffca4f65ad6bdd7ac1ae084f4f782026",
+    "y'' = 6*y^2 - 2": "fa15ee9eda2a4f8d687aa7e9573280d6c0da8b26b11a5346b5b10bf0546af0a9",
+    "P: p^2 - 4*q^3 + 4*q ; k=1":
+        "84b92405c7a239afde3c1fcf127d95cf93f51c770656f05efceb3f4953563973",
+    "y'' = y^4": "78e5cdac8d9f630f5771606dbd3fbdf375487e4911c63d1864fa6a4b29853907",
+    "y'' = 4*y^3 + 1/y": "c9d07f4774ed5d40475bfafb03e900ee09261b8b311f7f0f729213c1515e67c2",
+    "y''' = y": "4bfa9ede2b3974188e9e9c86f926f1029b2e3b5ad4eed13554ed1caa497e89fa",
+    "y'' = y": "aef4b743e977c5a18c584e78d0f81cfdb6348e26f7d42312d44e7239c233bdba",
+    "y' = y^2": "0ae2a09d81a7d13f19b128a0dcb46bf42d1f073005928124025ec61914d5d902",
+    "y' = y^2 - 1": "100fb88d9e89f4255bc7b61705571d599650de135422b60e4f65dfc3821e71c4",
+    "y'' = y^2": "c220c6ef72054b6dff36731310610735304c04b7fa88d7c561177623eedcb109",
+    "P: p^2 - q^3 ; k=2": "1610b07032a43cc02635c4919bdd4da6f658f5b3a6bbbf6ed956916c6b65badd",
+    "y' = 2*y^3": "64fca254f7f11b99ef8f588ff3dbe50f77a608fc9ecafe4b5c84926051fad5b9",
+}
+
+
+def test_criterion_11_golden_reports_byte_identical():
+    """analyze over the golden corpus: each JSON report has its pinned sha256."""
+    t0 = time.monotonic()
+    assert list(GOLDEN_SHA256) == GOLDEN_CORPUS
+    changed = []
+    for text in GOLDEN_CORPUS:
+        report, _code = analyze(text, Options(precision=DEFAULT_PREC))
+        digest = hashlib.sha256(render_json(report).encode()).hexdigest()
+        if digest != GOLDEN_SHA256[text]:
+            changed.append(f"{text}: {digest}")
+    assert not changed, "reports differ from the pinned table:\n" + "\n".join(changed)
+    dt = _elapsed_ok(t0, 60, "criterion 11")
+    _report(f"criterion 11: {len(GOLDEN_CORPUS)} golden reports match their sha256", dt)

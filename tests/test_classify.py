@@ -230,6 +230,39 @@ class TestDetectPeriods:
             pr = detect_periods(self._lattice_events(1.0 + 0j, complex(eps, 1)))
             assert pr.rank == 2 and abs(pr.ratio - complex(eps, 1)) < 1e-15
 
+    def test_lattice_fitted_per_germ(self):
+        # two germs on two cosets of the square lattice: the mixed pole set
+        # fits the finer lattice spanned by 1 and (1 + i)/2, which the state
+        # refutes; the poles of g0 alone give the true periods
+        pts = [a + b * 1j for a in range(-2, 3) for b in range(-2, 3)]
+        events = [PoleEvent(z=z, order=1, germ_id="g0", residual=0.0) for z in pts] \
+            + [PoleEvent(z=z + 0.5 + 0.5j, order=1, germ_id="g1", residual=0.0)
+               for z in pts[:8]]
+        events.sort(key=lambda e: (abs(e.z), e.z.real))
+
+        def probe(z):
+            zr = complex(z.real - round(z.real), z.imag - round(z.imag))
+            return (zr, zr ** 2)
+
+        one_germ = [PoleEvent(z=e.z, order=1, germ_id="g0", residual=0.0)
+                    for e in events]
+        assert not detect_periods(one_germ, state_probe=probe).verified
+        pr = detect_periods(events, state_probe=probe)
+        assert pr.rank == 2 and pr.verified
+        assert abs(pr.ratio - 1j) < 1e-9
+
+    def test_elliptic_with_two_germs(self):
+        # y'' = 2 y^3 - 2 y at c = 1: y'^2 = y^4 - 2 y^2 + 2, residues -1 and
+        # +1; its lattice is that of the Weierstrass invariants of the
+        # quartic, g2 = 7/3 and g3 = -17/27
+        from oracle_periods import weierstrass_periods
+        rep, code = analyze("y'' = 2*y^3 - 2*y")
+        verdict = rep["classification"]
+        assert (verdict["label"], verdict["confidence"]) == ("elliptic", "numeric")
+        got = [complex(*T) for T in verdict["periods"]]
+        for want in weierstrass_periods(7 / 3, -17 / 27):
+            assert min(abs(T - s * want) for T in got for s in (1, -1)) < 1e-6
+
     def test_single_pole_inconclusive(self):
         events = [PoleEvent(z=0j, order=1, germ_id="g0", residual=0.0)]
         pr = detect_periods(events)
@@ -361,11 +394,25 @@ class TestScaledLattice:
         assert abs(pr.ratio - 1j) < 1e-8
 
 
+def _conv(a, b, j):
+    """Coefficient j of the product of the series a and b."""
+    return sum(a[i] * b[j - i] for i in range(j + 1))
+
+
+def _poly_at(coeffs, ypows, j):
+    """Coefficient j of sum coeffs[d] y^d, term by term, given powers of y."""
+    acc = 0j
+    for d, c in enumerate(coeffs):
+        if c != 0:
+            acc += c * ypows[d][j]
+    return acc
+
+
 def _reference_taylor(flow, state, p0=None):
-    """The direct quadratic-per-order Taylor recurrences, kept as an oracle:
-    every order j re-evaluates the whole series of D(y) (resolved mode) or of
-    P_q(p, y) (curve mode), and every power of p and y up to deg P is built."""
-    conv = flow._conv_at
+    """The direct quadratic-per-order Taylor recurrences, kept as an oracle
+    that shares no series helper with the flow: every order j re-evaluates
+    the whole series of D(y) (resolved mode) or of P_q(p, y) (curve mode),
+    and every power of p and y up to deg P is built."""
     k, M, fact = flow.k, flow.order, flow._fact
     Y = [state[i] / fact[i] for i in range(k)] + [0j] * (M - k + 1)
     if flow.resolved is not None:
@@ -377,14 +424,14 @@ def _reference_taylor(flow, state, p0=None):
         D0 = Dcf[0]
         for j in range(0, M - k + 1):
             for d in range(2, degmax + 1):
-                ypows[d][j] = conv(ypows[d - 1], Y, j)
+                ypows[d][j] = _conv(ypows[d - 1], Y, j)
             if j == 0 and len(Dcf) > 1:
-                D0 = flow._poly_series(Dcf, ypows, 0)
-            Nj = flow._poly_series(Ncf, ypows, j)
+                D0 = _poly_at(Dcf, ypows, 0)
+            Nj = _poly_at(Ncf, ypows, j)
             if len(Dcf) == 1:
                 Wj = Nj / Dcf[0]
             else:
-                Wj = (Nj - sum(flow._poly_series(Dcf, ypows, i) * W[j - i]
+                Wj = (Nj - sum(_poly_at(Dcf, ypows, i) * W[j - i]
                                for i in range(1, j + 1))) / D0
             W[j] = Wj
             Y[j + k] = Wj * fact[j] / fact[j + k]
@@ -402,12 +449,12 @@ def _reference_taylor(flow, state, p0=None):
     for j in range(0, M - k + 1):
         Y[j + k] = Pser[j] * fact[j] / fact[j + k]
         for d in range(2, max(dq, 1) + 1):
-            ypows[d][j] = conv(ypows[d - 1], Y, j)
+            ypows[d][j] = _conv(ypows[d - 1], Y, j)
         for d in range(2, max(dp, 1) + 1):
-            ppows[d][j] = conv(ppows[d - 1], Pser, j)
-        den[j] = sum(c * conv(ppows[i], ypows[jq], j) for i, jq, c in flow.Pp_terms)
+            ppows[d][j] = _conv(ppows[d - 1], Pser, j)
+        den[j] = sum(c * _conv(ppows[i], ypows[jq], j) for i, jq, c in flow.Pp_terms)
         yprime = [(idx + 1) * Y[idx + 1] for idx in range(j + 1)]
-        pq_series = [sum(c * conv(ppows[i], ypows[jq], idx)
+        pq_series = [sum(c * _conv(ppows[i], ypows[jq], idx)
                          for i, jq, c in flow.Pq_terms) for idx in range(j + 1)]
         num[j] = -sum(pq_series[idx] * yprime[j - idx] for idx in range(j + 1))
         quo[j] = (num[j] - sum(den[i] * quo[j - i] for i in range(1, j + 1))) / den[0]
@@ -475,3 +522,65 @@ class TestTaylorFlow:
         Y_ref, _ = _reference_taylor(flow, state)
         assert Pser is None and Y == Y_ref
         assert any(c != 0 for c in Y[flow.k + 4:])
+
+    # the seven golden-corpus equations that run the pole sweep, two fixed
+    # states each: (y, ..., y^(k-1)) and, in curve mode, a start for p
+    @pytest.mark.parametrize("text, state, p_start", [
+        ("y'' = 6*y^2", (0.9 + 0.2j, -0.3 + 1.1j), None),
+        ("y'' = 6*y^2", (-1.4 + 0.6j, 2.2 - 0.5j), None),
+        ("y'' = 6*y^2 - 2", (0.5 - 0.7j, 1.3 + 0.4j), None),
+        ("y'' = 6*y^2 - 2", (2.1 + 0.1j, -0.8 - 1.6j), None),
+        ("P: p^2 - 4*q^3 + 4*q ; k=1", (0.7 - 1.1j,), 1.6 + 2.3j),
+        ("P: p^2 - 4*q^3 + 4*q ; k=1", (-1.3 + 0.5j,), -2.2 + 1.9j),
+        ("y' = y^2", (0.6 + 0.8j,), None),
+        ("y' = y^2", (-2.5 + 0.3j,), None),
+        ("y' = y^2 - 1", (0.4 - 1.2j,), None),
+        ("y' = y^2 - 1", (1.7 + 0.9j,), None),
+        ("y'' = y^2", (1.2 + 0.3j, 0.2 - 0.9j), None),
+        ("y'' = y^2", (-0.6 - 1.5j, 1.1 + 0.7j), None),
+        ("P: p^2 - q^3 ; k=2", (1.3 + 0.4j, -0.6 + 0.9j), 1.2 + 0.8j),
+        ("P: p^2 - q^3 ; k=2", (-0.9 + 1.4j, 0.5 + 0.3j), -1.5 - 0.9j),
+    ])
+    def test_corpus_flows_match_reference(self, text, state, p_start):
+        flow = _Flow(parse_equation(text))
+        assert (flow.resolved is None) == (p_start is not None)
+        p = None if p_start is None else flow._project(p_start, state[0])
+        Y, Pser = flow.taylor(state, p)
+        Y_ref, Pser_ref = _reference_taylor(flow, state, p)
+        assert Y == Y_ref and Pser == Pser_ref
+        assert any(c != 0 for c in Y[flow.k + 4:])
+
+
+def _direct_derivs(germ, u, count):
+    """Value and derivatives of sum c_j u^(j - n) term by term: the m-th
+    derivative's coefficient is c_j (j - n)(j - n - 1)...(j - n - m + 1)."""
+    out = []
+    for m in range(count + 1):
+        coeffs = []
+        for j, c in enumerate(germ.coeffs):
+            for t in range(m):
+                c = c * (j - germ.n - t)
+            coeffs.append(c)
+        acc = 0j
+        for c in reversed(coeffs):
+            acc = acc * u + c
+        out.append(acc * u ** (-germ.n - m))
+    return out
+
+
+class TestGermDerivatives:
+    @pytest.mark.parametrize("text, n, c", [
+        ("y' = y^2 - 1", 1, None),
+        ("y'' = 6*y^2", 2, GaussianRational(1)),
+    ])
+    def test_eval_derivs_matches_laurent_sum(self, text, n, c):
+        eq = parse_equation(text)
+        bs = branches_at_infinity(eq.P, depth=30)
+        germ = germ_numeric(enumerate_series(eq, bs[0], n, c=c, N=24)[0], "g0")
+        assert germ.n == n
+        # count k + 1 comes after smaller ones, then past every table built
+        for u in (0.21 + 0.13j, -0.05 + 0.34j):
+            for count in (1, 0, eq.k + 1, 2 * eq.k + 3, eq.k):
+                got, want = germ.eval_derivs(u, count), _direct_derivs(germ, u, count)
+                assert [(v.real.hex(), v.imag.hex()) for v in got] \
+                    == [(v.real.hex(), v.imag.hex()) for v in want]

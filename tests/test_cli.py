@@ -2,6 +2,7 @@
 
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from bbsolve.cli import (Options, _parse_c, analyze, cmd_classify, cmd_residues,
 from bbsolve.algebra import GaussianRational
 from bbsolve.errors import BBError, DegenerateInput
 from minischema import validate
+from oracle_periods import weierstrass_periods
 
 SCHEMA = json.load(open(os.path.join(os.path.dirname(__file__), "..", "src",
                                      "bbsolve", "schemas",
@@ -94,9 +96,17 @@ class TestAnalyze:
         assert len(c0s) == len(rep["series"]) == 4
         assert all(abs(c ** 4 - 2) < 1e-12 for c in c0s)
         v = rep["classification"]
-        assert (v["label"], v["confidence"]) == ("rational", "exact")
+        # the monomial solves only at c = 0; at the sweep's c = 1 the poles of
+        # the seed germ (c0^2 = -sqrt(2), so y'' = -sqrt(2) y^3) lie on the
+        # square lattice of the Weierstrass invariants g2 = -sqrt(2), g3 = 0:
+        # the lattice of g2 = sqrt(2) turned by 45 degrees
+        assert (v["label"], v["confidence"]) == ("elliptic", "numeric")
         assert ("exact monomial solution: y = c*z^-1 with c a root of c^4 - 2 = 0"
                 in v["evidence"])
+        side = weierstrass_periods(math.sqrt(2), 0)[0].real
+        for T in v["periods"]:
+            T = complex(*T)
+            assert abs(abs(T) - side) < 1e-6 and abs(abs(T.real) - abs(T.imag)) < 1e-6
 
     @pytest.mark.parametrize("c", [1, Fraction(1)])
     def test_library_int_constant(self, c):
