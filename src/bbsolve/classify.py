@@ -11,7 +11,9 @@ approximant R = A/B.  Both exponential matchers certify y = A(w)/B(w),
 w = e^(az), by one cleared-denominator polynomial identity
 (_certify_exponential).  A single non-recurring pole on a finite probe
 proves nothing and leaves the verdict undetermined unless an exact rational
-solution is certified.
+solution is certified.  A continuation segment (run_segment) reaches its
+target within 1e-9 (1 + its length) or raises ToleranceLoss: the sweep drops
+that ray but keeps the poles it recorded, and make_probe answers None.
 
 Numeric verdicts are labelled confidence="numeric"; only back-substituted
 identities are "exact".
@@ -100,7 +102,6 @@ class ExponentialMatch:
     a_values: tuple           # its roots
     R_num: UPoly              # y = R_num(w)/R_den(w) at w = e^(az)
     R_den: UPoly
-    exact: bool
 
     def describe(self):
         body = upoly_str(self.R_num, "w")
@@ -133,7 +134,7 @@ def match_exponential(eq, precision=DEFAULT_PREC, notes=None):
                 if not _certify_exponential(eq, lam, R_num, R_den):
                     raise PrecisionExhausted("exponential mode fails back-substitution")
                 out.append(ExponentialMatch(a_poly=a_poly, a_values=vals,
-                                            R_num=R_num, R_den=R_den, exact=True))
+                                            R_num=R_num, R_den=R_den))
     if not out and notes is not None:
         notes.append("no exact exponential match: without a period, only affine "
                      "right-hand sides are matched")
@@ -165,7 +166,7 @@ def reconstruct_exponential(eq, germ, period, degree_cap=6):
             if R is not None and _certify_exponential(eq, a_k, *R):
                 a_poly = UPoly([-a_g, GR_ONE])
                 return ExponentialMatch(a_poly=a_poly, a_values=(a_g,),
-                                        R_num=R[0], R_den=R[1], exact=True)
+                                        R_num=R[0], R_den=R[1])
     return None
 
 
@@ -276,7 +277,7 @@ class NumericGerm:
     germ_id: str
     n: int
     coeffs: tuple      # complex, index j <-> exponent j - n
-    trust: float = 0.8  # offset radius where the truncated tail is negligible
+    trust: float       # offset radius where the truncated tail is negligible
     # _tables[m]: the m-th derivative's coefficients, index j <-> exponent j - n - m
     _tables: list = field(default_factory=list, init=False, repr=False, compare=False)
 
@@ -320,11 +321,11 @@ def _germ_trust(coeffs):
     return max(min(0.4 * rho, 2.0), 1e-3)
 
 
-def germ_numeric(ls, germ_id=None):
+def germ_numeric(ls, germ_id):
     if ls.has_free_parameter():
         raise ValueError("free-parameter germ cannot be evaluated numerically; pin c")
     cs = [complex(c) for c in ls.coeffs]
-    return NumericGerm(germ_id=germ_id or ls.branch_id, n=ls.n, coeffs=tuple(cs),
+    return NumericGerm(germ_id=germ_id, n=ls.n, coeffs=tuple(cs),
                        trust=_germ_trust(cs))
 
 
@@ -345,7 +346,6 @@ class Trajectory:
     steps: tuple          # ((z, state tuple), ...)
     pole_events: tuple    # PoleEvent
     max_defect: float
-    completed: bool
 
 
 class _Flow:
@@ -356,10 +356,10 @@ class _Flow:
     p' = -(dP/dq / dP/dp) y' and projects P(p, y) ~ 0 each step.
     """
 
-    def __init__(self, eq, tol=DEFAULT_TRAJ_TOL, order=22, first_integral=None):
+    def __init__(self, eq, tol=DEFAULT_TRAJ_TOL, first_integral=None):
         self.k = eq.k
         self.tol = tol
-        self.order = max(order, eq.k + 6)
+        self.order = max(22, eq.k + 6)
         self.resolved = None
         if eq.resolved is not None:
             N, D = eq.resolved
@@ -597,8 +597,7 @@ def _unit(z):
     return z / a if a > 0 else 1.0 + 0j
 
 
-def match_pole(germs, z, state, d_est, n_est, k, p_obs=None, tol=1e-7,
-               trust=None):
+def match_pole(germs, z, state, d_est, n_est, k, p_obs=None):
     """Locate the pole near z by Newton-matching the exact germ.
 
     Returns (z_pole, germ, residual) or None.  The germ argument u = z - z_p
@@ -611,7 +610,6 @@ def match_pole(germs, z, state, d_est, n_est, k, p_obs=None, tol=1e-7,
     ranked = sorted(germs, key=lambda g: (g.n != order_pref,))
     best = None
     for g in ranked:
-        g_trust = trust if trust is not None else g.trust
         c0 = g.coeffs[0]
         if y_obs == 0:
             continue
@@ -624,7 +622,7 @@ def match_pole(germs, z, state, d_est, n_est, k, p_obs=None, tol=1e-7,
         if d_est is not None:
             cands.sort(key=lambda u: abs(u - (-d_est)))
         for u0 in cands:
-            if abs(u0) > g_trust:
+            if abs(u0) > g.trust:
                 continue
             u = u0
             ok = True
@@ -637,12 +635,12 @@ def match_pole(germs, z, state, d_est, n_est, k, p_obs=None, tol=1e-7,
                     break
                 du = f / fp
                 u = u - du
-                if abs(u) > 2 * g_trust:
+                if abs(u) > 2 * g.trust:
                     ok = False
                     break
                 if abs(du) < 1e-15 * (1 + abs(u)):
                     break
-            if not ok or abs(u) < 1e-12 or abs(u) > g_trust:
+            if not ok or abs(u) < 1e-12 or abs(u) > g.trust:
                 continue
             depth = max(k - 1, 0) if p_obs is None else k
             vals = g.eval_derivs(u, depth)
@@ -654,17 +652,17 @@ def match_pole(germs, z, state, d_est, n_est, k, p_obs=None, tol=1e-7,
             if p_obs is not None:
                 statedev = max(statedev, abs(vals[k] - p_obs) / (1 + abs(p_obs)))
             score = max(resid, statedev)
-            if score < tol and (best is None or score < best[2]):
+            if score < 1e-7 and (best is None or score < best[2]):
                 best = (z - u, g, score)
     return best
 
 
-def run_segment(flow, z0, state, p0, z1, germs, events, tol=DEFAULT_TRAJ_TOL,
-                max_steps=400, record=None):
-    """Integrate from z0 to z1 along the straight segment, hopping poles.
-
-    ``events``: mutable list of PoleEvent, deduplicated in place.  Returns
-    (state, p, max_defect, completed).
+def run_segment(flow, z0, state, p0, z1, germs, events, max_steps=400,
+                record=None):
+    """Integrate from z0 to z1 at flow.tol along the straight segment, hopping
+    poles.  ``events``: mutable list of PoleEvent, deduplicated in place.
+    Returns (state, p, max_defect) within 1e-9 (1 + |z1 - z0|) of z1, or
+    raises ToleranceLoss.
     """
     z = z0
     p = p0
@@ -677,8 +675,10 @@ def run_segment(flow, z0, state, p0, z1, germs, events, tol=DEFAULT_TRAJ_TOL,
     for _ in range(max_steps):
         remaining = ((z1 - z) / dirv).real
         if remaining < 1e-12 * (1 + total_len):
-            if abs(z1 - z) < 1e-9 * (1 + total_len) or passes >= 2:
-                return state, p, max_defect, True
+            if abs(z1 - z) < 1e-9 * (1 + total_len):
+                return state, p, max_defect
+            if passes >= 2:
+                raise ToleranceLoss(f"segment ended {abs(z1 - z):.2e} from its target")
             # hops pulled the path sideways; correct toward the exact target
             passes += 1
             dirv = _unit(z1 - z)
@@ -715,7 +715,7 @@ def run_segment(flow, z0, state, p0, z1, germs, events, tol=DEFAULT_TRAJ_TOL,
         M = len(Y) - 1
         scale = max(abs(Y[0]), abs(state[-1]), 1.0)
         if Y[M] != 0:
-            h_err = (0.02 * tol * scale / abs(Y[M])) ** (1.0 / M)
+            h_err = (0.02 * flow.tol * scale / abs(Y[M])) ** (1.0 / M)
             h_mag = min(h_mag, max(h_err, 1e-3 * rho))
         if h_mag <= 1e-13 * (1 + abs(z)):
             raise ToleranceLoss(f"step collapsed near z={z:.6g}")
@@ -727,7 +727,7 @@ def run_segment(flow, z0, state, p0, z1, germs, events, tol=DEFAULT_TRAJ_TOL,
             p = p_new
             dft = flow.defect(p, state[0])
             max_defect = max(max_defect, dft)
-            if dft > max(tol, 1e-8):
+            if dft > max(flow.tol, 1e-8):
                 raise ToleranceLoss(f"consistency defect {dft:.2e} exceeds tolerance")
         if record is not None:
             record.append((z, state))
@@ -735,55 +735,52 @@ def run_segment(flow, z0, state, p0, z1, germs, events, tol=DEFAULT_TRAJ_TOL,
 
 
 def _record_event(events, ev):
+    """Add ``ev``, or keep the better residual of two records of one pole."""
     for i, old in enumerate(events):
         if abs(old.z - ev.z) < 3e-5 * (1 + abs(ev.z)):
             if ev.residual < old.residual:
                 events[i] = ev
-            return False
+            return
     events.append(ev)
-    return True
 
 
-def continue_trajectory(eq, seed_series, path, tol=DEFAULT_TRAJ_TOL, germs=None):
+def continue_trajectory(eq, seed_series, path, tol=DEFAULT_TRAJ_TOL):
     """Continue the germ ``seed_series`` (pole at 0) along a polyline.
 
     ``path``: list of complex waypoints; the start must sit where the
     truncated germ still evaluates accurately (|z| well inside the first
-    lattice scale).  Returns a Trajectory.
+    lattice scale).  Returns a Trajectory, or raises ToleranceLoss.
     """
     flow = _Flow(eq, tol)
     g0 = germ_numeric(seed_series, "seed")
-    allg = [g0] + [g for g in (germs or []) if g.germ_id != "seed"]
     z0 = complex(path[0])
     state, p = flow.germ_state(g0, z0)
     events = [PoleEvent(z=0j, order=g0.n, germ_id=g0.germ_id, residual=0.0)]
     record = [(z0, state)]
     max_defect = 0.0
-    completed = True
     cur = z0
     for wp in path[1:]:
-        state, p, dft, done = run_segment(flow, cur, state, p, complex(wp),
-                                          allg, events, tol, record=record)
+        state, p, dft = run_segment(flow, cur, state, p, complex(wp), [g0],
+                                    events, record=record)
         max_defect = max(max_defect, dft)
         cur = complex(wp)
-        if not done:
-            completed = False
-            break
     return Trajectory(steps=tuple(record), pole_events=tuple(events),
-                      max_defect=max_defect, completed=completed)
+                      max_defect=max_defect)
 
 
-def sweep_poles(eq, germ_family, tol=DEFAULT_TRAJ_TOL, budget=13, probe_len=8.0,
-                max_segments=70, first_integral=None):
+def sweep_poles(eq, germ_family, tol=DEFAULT_TRAJ_TOL, budget=13,
+                first_integral=None):
     """Breadth-first pole hunt around the seed pole at 0.
 
-    Probes 8 rays from every discovered pole; each ray is integrated with
-    pole hopping and every crossing recorded.  Deterministic processing
-    order.  Returns (events, flow, numeric germs) with events sorted by
-    (|z|, arg); the flow is anchored on the seed germ, ready for make_probe.
+    Probes 8 rays from every discovered pole, 70 rays at most; each ray is
+    integrated with pole hopping and every crossing recorded, on a failed ray
+    too.  Deterministic processing order.  Returns (events, flow, numeric
+    germs) with events sorted by (|z|, arg); the flow is anchored on the seed
+    germ, ready for make_probe.
     """
     flow = _Flow(eq, tol, first_integral=first_integral)
     germs = [germ_numeric(ls, f"g{i}") for i, ls in enumerate(germ_family)]
+    by_id = {g.germ_id: g for g in germs}
     flow.anchor_first_integral(germs[0])
     # detuned off the symmetry axes: straight rays through curve branch
     # points (dP/dp = 0) would stall the continuation
@@ -793,29 +790,29 @@ def sweep_poles(eq, germ_family, tol=DEFAULT_TRAJ_TOL, budget=13, probe_len=8.0,
     processed = set()
     segments = 0
     scale = None
-    while segments < max_segments and len(events) < budget:
+    while segments < 70 and len(events) < budget:
         todo = sorted((ev for ev in events if _zkey(ev.z) not in processed),
                       key=lambda ev: (abs(ev.z), cmath.phase(ev.z + 1e-12)))
         if not todo:
             break
         ev = todo[0]
         processed.add(_zkey(ev.z))
-        g = next(gg for gg in germs if gg.germ_id == ev.germ_id)
+        g = by_id[ev.germ_id]
         # the trust radius is ~0.4x the nearest-pole distance, so 6.5 trust
         # spans two or three cells of the (still unknown) lattice
-        reach = min(probe_len, 6.5 * g.trust) if scale is None else 2.6 * scale
+        reach = min(8.0, 6.5 * g.trust) if scale is None else 2.6 * scale
         start_off = min(0.31, 0.4 * g.trust)
         if scale is not None:
             start_off = min(start_off, 0.18 * scale)
         for dirv in dirs:
-            if segments >= max_segments or len(events) >= budget + 3:
+            if segments >= 70 or len(events) >= budget + 3:
                 break
             segments += 1
             z_s = ev.z + start_off * dirv
             state, p = flow.germ_state(g, z_s - ev.z)
             try:
                 run_segment(flow, z_s, state, p, ev.z + reach * dirv, germs,
-                            events, tol, max_steps=500)
+                            events, max_steps=500)
             except (ToleranceLoss, SingularEncounter, OverflowError):
                 continue
         if scale is None:
@@ -843,8 +840,7 @@ class PeriodResult:
     detail: str
 
 
-def detect_periods(pole_events, tol=DEFAULT_RATIO_TOL, state_probe=None,
-                   state_tol=1e-6):
+def detect_periods(pole_events, tol=DEFAULT_RATIO_TOL, state_probe=None):
     """Fit the pole set to a rank-1 or rank-2 lattice and verify by state match.
 
     The poles of one germ lie on one coset of the lattice, so the germ with
@@ -856,14 +852,14 @@ def detect_periods(pole_events, tol=DEFAULT_RATIO_TOL, state_probe=None,
     for ev in pole_events:
         groups.setdefault(ev.germ_id, []).append(ev.z)
     own = max(groups.values(), key=len, default=pts)
-    best = _fit_lattice(own, tol, state_probe, state_tol)
+    best = _fit_lattice(own, tol, state_probe)
     if len(own) < len(pts) and not (best.verified and best.rank == 2):
-        mixed = _fit_lattice(pts, tol, state_probe, state_tol)
+        mixed = _fit_lattice(pts, tol, state_probe)
         best = max((mixed, best), key=lambda r: (r.verified, r.rank))
     return best
 
 
-def _fit_lattice(pts, tol, state_probe, state_tol):
+def _fit_lattice(pts, tol, state_probe):
     """Distances are fit by integer-relation on pairwise differences; candidate
     periods are confirmed only when the full trajectory state agrees at
     z and z + T for three test points (when a probe is available)."""
@@ -880,7 +876,7 @@ def _fit_lattice(pts, tol, state_probe, state_tol):
     rank1 = all(_near_int_multiple(d, T1, tol) for d in diffs)
     if rank1:
         T1 = _canon_sign(T1)
-        ok = _verify_period(state_probe, pts, T1, state_tol)
+        ok = _verify_period(state_probe, pts, T1)
         return PeriodResult(1, (T1,), None, ok,
                             "all pole differences are integer multiples of one period")
     T2 = None
@@ -902,8 +898,8 @@ def _fit_lattice(pts, tol, state_probe, state_tol):
         T1, T2 = T2, T1
     if (T2 / T1).imag < 0:
         T2 = -T2
-    ok = (_verify_period(state_probe, pts, T1, state_tol)
-          and _verify_period(state_probe, pts, T2, state_tol))
+    ok = (_verify_period(state_probe, pts, T1)
+          and _verify_period(state_probe, pts, T2))
     T1, T2 = _rebase(T1, T2, tol)
     return PeriodResult(2, (T1, T2), T2 / T1, ok,
                         "pole set fits a rank-2 lattice")
@@ -962,7 +958,7 @@ def _canon_sign(T):
     return T
 
 
-def _verify_period(state_probe, pts, T, state_tol):
+def _verify_period(state_probe, pts, T):
     if state_probe is None:
         return False
     base = pts[0]
@@ -976,20 +972,21 @@ def _verify_period(state_probe, pts, T, state_tol):
         if s1 is None or s2 is None:
             continue
         dev = max(abs(a - b) / (1 + abs(a)) for a, b in zip(s1, s2))
-        if dev > state_tol:
+        if dev > 1e-6:
             return False
         checked += 1
     return checked >= 2
 
 
 def make_probe(flow, events, germs):
-    """State evaluator z -> (y, y', ..., y^(k-1)) via germ-anchored
-    continuation, on the anchored ``flow`` that sweep_poles returns."""
+    """State evaluator z -> (y, ..., y^(k-1)), or None where germ-anchored
+    continuation on the anchored flow (from sweep_poles) cannot reach z."""
+    by_id = {g.germ_id: g for g in germs}
 
     def probe(z):
         z = complex(z)
         ev = min(events, key=lambda e: abs(z - e.z))
-        g = next(gg for gg in germs if gg.germ_id == ev.germ_id)
+        g = by_id[ev.germ_id]
         r = abs(z - ev.z)
         if r < 1e-6:
             return None
@@ -999,12 +996,11 @@ def make_probe(flow, events, germs):
         if abs(z_s - z) < 1e-12:
             return state
         try:
-            scratch = list(events)
-            state, p, _, done = run_segment(flow, z_s, state, p, z, germs,
-                                            scratch, flow.tol, max_steps=300)
+            state, _, _ = run_segment(flow, z_s, state, p, z, germs, list(events),
+                                      max_steps=300)
         except (ToleranceLoss, SingularEncounter, OverflowError):
             return None
-        return state if done else None
+        return state
 
     return probe
 
@@ -1038,7 +1034,7 @@ def assemble_verdict(report, series_list, mono_matches=(), exp_matches=(),
     analysed first-integral constant; then verified periods (numeric); else
     undetermined.  A single non-recurring pole with no certified exact match
     is kept as evidence only: one pole on a finite probe is not a rational
-    solution.
+    solution.  So are two or more poles without a verified lattice.
     """
     evidence = list(notes)
     for m in mono_matches:
@@ -1063,10 +1059,9 @@ def assemble_verdict(report, series_list, mono_matches=(), exp_matches=(),
                                      degree_bound=report.degree_bound,
                                      periods=period_result.periods)
     if period_result is not None and period_result.rank == 1 and period_result.verified:
-        exact_exp = any(m.exact for m in exp_matches)
         evidence.append(f"rank-1 pole lattice: T={period_result.periods[0]:.9g}")
         return ClassificationVerdict(label="rational_in_exponential",
-                                     confidence="exact" if exact_exp else "numeric",
+                                     confidence="exact" if exp_matches else "numeric",
                                      evidence=tuple(evidence),
                                      degree_bound=report.degree_bound,
                                      periods=period_result.periods)
@@ -1078,6 +1073,10 @@ def assemble_verdict(report, series_list, mono_matches=(), exp_matches=(),
     if len(pole_events) == 1:
         evidence.append("continuation found a single non-recurring pole; "
                         "no exact rational solution certified")
+    elif len(pole_events) >= 2 and period_result is not None:
+        refused = ", not confirmed by the state probe" if period_result.rank else ""
+        evidence.append(f"continuation found {len(pole_events)} poles but no "
+                        f"verified lattice: {period_result.detail}{refused}")
     return ClassificationVerdict(label="undetermined", confidence="heuristic",
                                  evidence=tuple(evidence),
                                  degree_bound=report.degree_bound)

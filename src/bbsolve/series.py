@@ -200,7 +200,7 @@ def enumerate_series(eq, branch, n, c=None, N=None, precision=DEFAULT_PREC,
     truncation index, default 2n + k + 4.  Skipped leading roots (resonance
     inconsistency) are reported through ``collect_notes`` when given.
     """
-    k = eq.k if hasattr(eq, "k") else int(eq)
+    k = eq.k
     if N is None:
         N = 2 * n + k + 4
     if k % 2 == 0 and N < 2 * n + k:

