@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace as dc_replace
 from fractions import Fraction
 
 from . import __version__
@@ -24,8 +23,8 @@ from .conditions import (attach_degree_bound, classify_kappa, screen_admissibili
                          residue_screen)
 from .curve import (branches_at_infinity, exactness_check, newton_polygon,
                     residue_pdq)
-from .eqparse import (canonical_string, gaussian_str, parse_constant,
-                      parse_equation, ratfunc_str)
+from .eqparse import (_fraction_str, canonical_string, gaussian_str,
+                      parse_constant, parse_equation, ratfunc_str)
 from .errors import BBError
 from .classify import (assemble_verdict, detect_periods, make_probe,
                        match_exponential, match_monomial, reconstruct_exponential,
@@ -36,11 +35,6 @@ from .series import (coeff_to_json, enumerate_series, series_to_json,
 SCHEMA_VERSION = 1
 # germ index of the family the numeric continuation starts from
 CONTINUATION_N = 24
-
-
-def _frac_str(x):
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _cxpair(z):
@@ -80,20 +74,20 @@ def _at_least(name, value, low):
     return value
 
 
+_FORMATS = ("text", "json")
+
+
 class Options:
-    def __init__(self, c="default", N=None, depth=None, precision=None,
-                 tol=DEFAULT_TRAJ_TOL, no_classify=False,
-                 fmt="text", n=None, k_override=None):
-        env = os.environ.get("BBSOLVE_PRECISION")
-        if precision is None and env:
-            try:
-                precision = int(env)
-            except ValueError:
-                raise BBError(f"BBSOLVE_PRECISION must be an integer, got {env!r}") from None
+    """The settings of one command.  ``c`` is None or an exact first-integral
+    constant: None keeps the resonant coefficient of the germs free and runs
+    the even-k continuation at c = 1."""
+
+    def __init__(self, c=None, N=None, depth=None, precision=None,
+                 tol=DEFAULT_TRAJ_TOL, no_classify=False, fmt="text", n=None):
         self.precision = _at_least(
             "precision", DEFAULT_PREC if precision is None else precision, 1)
-        if not (c is None or c == "default" or is_exact(c)):
-            raise BBError(f"c must be 'default', None or an exact number, got {c!r}")
+        if not (c is None or is_exact(c)):
+            raise BBError(f"c must be None or an exact number, got {c!r}")
         # an int or Fraction constant from a library caller is exact
         self.c = GaussianRational(c) if isinstance(c, (int, Fraction)) else c
         self.N = _at_least("N", N, 0)
@@ -102,17 +96,10 @@ class Options:
             raise BBError(f"tol must be a finite number > 0, got {tol!r}")
         self.tol = tol
         self.no_classify = no_classify
+        if fmt not in _FORMATS:
+            raise BBError(f"fmt must be one of {', '.join(_FORMATS)}, got {fmt!r}")
         self.fmt = fmt
         self.n = _at_least("n", n, 1)
-        self.k_override = k_override
-
-
-def _parse_c(text):
-    if text in (None, "default"):
-        return "default"
-    if text == "free":
-        return None
-    return parse_constant(text)
 
 
 # ---------------------------------------------------------------------------
@@ -121,15 +108,13 @@ def _parse_c(text):
 
 def _prepare(equation, opts, N_germ=None):
     """The front end every command shares: parse (which reduces P to its
-    squarefree part), apply --k, then polygon, depth, branches and the
-    admissibility screen.  The branches are expanded once, deep enough for
-    germs up to index N_germ.
+    squarefree part), then polygon, depth, branches and the admissibility
+    screen.  The branches are expanded once, deep enough for germs up to
+    index N_germ.
 
     Returns (eq, notes, polygon, depth, branches, report); ``notes`` are the
     parser's."""
     eq = parse_equation(equation)
-    if opts.k_override is not None:
-        eq = dc_replace(eq, k=opts.k_override)
     polygon = newton_polygon(eq.P)
     depth = default_depth(eq.k, polygon, N_germ, opts.depth)
     branches = branches_at_infinity(eq.P, depth, opts.precision)
@@ -186,8 +171,7 @@ def analyze(equation, opts=None):
         eq, branches,
         report.admissible_pairs() if report.pole_solutions_possible else [],
         germ_notes, "branch {bid}, n={n}: {exc}",
-        c=None if opts.c == "default" else opts.c, N=opts.N,
-        precision=opts.precision, collect_notes=germ_notes)
+        c=opts.c, N=opts.N, precision=opts.precision, collect_notes=germ_notes)
     report = attach_degree_bound(report, inventory)
 
     verdict = None
@@ -216,8 +200,7 @@ def _numeric_classification(eq, report, branches, ev, opts, N_traj, notes):
     Returns (PeriodResult or None, pole events, reconstructed exact matches)."""
     if not report.pole_solutions_possible:
         return None, (), []
-    c_traj = opts.c if opts.c not in ("default", None) else \
-        (GaussianRational(1) if eq.k % 2 == 0 else None)
+    c_traj = GaussianRational(1) if opts.c is None and eq.k % 2 == 0 else opts.c
     if eq.k % 2 == 0 and not (report.exactness_required and ev.exact):
         notes.append("numeric continuation skipped: no certified first integral")
         return None, (), []
@@ -227,8 +210,8 @@ def _numeric_classification(eq, report, branches, ev, opts, N_traj, notes):
     if not family:
         return None, (), []
     if eq.k % 2 == 0:
-        notes.append(f"numeric continuation at first-integral constant c="
-                     f"{gaussian_str(c_traj) if is_exact(c_traj) else c_traj}")
+        notes.append("numeric continuation at first-integral constant c="
+                     + gaussian_str(c_traj))
     fi = ev.s_rational if (ev.mode == "resolved" and ev.exact) else None
     try:
         events, flow, ngerms = sweep_poles(eq, family, tol=opts.tol,
@@ -255,16 +238,16 @@ def _build_report(eq, opts, depth, assumptions, warnings, polygon, branches,
         "support": [[i, j] for i, j in polygon.support],
         "upper_edges": [{
             "from": [e.i1, e.j1], "to": [e.i2, e.j2],
-            "slope": _frac_str(e.slope), "kappa": _frac_str(e.kappa),
+            "slope": _fraction_str(e.slope), "kappa": _fraction_str(e.kappa),
         } for e in polygon.upper_edges],
     }
     branches_json = []
     for b in branches:
         row = {
-            "id": b.id, "m": b.m, "kappa": _frac_str(b.kappa),
+            "id": b.id, "m": b.m, "kappa": _fraction_str(b.kappa),
             "lead": coeff_to_json(b.lead),
             "p_unbounded": b.p_unbounded,
-            "terms": [[_frac_str(e), coeff_to_json(c)] for e, c in b.terms],
+            "terms": [[_fraction_str(e), coeff_to_json(c)] for e, c in b.terms],
             "residue": coeff_to_json(residue_pdq(b)),
         }
         branches_json.append(row)
@@ -281,7 +264,7 @@ def _build_report(eq, opts, depth, assumptions, warnings, polygon, branches,
     cond_json = {
         "k": report.k,
         "per_branch": [{
-            "branch": bc.branch_id, "kappa": _frac_str(bc.kappa),
+            "branch": bc.branch_id, "kappa": _fraction_str(bc.kappa),
             "class": bc.label, "n": bc.n,
         } for bc in report.per_branch],
         "kappa_one_count": report.kappa_one_count,
@@ -292,7 +275,7 @@ def _build_report(eq, opts, depth, assumptions, warnings, polygon, branches,
         "residue_screen_ran": report.residue_screen_ran,
         "residue_obstruction": report.residue_obstruction,
         "degree_bound": report.degree_bound,
-        "degree_bound_is_heuristic": report.degree_bound_is_heuristic,
+        "degree_bound_is_heuristic": True,
         "notes": list(report.notes),
     }
     series_json = []
@@ -319,9 +302,7 @@ def _build_report(eq, opts, depth, assumptions, warnings, polygon, branches,
         "settings": {"precision_bits": opts.precision, "depth": depth,
                      "trajectory_tol": opts.tol, "period_ratio_tol": DEFAULT_RATIO_TOL,
                      "series_N": opts.N,
-                     "c": ("free" if opts.c is None else
-                           "default" if opts.c == "default" else
-                           gaussian_str(opts.c))},
+                     "c": "default" if opts.c is None else gaussian_str(opts.c)},
         "assumptions": assumptions,
         "warnings": warnings,
         "newton_polygon": poly_json,
@@ -428,8 +409,8 @@ def cmd_series(equation, opts):
     if opts.n is not None:
         pairs = [(bid, n) for bid, n in pairs if n == opts.n]
     germs, _ = _germs(eq, branches, pairs, notes, "branch {bid}, n={n}: {exc}",
-                      c=None if opts.c == "default" else opts.c, N=opts.N,
-                      precision=opts.precision, collect_notes=notes)
+                      c=opts.c, N=opts.N, precision=opts.precision,
+                      collect_notes=notes)
     rows = [_germ_json(eq, ls) for ls in germs]
     out = {"input": canonical_string(eq), "series": rows, "notes": notes}
     if opts.fmt == "json":
@@ -473,7 +454,7 @@ def cmd_residues(equation, opts):
 
 def cmd_classify(equation, opts):
     if opts.no_classify:
-        raise BBError("classify cannot run with --no-classify")
+        raise BBError("classify cannot run with no_classify set")
     report, code = analyze(equation, opts)
     v = report["classification"]
     out = {"input": report["input"]["canonical"], "classification": v}
@@ -486,7 +467,7 @@ def cmd_classify(equation, opts):
     return "\n".join(lines), code
 
 
-def cmd_selftest(opts):
+def cmd_selftest():
     """Fast invariant suite; one PASS/FAIL line per check."""
     import random
     from .series import (bracket_phi, pinning_coefficient, recurrence_bracket,
@@ -589,44 +570,52 @@ def cmd_selftest(opts):
 # argparse wiring
 # ---------------------------------------------------------------------------
 
-def _common(sub):
-    sub.add_argument("equation")
-    sub.add_argument("--k", type=int, default=None, dest="k_override")
-    sub.add_argument("--c", default="default")
-    sub.add_argument("--N", type=int, default=None)
-    sub.add_argument("--n", type=int, default=None)
-    sub.add_argument("--depth", type=int, default=None)
-    sub.add_argument("--precision", type=int, default=None)
-    sub.add_argument("--tol", type=float, default=DEFAULT_TRAJ_TOL)
-    sub.add_argument("--no-classify", action="store_true", dest="no_classify")
-    sub.add_argument("--format", choices=("text", "json"), default="text",
-                     dest="fmt")
+class _ArgParser(argparse.ArgumentParser):
+    """A usage error raises BBError, so it leaves ``main`` like any other."""
+
+    def error(self, message):
+        raise BBError(message)
+
+
+# every flag, and the flags of each command: exactly the settings it reads;
+# an absent flag leaves its setting to the Options default
+_FLAGS = {"--c": {}, "--N": {"type": int}, "--n": {"type": int},
+          "--depth": {"type": int}, "--precision": {"type": int},
+          "--tol": {"type": float}, "--no-classify": {"action": "store_true"},
+          "--format": {"choices": _FORMATS, "dest": "fmt"}}
+_CLASSIFY_FLAGS = ("--c", "--N", "--depth", "--precision", "--tol", "--format")
+_COMMANDS = {
+    "analyze": (cmd_analyze, _CLASSIFY_FLAGS + ("--no-classify",)),
+    "series": (cmd_series, ("--c", "--N", "--n", "--depth", "--precision", "--format")),
+    "residues": (cmd_residues, ("--depth", "--precision", "--format")),
+    "classify": (cmd_classify, _CLASSIFY_FLAGS),
+}
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _ArgParser(
         prog="bbsolve",
         description="Pole screening, Laurent germs, and class-W classification "
                     "for autonomous equations P(y^(k), y) = 0.")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in ("analyze", "series", "residues", "classify"):
-        _common(subs.add_parser(name))
+    for name, (_fn, flags) in _COMMANDS.items():
+        sub = subs.add_parser(name, allow_abbrev=False,
+                              argument_default=argparse.SUPPRESS)
+        sub.add_argument("equation")
+        for flag in flags:
+            sub.add_argument(flag, **_FLAGS[flag])
     subs.add_parser("selftest")
-    args = parser.parse_args(argv)
-    if args.command == "selftest":
-        return _emit(*cmd_selftest(Options()))
     try:
-        opts = Options(c=_parse_c(args.c), N=args.N, depth=args.depth,
-                       precision=args.precision, tol=args.tol,
-                       no_classify=args.no_classify,
-                       fmt=args.fmt, n=args.n, k_override=args.k_override)
-        fn = {"analyze": cmd_analyze, "series": cmd_series,
-              "residues": cmd_residues, "classify": cmd_classify}[args.command]
-        text, code = fn(args.equation, opts)
-    except BBError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ZeroDivisionError as exc:
+        settings = vars(parser.parse_args(argv))
+        command = settings.pop("command")
+        if command == "selftest":
+            text, code = cmd_selftest()
+        else:
+            equation = settings.pop("equation")
+            if "c" in settings:
+                settings["c"] = parse_constant(settings["c"])
+            text, code = _COMMANDS[command][0](equation, Options(**settings))
+    except (BBError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return _emit(text, code)

@@ -39,7 +39,6 @@ class ConditionsReport:
     residue_screen_ran: bool = False
     residue_obstruction: bool = False
     degree_bound: int | None = None
-    degree_bound_is_heuristic: bool = True
     notes: tuple = field(default=())
 
     def admissible_pairs(self):

@@ -18,6 +18,7 @@ import math
 from .algebra import (GR_ONE, GR_ZERO, GaussianRational, UPoly, ZSeries,
                       all_nth_roots, coeff_err, coeff_is_zero, coeff_to_mpc,
                       is_exact, roots_univariate, solve_linear, DEFAULT_PREC)
+from .eqparse import gaussian_str, ratfunc_str
 from .errors import DegenerateInput, InsufficientDepth, PrecisionExhausted
 
 _MAX_NP_RECURSION = 64
@@ -448,7 +449,6 @@ class ExactnessVerdict:
     def s_string(self):
         if self.s_rational is None:
             return None
-        from .eqparse import ratfunc_str
         return ratfunc_str(*self.s_rational)
 
 
@@ -557,7 +557,6 @@ def exactness_check(branches, resolved=None, precision=DEFAULT_PREC):
 
 def _place_label(alpha):
     if is_exact(alpha):
-        from .eqparse import gaussian_str
         return f"q={gaussian_str(alpha)}"
     return f"q~{complex(alpha):.6g}"
 

@@ -34,6 +34,7 @@ from .algebra import (GR_ONE, GR_ZERO, GaussianRational, ZSeries,
                       _is_exact_zero, all_nth_roots, as_gaussian, coeff_is_zero,
                       falling, is_exact, pochhammer, DEFAULT_PREC)
 from .curve import first_integral_series
+from .eqparse import _fraction_str, gaussian_str
 from .errors import (DepthTooSmall, InconsistentResonance, NoRoots,
                      PrecisionExhausted)
 
@@ -425,7 +426,6 @@ def _ladder(base, top):
 def _fmt_coeff(c):
     if is_exact(c):
         g = as_gaussian(c)
-        from .eqparse import gaussian_str
         return gaussian_str(g)
     return f"{complex(c.val):.12g}~{float(c.err):.1e}"
 
@@ -435,7 +435,6 @@ def coeff_to_json(c):
         return {"free": True}
     if is_exact(c):
         g = as_gaussian(c)
-        from .eqparse import _fraction_str
         entry = {"rat": _fraction_str(g.re)}
         if g.im != 0:
             entry["rat_im"] = _fraction_str(g.im)

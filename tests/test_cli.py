@@ -12,9 +12,10 @@ import pytest
 
 from bbsolve import cli
 from bbsolve.curve import branches_at_infinity
-from bbsolve.cli import (Options, _parse_c, analyze, cmd_classify, cmd_residues,
+from bbsolve.cli import (Options, analyze, cmd_classify, cmd_residues,
                          cmd_selftest, cmd_series, main, render_json)
 from bbsolve.algebra import GaussianRational
+from bbsolve.eqparse import parse_constant
 from bbsolve.errors import BBError, DegenerateInput
 from minischema import validate
 from oracle_periods import weierstrass_periods
@@ -115,10 +116,20 @@ class TestAnalyze:
         want, _ = analyze("y'' = 6*y^2", Options(c=GaussianRational(1)))
         assert rep == want and rep["settings"]["c"] == "1"
 
-    @pytest.mark.parametrize("c", [0.5, 1j, "abc"])
+    @pytest.mark.parametrize("c", [0.5, 1j, "abc", "default", "free"])
     def test_library_inexact_constant_rejected(self, c):
         with pytest.raises(BBError, match="c must be"):
             analyze("y'' = 6*y^2", Options(c=c))
+
+    def test_no_constant_reports_default(self):
+        # c = None leaves the resonant coefficient free; settings.c says "default"
+        rep, _ = analyze("y'' = 6*y^2", Options(c=None, no_classify=True))
+        assert rep["settings"]["c"] == "default"
+        assert rep["series"][0]["resonance"] == "free"
+
+    def test_unknown_format_rejected(self):
+        with pytest.raises(BBError, match="fmt must be"):
+            Options(fmt="xml")
 
     def test_no_classify_skips_exponential_matcher(self, monkeypatch):
         calls = []
@@ -165,14 +176,6 @@ class TestCommands:
         assert places["infinity"]["value"] == {"rat": "-1"}
         assert places["q=0"]["value"] == {"rat": "1"}
 
-    def test_k_override(self):
-        out, _ = cmd_series("y'' = 6*y^2", Options(k_override=4, fmt="json"))
-        data = json.loads(out)
-        assert data["input"].endswith("k=4")
-        assert [s["n"] for s in data["series"]] == [4]
-        out, _ = cmd_residues("y'' = 6*y^2", Options(k_override=4, fmt="json"))
-        assert json.loads(out)["input"].endswith("k=4")
-
     def test_parser_notes_reach_series_and_residues(self):
         for cmd in (cmd_series, cmd_residues):
             out, _ = cmd("y'' = 6*y^3/y", Options(fmt="json"))
@@ -193,10 +196,29 @@ class TestCommands:
         assert data["classification"]["label"] == "rational"
         assert code == 0
 
+    def test_classify_refuses_library_no_classify(self):
+        with pytest.raises(BBError, match="no_classify"):
+            cmd_classify("y' = y^2", Options(no_classify=True))
+
     def test_selftest_passes(self):
-        out, code = cmd_selftest(Options())
+        out, code = cmd_selftest()
         assert code == 0
         assert all(line.startswith("PASS") for line in out.splitlines())
+
+
+# every flag the CLI has ever taken, with a valid value, and the flags each
+# command reads
+ALL_FLAGS = {"--k": ["2"], "--c": ["1"], "--N": ["3"], "--n": ["1"],
+             "--depth": ["8"], "--precision": ["64"], "--tol": ["1e-6"],
+             "--no-classify": [], "--format": ["json"]}
+COMMAND_FLAGS = {
+    "analyze": {"--c", "--N", "--depth", "--precision", "--tol", "--no-classify",
+                "--format"},
+    "classify": {"--c", "--N", "--depth", "--precision", "--tol", "--format"},
+    "series": {"--c", "--N", "--n", "--depth", "--precision", "--format"},
+    "residues": {"--depth", "--precision", "--format"},
+    "selftest": set(),
+}
 
 
 class TestMain:
@@ -219,7 +241,7 @@ class TestMain:
 
     def test_zero_division_in_c_rejected(self):
         with pytest.raises(DegenerateInput):
-            _parse_c("1/0")
+            parse_constant("1/0")
 
     @pytest.mark.parametrize("value", ["1 2", "3)", "1/3 junk"])
     def test_trailing_input_in_c_rejected(self, capsys, value):
@@ -228,7 +250,7 @@ class TestMain:
         assert capsys.readouterr().err.startswith("error:")
 
     def test_c_takes_one_constant(self):
-        assert _parse_c("2*i + 1") == GaussianRational(1, 2)
+        assert parse_constant("2*i + 1") == GaussianRational(1, 2)
 
     @pytest.mark.parametrize("value", ["-1", "nan", "0", "inf"])
     def test_bad_tol_rejected(self, capsys, value):
@@ -241,16 +263,11 @@ class TestMain:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_env_precision(self, capsys, monkeypatch):
+    def test_environment_sets_no_precision(self, capsys, monkeypatch):
         monkeypatch.setenv("BBSOLVE_PRECISION", "192")
         code = main(["analyze", "y'' = y^4", "--format", "json", "--no-classify"])
         data = json.loads(capsys.readouterr().out)
-        assert data["settings"]["precision_bits"] == 192
-        monkeypatch.setenv("BBSOLVE_PRECISION", "192")
-        code = main(["analyze", "y'' = y^4", "--format", "json",
-                     "--no-classify", "--precision", "320"])
-        data = json.loads(capsys.readouterr().out)
-        assert data["settings"]["precision_bits"] == 320
+        assert code == 0 and data["settings"]["precision_bits"] == 256
 
     @pytest.mark.parametrize("flags", [
         ["--precision", "0"], ["--precision", "-5"], ["--N", "-3"],
@@ -260,12 +277,43 @@ class TestMain:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-5"])
-    def test_bad_env_precision_rejected(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("BBSOLVE_PRECISION", value)
-        code = main(["series", "y'' = 6*y^2"])
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag) for command, reads in COMMAND_FLAGS.items()
+        for flag in ALL_FLAGS if flag not in reads])
+    def test_flag_the_command_does_not_read_rejected(self, capsys, command, flag):
+        args = [command] + (["y'' = 6*y^2"] if command != "selftest" else [])
+        code = main(args + [flag] + ALL_FLAGS[flag])
+        err = capsys.readouterr().err
         assert code == 1
-        assert capsys.readouterr().err.startswith("error:")
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag) for command, reads in COMMAND_FLAGS.items()
+        for flag in sorted(reads)])
+    def test_flag_the_command_reads_accepted(self, capsys, command, flag):
+        code = main([command, "y' = y^2", flag] + ALL_FLAGS[flag])
+        assert (code, capsys.readouterr().err) == (0, "")
+
+    @pytest.mark.parametrize("args", [
+        ["analyze", "y'' = 6*y^2", "--format", "xml"],
+        ["series", "y'' = 6*y^2", "--N", "abc"],
+        ["residues"],
+        ["series", "y'' = 6*y^2", "--no-such-flag"],
+        ["analyze", "y'' = 6*y^2", "--prec", "64"],
+        ["no-such-command", "y'' = 6*y^2"],
+        []])
+    def test_usage_error_exits_1(self, capsys, args):
+        code = main(args)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["residues", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "--precision" in out and "--tol" not in out
 
 
 class TestDepthDefaults:

@@ -124,5 +124,5 @@ class TestDegreeBound:
     def test_attach_notes(self):
         _eq, _bs, rep = report_for("y'' = 6*y^2")
         rep2 = attach_degree_bound(rep, [(2, 1)])
-        assert rep2.degree_bound == 2 and rep2.degree_bound_is_heuristic
+        assert rep2.degree_bound == 2
         assert any("heuristic degree bound 2" in n for n in rep2.notes)
