@@ -14,7 +14,7 @@ computation.  Run:
 import mpmath
 
 from bbsolve import branches_at_infinity, enumerate_series, parse_equation
-from bbsolve.classify import detect_periods, make_probe, sweep_poles
+from bbsolve.classify import detect_periods, sweep_poles
 
 eq = parse_equation("P: p^2 - 4*q^3 + 4*q ; k=1")
 branch, = branches_at_infinity(eq.P, depth=48)
@@ -22,12 +22,12 @@ germ, = enumerate_series(eq, branch, 2, N=24)
 print("germ at the pole:",
       [(i - 2, str(c)) for i, c in enumerate(germ.coeffs) if str(c) != "0"][:5])
 
-events, flow, ngerms = sweep_poles(eq, [germ], budget=12)
+# the sweep hands back its state probe: z -> (y, ..., y^(k-1)), or None
+events, probe = sweep_poles(eq, [germ], budget=12)
 print(f"\nfound {len(events)} poles:")
 for ev in events:
     print(f"   {ev.z:+.9f}   order {ev.order}")
 
-probe = make_probe(flow, events, ngerms)
 pr = detect_periods(events, state_probe=probe)
 print(f"\nlattice rank {pr.rank}, verified by state match: {pr.verified}")
 T1, T2 = pr.periods

@@ -13,7 +13,8 @@ w = e^(az), by one cleared-denominator polynomial identity
 proves nothing and leaves the verdict undetermined unless an exact rational
 solution is certified.  A continuation segment (run_segment) reaches its
 target within 1e-9 (1 + its length) or raises ToleranceLoss: the sweep drops
-that ray but keeps the poles it recorded, and make_probe answers None.
+that ray but keeps the poles it recorded, and its state probe answers None.
+classify_equation runs this whole policy on one screened equation.
 
 Numeric verdicts are labelled confidence="numeric"; only back-substituted
 identities are "exact".
@@ -29,12 +30,15 @@ from .algebra import (GR_ONE, GR_ZERO, GaussianRational, UPoly, ZSeries,
                       falling, is_exact, roots_univariate, solve_linear,
                       DEFAULT_PREC)
 from .conditions import classify_kappa
-from .errors import (DegenerateInput, PrecisionExhausted, SingularEncounter,
+from .errors import (BBError, DegenerateInput, PrecisionExhausted, SingularEncounter,
                      ToleranceLoss)
-from .eqparse import upoly_str
+from .eqparse import gaussian_str, upoly_str
+from .series import germs_for_pairs
 
 DEFAULT_TRAJ_TOL = 1e-10
 DEFAULT_RATIO_TOL = 1e-4
+# germ index of the family the numeric continuation starts from
+CONTINUATION_N = 24
 
 
 # ---------------------------------------------------------------------------
@@ -774,9 +778,10 @@ def sweep_poles(eq, germ_family, tol=DEFAULT_TRAJ_TOL, budget=13,
 
     Probes 8 rays from every discovered pole, 70 rays at most; each ray is
     integrated with pole hopping and every crossing recorded, on a failed ray
-    too.  Deterministic processing order.  Returns (events, flow, numeric
-    germs) with events sorted by (|z|, arg); the flow is anchored on the seed
-    germ, ready for make_probe.
+    too.  Deterministic processing order.  Returns (events, probe) with
+    events sorted by (|z|, arg) and probe the state evaluator
+    z -> (y, ..., y^(k-1)), or None where germ-anchored continuation on the
+    flow anchored on the seed germ cannot reach z.
     """
     flow = _Flow(eq, tol, first_integral=first_integral)
     germs = [germ_numeric(ls, f"g{i}") for i, ls in enumerate(germ_family)]
@@ -820,7 +825,27 @@ def sweep_poles(eq, germ_family, tol=DEFAULT_TRAJ_TOL, budget=13,
             if others:
                 scale = min(others)
     events.sort(key=lambda e: (round(abs(e.z), 9), round(cmath.phase(e.z + 1e-12), 9)))
-    return events, flow, germs
+
+    def probe(z):
+        z = complex(z)
+        ev = min(events, key=lambda e: abs(z - e.z))
+        g = by_id[ev.germ_id]
+        r = abs(z - ev.z)
+        if r < 1e-6:
+            return None
+        off = min(0.31, 0.4 * g.trust, max(0.9 * r, 1e-3))
+        z_s = ev.z + off * _unit(z - ev.z)
+        state, p = flow.germ_state(g, z_s - ev.z)
+        if abs(z_s - z) < 1e-12:
+            return state
+        try:
+            state, _, _ = run_segment(flow, z_s, state, p, z, germs, list(events),
+                                      max_steps=300)
+        except (ToleranceLoss, SingularEncounter, OverflowError):
+            return None
+        return state
+
+    return events, probe
 
 
 def _zkey(z):
@@ -978,33 +1003,6 @@ def _verify_period(state_probe, pts, T):
     return checked >= 2
 
 
-def make_probe(flow, events, germs):
-    """State evaluator z -> (y, ..., y^(k-1)), or None where germ-anchored
-    continuation on the anchored flow (from sweep_poles) cannot reach z."""
-    by_id = {g.germ_id: g for g in germs}
-
-    def probe(z):
-        z = complex(z)
-        ev = min(events, key=lambda e: abs(z - e.z))
-        g = by_id[ev.germ_id]
-        r = abs(z - ev.z)
-        if r < 1e-6:
-            return None
-        off = min(0.31, 0.4 * g.trust, max(0.9 * r, 1e-3))
-        z_s = ev.z + off * _unit(z - ev.z)
-        state, p = flow.germ_state(g, z_s - ev.z)
-        if abs(z_s - z) < 1e-12:
-            return state
-        try:
-            state, _, _ = run_segment(flow, z_s, state, p, z, germs, list(events),
-                                      max_steps=300)
-        except (ToleranceLoss, SingularEncounter, OverflowError):
-            return None
-        return state
-
-    return probe
-
-
 # ---------------------------------------------------------------------------
 # verdict assembly
 # ---------------------------------------------------------------------------
@@ -1026,7 +1024,46 @@ class ClassificationVerdict:
             raise DegenerateInput(f"unknown verdict label {self.label!r}")
 
 
-def assemble_verdict(report, series_list, mono_matches=(), exp_matches=(),
+def classify_equation(eq, report, branches, ev, mono, c, N, tol, precision):
+    """The verdict on a screened equation, given its exactness verdict ``ev``
+    and match_monomial's result ``mono``.  The pole sweep continues the germs
+    of index N at first-integral constant c (1 for even k when c is None); a
+    verified rank-1 lattice may be upgraded to an exact closed form."""
+    notes, expo, pr, events = [], [], None, ()
+    if report.kappa_one_count >= 1:
+        expo = match_exponential(eq, precision, notes=notes)
+    even, family = eq.k % 2 == 0, []
+    certified = report.exactness_required and ev.exact
+    if report.pole_solutions_possible and even and not certified:
+        notes.append("numeric continuation skipped: no certified first integral")
+    elif report.pole_solutions_possible:
+        c = GR_ONE if c is None and even else c
+        family, _ = germs_for_pairs(
+            eq, branches, report.admissible_pairs(), notes,
+            "germ for continuation unavailable ({bid}, n={n}): {exc}",
+            c=c, N=N, precision=precision)
+    if family:
+        if even:
+            notes.append("numeric continuation at first-integral constant c="
+                         + gaussian_str(c))
+        fi = ev.s_rational if (ev.mode == "resolved" and ev.exact) else None
+        try:
+            found, probe = sweep_poles(eq, family, tol=tol, first_integral=fi)
+            pr, events = detect_periods(found, state_probe=probe), tuple(found)
+        except BBError as exc:
+            notes.append(f"numeric continuation failed: {exc}")
+    if pr is not None and pr.rank == 1 and pr.verified and eq.resolved is not None:
+        # the seed germ: the sweep's pole at z = 0
+        rec = reconstruct_exponential(eq, family[0], pr.periods[0],
+                                      degree_cap=report.degree_bound or 6)
+        if rec is not None:
+            notes.append("rank-1 lattice upgraded to an exact closed form")
+            expo.append(rec)
+    return assemble_verdict(report, mono, expo, pr, pole_events=events,
+                            notes=notes)
+
+
+def assemble_verdict(report, mono_matches=(), exp_matches=(),
                      period_result=None, pole_events=(), notes=()):
     """Combine screening, exact matches, and numeric period evidence.
 
@@ -1037,49 +1074,45 @@ def assemble_verdict(report, series_list, mono_matches=(), exp_matches=(),
     solution.  So are two or more poles without a verified lattice.
     """
     evidence = list(notes)
-    for m in mono_matches:
-        evidence.append("exact monomial solution: " + m.describe())
-    for m in exp_matches:
-        evidence.append("exact exponential solution: " + m.describe())
+    evidence += ["exact monomial solution: " + m.describe() for m in mono_matches]
+    evidence += ["exact exponential solution: " + m.describe() for m in exp_matches]
+
+    def verdict(label, confidence, *found, periods=()):
+        return ClassificationVerdict(label=label, confidence=confidence,
+                                     evidence=tuple(evidence) + found,
+                                     degree_bound=report.degree_bound,
+                                     periods=periods)
+
     if not report.pole_solutions_possible:
         label = "none_with_pole" if (report.residue_obstruction
                                      or not report.integrality_ok) else "entire_only"
         if label == "entire_only" and report.admissible_n:
             label = "none_with_pole"
-        conf = "exact"
-        return ClassificationVerdict(label=label, confidence=conf,
-                                     evidence=tuple(evidence),
-                                     degree_bound=report.degree_bound)
-    if period_result is not None and period_result.rank == 2 and period_result.verified:
-        evidence.append(
-            f"rank-2 pole lattice: T1={period_result.periods[0]:.9g}, "
-            f"T2={period_result.periods[1]:.9g}, ratio={period_result.ratio:.9g}")
-        return ClassificationVerdict(label="elliptic", confidence="numeric",
-                                     evidence=tuple(evidence),
-                                     degree_bound=report.degree_bound,
-                                     periods=period_result.periods)
-    if period_result is not None and period_result.rank == 1 and period_result.verified:
-        evidence.append(f"rank-1 pole lattice: T={period_result.periods[0]:.9g}")
-        return ClassificationVerdict(label="rational_in_exponential",
-                                     confidence="exact" if exp_matches else "numeric",
-                                     evidence=tuple(evidence),
-                                     degree_bound=report.degree_bound,
-                                     periods=period_result.periods)
+        return verdict(label, "exact")
+    pr = period_result
+    if pr is not None and pr.rank == 2 and pr.verified:
+        return verdict("elliptic", "numeric",
+                       f"rank-2 pole lattice: T1={pr.periods[0]:.9g}, "
+                       f"T2={pr.periods[1]:.9g}, ratio={pr.ratio:.9g}",
+                       periods=pr.periods)
+    if pr is not None and pr.rank == 1 and pr.verified:
+        return verdict("rational_in_exponential",
+                       "exact" if exp_matches else "numeric",
+                       f"rank-1 pole lattice: T={pr.periods[0]:.9g}",
+                       periods=pr.periods)
     if mono_matches:
-        evidence.append("single-term pole germ solves the equation exactly")
-        return ClassificationVerdict(label="rational", confidence="exact",
-                                     evidence=tuple(evidence),
-                                     degree_bound=report.degree_bound)
+        return verdict("rational", "exact",
+                       "single-term pole germ solves the equation exactly")
     if len(pole_events) == 1:
-        evidence.append("continuation found a single non-recurring pole; "
-                        "no exact rational solution certified")
-    elif len(pole_events) >= 2 and period_result is not None:
-        refused = ", not confirmed by the state probe" if period_result.rank else ""
-        evidence.append(f"continuation found {len(pole_events)} poles but no "
-                        f"verified lattice: {period_result.detail}{refused}")
-    return ClassificationVerdict(label="undetermined", confidence="heuristic",
-                                 evidence=tuple(evidence),
-                                 degree_bound=report.degree_bound)
+        return verdict("undetermined", "heuristic",
+                       "continuation found a single non-recurring pole; "
+                       "no exact rational solution certified")
+    if len(pole_events) >= 2 and pr is not None:
+        refused = ", not confirmed by the state probe" if pr.rank else ""
+        return verdict("undetermined", "heuristic",
+                       f"continuation found {len(pole_events)} poles but no "
+                       f"verified lattice: {pr.detail}{refused}")
+    return verdict("undetermined", "heuristic")
 
 
 def trajectory_to_jsonl(traj):

@@ -26,15 +26,12 @@ from .curve import (branches_at_infinity, exactness_check, newton_polygon,
 from .eqparse import (_fraction_str, canonical_string, gaussian_str,
                       parse_constant, parse_equation, ratfunc_str)
 from .errors import BBError
-from .classify import (assemble_verdict, detect_periods, make_probe,
-                       match_exponential, match_monomial, reconstruct_exponential,
-                       sweep_poles, DEFAULT_RATIO_TOL, DEFAULT_TRAJ_TOL)
-from .series import (coeff_to_json, enumerate_series, series_to_json,
+from .classify import (classify_equation, match_monomial, CONTINUATION_N,
+                       DEFAULT_RATIO_TOL, DEFAULT_TRAJ_TOL)
+from .series import (coeff_to_json, germ_index, germs_for_pairs, series_to_json,
                      verify_series)
 
 SCHEMA_VERSION = 1
-# germ index of the family the numeric continuation starts from
-CONTINUATION_N = 24
 
 
 def _cxpair(z):
@@ -42,15 +39,16 @@ def _cxpair(z):
     return [z.real, z.imag]
 
 
-def default_depth(k, polygon, N=None, base=None):
-    """Puiseux depth in u-terms for a command whose germs reach index N.
+def default_depth(k, polygon, base=None, germ_N=()):
+    """Puiseux depth in u-terms for a command that builds germs at each
+    truncation index of ``germ_N`` (None: enumerate_series' default).
 
-    ``base`` defaults to 4 (n_max + k) + 8 over admissible pole orders, and
-    always enough for every branch to reach its residue term (u-index
+    The depth always lets every branch reach its residue term (u-index
     m (kappa + 1)).  A place of ramification m feeds germs of pole order n
     only when m divides n, and the m of all places sum to deg_p, so index N
     needs at most ceil(min(n, deg_p) N / n) + 4 u-terms; the depth covers
-    that too."""
+    that too.  ``base`` is a floor, by default 4 (n_max + k) + 8 over
+    admissible pole orders, which covers the default index."""
     n_max = 0
     kappa_top = 0
     germ_need = 0
@@ -60,11 +58,12 @@ def default_depth(k, polygon, N=None, base=None):
         label, n = classify_kappa(k, e.kappa)
         if label == "kappa_one_plus_k_over_n":
             n_max = max(n_max, n)
-            if N is not None:
-                germ_need = max(germ_need, -(-min(n, deg_p) * N // n) + 4)
+            for N in germ_N:
+                germ_need = max(germ_need,
+                                -(-min(n, deg_p) * germ_index(k, n, N) // n) + 4)
     if base is None:
-        base = max(4 * (n_max + k) + 8, deg_p * (kappa_top + 1) + 2)
-    return max(base, germ_need)
+        base = 4 * (n_max + k) + 8
+    return max(base, deg_p * (kappa_top + 1) + 2, germ_need)
 
 
 def _at_least(name, value, low):
@@ -106,37 +105,21 @@ class Options:
 # the analysis pipeline
 # ---------------------------------------------------------------------------
 
-def _prepare(equation, opts, N_germ=None):
+def _prepare(equation, opts, *germ_N):
     """The front end every command shares: parse (which reduces P to its
     squarefree part), then polygon, depth, branches and the admissibility
-    screen.  The branches are expanded once, deep enough for germs up to
-    index N_germ.
+    screen.  The branches are expanded once, deep enough for the residues
+    and for germs at each index of germ_N (None: the default index).
 
     Returns (eq, notes, polygon, depth, branches, report); ``notes`` are the
     parser's."""
     eq = parse_equation(equation)
     polygon = newton_polygon(eq.P)
-    depth = default_depth(eq.k, polygon, N_germ, opts.depth)
+    depth = default_depth(eq.k, polygon, opts.depth, germ_N)
     branches = branches_at_infinity(eq.P, depth, opts.precision)
     lead_const = eq.P.coeff_in_p(eq.P.deg_p()).degree() == 0
     report = screen_admissibility(eq.k, branches, leading_p_coeff_constant=lead_const)
     return eq, list(eq.notes), polygon, depth, branches, report
-
-
-def _germs(eq, branches, pairs, notes, failure, **kwargs):
-    """Germs of every (branch id, n) pair and the (n, count) inventory; a pair
-    whose enumeration fails adds ``failure`` (formatted) to ``notes``."""
-    bmap = {b.id: b for b in branches}
-    germs, inventory = [], []
-    for bid, n in pairs:
-        try:
-            found = enumerate_series(eq, bmap[bid], n, **kwargs)
-        except BBError as exc:
-            notes.append(failure.format(bid=bid, n=n, exc=exc))
-            continue
-        germs.extend(found)
-        inventory.append((n, len(found)))
-    return germs, inventory
 
 
 def _germ_json(eq, ls):
@@ -158,8 +141,10 @@ def analyze(equation, opts=None):
 
     Returns (report dict, exit_code)."""
     opts = opts or Options()
-    N_germ = opts.N if opts.no_classify else max(opts.N or 0, CONTINUATION_N)
-    eq, warnings, polygon, depth, branches, report = _prepare(equation, opts, N_germ)
+    # the report's germs at --N, and the continuation family at N_traj
+    N_traj = max(opts.N or 0, CONTINUATION_N)
+    germ_N = (opts.N,) if opts.no_classify else (opts.N, N_traj)
+    eq, warnings, polygon, depth, branches, report = _prepare(equation, opts, *germ_N)
     assumptions = ["irreducibility of P assumed (not verified)"]
     ev = exactness_check(branches, resolved=eq.resolved, precision=opts.precision)
     if ev.mode == "general":
@@ -167,69 +152,24 @@ def analyze(equation, opts=None):
     report = residue_screen(report, ev, eq.k)
 
     germ_notes = []
-    germs, inventory = _germs(
+    germs, inventory = germs_for_pairs(
         eq, branches,
         report.admissible_pairs() if report.pole_solutions_possible else [],
         germ_notes, "branch {bid}, n={n}: {exc}",
         c=opts.c, N=opts.N, precision=opts.precision, collect_notes=germ_notes)
     report = attach_degree_bound(report, inventory)
 
-    verdict = None
-    classify_notes = []
+    # match_monomial runs without a verdict too, only because perfbench's
+    # EXPECTED_SPANS["screen_fuzz"] needs its span (ROADMAP's benchmark list)
     mono = match_monomial(eq, opts.precision)
-    if not opts.no_classify:
-        expo = []
-        if report.kappa_one_count >= 1:
-            expo = match_exponential(eq, opts.precision, notes=classify_notes)
-        period_result, pole_events, rec_matches = _numeric_classification(
-            eq, report, branches, ev, opts, N_germ, classify_notes)
-        verdict = assemble_verdict(report, germs, mono, expo + rec_matches,
-                                   period_result, pole_events=pole_events,
-                                   notes=classify_notes)
+    verdict = None if opts.no_classify else classify_equation(
+        eq, report, branches, ev, mono, opts.c, N_traj, opts.tol, opts.precision)
     out = _build_report(eq, opts, depth, assumptions, warnings, polygon,
                         branches, ev, report, germs, germ_notes, verdict)
     code = 0
     if verdict is not None and verdict.label in ("none_with_pole", "entire_only"):
         code = 2
     return out, code
-
-
-def _numeric_classification(eq, report, branches, ev, opts, N_traj, notes):
-    """Pole sweep + period detection on a germ family up to index N_traj.
-
-    Returns (PeriodResult or None, pole events, reconstructed exact matches)."""
-    if not report.pole_solutions_possible:
-        return None, (), []
-    c_traj = GaussianRational(1) if opts.c is None and eq.k % 2 == 0 else opts.c
-    if eq.k % 2 == 0 and not (report.exactness_required and ev.exact):
-        notes.append("numeric continuation skipped: no certified first integral")
-        return None, (), []
-    family, _ = _germs(eq, branches, report.admissible_pairs(), notes,
-                       "germ for continuation unavailable ({bid}, n={n}): {exc}",
-                       c=c_traj, N=N_traj, precision=opts.precision)
-    if not family:
-        return None, (), []
-    if eq.k % 2 == 0:
-        notes.append("numeric continuation at first-integral constant c="
-                     + gaussian_str(c_traj))
-    fi = ev.s_rational if (ev.mode == "resolved" and ev.exact) else None
-    try:
-        events, flow, ngerms = sweep_poles(eq, family, tol=opts.tol,
-                                           first_integral=fi)
-        probe = make_probe(flow, events, ngerms)
-        pr = detect_periods(events, tol=DEFAULT_RATIO_TOL, state_probe=probe)
-    except BBError as exc:
-        notes.append(f"numeric continuation failed: {exc}")
-        return None, (), []
-    recs = []
-    if pr.rank == 1 and pr.verified and eq.resolved is not None:
-        # the seed germ: the sweep's pole at z = 0
-        rec = reconstruct_exponential(eq, family[0], pr.periods[0],
-                                      degree_cap=report.degree_bound or 6)
-        if rec is not None:
-            notes.append("rank-1 lattice upgraded to an exact closed form")
-            recs.append(rec)
-    return pr, tuple(events), recs
 
 
 def _build_report(eq, opts, depth, assumptions, warnings, polygon, branches,
@@ -408,9 +348,9 @@ def cmd_series(equation, opts):
     pairs = report.admissible_pairs()
     if opts.n is not None:
         pairs = [(bid, n) for bid, n in pairs if n == opts.n]
-    germs, _ = _germs(eq, branches, pairs, notes, "branch {bid}, n={n}: {exc}",
-                      c=opts.c, N=opts.N, precision=opts.precision,
-                      collect_notes=notes)
+    germs, _ = germs_for_pairs(eq, branches, pairs, notes,
+                               "branch {bid}, n={n}: {exc}", c=opts.c, N=opts.N,
+                               precision=opts.precision, collect_notes=notes)
     rows = [_germ_json(eq, ls) for ls in germs]
     out = {"input": canonical_string(eq), "series": rows, "notes": notes}
     if opts.fmt == "json":
@@ -433,8 +373,8 @@ def cmd_residues(equation, opts):
         rows.append({"place": f"branch {b.id} (q=infinity, m={b.m})",
                      "value": coeff_to_json(r),
                      "certified_zero": coeff_is_zero(r)})
-    for r in ev.residues:
-        if r.place.startswith("q=") or r.place == "infinity":
+    if ev.mode == "resolved":  # general-mode rows repeat the branch rows
+        for r in ev.residues:
             rows.append({"place": r.place, "value": coeff_to_json(r.value),
                          "certified_zero": r.certified_zero})
     out = {"input": canonical_string(eq), "exact": ev.exact, "mode": ev.mode,
@@ -579,10 +519,16 @@ class _ArgParser(argparse.ArgumentParser):
 
 # every flag, and the flags of each command: exactly the settings it reads;
 # an absent flag leaves its setting to the Options default
-_FLAGS = {"--c": {}, "--N": {"type": int}, "--n": {"type": int},
-          "--depth": {"type": int}, "--precision": {"type": int},
-          "--tol": {"type": float}, "--no-classify": {"action": "store_true"},
-          "--format": {"choices": _FORMATS, "dest": "fmt"}}
+_FLAGS = {
+    "--c": {"help": "exact first-integral constant (default: the resonant "
+                    "coefficient stays free and even k continues at c = 1)"},
+    "--N": {"type": int, "help": "germ truncation index (default 2n + k + 4)"},
+    "--n": {"type": int, "help": "pole-order filter: only germs of pole order n"},
+    "--depth": {"type": int, "help": "floor on the Puiseux depth in u-terms"},
+    "--precision": {"type": int, "help": "working precision in bits (default 256)"},
+    "--tol": {"type": float, "help": "continuation tolerance (default 1e-10)"},
+    "--no-classify": {"action": "store_true", "help": "report without a verdict"},
+    "--format": {"choices": _FORMATS, "dest": "fmt", "help": "report format"}}
 _CLASSIFY_FLAGS = ("--c", "--N", "--depth", "--precision", "--tol", "--format")
 _COMMANDS = {
     "analyze": (cmd_analyze, _CLASSIFY_FLAGS + ("--no-classify",)),

@@ -35,7 +35,7 @@ from .algebra import (GR_ONE, GR_ZERO, GaussianRational, ZSeries,
                       falling, is_exact, pochhammer, DEFAULT_PREC)
 from .curve import first_integral_series
 from .eqparse import _fraction_str, gaussian_str
-from .errors import (DepthTooSmall, InconsistentResonance, NoRoots,
+from .errors import (BBError, DepthTooSmall, InconsistentResonance, NoRoots,
                      PrecisionExhausted)
 
 
@@ -192,20 +192,24 @@ def _needed_branch_depth(branch, n, N):
     return branch.valid_q_to <= need_q
 
 
+def germ_index(k, n, N=None):
+    """The truncation index of the germs of pole order n: ``N``, by default
+    2n + k + 4, and for even k at least the resonance index 2n + k."""
+    N = 2 * n + k + 4 if N is None else N
+    return max(N, 2 * n + k) if k % 2 == 0 else N
+
+
 def enumerate_series(eq, branch, n, c=None, N=None, precision=DEFAULT_PREC,
                      collect_notes=None):
     """All Laurent germs with a pole of order n feeding this branch.
 
     ``c``: first-integral constant (exact or numeric) for even k; None means
     the resonant coefficient is emitted as a free parameter.  ``N``:
-    truncation index, default 2n + k + 4.  Skipped leading roots (resonance
+    truncation index, raised by germ_index.  Skipped leading roots (resonance
     inconsistency) are reported through ``collect_notes`` when given.
     """
     k = eq.k
-    if N is None:
-        N = 2 * n + k + 4
-    if k % 2 == 0 and N < 2 * n + k:
-        N = 2 * n + k
+    N = germ_index(k, n, N)
     # a branch that cannot feed order n says so before its depth is judged
     roots = leading_roots(k, n, branch, precision)
     if not _needed_branch_depth(branch, n, N):
@@ -224,6 +228,22 @@ def enumerate_series(eq, branch, n, c=None, N=None, precision=DEFAULT_PREC,
             continue
         out.append(ls)
     return _dedup(out)
+
+
+def germs_for_pairs(eq, branches, pairs, notes, failure, **kwargs):
+    """Germs of every (branch id, n) pair and the (n, count) inventory; a pair
+    whose enumeration fails adds ``failure`` (formatted) to ``notes``."""
+    bmap = {b.id: b for b in branches}
+    germs, inventory = [], []
+    for bid, n in pairs:
+        try:
+            found = enumerate_series(eq, bmap[bid], n, **kwargs)
+        except BBError as exc:
+            notes.append(failure.format(bid=bid, n=n, exc=exc))
+            continue
+        germs.extend(found)
+        inventory.append((n, len(found)))
+    return germs, inventory
 
 
 def _build_series(k, n, branch, root, c, N):

@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from bbsolve.algebra import (DEFAULT_PREC, GaussianRational, UPoly, coeff_is_zero,
                              is_exact)
-from bbsolve.classify import (detect_periods, make_probe, match_exponential,
-                              match_monomial, sweep_poles)
+from bbsolve.classify import (detect_periods, match_exponential, match_monomial,
+                              sweep_poles)
 from bbsolve.cli import Options, analyze, render_json
 from bbsolve.curve import (branches_at_infinity, exactness_check,
                            hermite_ostrogradsky, residue_at_infinity_resolved)
@@ -238,10 +238,8 @@ def test_criterion_08_elliptic_detection():
             ev = exactness_check(branches, resolved=eq.resolved)
             assert ev.exact
             fi = ev.s_rational
-        events, flow, ngerms = sweep_poles(eq, germs, budget=12,
-                                           first_integral=fi)
+        events, probe = sweep_poles(eq, germs, budget=12, first_integral=fi)
         assert len(events) >= 8
-        probe = make_probe(flow, events, ngerms)
         pr = detect_periods(events, tol=1e-4, state_probe=probe)
         assert pr.rank == 2 and pr.verified, text
         assert abs(pr.ratio - 1j) < 1e-4, f"{text}: ratio {pr.ratio}"

@@ -1,6 +1,7 @@
 """Exact matchers, the exponential certificate, continuation, period detection."""
 
 import cmath
+import hashlib
 import math
 from fractions import Fraction
 
@@ -8,10 +9,10 @@ import pytest
 
 from bbsolve import classify
 from bbsolve.algebra import BigComplex, GaussianRational, UPoly
-from bbsolve.cli import analyze
+from bbsolve.cli import analyze, render_json
 from bbsolve.classify import (PoleEvent, assemble_verdict, continue_trajectory,
                               detect_periods, match_exponential, match_monomial,
-                              sweep_poles, make_probe, germ_numeric,
+                              sweep_poles, germ_numeric,
                               _certify_exponential, _Flow)
 from bbsolve.conditions import screen_admissibility
 from bbsolve.curve import branches_at_infinity
@@ -191,7 +192,7 @@ class TestTrajectoryStability:
         tol = 1e-10
         runs = []
         for t in (tol, tol / 100):
-            events, _f, _g = sweep_poles(eq, [germ], tol=t, budget=6)
+            events, _probe = sweep_poles(eq, [germ], tol=t, budget=6)
             runs.append([ev.z for ev in events])
         assert len(runs[0]) == len(runs[1])
         for a in runs[0]:
@@ -296,13 +297,13 @@ class TestVerdicts:
 
     def test_entire_only(self):
         _eq, rep = self._report("y'' = y^4")
-        v = assemble_verdict(rep, [])
+        v = assemble_verdict(rep)
         assert v.label == "entire_only" and v.confidence == "exact"
 
     def test_monomial_gives_rational(self):
         eq, rep = self._report("y' = y^2")
         mono = match_monomial(eq)
-        v = assemble_verdict(rep, [], mono_matches=mono)
+        v = assemble_verdict(rep, mono_matches=mono)
         assert v.label == "rational" and v.confidence == "exact"
 
     def test_monotonic_confidence(self):
@@ -312,11 +313,11 @@ class TestVerdicts:
         exp = match_exponential(parse_equation("y'' = y"))   # any exact match
         one = PeriodResult(rank=1, periods=(3.14159j,), ratio=None,
                            verified=True, detail="")
-        v1 = assemble_verdict(rep, [], exp_matches=exp, period_result=one)
+        v1 = assemble_verdict(rep, exp_matches=exp, period_result=one)
         assert v1.confidence == "exact"
         events = [PoleEvent(z=1j * t, order=1, germ_id="g0", residual=0.0)
                   for t in range(4)]
-        v2 = assemble_verdict(rep, [], exp_matches=exp, period_result=one,
+        v2 = assemble_verdict(rep, exp_matches=exp, period_result=one,
                               pole_events=events)
         assert v2.confidence == "exact" and v2.label == v1.label
 
@@ -325,7 +326,7 @@ class TestVerdicts:
         _eq, rep = self._report("y''' = -1*y^4 + 1*y^3 + -1*y^2")
         assert rep.pole_solutions_possible
         events = [PoleEvent(z=0j, order=1, germ_id="g0", residual=0.0)]
-        v = assemble_verdict(rep, [], pole_events=events)
+        v = assemble_verdict(rep, pole_events=events)
         assert (v.label, v.confidence) == ("undetermined", "heuristic")
         assert any("single non-recurring pole" in e for e in v.evidence)
 
@@ -362,8 +363,7 @@ class TestAgainstJacobiForm:
         eq = parse_equation("P: p^2 - 4*q^3 + 4*q ; k=1")
         bs = branches_at_infinity(eq.P, depth=40)
         germ, = enumerate_series(eq, bs[0], 2, N=24)
-        events, flow, ngerms = sweep_poles(eq, [germ], budget=6)
-        probe = make_probe(flow, events, ngerms)
+        events, probe = sweep_poles(eq, [germ], budget=6)
         s2 = mpmath.sqrt(2)
         for z in (0.31 + 0.22j, 0.8 - 0.4j, 1.4 + 0.9j):
             got = probe(z)[0]
@@ -382,9 +382,8 @@ class TestEquianharmonicSymmetry:
         bs = branches_at_infinity(eq.P, depth=40)
         germ, = enumerate_series(eq, bs[0], 2, c=GaussianRational(1), N=24)
         ev = exactness_check(bs, resolved=eq.resolved)
-        events, flow, ngerms = sweep_poles(eq, [germ], budget=12,
-                                           first_integral=ev.s_rational)
-        probe = make_probe(flow, events, ngerms)
+        events, probe = sweep_poles(eq, [germ], budget=12,
+                                    first_integral=ev.s_rational)
         pr = detect_periods(events, state_probe=probe)
         assert pr.rank == 2 and pr.verified
         assert abs(abs(pr.ratio) - 1) < 1e-6
@@ -418,9 +417,8 @@ class TestScaledLattice:
         bs = branches_at_infinity(eq.P, depth=40)
         germs = enumerate_series(eq, bs[0], 2, c=GaussianRational(0), N=24)
         ev = exactness_check(bs, resolved=eq.resolved)
-        events, flow, ng = sweep_poles(eq, germs, budget=12,
-                                       first_integral=ev.s_rational)
-        probe = make_probe(flow, events, ng)
+        events, probe = sweep_poles(eq, germs, budget=12,
+                                    first_integral=ev.s_rational)
         pr = detect_periods(events, state_probe=probe)
         assert pr.rank == 2 and pr.verified
         want = float(mpmath.pi / mpmath.agm(mpmath.sqrt(2), 1)) / 10
@@ -618,3 +616,34 @@ class TestGermDerivatives:
                 got, want = germ.eval_derivs(u, count), _direct_derivs(germ, u, count)
                 assert [(v.real.hex(), v.imag.hex()) for v in got] \
                     == [(v.real.hex(), v.imag.hex()) for v in want]
+
+
+# sha256 of render_json(analyze(text)) at the default options, for verdict
+# paths the golden corpus does not reach
+VERDICT_PATH_SHA256 = {
+    # undetermined: one pole that does not recur
+    "y''' = -1*y^2 + -2*y^1":
+        "0430e4c76bf9606ca52e365306d57f5853542f0436f10018c7e32c91199b5eee",
+    # undetermined: two poles, no verified lattice
+    "y'''' = 3/4*y^3 + (3 + -5*i)":
+        "f5db613a7c53608210ee08bc181b2f71ed346a96bcb590b95e867b78453b1a22",
+    # rational_in_exponential (numeric): the multiplier is not in Q(i)
+    "y' = 7/3*y^2 + -4":
+        "870c1a76f95d010c6fa481662378429a0337bddb9a9671faccb2972ce7e80376",
+    # elliptic (numeric) with a complex coefficient
+    "y'' = -1/3*i*y^2":
+        "882fbaa134d3d81690bbe8861ae73679aa71d4c122b58d1f9f8f1bd97b9ef34b",
+    # rational (exact): a monomial
+    "y' = -2/3*y^2":
+        "bb0bb405b2b2bf61fff5b0a9f3f6af26e67ab1467cb6e7606b18e403330f0841",
+    # none_with_pole with the "no exact exponential match" note
+    "y' = -6*y^1 + -9 + -6/y^2":
+        "f25fdce8548e92e721388df725c6f2e3079d5dae8257ef33f72e629dfadc84b1",
+}
+
+
+@pytest.mark.parametrize("text", list(VERDICT_PATH_SHA256))
+def test_verdict_path_report_is_pinned(text):
+    report, _code = analyze(text)
+    digest = hashlib.sha256(render_json(report).encode()).hexdigest()
+    assert digest == VERDICT_PATH_SHA256[text], report["classification"]

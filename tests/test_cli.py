@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from bbsolve import cli
+from bbsolve import classify, cli
 from bbsolve.curve import branches_at_infinity
 from bbsolve.cli import (Options, analyze, cmd_classify, cmd_residues,
                          cmd_selftest, cmd_series, main, render_json)
@@ -133,8 +133,8 @@ class TestAnalyze:
 
     def test_no_classify_skips_exponential_matcher(self, monkeypatch):
         calls = []
-        real = cli.match_exponential
-        monkeypatch.setattr(cli, "match_exponential",
+        real = classify.match_exponential
+        monkeypatch.setattr(classify, "match_exponential",
                             lambda *a, **kw: calls.append(1) or real(*a, **kw))
         analyze("y''' = y", Options(no_classify=True))
         assert calls == []
@@ -189,6 +189,14 @@ class TestCommands:
         assert code == 0
         assert len(data["residues"]) == 2
         assert all(r["value"] == {"rat": "0"} for r in data["residues"])
+
+    def test_residues_list_irrational_finite_places(self):
+        # the poles of 1/(y^2 - 2) lie at y = +-sqrt(2), outside Q(i)
+        out, code = cmd_residues("y'' = 1/(y^2 - 2)", Options(fmt="json"))
+        data = json.loads(out)
+        assert code == 0 and data["exact"] is False
+        nonzero = [r["place"] for r in data["residues"] if not r["certified_zero"]]
+        assert nonzero == ["q~-1.41421+0j", "q~1.41421+0j"]
 
     def test_classify_command(self):
         out, code = cmd_classify("y' = y^2", Options(fmt="json"))
@@ -315,6 +323,16 @@ class TestMain:
         out = capsys.readouterr().out
         assert "--precision" in out and "--tol" not in out
 
+    def test_help_describes_every_flag(self, capsys):
+        assert all("help" in spec for spec in cli._FLAGS.values())
+        with pytest.raises(SystemExit) as exc:
+            main(["series", "--help"])
+        assert exc.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        for words in ("germ truncation index", "pole-order filter",
+                      "first-integral constant"):
+            assert words in out
+
 
 class TestDepthDefaults:
     def test_large_kappa_reaches_residue_term(self):
@@ -338,6 +356,31 @@ class TestDepthDefaults:
         assert not any("depth" in note for note in rep["series_notes"])
         # the depth reported is the one the branches were expanded to
         assert rep["settings"]["depth"] == 44
+
+    # --depth is a floor: the depth still reaches every residue term, and
+    # the germs a command builds at the default index
+
+    def test_residues_below_residue_reach(self, capsys):
+        code = main(["residues", "y'' = 6*y^2", "--depth", "1", "--format", "json"])
+        data = json.loads(capsys.readouterr().out)
+        assert code == 0 and data["exact"] is True
+        assert [r["certified_zero"] for r in data["residues"]] == [True, True]
+
+    def test_analyze_no_classify_below_germ_reach(self, capsys):
+        args = ["analyze", "y'' = 6*y^2", "--no-classify", "--format", "json"]
+        assert main(args) == 0
+        want = json.loads(capsys.readouterr().out)
+        code = main(args + ["--depth", "1"])
+        data = json.loads(capsys.readouterr().out)
+        assert code == 0 and data["branches"][0]["residue"] == {"rat": "0"}
+        assert (data["series"], data["series_notes"]) == (want["series"], [])
+
+    def test_series_below_germ_reach(self, capsys):
+        args = ["series", "y'' = 6*y^2", "--format", "json"]
+        assert main(args) == 0
+        want = capsys.readouterr().out
+        assert main(args + ["--depth", "2"]) == 0
+        assert capsys.readouterr().out == want and json.loads(want)["series"]
 
     def test_one_expansion_per_command(self, monkeypatch):
         import bbsolve.cli as cli
