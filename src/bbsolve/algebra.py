@@ -3,13 +3,14 @@
 Number types
 ------------
 Exact rationals are stdlib ``fractions.Fraction`` (already reduced, positive
-denominator).  ``GaussianRational`` pairs two Fractions as an exact complex
-rational.  ``BigComplex`` is an mpmath-backed complex float of configurable
-binary precision carrying a conservative absolute error bound.  A value known
-exactly is always a GaussianRational; a BigComplex only ever stands for a
-value that is not.  Both types answer the same arithmetic (``+ - * /``,
-``**``, ``inverse()``, int and Fraction operands, ``complex()``), so callers
-need not ask which one they hold.
+denominator).  ``GaussianRational`` is an exact complex rational (a + b i)/d
+held as one integer triple, d > 0 and gcd(a, b, d) = 1.  ``BigComplex`` is an
+mpmath-backed complex float of configurable binary precision carrying a
+conservative absolute error bound.  A value known exactly is always a
+GaussianRational; a BigComplex only ever stands for a value that is not.  Both
+types answer the same arithmetic (``+ - * /``, ``**``, ``inverse()``, int and
+Fraction operands, ``complex()``), so callers need not ask which one they
+hold.
 
 Polynomials
 -----------
@@ -27,6 +28,7 @@ recognised and certified by exact back-substitution.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 import mpmath
 from mpmath import mp
@@ -55,79 +57,91 @@ def falling(e, k):
 
 
 class GaussianRational:
-    """Exact complex number with rational real and imaginary parts."""
+    """Exact complex rational (a + b i)/d, held as one integer triple.
 
-    __slots__ = ("re", "im")
+    The normal form d > 0, gcd(a, b, d) = 1 gives equal values equal triples.
+    An operation is integer arithmetic and one gcd; ``re`` and ``im`` are the
+    reduced Fractions a/d and b/d."""
 
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+    __slots__ = ("_a", "_b", "_d")
+
+    def __new__(cls, re=0, im=0):
+        if type(re) is int and type(im) is int:
+            return _gr(re, im, 1)
+        re, im = Fraction(re), Fraction(im)
+        p, q = re.denominator, im.denominator
+        return _gr(re.numerator * q, im.numerator * p, p * q)
 
     def __setattr__(self, *a):
         raise AttributeError("GaussianRational is immutable")
 
+    @property
+    def re(self):
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self):
+        return Fraction(self._b, self._d)
+
     # -- predicates ------------------------------------------------------
     def is_zero(self):
-        return self.re == 0 and self.im == 0
+        return self._a == 0 and self._b == 0
 
     # -- arithmetic ------------------------------------------------------
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, GaussianRational):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return GaussianRational(x)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
+        o = _triple(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        a, b, d = o
+        if d == self._d:
+            return _gr(self._a + a, self._b + b, d)
+        return _gr(self._a * d + a * self._d, self._b * d + b * self._d, self._d * d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gr(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = _triple(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        a, b, d = o
+        if d == self._d:
+            return _gr(self._a - a, self._b - b, d)
+        return _gr(self._a * d - a * self._d, self._b * d - b * self._d, self._d * d)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = _triple(other)
         if o is None:
             return NotImplemented
-        return o - self
+        a, b, d = o
+        return _gr(a * self._d - self._a * d, b * self._d - self._b * d, d * self._d)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = _triple(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re * o.re - self.im * o.im,
-                                self.re * o.im + self.im * o.re)
+        a, b, d = o
+        sa, sb = self._a, self._b
+        return _gr(sa * a - sb * b, sa * b + sb * a, self._d * d)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        n = self.re * self.re + self.im * self.im
-        if n == 0:
-            raise ZeroDivisionError("division by exact zero")
-        return GaussianRational(self.re / n, -self.im / n)
+        return _quotient(1, 0, 1, self._a, self._b, self._d)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = _triple(other)
         if o is None:
             return NotImplemented
-        return self * o.inverse()
+        return _quotient(self._a, self._b, self._d, *o)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = _triple(other)
         if o is None:
             return NotImplemented
-        return o * self.inverse()
+        return _quotient(*o, self._a, self._b, self._d)
 
     def __pow__(self, n):
         if not isinstance(n, int):
@@ -145,34 +159,75 @@ class GaussianRational:
 
     # -- conversions -----------------------------------------------------
     def to_mpc(self, prec=DEFAULT_PREC):
+        re, im = self.re, self.im
         with mp.workprec(prec):
-            return mpmath.mpc(mpmath.mpf(self.re.numerator) / self.re.denominator,
-                              mpmath.mpf(self.im.numerator) / self.im.denominator)
+            return mpmath.mpc(mpmath.mpf(re.numerator) / re.denominator,
+                              mpmath.mpf(im.numerator) / im.denominator)
 
     def __complex__(self):
-        return complex(self.re) + 1j * complex(self.im)
+        # int true division rounds a/d exactly as float(Fraction(a, d)) does
+        return complex(self._a / self._d) + 1j * complex(self._b / self._d)
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = _triple(other)
         if o is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return (self._a, self._b, self._d) == o      # normal forms on both sides
 
     def __hash__(self):
+        if self._d == 1:       # an integer Fraction hashes as the integer
+            return hash((self._a, self._b))
         return hash((self.re, self.im))
 
     def __repr__(self):
-        if self.im == 0:
-            return f"GaussianRational({self.re})"
-        return f"GaussianRational({self.re}, {self.im})"
+        re, im = self.re, self.im
+        if im == 0:
+            return f"GaussianRational({re})"
+        return f"GaussianRational({re}, {im})"
 
     def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"({self.re} {sign} {abs(self.im)}*i)"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return f"{im}*i"
+        sign = "+" if im > 0 else "-"
+        return f"({re} {sign} {abs(im)}*i)"
+
+
+_set_a, _set_b, _set_d = (getattr(GaussianRational, slot).__set__
+                          for slot in GaussianRational.__slots__)
+
+
+def _gr(a, b, d):
+    """The Gaussian rational (a + b i)/d, d > 0, brought to normal form."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    out = object.__new__(GaussianRational)
+    _set_a(out, a)
+    _set_b(out, b)
+    _set_d(out, d)
+    return out
+
+
+def _triple(x):
+    """The normal-form triple of an exact operand; None for any other type."""
+    if isinstance(x, GaussianRational):
+        return x._a, x._b, x._d
+    if isinstance(x, int):
+        return x, 0, 1
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator
+    return None
+
+
+def _quotient(a1, b1, d1, a2, b2, d2):
+    """(a1 + b1 i)/d1 divided by (a2 + b2 i)/d2."""
+    n = a2 * a2 + b2 * b2
+    if n == 0:
+        raise ZeroDivisionError("division by exact zero")
+    return _gr((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, d1 * n)
 
 
 GR_ZERO = GaussianRational(0)
@@ -375,9 +430,7 @@ def coeff_is_zero(x):
     """Certified-zero test across the coefficient union type."""
     if isinstance(x, (int, Fraction)):
         return x == 0
-    if isinstance(x, GaussianRational):
-        return x.is_zero()
-    if isinstance(x, BigComplex):
+    if isinstance(x, (GaussianRational, BigComplex)):
         return x.is_zero()
     raise TypeError(f"unsupported coefficient {x!r}")
 
@@ -385,10 +438,8 @@ def coeff_is_zero(x):
 def coeff_to_mpc(x, prec=DEFAULT_PREC):
     if isinstance(x, BigComplex):
         return x.val
-    if isinstance(x, GaussianRational):
-        return x.to_mpc(prec)
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(x).to_mpc(prec)
+    if is_exact(x):
+        return as_gaussian(x).to_mpc(prec)
     return mpmath.mpc(x)
 
 
@@ -536,22 +587,22 @@ class ZSeries:
         nterms = int(rel) + 1 if rel < _BIGN else len(self.coeffs) * 4 + 8
         out = [GR_ZERO] * max(nterms, 1)
         out[0] = inv0
+        nonzero = [(j, a) for j, a in enumerate(self.coeffs) if j and not _is_exact_zero(a)]
         for idx in range(1, len(out)):
             acc = None
-            for j in range(1, min(idx, len(self.coeffs) - 1) + 1):
-                a = self.coeffs[j]
-                if _is_exact_zero(a):
+            for j, a in nonzero:
+                if j > idx:
+                    break
+                b = out[idx - j]
+                if _is_exact_zero(b):     # the product is exactly 0
                     continue
-                term = a * out[idx - j]
+                term = a * b
                 acc = term if acc is None else acc + term
             out[idx] = acc * neg_inv0 if acc is not None else GR_ZERO
         return ZSeries(-e0, out, rel - e0)
 
     def derivative(self):
-        out = []
-        for i, c in enumerate(self.coeffs):
-            e = self.start + i
-            out.append(c * e)
+        out = [c * (self.start + i) for i, c in enumerate(self.coeffs)]
         return ZSeries(self.start - 1, out, self.valid_to - 1)
 
     def derivative_n(self, k):
@@ -633,7 +684,7 @@ class UPoly:
 
     def __add__(self, other):
         if not isinstance(other, UPoly):
-            other = UPoly.constant(GaussianRational._coerce(other))
+            other = UPoly.constant(as_gaussian(other))
         n = max(len(self.coeffs), len(other.coeffs))
         return UPoly([self[i] + other[i] for i in range(n)])
 
@@ -642,13 +693,12 @@ class UPoly:
 
     def __sub__(self, other):
         if not isinstance(other, UPoly):
-            other = UPoly.constant(GaussianRational._coerce(other))
+            other = UPoly.constant(as_gaussian(other))
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
-            g = GaussianRational._coerce(other)
-            return UPoly([c * g for c in self.coeffs])
+            return UPoly([c * other for c in self.coeffs])
         if not isinstance(other, UPoly):
             return NotImplemented
         if self.is_zero() or other.is_zero():
@@ -862,12 +912,15 @@ def _mpf_to_fraction(x):
 
 
 def roots_univariate(poly, precision=DEFAULT_PREC):
-    """All complex roots with multiplicity, certified error <= 2^(-precision/2).
+    """All complex roots with multiplicity, each with an error radius.
 
     Accepts a UPoly (exact coefficients) or a list of coefficients (ascending;
     exact values and/or BigComplex).  Roots come back sorted lexicographically
     by (real, imag): a root certified exact by back-substitution is a
-    GaussianRational, every other root a BigComplex disk.
+    GaussianRational, every other root a BigComplex disk.  For exact input
+    each radius is certified <= 2^(-precision/2).  Roots of numeric
+    coefficients carry the radius inherited from those coefficients' error
+    bounds, which may be wider: nothing holds it to that target.
     """
     if isinstance(poly, UPoly):
         exact_poly = poly
@@ -931,16 +984,11 @@ def _roots_numeric(coeffs, precision):
     err_bound = mpmath.mpf(0)
     for c in coeffs:
         err_bound = max(err_bound, coeff_err(c))
-    target = mpmath.mpf(2) ** (-(precision // 2))
     work = precision + 32
     with mp.workprec(work):
         cs = [coeff_to_mpc(c, work) for c in coeffs]
         pairs = _aberth(cs, work, err_bound)
-    out = [BigComplex(v, e, precision) for v, e in pairs]
-    if any(r.err > target for r in out) and err_bound > target:
-        # inherited coefficient uncertainty; report as-is, caller sees bounds
-        pass
-    return _sort_roots(out)
+    return _sort_roots([BigComplex(v, e, precision) for v, e in pairs])
 
 
 def _sort_roots(roots):
@@ -1035,7 +1083,7 @@ class BiPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
-            g = GaussianRational._coerce(other)
+            g = as_gaussian(other)
             if g.is_zero():
                 return BiPoly()
             return BiPoly({k: c * g for k, c in self.terms.items()})
@@ -1211,7 +1259,7 @@ def solve_linear(rows, rhs):
     Returns the unique solution or raises ValueError if singular.
     """
     n = len(rows)
-    a = [[GaussianRational._coerce(x) for x in row] + [GaussianRational._coerce(rhs[i])]
+    a = [[as_gaussian(x) for x in row] + [as_gaussian(rhs[i])]
          for i, row in enumerate(rows)]
     for col in range(n):
         piv = next((r for r in range(col, n) if not a[r][col].is_zero()), None)

@@ -1,0 +1,134 @@
+"""Reference Gaussian rationals: the exact complex type as two Fractions.
+
+This is the implementation bbsolve.algebra.GaussianRational had before it
+moved to one integer triple over a common denominator, kept unchanged so a
+differential test can compare the two on every operation and conversion.
+"""
+
+from fractions import Fraction
+
+import mpmath
+from mpmath import mp
+
+DEFAULT_PREC = 256  # bits
+
+
+class GaussianRational:
+    """Exact complex number with rational real and imaginary parts."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        object.__setattr__(self, "re", Fraction(re))
+        object.__setattr__(self, "im", Fraction(im))
+
+    def __setattr__(self, *a):
+        raise AttributeError("GaussianRational is immutable")
+
+    # -- predicates ------------------------------------------------------
+    def is_zero(self):
+        return self.re == 0 and self.im == 0
+
+    # -- arithmetic ------------------------------------------------------
+    @staticmethod
+    def _coerce(x):
+        if isinstance(x, GaussianRational):
+            return x
+        if isinstance(x, (int, Fraction)):
+            return GaussianRational(x)
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return GaussianRational(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return GaussianRational(-self.re, -self.im)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return GaussianRational(self.re - o.re, self.im - o.im)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return GaussianRational(self.re * o.re - self.im * o.im,
+                                self.re * o.im + self.im * o.re)
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        n = self.re * self.re + self.im * self.im
+        if n == 0:
+            raise ZeroDivisionError("division by exact zero")
+        return GaussianRational(self.re / n, -self.im / n)
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inverse()
+
+    def __pow__(self, n):
+        if not isinstance(n, int):
+            return NotImplemented
+        if n < 0:
+            return self.inverse() ** (-n)
+        out = GaussianRational(1)
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    # -- conversions -----------------------------------------------------
+    def to_mpc(self, prec=DEFAULT_PREC):
+        with mp.workprec(prec):
+            return mpmath.mpc(mpmath.mpf(self.re.numerator) / self.re.denominator,
+                              mpmath.mpf(self.im.numerator) / self.im.denominator)
+
+    def __complex__(self):
+        return complex(self.re) + 1j * complex(self.im)
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.re == o.re and self.im == o.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+    def __repr__(self):
+        if self.im == 0:
+            return f"GaussianRational({self.re})"
+        return f"GaussianRational({self.re}, {self.im})"
+
+    def __str__(self):
+        if self.im == 0:
+            return str(self.re)
+        if self.re == 0:
+            return f"{self.im}*i"
+        sign = "+" if self.im > 0 else "-"
+        return f"({self.re} {sign} {abs(self.im)}*i)"

@@ -11,8 +11,8 @@ import random
 import time
 from fractions import Fraction
 
-from bbsolve.algebra import (DEFAULT_PREC, GaussianRational, UPoly, coeff_is_zero,
-                             is_exact)
+from bbsolve.algebra import (DEFAULT_PREC, GaussianRational, UPoly, as_gaussian,
+                             coeff_is_zero, is_exact)
 from bbsolve.classify import (detect_periods, match_exponential, match_monomial,
                               sweep_poles)
 from bbsolve.cli import Options, analyze, render_json
@@ -282,7 +282,7 @@ def test_criterion_09_residue_theorem():
                 assert is_exact(alpha), "split denominator must exactify"
                 total = total + P2.eval(alpha) * D2p.eval(alpha).inverse()
         assert is_exact(total), f"residue sum not exact for N={N}, D={D}"
-        total_g = GaussianRational._coerce(total)
+        total_g = as_gaussian(total)
         assert total_g.is_zero(), f"nonzero residue sum for N={N}, D={D}"
         done += 1
     dt = _elapsed_ok(t0, 5, "criterion 9")

@@ -6,10 +6,11 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bbsolve.algebra import (BiPoly, BigComplex, GaussianRational, UPoly,
-                             _exact_ball, all_nth_roots, coeff_to_mpc, falling,
-                             is_exact, pochhammer, roots_univariate,
-                             solve_linear, squarefree_in_p, squarefree_part_in_p)
+from bbsolve.algebra import (GR_ZERO, BiPoly, BigComplex, GaussianRational, UPoly,
+                             ZSeries, _exact_ball, all_nth_roots, coeff_is_zero,
+                             coeff_to_mpc, falling, is_exact, pochhammer,
+                             roots_univariate, solve_linear, squarefree_in_p,
+                             squarefree_part_in_p)
 from bbsolve.errors import DegenerateInput
 
 rationals = st.builds(Fraction,
@@ -79,6 +80,22 @@ class TestBigComplex:
         assert (first.err == 0) == isinstance(x, int)   # 7 converts exactly
         with mpmath.mp.workprec(600):
             assert abs(first.val - g.to_mpc(600)) <= first.err
+
+
+class TestZSeriesInverse:
+    def test_gaps_stay_exact_zeros(self):
+        # a series in z^2 has its inverse in z^2: each odd coefficient sums
+        # products with an exact zero, so it is exactly 0, numeric or not
+        third = GaussianRational(Fraction(1, 3))
+        for c in (third, BigComplex.from_exact(third)):
+            s = ZSeries(0, [c, GR_ZERO, c, GR_ZERO, c])
+            inv = s.inverse(cap=12)
+            assert len(inv.coeffs) == 13
+            assert all(isinstance(x, GaussianRational) and x.is_zero()
+                       for x in inv.coeffs[1::2])
+            prod = s.mul(inv, cap=12)
+            assert coeff_is_zero(prod.coeff(0) - 1)
+            assert all(coeff_is_zero(prod.coeff(e)) for e in range(1, 13))
 
 
 class TestRoots:

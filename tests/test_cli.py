@@ -483,6 +483,23 @@ class TestModuleEntryPoint:
                     bad += [node.lineno] if named & types else []
             assert bad == [], f"{name}: BigComplex import or type dispatch at lines {bad}"
 
+    def test_gaussian_triple_stays_inside_algebra(self):
+        # GaussianRational keeps (a + b i)/d in private slots; every other
+        # module reads a value through re, im and the arithmetic, so the
+        # representation can change in algebra.py alone
+        pkg = os.path.join(SRC, "bbsolve")
+        fields = set(GaussianRational.__slots__)
+        assert fields and all(f.startswith("_") for f in fields)
+        for name in sorted(os.listdir(pkg)):
+            if not name.endswith(".py") or name == "algebra.py":
+                continue
+            with open(os.path.join(pkg, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            bad = [node.lineno for node in ast.walk(tree)
+                   if (isinstance(node, ast.Attribute) and node.attr in fields)
+                   or (isinstance(node, ast.Constant) and node.value in fields)]
+            assert bad == [], f"{name}: GaussianRational field read at lines {bad}"
+
     def test_squarefree_reduction_stays_in_the_parser(self):
         # the parser reduces P to its squarefree part, so cli imports no
         # squarefree helper, and only eqparse.py names its _Parser

@@ -71,13 +71,18 @@ class TestBranches:
 
     def test_weierstrass_ramified(self):
         eq = parse_equation("P: p^2 - 4*q^3 + 4*q ; k=1")
-        b, = branches_at_infinity(eq.P, depth=12)
+        b, = branches_at_infinity(eq.P, depth=80)
         assert b.m == 2 and b.kappa == F(3, 2)
-        # p = -2 q^(3/2) (1 - q^-2)^(1/2), one sign representative stored
-        want = {F(3, 2): F(-2), F(-1, 2): F(1), F(-5, 2): F(1, 4),
-                F(-9, 2): F(1, 8)}
-        got = {e: c.re for e, c in b.terms}
-        assert got == want
+        # p = -2 q^(3/2) (1 - q^-2)^(1/2), one sign representative stored:
+        # the binomial series puts -2 C(1/2, k) (-1)^k at q^(3/2 - 2k)
+        want = {}
+        binom = F(1)
+        for k in range(21):
+            want[F(3, 2) - 2 * k] = -2 * binom * (-1) ** k
+            binom = binom * (F(1, 2) - k) / (k + 1)
+        assert dict(b.terms) == want
+        assert list(want.values())[:4] == [-2, 1, F(1, 4), F(1, 8)]
+        assert b.valid_q_to == F(-77, 2)
 
     def test_rational_rhs_keeps_negative_exponents(self):
         eq = parse_equation("y''' = y^3 + 1/y")
