@@ -175,6 +175,8 @@ class GaussianRational:
         return (self._a, self._b, self._d) == o      # normal forms on both sides
 
     def __hash__(self):
+        if self._b == 0:       # a real value hashes as the equal int or Fraction
+            return hash(self.re)
         if self._d == 1:       # an integer Fraction hashes as the integer
             return hash((self._a, self._b))
         return hash((self.re, self.im))

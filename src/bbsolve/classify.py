@@ -1,15 +1,18 @@
 """Classification of solution germs into class-W shapes.
 
-Exact matchers first: one-term monomial solutions c z^-n, and exponential
+Exact matchers first: one-term monomial solutions c z^-n, exponential
 solutions of affine equations y^(k) = lambda y + mu (pure e^(az) modes with
-a^k = lambda).  Numeric evidence second: high-order Taylor continuation of
-the germ through the plane, pole crossing by matching the exact Laurent germ
-near each pole, and a lattice fit on the recorded pole set.  Two independent
-periods with nonreal ratio mean elliptic; one period means rational in
-e^(az), and its multiplier a turns the exact germ into an exact Pade
-approximant R = A/B.  Both exponential matchers certify y = A(w)/B(w),
-w = e^(az), by one cleared-denominator polynomial identity
-(_certify_exponential).  A single non-recurring pole on a finite probe
+a^k = lambda), and closed forms y = R(e^(az)) with a pole.  The multiplier a
+of such an R comes from the equation: R tends to an equilibrium r of
+y^(k) = f(y) as e^(az) -> 0, so a^k = f'(r), and each exact a turns the
+exact germ into an exact Pade approximant R = A/B.  Both exponential
+matchers certify y = A(w)/B(w), w = e^(az), by one cleared-denominator
+polynomial identity (_certify_exponential).  Numeric evidence second, when
+no closed form is certified: high-order Taylor continuation of the germ
+through the plane, pole crossing by matching the exact Laurent germ near
+each pole, and a lattice fit on the recorded pole set.  Two independent
+periods with nonreal ratio mean elliptic, one period rational in e^(az),
+both numerically.  A single non-recurring pole on a finite probe
 proves nothing and leaves the verdict undetermined unless an exact rational
 solution is certified.  A continuation segment (run_segment) reaches its
 target within 1e-9 (1 + its length) or raises ToleranceLoss: the sweep drops
@@ -120,9 +123,9 @@ def match_exponential(eq, precision=DEFAULT_PREC, notes=None):
 
     Affine right-hand sides y^(k) = lambda y + mu give the complete family of
     pure modes (R(w) = w - mu/lambda, a^k = lambda), certified exactly.  No
-    other equation is searched without a period: a verified numeric period
-    may still certify an R through reconstruct_exponential.  No match is
-    reported through ``notes``, not as a failure.
+    other equation is searched here: classify_equation looks for an R with a
+    pole through reconstruct_exponential.  No match is reported through
+    ``notes``, not as a failure.
     """
     out = []
     if eq.resolved is not None:
@@ -145,41 +148,60 @@ def match_exponential(eq, precision=DEFAULT_PREC, notes=None):
     return out
 
 
-def reconstruct_exponential(eq, germ, period, degree_cap=6):
-    """Try to certify y = R(e^(az)) from a verified period: a = 2 pi i / T.
+def reconstruct_exponential(eq, germ, a, degree_cap=6):
+    """Try to certify y = R(e^(az)) for the exact multiplier ``a``.
 
     ``germ`` is the exact Laurent germ y = sum c_j z^(j-n) at the pole z = 0.
     With s = e^(az) - 1, z = log(1 + s)/a turns it into a Laurent series in
     s; R = A(s)/(s^n B(s)) is its Pade approximant, solved exactly for each
     (deg num, deg den) in turn and kept only when _certify_exponential proves
-    the cleared-denominator identity.  Returns an ExponentialMatch, or None
-    when the germ is not exact or nothing within the cap is certified.
+    the cleared-denominator identity.  For even k every system reads the
+    germ through its resonant index 2n + k, where the first-integral
+    constant enters, so R is the solution at the germ's c; a shorter germ
+    certifies nothing.  Returns an ExponentialMatch, or None when the germ is
+    not exact or nothing within the cap is certified.
     """
-    a_g = _recognise_gaussian(2j * cmath.pi / complex(period))
     n = germ.n
-    if a_g is None or n > degree_cap or germ.has_free_parameter() \
+    if n > degree_cap or germ.has_free_parameter() \
             or not all(is_exact(c) for c in germ.coeffs):
         return None
-    # s^n y(s) two indices past what the largest Pade system reads
-    M = min(2 * degree_cap - n + 2, len(germ.coeffs) - 1)
-    Y = _germ_in_s(germ.coeffs, n, a_g, M)
-    a_k = a_g ** eq.k
+    # s^n y(s) two indices past what the largest Pade system reads, and for
+    # even k at least through the resonant index
+    res = germ.resonant_index() or 0
+    M = min(max(2 * degree_cap - n + 2, res), len(germ.coeffs) - 1)
+    if M < res:
+        return None
+    Y = _germ_in_s(germ.coeffs, n, a, M)
+    a_k = a ** eq.k
     for deg_n in range(1, degree_cap + 1):
         for deg_d in range(n, degree_cap + 1):
             R = _pade_in_w(Y, n, deg_n, deg_d - n)
             if R is not None and _certify_exponential(eq, a_k, *R):
-                a_poly = UPoly([-a_g, GR_ONE])
-                return ExponentialMatch(a_poly=a_poly, a_values=(a_g,),
+                return ExponentialMatch(a_poly=UPoly([-a, GR_ONE]), a_values=(a,),
                                         R_num=R[0], R_den=R[1])
     return None
 
 
-def _recognise_gaussian(z, bound=10 ** 6, tol=1e-9):
-    fr = Fraction(z.real).limit_denominator(bound)
-    fi = Fraction(z.imag).limit_denominator(bound)
-    if abs(float(fr) - z.real) < tol and abs(float(fi) - z.imag) < tol:
-        return GaussianRational(fr, fi)
-    return None
+def _multipliers(eq, precision):
+    """The exact multipliers a to try for y = R(e^(az)) on y^(k) = f(y) = N/D.
+
+    As w = e^(az) -> 0, R(w) tends to an equilibrium r, and linearising at r
+    gives a^k = f'(r) = N'(r)/D(r) for a simple root r of N with D(r) != 0.
+    Only roots r and a in Q(i) count, and a only on the half-plane Im a > 0
+    or Im a = 0 < Re a, since R(1/w) covers -a.
+    """
+    N, D = eq.resolved
+    dN, out = N.derivative(), []
+    for r in roots_univariate(N, precision):
+        # a multiple root has dN(r) = 0, so each simple root comes once
+        if not is_exact(r) or dN.eval(r).is_zero() or D.eval(r).is_zero():
+            continue
+        lam = dN.eval(r) / D.eval(r)
+        for a in roots_univariate(UPoly([-lam] + [GR_ZERO] * (eq.k - 1) + [GR_ONE]),
+                                  precision):
+            if is_exact(a) and (a.im > 0 or (a.im == 0 and a.re > 0)) and a not in out:
+                out.append(a)
+    return out
 
 
 def _germ_in_s(coeffs, n, a, M):
@@ -343,13 +365,6 @@ class PoleEvent:
     order: int
     germ_id: str
     residual: float
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    steps: tuple          # ((z, state tuple), ...)
-    pole_events: tuple    # PoleEvent
-    max_defect: float
 
 
 class _Flow:
@@ -748,30 +763,6 @@ def _record_event(events, ev):
     events.append(ev)
 
 
-def continue_trajectory(eq, seed_series, path, tol=DEFAULT_TRAJ_TOL):
-    """Continue the germ ``seed_series`` (pole at 0) along a polyline.
-
-    ``path``: list of complex waypoints; the start must sit where the
-    truncated germ still evaluates accurately (|z| well inside the first
-    lattice scale).  Returns a Trajectory, or raises ToleranceLoss.
-    """
-    flow = _Flow(eq, tol)
-    g0 = germ_numeric(seed_series, "seed")
-    z0 = complex(path[0])
-    state, p = flow.germ_state(g0, z0)
-    events = [PoleEvent(z=0j, order=g0.n, germ_id=g0.germ_id, residual=0.0)]
-    record = [(z0, state)]
-    max_defect = 0.0
-    cur = z0
-    for wp in path[1:]:
-        state, p, dft = run_segment(flow, cur, state, p, complex(wp), [g0],
-                                    events, record=record)
-        max_defect = max(max_defect, dft)
-        cur = complex(wp)
-    return Trajectory(steps=tuple(record), pole_events=tuple(events),
-                      max_defect=max_defect)
-
-
 def sweep_poles(eq, germ_family, tol=DEFAULT_TRAJ_TOL, budget=13,
                 first_integral=None):
     """Breadth-first pole hunt around the seed pole at 0.
@@ -1026,9 +1017,11 @@ class ClassificationVerdict:
 
 def classify_equation(eq, report, branches, ev, mono, c, N, tol, precision):
     """The verdict on a screened equation, given its exactness verdict ``ev``
-    and match_monomial's result ``mono``.  The pole sweep continues the germs
-    of index N at first-integral constant c (1 for even k when c is None); a
-    verified rank-1 lattice may be upgraded to an exact closed form."""
+    and match_monomial's result ``mono``.  The germs of index N at
+    first-integral constant c (1 for even k when c is None) first meet every
+    multiplier the resolved form admits: a closed form R(e^(az)) certified on
+    the seed germ decides the verdict exactly.  Otherwise the pole sweep
+    continues those germs and a verified lattice decides it numerically."""
     notes, expo, pr, events = [], [], None, ()
     if report.kappa_one_count >= 1:
         expo = match_exponential(eq, precision, notes=notes)
@@ -1042,23 +1035,29 @@ def classify_equation(eq, report, branches, ev, mono, c, N, tol, precision):
             eq, branches, report.admissible_pairs(), notes,
             "germ for continuation unavailable ({bid}, n={n}): {exc}",
             c=c, N=N, precision=precision)
-    if family:
-        if even:
-            notes.append("numeric continuation at first-integral constant c="
-                         + gaussian_str(c))
+    closed = None
+    if family and eq.resolved is not None:
+        try:
+            for a in _multipliers(eq, precision):
+                # the seed germ: the sweep's pole at z = 0
+                closed = reconstruct_exponential(eq, family[0], a,
+                                                 report.degree_bound or 6)
+                if closed is not None:
+                    break
+        except BBError as exc:
+            notes.append(f"closed-form search failed: {exc}")
+    if family and even:
+        how = "numeric continuation" if closed is None else "exact closed form"
+        notes.append(f"{how} at first-integral constant c={gaussian_str(c)}")
+    if closed is not None:
+        expo.append(closed)
+    elif family:
         fi = ev.s_rational if (ev.mode == "resolved" and ev.exact) else None
         try:
             found, probe = sweep_poles(eq, family, tol=tol, first_integral=fi)
             pr, events = detect_periods(found, state_probe=probe), tuple(found)
         except BBError as exc:
             notes.append(f"numeric continuation failed: {exc}")
-    if pr is not None and pr.rank == 1 and pr.verified and eq.resolved is not None:
-        # the seed germ: the sweep's pole at z = 0
-        rec = reconstruct_exponential(eq, family[0], pr.periods[0],
-                                      degree_cap=report.degree_bound or 6)
-        if rec is not None:
-            notes.append("rank-1 lattice upgraded to an exact closed form")
-            expo.append(rec)
     return assemble_verdict(report, mono, expo, pr, pole_events=events,
                             notes=notes)
 
@@ -1067,8 +1066,9 @@ def assemble_verdict(report, mono_matches=(), exp_matches=(),
                      period_result=None, pole_events=(), notes=()):
     """Combine screening, exact matches, and numeric period evidence.
 
-    Priority: screening failures; then exact closed forms valid at the
-    analysed first-integral constant; then verified periods (numeric); else
+    Priority: screening failures; then a certified closed form R(e^(az))
+    with a pole (R's denominator nonconstant), exact with period 2 pi i/a;
+    then verified periods (numeric); then exact monomials; else
     undetermined.  A single non-recurring pole with no certified exact match
     is kept as evidence only: one pole on a finite probe is not a rational
     solution.  So are two or more poles without a verified lattice.
@@ -1089,6 +1089,11 @@ def assemble_verdict(report, mono_matches=(), exp_matches=(),
         if label == "entire_only" and report.admissible_n:
             label = "none_with_pole"
         return verdict(label, "exact")
+    poled = [m for m in exp_matches if m.R_den.degree() > 0]
+    if poled:
+        T = 2j * cmath.pi / complex(poled[0].a_values[0])
+        return verdict("rational_in_exponential", "exact",
+                       f"period 2*pi*i/a: T={T:.9g}", periods=(T,))
     pr = period_result
     if pr is not None and pr.rank == 2 and pr.verified:
         return verdict("elliptic", "numeric",
@@ -1096,8 +1101,7 @@ def assemble_verdict(report, mono_matches=(), exp_matches=(),
                        f"T2={pr.periods[1]:.9g}, ratio={pr.ratio:.9g}",
                        periods=pr.periods)
     if pr is not None and pr.rank == 1 and pr.verified:
-        return verdict("rational_in_exponential",
-                       "exact" if exp_matches else "numeric",
+        return verdict("rational_in_exponential", "numeric",
                        f"rank-1 pole lattice: T={pr.periods[0]:.9g}",
                        periods=pr.periods)
     if mono_matches:
@@ -1114,16 +1118,3 @@ def assemble_verdict(report, mono_matches=(), exp_matches=(),
                        f"verified lattice: {pr.detail}{refused}")
     return verdict("undetermined", "heuristic")
 
-
-def trajectory_to_jsonl(traj):
-    """JSON-lines dump: one record per step, then one per pole event."""
-    import json
-    lines = []
-    for z, state in traj.steps:
-        lines.append(json.dumps({"z": [z.real, z.imag],
-                                 "state": [[s.real, s.imag] for s in state],
-                                 "defect": traj.max_defect}))
-    for ev in traj.pole_events:
-        lines.append(json.dumps({"z": [ev.z.real, ev.z.imag], "order": ev.order,
-                                 "germ": ev.germ_id, "residual": ev.residual}))
-    return "\n".join(lines)

@@ -118,7 +118,7 @@ class GaussianRational:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
     def __repr__(self):
         if self.im == 0:

@@ -332,7 +332,7 @@ GOLDEN_SHA256 = {
     "y''' = y": "4bfa9ede2b3974188e9e9c86f926f1029b2e3b5ad4eed13554ed1caa497e89fa",
     "y'' = y": "aef4b743e977c5a18c584e78d0f81cfdb6348e26f7d42312d44e7239c233bdba",
     "y' = y^2": "0ae2a09d81a7d13f19b128a0dcb46bf42d1f073005928124025ec61914d5d902",
-    "y' = y^2 - 1": "100fb88d9e89f4255bc7b61705571d599650de135422b60e4f65dfc3821e71c4",
+    "y' = y^2 - 1": "cbab9a05e1374f915bdeca05ce9e986df834f9366de48400b072b8e62c64cb07",
     "y'' = y^2": "c220c6ef72054b6dff36731310610735304c04b7fa88d7c561177623eedcb109",
     "P: p^2 - q^3 ; k=2": "1610b07032a43cc02635c4919bdd4da6f658f5b3a6bbbf6ed956916c6b65badd",
     "y' = 2*y^3": "64fca254f7f11b99ef8f588ff3dbe50f77a608fc9ecafe4b5c84926051fad5b9",

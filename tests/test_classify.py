@@ -1,6 +1,7 @@
 """Exact matchers, the exponential certificate, continuation, period detection."""
 
 import cmath
+import dataclasses
 import hashlib
 import math
 from fractions import Fraction
@@ -9,14 +10,15 @@ import pytest
 
 from bbsolve import classify
 from bbsolve.algebra import BigComplex, GaussianRational, UPoly
-from bbsolve.cli import analyze, render_json
-from bbsolve.classify import (PoleEvent, assemble_verdict, continue_trajectory,
-                              detect_periods, match_exponential, match_monomial,
-                              sweep_poles, germ_numeric,
-                              _certify_exponential, _Flow)
+from bbsolve.cli import Options, analyze, render_json
+from bbsolve.classify import (PoleEvent, assemble_verdict, detect_periods,
+                              match_exponential, match_monomial,
+                              reconstruct_exponential, run_segment, sweep_poles,
+                              germ_numeric, _certify_exponential, _Flow)
 from bbsolve.conditions import screen_admissibility
 from bbsolve.curve import branches_at_infinity
 from bbsolve.eqparse import parse_equation
+from bbsolve.errors import PrecisionExhausted
 from bbsolve.series import enumerate_series
 
 F = Fraction
@@ -100,6 +102,90 @@ class TestRiccatiOrbit:
         (re, im), = v["periods"]
         assert abs(re) < 1e-9 and abs(abs(im) - math.pi / abs(lam)) < 1e-9
 
+    @pytest.mark.parametrize("text, a", [
+        ("y' = y^2 - 1", 2),
+        ("y' = 3*y^2 - 3", 6),
+        ("y' = y^2/2 - 1/2", 1),
+        ("y' = -1*y^2 + 4", 4),
+    ])
+    def test_multiplier_read_from_the_equation(self, text, a, monkeypatch):
+        # y' = A (y - r1)(y - r2) linearised at its equilibria: a = A (r1 - r2)
+        # on the upper half-plane; the closed form is certified without a sweep
+        sweeps = []
+        monkeypatch.setattr(classify, "sweep_poles",
+                            lambda *args, **kw: sweeps.append(args) or ([], None))
+        v = analyze(text)[0]["classification"]
+        assert (v["label"], v["confidence"]) == ("rational_in_exponential", "exact")
+        assert sweeps == []
+        assert f"a a root of a - {a} = 0" in v["evidence"][0]
+        assert v["periods"] == [[0.0, 2 * math.pi / a]]
+
+    def test_failed_search_falls_back_to_the_sweep(self, monkeypatch):
+        # a root finder that gives up leaves a note, and the sweep decides:
+        # its verified rank-1 lattice alone is numeric
+        def exhausted(eq, precision):
+            raise PrecisionExhausted("root disks did not shrink")
+
+        monkeypatch.setattr(classify, "_multipliers", exhausted)
+        v = analyze("y' = y^2 - 1")[0]["classification"]
+        assert v["evidence"][0] == "closed-form search failed: root disks did not shrink"
+        assert (v["label"], v["confidence"]) == ("rational_in_exponential", "numeric")
+
+    def test_irrational_multiplier_stays_numeric(self):
+        # y' = 7/3 y^2 - 4 has equilibria +-sqrt(12/7): no a in Q(i)
+        eq = parse_equation("y' = 7/3*y^2 + -4")
+        assert classify._multipliers(eq, 256) == []
+        v = analyze("y' = 7/3*y^2 + -4")[0]["classification"]
+        assert (v["label"], v["confidence"]) == ("rational_in_exponential", "numeric")
+
+
+class TestEvenOrderClosedForm:
+    """y'' = 6 y^2 + y, i.e. y'^2 = 4 y^3 + y^2 + 2c: the cubic has a double
+    root at c = 0 (y = w/(w - 1)^2, w = e^z) and at c = -1/216 (a = i), and
+    is elliptic at every other c."""
+
+    TEXT = "y'' = 6*y^2 + y"
+
+    def _germ(self, c):
+        eq = parse_equation(self.TEXT)
+        bs = branches_at_infinity(eq.P, depth=40)
+        germ, = enumerate_series(eq, bs[0], 2, c=GaussianRational(c), N=24)
+        return eq, germ
+
+    def test_multipliers(self):
+        # equilibria -1/6 and 0: f'(-1/6) = -1 and f'(0) = 1
+        assert classify._multipliers(parse_equation(self.TEXT), 256) \
+            == [GaussianRational(0, 1), GaussianRational(1)]
+
+    @pytest.mark.parametrize("c, a, R", [
+        (0, "a - 1", "(w)/(w^2 - 2*w + 1)"),
+        (F(-1, 216), "a - i", "(-1/6*w^2 - 2/3*w - 1/6)/(w^2 - 2*w + 1)"),
+    ])
+    def test_exact_at_the_degenerate_constants(self, c, a, R):
+        v = analyze(self.TEXT, Options(c=c))[0]["classification"]
+        assert (v["label"], v["confidence"]) == ("rational_in_exponential", "exact")
+        assert v["evidence"][:2] == [
+            "exact closed form at first-integral constant c=" + str(F(c)),
+            f"exact exponential solution: y = {R} with w = e^(a*z), a a root of "
+            f"{a} = 0"]
+
+    def test_elliptic_at_the_default_constant(self):
+        v = analyze(self.TEXT)[0]["classification"]
+        assert (v["label"], v["confidence"]) == ("elliptic", "numeric")
+        assert v["evidence"][0] == "numeric continuation at first-integral constant c=1"
+
+    def test_pade_reads_through_the_resonant_index(self):
+        # the c = -1/216 solution agrees with the c = 1 germ below index
+        # 2n + k = 6, so only reading c_6 refuses it; a germ that stops
+        # short of c_6 certifies nothing, even at its own c
+        i = GaussianRational(0, 1)
+        eq, germ = self._germ(1)
+        assert reconstruct_exponential(eq, germ, i, degree_cap=2) is None
+        eq, germ = self._germ(F(-1, 216))
+        assert reconstruct_exponential(eq, germ, i, degree_cap=2) is not None
+        short = dataclasses.replace(germ, coeffs=germ.coeffs[:6], N=5)
+        assert reconstruct_exponential(eq, short, i, degree_cap=2) is None
+
 
 class TestExponentialCertificate:
     """_certify_exponential: y = A(w)/B(w), w = e^(az), against y^(k) = N/D."""
@@ -133,32 +219,49 @@ class TestExponentialCertificate:
                                     UPoly([-1, 1])) is False
 
 
+def _continue(eq, germ, path):
+    """Continue ``germ`` (pole at 0) along the polyline ``path``, one
+    run_segment per leg.  Returns (steps, pole events, max defect), where
+    steps are the (z, state) records, starting at path[0]."""
+    flow = _Flow(eq)
+    g0 = germ_numeric(germ, "seed")
+    state, p = flow.germ_state(g0, complex(path[0]))
+    events = [PoleEvent(z=0j, order=g0.n, germ_id=g0.germ_id, residual=0.0)]
+    steps = [(complex(path[0]), state)]
+    max_defect = 0.0
+    for z0, z1 in zip(path, path[1:]):
+        state, p, dft = run_segment(flow, complex(z0), state, p, complex(z1), [g0],
+                                    events, record=steps)
+        max_defect = max(max_defect, dft)
+    return steps, events, max_defect
+
+
 class TestTrajectory:
     def test_exact_rational_solution(self):
         eq = parse_equation("y' = y^2")
         bs = branches_at_infinity(eq.P, depth=12)
         germ, = enumerate_series(eq, bs[0], 1, N=10)
-        traj = continue_trajectory(eq, germ, [0.3 + 0.1j, 2.0 + 0.5j, -1.5 + 0.2j])
-        assert len(traj.pole_events) == 1       # y = -1/(z - z0): one pole only
-        assert traj.pole_events[0].order == 1
+        _steps, events, _ = _continue(eq, germ, [0.3 + 0.1j, 2.0 + 0.5j, -1.5 + 0.2j])
+        assert len(events) == 1       # y = -1/(z - z0): one pole only
+        assert events[0].order == 1
 
     def test_p_germ_short_segment(self):
         eq = parse_equation("y'' = 6*y^2")
         bs = branches_at_infinity(eq.P, depth=16)
         germ, = enumerate_series(eq, bs[0], 2, c=GaussianRational(0), N=14)
-        traj = continue_trajectory(eq, germ, [0.2 + 0.1j, 0.8 + 0.3j])
+        steps, events, _ = _continue(eq, germ, [0.2 + 0.1j, 0.8 + 0.3j])
         # seed pole at 0 of order 2 recorded
-        assert traj.pole_events[0].z == 0 and traj.pole_events[0].order == 2
+        assert events[0].z == 0 and events[0].order == 2
         # y ~ 1/z^2 asymptotics at the endpoint
-        z_end, state = traj.steps[-1]
+        z_end, state = steps[-1]
         assert abs(state[0] - 1 / z_end ** 2) < 1e-6 * abs(state[0])
 
     def test_curve_mode_defect_controlled(self):
         eq = parse_equation("P: p^2 - 4*q^3 + 4*q ; k=1")
         bs = branches_at_infinity(eq.P, depth=40)
         germ, = enumerate_series(eq, bs[0], 2, N=24)
-        traj = continue_trajectory(eq, germ, [0.25 + 0.13j, 1.1 + 0.4j])
-        assert traj.max_defect < 1e-10
+        _steps, _events, max_defect = _continue(eq, germ, [0.25 + 0.13j, 1.1 + 0.4j])
+        assert max_defect < 1e-10
 
 
 class TestContinuationContract:
@@ -307,19 +410,38 @@ class TestVerdicts:
         assert v.label == "rational" and v.confidence == "exact"
 
     def test_monotonic_confidence(self):
-        # adding numeric evidence never downgrades an exact verdict
+        # adding numeric evidence never downgrades an exact verdict: the
+        # closed form y = -coth z of y' = y^2 - 1, certified with a = 2
         from bbsolve.classify import PeriodResult
         eq, rep = self._report("y' = y^2 - 1")
-        exp = match_exponential(parse_equation("y'' = y"))   # any exact match
-        one = PeriodResult(rank=1, periods=(3.14159j,), ratio=None,
-                           verified=True, detail="")
-        v1 = assemble_verdict(rep, exp_matches=exp, period_result=one)
-        assert v1.confidence == "exact"
+        germ, = enumerate_series(eq, branches_at_infinity(eq.P, 40)[0], 1, N=24)
+        exp = [reconstruct_exponential(eq, germ, GaussianRational(2))]
+        assert exp[0].R_den.degree() == 1
+        v0 = assemble_verdict(rep, exp_matches=exp)
+        assert (v0.label, v0.confidence) == ("rational_in_exponential", "exact")
+        assert v0.periods == (1j * math.pi,)
         events = [PoleEvent(z=1j * t, order=1, germ_id="g0", residual=0.0)
                   for t in range(4)]
-        v2 = assemble_verdict(rep, exp_matches=exp, period_result=one,
-                              pole_events=events)
-        assert v2.confidence == "exact" and v2.label == v1.label
+        for pr in (PeriodResult(rank=1, periods=(3.14159j,), ratio=None,
+                                verified=True, detail=""),
+                   PeriodResult(rank=2, periods=(3.14159j, 2.0), ratio=-0.63j,
+                                verified=True, detail="")):
+            for pole_events in ((), events):
+                v = assemble_verdict(rep, exp_matches=exp, period_result=pr,
+                                     pole_events=pole_events)
+                assert (v.label, v.confidence, v.periods) \
+                    == (v0.label, v0.confidence, v0.periods)
+
+    def test_rank_one_lattice_alone_is_numeric(self):
+        # an exact label needs a certified closed form with a pole: an affine
+        # mode (B = 1) beside a verified rank-1 lattice leaves it numeric
+        from bbsolve.classify import PeriodResult
+        _eq, rep = self._report("y' = y^2 - 1")
+        affine = match_exponential(parse_equation("y'' = y"))
+        one = PeriodResult(rank=1, periods=(3.14159j,), ratio=None,
+                           verified=True, detail="")
+        v = assemble_verdict(rep, exp_matches=affine, period_result=one)
+        assert (v.label, v.confidence) == ("rational_in_exponential", "numeric")
 
     def test_single_pole_is_undetermined(self):
         # one pole on a finite probe, no certified exact match: evidence only
@@ -388,23 +510,6 @@ class TestEquianharmonicSymmetry:
         assert pr.rank == 2 and pr.verified
         assert abs(abs(pr.ratio) - 1) < 1e-6
         assert abs(abs(pr.ratio.real) - 0.5) < 1e-6
-
-
-class TestTrajectoryDump:
-    def test_jsonl_records(self):
-        import json as _json
-        from bbsolve.classify import trajectory_to_jsonl
-        eq = parse_equation("y' = y^2")
-        bs = branches_at_infinity(eq.P, depth=12)
-        germ, = enumerate_series(eq, bs[0], 1, N=10)
-        traj = continue_trajectory(eq, germ, [0.3 + 0.1j, 1.2 + 0.4j])
-        lines = trajectory_to_jsonl(traj).splitlines()
-        assert len(lines) >= 2
-        step = _json.loads(lines[0])
-        assert set(step) == {"z", "state", "defect"}
-        pole = _json.loads(lines[-1])
-        assert set(pole) == {"z", "order", "germ", "residual"}
-        assert pole["order"] == 1
 
 
 class TestScaledLattice:
@@ -514,9 +619,9 @@ class TestTaylorFlow:
 
         monkeypatch.setattr(_Flow, "taylor", counting_taylor)
         monkeypatch.setattr(_Flow, "germ_state", counting_germ_state)
-        traj = continue_trajectory(eq, germ, [0.2 + 0.1j, 2.5 + 0.2j, 2.0 + 2.4j])
+        steps, _events, _ = _continue(eq, germ, [0.2 + 0.1j, 2.5 + 0.2j, 2.0 + 2.4j])
         assert calls["germ_state"] >= 2       # the start, then at least one hop
-        assert calls["taylor"] == len(traj.steps) - 1
+        assert calls["taylor"] == len(steps) - 1
 
     def test_one_flow_per_analysis(self, monkeypatch):
         # the period probe continues on the flow the sweep anchored

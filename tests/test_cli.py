@@ -483,6 +483,21 @@ class TestModuleEntryPoint:
                     bad += [node.lineno] if named & types else []
             assert bad == [], f"{name}: BigComplex import or type dispatch at lines {bad}"
 
+    def test_only_algebra_rounds_floats_to_fractions(self):
+        # an exact value comes from a certified root or from exact
+        # arithmetic, never from a float guess: only the root finder in
+        # algebra.py rounds a numeric root to a candidate, then checks it
+        pkg = os.path.join(SRC, "bbsolve")
+        for name in sorted(os.listdir(pkg)):
+            if not name.endswith(".py") or name == "algebra.py":
+                continue
+            with open(os.path.join(pkg, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            bad = [node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute)
+                   and node.attr == "limit_denominator"]
+            assert bad == [], f"{name}: limit_denominator at lines {bad}"
+
     def test_gaussian_triple_stays_inside_algebra(self):
         # GaussianRational keeps (a + b i)/d in private slots; every other
         # module reads a value through re, im and the arithmetic, so the

@@ -76,8 +76,18 @@ def test_equality_and_hash_match_the_fraction_pair(x, y, s):
     assert (xn == yn) == (xo == yo) and (xn == xn + 0)
     assert (xn == s, s == xn) == (xo == s, s == xo)
     assert (sn == s, s == sn, hash(sn)) == (so == s, s == so, hash(so))
+    # equal values hash alike across types, so a set holds them once
+    assert hash(sn) == hash(s)
     assert {xn, yn, sn} == {xn + 0, yn * 1, sn - 0}
+    assert len({sn, s}) == 1 and len({GaussianRational(x[0]), x[0]}) == 1
     assert (xn == 0.5) is False and outcome(operator.add, xn, 0.5)[0] is TypeError
+
+
+def test_real_values_hash_as_int_and_fraction():
+    for value in (0, 2, -7, Fraction(1, 3), Fraction(-22, 7)):
+        assert hash(GaussianRational(value)) == hash(value)
+        assert {GaussianRational(value): "exact"}.get(value) == "exact"
+    assert hash(GaussianRational(2)) == hash(2) == hash(Fraction(2))
 
 
 def test_inverting_zero_raises():
