@@ -4,13 +4,22 @@ Number types
 ------------
 Exact rationals are stdlib ``fractions.Fraction`` (already reduced, positive
 denominator).  ``GaussianRational`` is an exact complex rational (a + b i)/d
-held as one integer triple, d > 0 and gcd(a, b, d) = 1.  ``BigComplex`` is an
-mpmath-backed complex float of configurable binary precision carrying a
+held as one integer triple, d > 0 and gcd(a, b, d) = 1.  ``BigComplex`` is a
+ball: a complex midpoint of configurable binary precision p carrying a
 conservative absolute error bound.  A value known exactly is always a
 GaussianRational; a BigComplex only ever stands for a value that is not.  Both
 types answer the same arithmetic (``+ - * /``, ``**``, ``inverse()``, int and
 Fraction operands, ``complex()``), so callers need not ask which one they
 hold.
+
+Ball arithmetic runs on raw ``mpmath.libmp`` tuples at p + 8 bits (p + 16
+for roots), round-to-nearest, with no mpmath context or number objects per
+arithmetic operation; ``val`` and ``err`` hand out mpmath objects.  It reproduces two
+defects bit for bit until ROADMAP item 9 fixes them together with the
+benchmark's numeric references: negation rounds the midpoint at mpmath's
+ambient precision (53 bits by default) but keeps the radius, and adding an
+exact zero still charges rounding slack.  This module is the only one that
+imports mpmath.
 
 Polynomials
 -----------
@@ -22,8 +31,8 @@ integer exponent grid, shared by the Puiseux branches and the Laurent germs.
 
 Root finding is simultaneous Aberth-Ehrlich iteration seeded on a circle,
 followed by Newton polishing, with a-posteriori error disks from the
-Weierstrass correction; exact rational/Gaussian-rational roots are
-recognised and certified by exact back-substitution.
+Weierstrass correction, on libmp tuples as well; exact rational/Gaussian-
+rational roots are recognised and certified by exact back-substitution.
 """
 
 from fractions import Fraction
@@ -32,6 +41,12 @@ from math import gcd
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import (fone, from_int, ftwo, fzero, mpc_abs, mpc_add, mpc_add_mpf,
+                          mpc_div, mpc_expjpi, mpc_mpf_div, mpc_mul, mpc_mul_int,
+                          mpc_mul_mpf, mpc_neg, mpc_sub, mpc_to_complex, mpf_add,
+                          mpf_div, mpf_eq, mpf_ge, mpf_gt, mpf_le, mpf_lt, mpf_mul,
+                          mpf_mul_int, mpf_pow_int, mpf_rdiv_int, mpf_shift, mpf_sub,
+                          round_nearest as _RND)
 
 from .errors import DegenerateInput, PrecisionExhausted
 
@@ -236,25 +251,42 @@ GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
 
 
-def _rnd(mag, prec):
-    # conservative per-operation rounding slack: a few ulps of the magnitude
-    return mag * _ulps(prec)
-
-
 @lru_cache(maxsize=64)
 def _ulps(prec):
-    return mpmath.mpf(2) ** (4 - prec)   # a power of two: exact at any precision
+    # conservative per-operation rounding slack: a few ulps of the magnitude,
+    # as a power of two (exact at any precision)
+    return mpf_shift(fone, 4 - prec)
+
+
+_MPC_ZERO = (fzero, fzero)
+_MPC_ONE = (fone, fzero)
 
 
 class BigComplex:
     """Arbitrary-precision complex value with a conservative absolute error bound.
 
-    ``err`` bounds the distance to the represented value; every operation
+    A ball of midpoint ``val`` (an mpc) and radius ``err`` (an mpf): ``err``
+    bounds the distance to the represented value, and every operation
     propagates it outward (never shrinks it).  Exact operands (int, Fraction,
     GaussianRational) are coerced through ``from_exact``.
+
+    The midpoint and radius are held as raw ``mpmath.libmp`` tuples.  An
+    operation on balls of precision p calls libmp once per rounding at
+    p + 8 bits (p + 16 in ``root``, which takes the b-th root itself with
+    ``mpmath.root``), round-to-nearest: the same calls, in the same order,
+    that mpmath objects make under ``mp.workprec(p + 8)``.
+    A ball also keeps the modulus of its midpoint, which its rounding slack
+    already needed, tagged with that working precision; a product reads it
+    instead of taking the modulus of each operand again.
+
+    Two defects are kept bit for bit until ROADMAP item 9 fixes them with
+    the next change to the benchmark: negation (and so ``-``) rounds the
+    midpoint at mpmath's ambient precision but keeps the radius, and adding
+    an exact zero still charges rounding slack.  ``is_zero`` and
+    ``abs_upper`` are evaluated at the ambient precision as well.
     """
 
-    __slots__ = ("val", "err", "prec")
+    __slots__ = ("_v", "_e", "prec", "_mod")
 
     def __init__(self, val, err=0, prec=DEFAULT_PREC):
         # never reconstruct an existing mpc/mpf: mpmath would re-round it to
@@ -265,14 +297,30 @@ class BigComplex:
         if not isinstance(err, mpmath.mpf):
             with mp.workprec(64):
                 err = mpmath.mpf(err)
-        object.__setattr__(self, "val", val)
-        object.__setattr__(self, "err", err)
-        object.__setattr__(self, "prec", int(prec))
-        if self.err < 0:
+        if mpf_lt(err._mpf_, fzero):
             raise ValueError("error bound must be nonnegative")
+        _set_v(self, val._mpc_)
+        _set_e(self, err._mpf_)
+        _set_prec(self, int(prec))
+        _set_mod(self, None)
 
     def __setattr__(self, *a):
         raise AttributeError("BigComplex is immutable")
+
+    @property
+    def val(self):
+        return mp.make_mpc(self._v)
+
+    @property
+    def err(self):
+        return mp.make_mpf(self._e)
+
+    def _modulus(self, wp):
+        """|val| rounded to wp bits: the kept one when it was taken at wp."""
+        mod = self._mod
+        if mod is not None and mod[0] == wp:
+            return mod[1]
+        return mpc_abs(self._v, wp, _RND)
 
     @staticmethod
     def from_exact(x, prec=DEFAULT_PREC):
@@ -284,7 +332,7 @@ class BigComplex:
     # -- coercion --------------------------------------------------------
     @staticmethod
     def _coerce(x, prec):
-        if isinstance(x, BigComplex):
+        if type(x) is BigComplex:
             return x
         if isinstance(x, (int, Fraction, GaussianRational)):
             return BigComplex.from_exact(x, prec)
@@ -298,15 +346,18 @@ class BigComplex:
         if o is None:
             return NotImplemented
         prec = max(self.prec, o.prec)
-        with mp.workprec(prec + 8):
-            v = self.val + o.val
-            e = self.err + o.err + _rnd(abs(v), prec)
-        return BigComplex(v, e, prec)
+        wp = prec + 8
+        v = mpc_add(self._v, o._v, wp, _RND)
+        m = mpc_abs(v, wp, _RND)
+        e = mpf_add(mpf_add(self._e, o._e, wp, _RND), mpf_mul(m, _ulps(prec), wp, _RND),
+                    wp, _RND)
+        return _ball(v, e, prec, (wp, m))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return BigComplex(-self.val, self.err, self.prec)
+        # rounds at the ambient precision (ROADMAP item 9)
+        return _ball(mpc_neg(self._v, *mp._prec_rounding), self._e, self.prec, None)
 
     def __sub__(self, other):
         o = self._coerce(other, self.prec)
@@ -325,11 +376,16 @@ class BigComplex:
         if o is None:
             return NotImplemented
         prec = max(self.prec, o.prec)
-        with mp.workprec(prec + 8):
-            v = self.val * o.val
-            e = (abs(self.val) * o.err + abs(o.val) * self.err
-                 + self.err * o.err + _rnd(abs(v), prec))
-        return BigComplex(v, e, prec)
+        wp = prec + 8
+        se, oe = self._e, o._e
+        v = mpc_mul(self._v, o._v, wp, _RND)
+        m = mpc_abs(v, wp, _RND)
+        # |a| eb + |b| ea + ea eb + slack, summed left to right
+        e = mpf_add(mpf_mul(self._modulus(wp), oe, wp, _RND),
+                    mpf_mul(o._modulus(wp), se, wp, _RND), wp, _RND)
+        e = mpf_add(e, mpf_mul(se, oe, wp, _RND), wp, _RND)
+        e = mpf_add(e, mpf_mul(m, _ulps(prec), wp, _RND), wp, _RND)
+        return _ball(v, e, prec, (wp, m))
 
     __rmul__ = __mul__
 
@@ -338,13 +394,17 @@ class BigComplex:
         if o is None:
             return NotImplemented
         prec = max(self.prec, o.prec)
-        with mp.workprec(prec + 8):
-            denom_low = abs(o.val) - o.err
-            if denom_low <= 0:
-                raise PrecisionExhausted("division by a value not certified nonzero")
-            v = self.val / o.val
-            e = (self.err + abs(v) * o.err) / denom_low + _rnd(abs(v), prec)
-        return BigComplex(v, e, prec)
+        wp = prec + 8
+        denom_low = mpf_sub(o._modulus(wp), o._e, wp, _RND)
+        if mpf_le(denom_low, fzero):
+            raise PrecisionExhausted("division by a value not certified nonzero")
+        v = mpc_div(self._v, o._v, wp, _RND)
+        m = mpc_abs(v, wp, _RND)
+        # (ea + |v| eb) / (|b| - eb) + slack
+        e = mpf_add(self._e, mpf_mul(m, o._e, wp, _RND), wp, _RND)
+        e = mpf_add(mpf_div(e, denom_low, wp, _RND), mpf_mul(m, _ulps(prec), wp, _RND),
+                    wp, _RND)
+        return _ball(v, e, prec, (wp, m))
 
     def __rtruediv__(self, other):
         o = self._coerce(other, self.prec)
@@ -360,7 +420,7 @@ class BigComplex:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        out = BigComplex(1, 0, self.prec)
+        out = _ball(_MPC_ONE, fzero, self.prec, None)
         base = self
         while n:
             if n & 1:
@@ -372,28 +432,51 @@ class BigComplex:
     def root(self, b, index=0):
         """One b-th root (mpmath determination rotated by the index-th unit root)."""
         prec = self.prec
-        with mp.workprec(prec + 16):
-            if abs(self.val) == 0:
-                return BigComplex(0, self.err, prec)
-            if 2 * self.err >= abs(self.val):
-                raise PrecisionExhausted("radicand not certified away from zero")
-            r = mpmath.root(self.val, b, k=index)
-            e = abs(r) * (self.err / abs(self.val)) / b + _rnd(abs(r), prec)
-        return BigComplex(r, e, prec)
+        wp = prec + 16
+        m = self._modulus(wp)
+        if mpf_eq(m, fzero):
+            return _ball(_MPC_ZERO, self._e, prec, None)
+        if mpf_ge(mpf_mul_int(self._e, 2, wp, _RND), m):
+            raise PrecisionExhausted("radicand not certified away from zero")
+        with mp.workprec(wp):                   # the one transcendental step
+            r = mpmath.root(self.val, b, k=index)._mpc_
+        mr = mpc_abs(r, wp, _RND)
+        # |r| (e / |val|) / b + slack
+        e = mpf_mul(mr, mpf_div(self._e, m, wp, _RND), wp, _RND)
+        e = mpf_add(mpf_div(e, from_int(b), wp, _RND), mpf_mul(mr, _ulps(prec), wp, _RND),
+                    wp, _RND)
+        return _ball(r, e, prec, (wp, mr))
 
     # -- predicates ------------------------------------------------------
     def abs_upper(self):
-        return abs(self.val) + self.err
+        prec, rnd = mp._prec_rounding
+        return mp.make_mpf(mpf_add(mpc_abs(self._v, prec, rnd), self._e, prec, rnd))
 
     def is_zero(self):
         """Certified-zero flag: the disk contains zero."""
-        return abs(self.val) <= self.err
+        prec, rnd = mp._prec_rounding
+        return mpf_le(mpc_abs(self._v, prec, rnd), self._e)
 
     def __complex__(self):
-        return complex(self.val)
+        return mpc_to_complex(self._v, rnd=mp._prec_rounding[1])
 
     def __repr__(self):
         return f"BigComplex({mpmath.nstr(self.val, 17)}, err={mpmath.nstr(self.err, 3)})"
+
+
+_set_v, _set_e, _set_prec, _set_mod = (getattr(BigComplex, slot).__set__
+                                       for slot in BigComplex.__slots__)
+
+
+def _ball(v, e, prec, mod):
+    """The ball (v, e) at prec, modulus ``mod`` = (wp, |v| at wp) or None;
+    built without ``__init__``'s conversions and checks."""
+    out = object.__new__(BigComplex)
+    _set_v(out, v)
+    _set_e(out, e)
+    _set_prec(out, prec)
+    _set_mod(out, mod)
+    return out
 
 
 @lru_cache(maxsize=256)
@@ -402,10 +485,11 @@ def _exact_ball(re, im, prec):
     weights, coefficients of P) meet every numeric operation, and balls are
     immutable."""
     g = GaussianRational(re, im)
-    with mp.workprec(prec + 8):
-        v = g.to_mpc(prec + 8)
-        e = _rnd(abs(v), prec) if not _fraction_fits(g, prec) else mpmath.mpf(0)
-    return BigComplex(v, e, prec)
+    wp = prec + 8
+    v = g.to_mpc(wp)._mpc_
+    m = mpc_abs(v, wp, _RND)
+    e = mpf_mul(m, _ulps(prec), wp, _RND) if not _fraction_fits(g, prec) else fzero
+    return _ball(v, e, prec, (wp, m))
 
 
 def _fraction_fits(g, prec):
@@ -812,80 +896,104 @@ def _aberth(coeffs_mpc, prec, coeff_err_bound):
     """All roots of a (near-)squarefree monic polynomial given by mpc coefficients.
 
     Returns list of (mpc root, mpf error radius).  Raises PrecisionExhausted
-    if the a-posteriori disks cannot be separated.
+    if the a-posteriori disks cannot be separated.  The iteration runs on
+    libmp tuples at prec + 32 bits and the Newton polish at 2 prec + 32,
+    round-to-nearest, with the calls mpmath objects make at those precisions.
     """
     d = len(coeffs_mpc) - 1
-    with mp.workprec(prec + 32):
-        lc = coeffs_mpc[-1]
-        cs = [c / lc for c in coeffs_mpc]
-        if d == 1:
-            r = -cs[0]
-            return [(r, _rnd(abs(r) + 1, prec) + coeff_err_bound)]
-        radius = 1 + max(abs(c) for c in cs[:-1])
-        # deterministic start: slightly detuned circle to break symmetries
-        z = [radius * mpmath.expjpi(2 * (mpmath.mpf(k) / d + mpmath.mpf(1) / (2 * d)
-                                         + mpmath.mpf(1) / 257))
-             for k in range(d)]
-        dcs = [cs[i] * i for i in range(1, d + 1)]
-
-        def horner(c, x):
-            acc = c[-1]
-            for cc in reversed(c[:-1]):
-                acc = acc * x + cc
-            return acc
-
-        target = mpmath.mpf(2) ** (-(prec + 8))
-        for _ in range(400):
-            moved = mpmath.mpf(0)
-            for i in range(d):
-                f = horner(cs, z[i])
-                fp = horner(dcs, z[i])
-                if fp == 0:
-                    z[i] = z[i] * (1 + mpmath.mpf(1) / 1000)
-                    moved = max(moved, abs(z[i]) / 1000)
-                    continue
-                w = f / fp
-                s = mpmath.mpc(0)
-                for j in range(d):
-                    if j != i:
-                        dz = z[i] - z[j]
-                        if dz == 0:
-                            dz = mpmath.mpf(2) ** (-prec) * (1 + abs(z[i]))
-                        s += 1 / dz
-                den = 1 - w * s
-                delta = w if den == 0 else w / den
-                z[i] = z[i] - delta
-                moved = max(moved, abs(delta))
-            if moved < target * radius:
+    wp = prec + 32
+    lc = coeffs_mpc[-1]._mpc_
+    cs = [mpc_div(c._mpc_, lc, wp, _RND) for c in coeffs_mpc]
+    if d == 1:
+        r = mpc_neg(cs[0], wp, _RND)
+        e = mpf_mul(mpf_add(mpc_abs(r, wp, _RND), fone, wp, _RND), _ulps(prec), wp, _RND)
+        e = mpf_add(e, coeff_err_bound._mpf_, wp, _RND)
+        return [(mp.make_mpc(r), mp.make_mpf(e))]
+    radius = mpc_abs(cs[0], wp, _RND)
+    for c in cs[1:-1]:
+        m = mpc_abs(c, wp, _RND)
+        radius = m if mpf_gt(m, radius) else radius
+    radius = mpf_add(radius, fone, wp, _RND)
+    # deterministic start: slightly detuned circle to break symmetries
+    z = []
+    for k in range(d):
+        t = mpf_add(mpf_div(from_int(k), from_int(d), wp, _RND),
+                    mpf_div(fone, from_int(2 * d), wp, _RND), wp, _RND)
+        t = mpf_mul_int(mpf_add(t, mpf_div(fone, from_int(257), wp, _RND), wp, _RND),
+                        2, wp, _RND)
+        z.append(mpc_mul_mpf(mpc_expjpi((t, fzero), wp, _RND), radius, wp, _RND))
+    dcs = [mpc_mul_int(cs[i], i, wp, _RND) for i in range(1, d + 1)]
+    nudge = mpf_add(mpf_div(fone, from_int(1000), wp, _RND), fone, wp, _RND)
+    target = mpf_pow_int(ftwo, -(prec + 8), wp, _RND)
+    for _ in range(400):
+        moved = fzero
+        for i in range(d):
+            zi = z[i]
+            f = _horner(cs, zi, wp)
+            fp = _horner(dcs, zi, wp)
+            if fp == _MPC_ZERO:
+                z[i] = mpc_mul_mpf(zi, nudge, wp, _RND)
+                step = mpf_div(mpc_abs(z[i], wp, _RND), from_int(1000), wp, _RND)
+                moved = step if mpf_gt(step, moved) else moved
+                continue
+            w = mpc_div(f, fp, wp, _RND)
+            s = _MPC_ZERO
+            for j in range(d):
+                if j != i:
+                    dz = mpc_sub(zi, z[j], wp, _RND)
+                    if dz == _MPC_ZERO:
+                        dz = mpf_mul(mpf_pow_int(ftwo, -prec, wp, _RND),
+                                     mpf_add(mpc_abs(zi, wp, _RND), fone, wp, _RND),
+                                     wp, _RND)
+                        s = mpc_add_mpf(s, mpf_rdiv_int(1, dz, wp, _RND), wp, _RND)
+                    else:
+                        s = mpc_add(s, mpc_mpf_div(fone, dz, wp, _RND), wp, _RND)
+            den = mpc_sub(_MPC_ONE, mpc_mul(w, s, wp, _RND), wp, _RND)
+            delta = w if den == _MPC_ZERO else mpc_div(w, den, wp, _RND)
+            z[i] = mpc_sub(zi, delta, wp, _RND)
+            step = mpc_abs(delta, wp, _RND)
+            moved = step if mpf_gt(step, moved) else moved
+        if mpf_lt(moved, mpf_mul(target, radius, wp, _RND)):
+            break
+    # Newton polishing at doubled working precision
+    wp = 2 * prec + 32
+    for i in range(d):
+        x = z[i]
+        for _ in range(3):
+            f = _horner(cs, x, wp)
+            fp = _horner(dcs, x, wp)
+            if fp == _MPC_ZERO:
                 break
-        # Newton polishing at doubled working precision
-        with mp.workprec(2 * prec + 32):
-            for i in range(d):
-                x = z[i]
-                for _ in range(3):
-                    f = horner(cs, x)
-                    fp = horner(dcs, x)
-                    if fp == 0:
-                        break
-                    x = x - f / fp
-                z[i] = x
-            out = []
-            for i in range(d):
-                f = horner(cs, z[i])
-                prod = mpmath.mpc(1)
-                for j in range(d):
-                    if j != i:
-                        prod *= z[i] - z[j]
-                if prod == 0:
-                    raise PrecisionExhausted("coincident root estimates")
-                wdk = abs(f / prod)
-                e = d * wdk
-                if coeff_err_bound > 0:
-                    fp = horner(dcs, z[i])
-                    if abs(fp) > 0:
-                        e += coeff_err_bound * (1 + abs(z[i])) ** d / abs(fp)
-                out.append((z[i], e + _rnd(abs(z[i]) + 1, 2 * prec)))
-        return out
+            x = mpc_sub(x, mpc_div(f, fp, wp, _RND), wp, _RND)
+        z[i] = x
+    err_bound = coeff_err_bound._mpf_
+    out = []
+    for i in range(d):
+        zi = z[i]
+        f = _horner(cs, zi, wp)
+        prod = _MPC_ONE
+        for j in range(d):
+            if j != i:
+                prod = mpc_mul(prod, mpc_sub(zi, z[j], wp, _RND), wp, _RND)
+        if prod == _MPC_ZERO:
+            raise PrecisionExhausted("coincident root estimates")
+        e = mpf_mul_int(mpc_abs(mpc_div(f, prod, wp, _RND), wp, _RND), d, wp, _RND)
+        mod_z1 = mpf_add(mpc_abs(zi, wp, _RND), fone, wp, _RND)
+        if mpf_gt(err_bound, fzero):
+            fp = mpc_abs(_horner(dcs, zi, wp), wp, _RND)
+            if mpf_gt(fp, fzero):
+                grow = mpf_mul(err_bound, mpf_pow_int(mod_z1, d, wp, _RND), wp, _RND)
+                e = mpf_add(e, mpf_div(grow, fp, wp, _RND), wp, _RND)
+        e = mpf_add(e, mpf_mul(mod_z1, _ulps(2 * prec), wp, _RND), wp, _RND)
+        out.append((mp.make_mpc(zi), mp.make_mpf(e)))
+    return out
+
+
+def _horner(c, x, wp):
+    acc = c[-1]
+    for cc in reversed(c[:-1]):
+        acc = mpc_add(mpc_mul(acc, x, wp, _RND), cc, wp, _RND)
+    return acc
 
 
 def _try_exactify(root_mpc, radius, upoly):

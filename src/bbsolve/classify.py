@@ -27,6 +27,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from operator import mul
 
 from .algebra import (GR_ONE, GR_ZERO, GaussianRational, UPoly, ZSeries,
@@ -1020,8 +1021,9 @@ def classify_equation(eq, report, branches, ev, mono, c, N, tol, precision):
     and match_monomial's result ``mono``.  The germs of index N at
     first-integral constant c (1 for even k when c is None) first meet every
     multiplier the resolved form admits: a closed form R(e^(az)) certified on
-    the seed germ decides the verdict exactly.  Otherwise the pole sweep
-    continues those germs and a verified lattice decides it numerically."""
+    any germ, the seed germ first, decides the verdict exactly.  Otherwise the
+    pole sweep continues those germs and a verified lattice decides it
+    numerically."""
     notes, expo, pr, events = [], [], None, ()
     if report.kappa_one_count >= 1:
         expo = match_exponential(eq, precision, notes=notes)
@@ -1038,10 +1040,10 @@ def classify_equation(eq, report, branches, ev, mono, c, N, tol, precision):
     closed = None
     if family and eq.resolved is not None:
         try:
-            for a in _multipliers(eq, precision):
-                # the seed germ: the sweep's pole at z = 0
-                closed = reconstruct_exponential(eq, family[0], a,
-                                                 report.degree_bound or 6)
+            # every germ is a pole at z = 0, the seed germ first; a numeric
+            # germ (leading coefficient outside Q(i)) certifies nothing
+            for germ, a in product(family, _multipliers(eq, precision)):
+                closed = reconstruct_exponential(eq, germ, a, report.degree_bound or 6)
                 if closed is not None:
                     break
         except BBError as exc:

@@ -352,3 +352,63 @@ def test_criterion_11_golden_reports_byte_identical():
     assert not changed, "reports differ from the pinned table:\n" + "\n".join(changed)
     dt = _elapsed_ok(t0, 60, "criterion 11")
     _report(f"criterion 11: {len(GOLDEN_CORPUS)} golden reports match their sha256", dt)
+
+
+# The numeric side pinned bit for bit: sha256 of the raw midpoint and radius
+# of every coefficient of the numeric Puiseux branches below, and of
+# render_json(analyze(text, Options(no_classify=True))) for inputs whose germs
+# are 256-bit balls.  A widened radius or a moved midpoint changes a digest;
+# a speed-up leaves them alone.
+NUMERIC_BRANCH_SHA256 = {
+    ("3*p^2*q - 2*p^2 + 2*q^5", 16):
+        "5cacfff8043168f2b2ae5d4626eafb20447118fc9ecc4277a297d3e10a34e805",
+    ("3*p^2*q^2 + 3*p*q^3 + 4*p*q + 4*q^5", 12):
+        "a3ba71ec8681719c396f225b0e8c2eb82e9ebb0f0a63713a920969f6a16e19a3",
+}
+NUMERIC_REPORT_SHA256 = {
+    "y''' = -1*y^4 + 1*y^3 + -1*y^2":
+        "557f954725f5983458f0c0e99f243a1d3551017df77e8def9cd85089511c75ab",
+    "y'' = -1*y^3 + 5*y^1 + 9":
+        "c0f8d7827dfa3a763f9d4aeaa86cfabda7c1628fc7098ae48db69d91d88c0081",
+    "P: p^2 - 2*q^6 ; k=2":
+        "026046b3842639f516efb88bb62b264ef6798b7b03bcf14c572c5c4416630058",
+}
+
+
+def _raw_branch_text(P_text, depth):
+    """Each branch and coefficient; a numeric one as the integers of its
+    midpoint and radius (sign, mantissa, exponent, bit count)."""
+    P = parse_equation(f"P: {P_text} ; k=1").P
+    lines = []
+    for b in branches_at_infinity(P, depth):
+        lines.append(f"branch {b.id} m={b.m} kappa={b.kappa} depth={b.depth}")
+        for e, c in b.terms:
+            if is_exact(c):
+                lines.append(f"  {e} {as_gaussian(c)}")
+            else:
+                (re, im), err = c.val._mpc_, c.err._mpf_
+                lines.append(f"  {e} {[int(x) for x in re + im + err]} prec={c.prec}")
+    return "\n".join(lines)
+
+
+def test_criterion_11b_numeric_bits_pinned():
+    """Numeric branches and numeric-germ reports: each has its pinned sha256."""
+    t0 = time.monotonic()
+    changed = []
+    for (P_text, depth), want in NUMERIC_BRANCH_SHA256.items():
+        text = _raw_branch_text(P_text, depth)
+        assert "prec=" in text          # the branches are numeric
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        if digest != want:
+            changed.append(f"branches of {P_text} at depth {depth}: {digest}")
+    for text, want in NUMERIC_REPORT_SHA256.items():
+        report, _code = analyze(text, Options(no_classify=True))
+        rendered = render_json(report)
+        assert '"err"' in rendered      # some germ coefficient is a ball
+        digest = hashlib.sha256(rendered.encode()).hexdigest()
+        if digest != want:
+            changed.append(f"{text}: {digest}")
+    assert not changed, "numeric outputs differ from the pinned table:\n" + "\n".join(changed)
+    dt = _elapsed_ok(t0, 60, "criterion 11b")
+    _report(f"criterion 11b: {len(NUMERIC_BRANCH_SHA256) + len(NUMERIC_REPORT_SHA256)} "
+            "numeric outputs match their sha256", dt)

@@ -131,6 +131,24 @@ class TestRiccatiOrbit:
         assert v["evidence"][0] == "closed-form search failed: root disks did not shrink"
         assert (v["label"], v["confidence"]) == ("rational_in_exponential", "numeric")
 
+    def test_closed_form_on_a_later_exact_germ(self, monkeypatch):
+        # y''' = -6 y^4 + 8 y^2 - 2 is solved by y = tanh z and its translate
+        # coth z = (w + 1)/(w - 1), w = e^(2z); the seed germ leads with a
+        # numeric cube root of unity and the germ of coth (c0 = 1) comes
+        # last, so only trying every germ certifies it, with no sweep
+        text = "y''' = -6*y^4 + 8*y^2 - 2"
+        sweeps = []
+        monkeypatch.setattr(classify, "sweep_poles",
+                            lambda *args, **kw: sweeps.append(args) or ([], None))
+        report = analyze(text, Options(no_classify=True))[0]
+        assert "err" in report["series"][0]["coeffs"][0]    # the seed germ is numeric
+        v = analyze(text)[0]["classification"]
+        assert (v["label"], v["confidence"]) == ("rational_in_exponential", "exact")
+        assert sweeps == []
+        assert v["evidence"][0] == ("exact exponential solution: y = (w + 1)/(w - 1) "
+                                    "with w = e^(a*z), a a root of a - 2 = 0")
+        assert v["periods"] == [[0.0, math.pi]]
+
     def test_irrational_multiplier_stays_numeric(self):
         # y' = 7/3 y^2 - 4 has equilibria +-sqrt(12/7): no a in Q(i)
         eq = parse_equation("y' = 7/3*y^2 + -4")

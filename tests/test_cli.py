@@ -483,6 +483,27 @@ class TestModuleEntryPoint:
                     bad += [node.lineno] if named & types else []
             assert bad == [], f"{name}: BigComplex import or type dispatch at lines {bad}"
 
+    def test_only_algebra_imports_mpmath(self):
+        # the ball kernel works on raw mpmath.libmp tuples at fixed working
+        # precisions; keeping mpmath inside algebra.py keeps that kernel there
+        pkg = os.path.join(SRC, "bbsolve")
+        for name in sorted(os.listdir(pkg)):
+            if not name.endswith(".py") or name == "algebra.py":
+                continue
+            with open(os.path.join(pkg, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            bad = []
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    modules = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    modules = [node.module]
+                else:
+                    continue
+                bad += [node.lineno for m in modules
+                        if m == "mpmath" or m.startswith("mpmath.")]
+            assert bad == [], f"{name}: mpmath import at lines {bad}"
+
     def test_only_algebra_rounds_floats_to_fractions(self):
         # an exact value comes from a certified root or from exact
         # arithmetic, never from a float guess: only the root finder in
