@@ -10,7 +10,12 @@ conservative absolute error bound.  A value known exactly is always a
 GaussianRational; a BigComplex only ever stands for a value that is not.  Both
 types answer the same arithmetic (``+ - * /``, ``**``, ``inverse()``, int and
 Fraction operands, ``complex()``), so callers need not ask which one they
-hold.
+hold.  ``AlgebraicNumber`` is an exact element of a radical extension
+K = Q(i)[eta]/(eta^g - beta), x^g - beta irreducible over Q(i) (Capelli's
+test, ``binomial_irreducible``): g Gaussian-integer coordinates over one
+common denominator, read at one embedding eta -> eta_k (``Embedding``, a
+closed-form root kept as a ball).  It answers the same arithmetic;
+``is_exact`` still means Q(i) alone.
 
 Ball arithmetic runs on raw ``mpmath.libmp`` tuples at p + 8 bits (p + 16
 for roots), round-to-nearest, with no mpmath context or number objects per
@@ -38,6 +43,7 @@ rational roots are recognised and certified by exact back-substitution.
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import add, mul, sub, truediv
 
 import mpmath
 from mpmath import mp
@@ -500,6 +506,395 @@ def _fraction_fits(g, prec):
     return fits(g.re) and fits(g.im)
 
 
+# ---------------------------------------------------------------------------
+# the radical extension K = Q(i)[eta]/(eta^g - beta)
+# ---------------------------------------------------------------------------
+
+class Embedding:
+    """eta -> eta_k: the field K = Q(i)[eta]/(eta^g - beta), g >= 2, with
+    x^g - beta irreducible over Q(i), and one root of x^g = beta.
+
+    ``eta`` is the closed-form root ``BigComplex.root(g, index)`` of the ball
+    of beta at ``prec``: mpmath's principal g-th root turned by
+    e^(2 pi i index/g).  Embeddings are equal when g, beta and index are."""
+
+    __slots__ = ("g", "beta", "index", "eta", "prec", "_bt", "_powers")
+
+    def __init__(self, g, beta, index, prec=DEFAULT_PREC):
+        self.g, self.beta, self.index, self.prec = g, beta, index, prec
+        self._bt = (beta._a, beta._b, beta._d)
+        self.eta = BigComplex.from_exact(beta, prec).root(g, index=index)
+        self._powers = [None, self.eta]
+
+    def power(self, r):
+        """eta_k^r as a ball, 1 <= r < g, each power built once."""
+        pw = self._powers
+        while len(pw) <= r:
+            pw.append(pw[-1] * self.eta)
+        return pw[r]
+
+    def same_field(self, other):
+        return self.g == other.g and self.beta == other.beta
+
+    def __eq__(self, other):
+        if not isinstance(other, Embedding):
+            return NotImplemented
+        return self is other or (self.index == other.index and self.same_field(other))
+
+    def __hash__(self):
+        return hash((self.g, self.beta, self.index))
+
+    def __repr__(self):
+        return f"Embedding(eta^{self.g} = {self.beta}, index {self.index})"
+
+
+class AlgebraicNumber:
+    """An exact element x = sum_{r<g} x_r eta^r of K = Q(i)[eta]/(eta^g - beta),
+    read at one embedding eta -> eta_k.
+
+    The coordinates are Gaussian integers (re[r] + i im[r]) over one common
+    denominator d > 0, with the gcd of all of them and d equal to 1, so equal
+    elements have equal coordinates.  They are held in two lists that are
+    never changed once built (conjugates share them); lists, not tuples,
+    because a germ frees thousands at once, and CPython keeps up to 2000
+    freed tuples of each small size for reuse.
+    ``+ - * /``, ``**`` and ``inverse`` are exact
+    and never read the embedding: operands at one embedding, or exact Q(i)
+    values, give an element at that embedding.  An operand at another
+    embedding, or a ball, meets ``to_ball()`` in ball arithmetic instead.
+    ``complex()`` evaluates the embedding at its precision and rounds to a
+    double, as ``complex()`` of a ball rounds its midpoint."""
+
+    __slots__ = ("_re", "_im", "_d", "_emb")
+
+    def __setattr__(self, *a):
+        raise AttributeError("AlgebraicNumber is immutable")
+
+    @staticmethod
+    def generator(emb):
+        """eta itself, read at ``emb``."""
+        re = [0] * emb.g
+        re[1] = 1
+        return _alg_raw(re, [0] * emb.g, 1, emb)
+
+    @property
+    def embedding(self):
+        return self._emb
+
+    def coordinates(self):
+        """[x_0, ..., x_{g-1}] as GaussianRationals."""
+        d = self._d
+        return [_gr(a, b, d) for a, b in zip(self._re, self._im)]
+
+    def at(self, emb):
+        """The same coordinates read at another embedding of the field."""
+        if not emb.same_field(self._emb):
+            raise ValueError("an embedding of another field")
+        return _alg_raw(self._re, self._im, self._d, emb)
+
+    def is_zero(self):
+        return not any(self._re) and not any(self._im)
+
+    def to_ball(self):
+        """sum x_r eta_k^r as a ball at the embedding's precision."""
+        emb, d = self._emb, self._d
+        acc = None
+        for r, (a, b) in enumerate(zip(self._re, self._im)):
+            if a == 0 and b == 0:
+                continue
+            term = BigComplex.from_exact(_gr(a, b, d), emb.prec)
+            if r:
+                term = term * emb.power(r)
+            acc = term if acc is None else acc + term
+        return acc if acc is not None else _ball(_MPC_ZERO, fzero, emb.prec, None)
+
+    def _operand(self, other):
+        """(re, im, d) of ``other`` in this field at this embedding; None for
+        an operand to meet as a ball; NotImplemented for a foreign type."""
+        if type(other) is AlgebraicNumber:
+            if other._emb is self._emb or other._emb == self._emb:
+                return other._re, other._im, other._d
+            return None
+        t = _triple(other)
+        if t is None:
+            return None if type(other) is BigComplex else NotImplemented
+        zeros = [0] * (self._emb.g - 1)
+        return [t[0]] + zeros, [t[1]] + zeros, t[2]
+
+    # -- arithmetic ------------------------------------------------------
+    def __add__(self, other):
+        o = self._operand(other)
+        if o is None or o is NotImplemented:
+            return self._as_balls(other, add) if o is None else o
+        return _alg_sum(self._re, self._im, self._d, *o, 1, self._emb)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _alg_raw([-a for a in self._re], [-b for b in self._im],
+                        self._d, self._emb)
+
+    def __sub__(self, other):
+        o = self._operand(other)
+        if o is None or o is NotImplemented:
+            return self._as_balls(other, sub) if o is None else o
+        return _alg_sum(self._re, self._im, self._d, *o, -1, self._emb)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        t = _triple(other)
+        if t is not None:                      # an exact Q(i) scalar
+            a, b, d = t
+            return _alg([a * x - b * y for x, y in zip(self._re, self._im)],
+                        [a * y + b * x for x, y in zip(self._re, self._im)],
+                        self._d * d, self._emb)
+        o = self._operand(other)
+        if o is None or o is NotImplemented:
+            return self._as_balls(other, mul) if o is None else o
+        return _alg_product(self, *o)
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        """x^-1 from the linear system M(x) v = e_0, M(x) the matrix of
+        multiplication by x in the basis 1, eta, ..., eta^(g-1)."""
+        if self.is_zero():
+            raise ZeroDivisionError("division by exact zero")
+        g = self._emb.g
+        br, bi, bd = self._emb._bt
+        cols, re, im, d = [], self._re, self._im, self._d
+        for _ in range(g):
+            cols.append([_gr(a, b, d) for a, b in zip(re, im)])
+            # times eta: shift up, the top coordinate wraps around times beta
+            ta, tb = re[-1], im[-1]
+            re = [ta * br - tb * bi] + [a * bd for a in re[:-1]]
+            im = [ta * bi + tb * br] + [b * bd for b in im[:-1]]
+            d *= bd
+        rows = [[cols[s][t] for s in range(g)] for t in range(g)]
+        v = solve_linear(rows, [GR_ONE] + [GR_ZERO] * (g - 1))
+        den = 1
+        for x in v:
+            den = den * x._d // gcd(den, x._d)
+        return _alg([x._a * (den // x._d) for x in v],
+                    [x._b * (den // x._d) for x in v], den, self._emb)
+
+    def __truediv__(self, other):
+        t = _triple(other)
+        if t is not None:
+            return self * _quotient(1, 0, 1, *t)
+        o = self._operand(other)
+        if o is None or o is NotImplemented:
+            return self._as_balls(other, truediv) if o is None else o
+        return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        if type(other) is BigComplex:
+            return other / self.to_ball()
+        if _triple(other) is None:
+            return NotImplemented
+        return self.inverse() * other
+
+    def __pow__(self, n):
+        if not isinstance(n, int):
+            return NotImplemented
+        if n < 0:
+            return self.inverse() ** (-n)
+        g = self._emb.g
+        out = _alg_raw([1] + [0] * (g - 1), [0] * g, 1, self._emb)
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return out
+
+    def _as_balls(self, other, op):
+        if type(other) is AlgebraicNumber:
+            other = other.to_ball()
+        return op(self.to_ball(), other)
+
+    # -- conversions -----------------------------------------------------
+    def __complex__(self):
+        return complex(self.to_ball())
+
+    def _in_gaussian(self):
+        """x_0 when every other coordinate is zero, else None."""
+        if any(self._re[1:]) or any(self._im[1:]):
+            return None
+        return _gr(self._re[0], self._im[0], self._d)
+
+    def __eq__(self, other):
+        o = self._operand(other)
+        if o is NotImplemented:
+            return NotImplemented
+        if o is None:       # another embedding: equal only inside Q(i)
+            if type(other) is not AlgebraicNumber:
+                return False
+            mine = self._in_gaussian()
+            return mine is not None and mine == other._in_gaussian()
+        return (self._re, self._im, self._d) == o        # normal forms on both sides
+
+    def __hash__(self):
+        g = self._in_gaussian()
+        if g is not None:
+            return hash(g)
+        return hash((tuple(self._re), tuple(self._im), self._d, self._emb))
+
+    def __repr__(self):
+        return (f"AlgebraicNumber({eta_str(self.coordinates())} at "
+                f"{self._emb!r})")
+
+
+_set_re, _set_im, _set_ad, _set_emb = (getattr(AlgebraicNumber, slot).__set__
+                                       for slot in AlgebraicNumber.__slots__)
+
+
+def _alg_raw(re, im, d, emb):
+    """The element with coordinates already in normal form."""
+    out = object.__new__(AlgebraicNumber)
+    _set_re(out, re)
+    _set_im(out, im)
+    _set_ad(out, d)
+    _set_emb(out, emb)
+    return out
+
+
+def _alg(re, im, d, emb):
+    """The element (re + i im)/d, d > 0, brought to normal form."""
+    g = gcd(*re, *im, d)
+    if g != 1:
+        re = [a // g for a in re]
+        im = [b // g for b in im]
+        d //= g
+    return _alg_raw(re, im, d, emb)
+
+
+def _alg_sum(re1, im1, d1, re2, im2, d2, sign, emb):
+    """(re1 + i im1)/d1 + sign (re2 + i im2)/d2."""
+    if d1 == d2:
+        return _alg([a + sign * b for a, b in zip(re1, re2)],
+                    [a + sign * b for a, b in zip(im1, im2)], d1, emb)
+    return _alg([a * d2 + sign * b * d1 for a, b in zip(re1, re2)],
+                [a * d2 + sign * b * d1 for a, b in zip(im1, im2)], d1 * d2, emb)
+
+
+def _alg_product(x, re2, im2, d2):
+    """x times (re2 + i im2)/d2, reduced by eta^g = beta."""
+    emb = x._emb
+    g = emb.g
+    br, bi, bd = emb._bt
+    pr = [0] * (2 * g - 1)
+    pi = [0] * (2 * g - 1)
+    for r, (a, b) in enumerate(zip(x._re, x._im)):
+        if a == 0 and b == 0:
+            continue
+        for s, (c, e) in enumerate(zip(re2, im2)):
+            if c == 0 and e == 0:
+                continue
+            pr[r + s] += a * c - b * e
+            pi[r + s] += a * e + b * c
+    # eta^(t+g) = beta eta^t, over the common denominator bd
+    re = [u * bd for u in pr[:g]]
+    im = [v * bd for v in pi[:g]]
+    for t in range(g - 1):
+        u, v = pr[t + g], pi[t + g]
+        if u or v:
+            re[t] += u * br - v * bi
+            im[t] += u * bi + v * br
+    return _alg(re, im, x._d * d2 * bd, emb)
+
+
+def eta_str(coords):
+    """x_0 + x_1*eta + ... for exact coordinates; 0 when all vanish."""
+    parts = []
+    for r, c in enumerate(coords):
+        if c.is_zero():
+            continue
+        power = "" if r == 0 else "eta" if r == 1 else f"eta^{r}"
+        if not power:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(power)
+        else:
+            parts.append(f"{c}*{power}")
+    return " + ".join(parts) if parts else "0"
+
+
+def _primes(g):
+    out, p = [], 2
+    while p * p <= g:
+        if g % p == 0:
+            out.append(p)
+            while g % p == 0:
+                g //= p
+        p += 1
+    return out + [g] if g > 1 else out
+
+
+def _gauss_pow(a, b, p):
+    ra, rb = 1, 0
+    for _ in range(p):
+        ra, rb = ra * a - rb * b, ra * b + rb * a
+    return ra, rb
+
+
+def is_pth_power(beta, p):
+    """Whether the Gaussian rational beta = (a + b i)/d is a p-th power in
+    Q(i): exactly when (a + b i) d^(p-1) is the p-th power of a Gaussian
+    integer, found by rounding the p numeric p-th roots and checked exactly."""
+    scale = beta._d ** (p - 1)
+    na, nb = beta._a * scale, beta._b * scale
+    with mp.workprec(max(abs(na), abs(nb)).bit_length() // p + 64):
+        z = mpmath.mpc(na, nb)
+        for k in range(p):
+            r = mpmath.root(z, p, k=k)
+            ca, cb = int(mpmath.nint(r.real)), int(mpmath.nint(r.imag))
+            if _gauss_pow(ca, cb, p) == (na, nb):
+                return True
+    return False
+
+
+def binomial_irreducible(beta, g):
+    """Capelli's criterion (Lang, Algebra VI 9) for x^g - beta over Q(i):
+    irreducible iff beta is no p-th power for any prime p | g, and not in
+    -4 Q(i)^4 when 4 | g.  Since -4 = (1 + i)^4, that last clause is the
+    test for p = 2."""
+    return not any(is_pth_power(beta, p) for p in _primes(g))
+
+
+def radical_roots(value, g, precision=DEFAULT_PREC):
+    """The g roots of x^g = value as the one symbolic eta of
+    K = Q(i)[eta]/(eta^g - value), read at each of its g embeddings, ordered
+    by the embedded values as roots_univariate orders its roots.  None
+    unless g >= 2, value is exact and x^g - value is irreducible over Q(i)."""
+    if g < 2 or not is_exact(value):
+        return None
+    beta = as_gaussian(value)
+    if not binomial_irreducible(beta, g):
+        return None
+    embs = sorted((Embedding(g, beta, k, precision) for k in range(g)),
+                  key=lambda e: _root_key(e.eta))
+    return [AlgebraicNumber.generator(e) for e in embs]
+
+
+def field_of(x):
+    """The embedding of an element of K; None for any other value."""
+    return x._emb if type(x) is AlgebraicNumber else None
+
+
+def same_coordinates(x, y):
+    """Whether x and y hold the same exact value up to the embedding: equal
+    coordinates in one field for elements of K, equal values otherwise."""
+    if type(x) is AlgebraicNumber and type(y) is AlgebraicNumber:
+        return (x._emb.same_field(y._emb) and x._d == y._d
+                and x._re == y._re and x._im == y._im)
+    return x is y or (is_exact(x) and is_exact(y) and x == y)
+
+
 def is_exact(x):
     return isinstance(x, (int, Fraction, GaussianRational))
 
@@ -516,7 +911,7 @@ def coeff_is_zero(x):
     """Certified-zero test across the coefficient union type."""
     if isinstance(x, (int, Fraction)):
         return x == 0
-    if isinstance(x, (GaussianRational, BigComplex)):
+    if isinstance(x, (GaussianRational, AlgebraicNumber, BigComplex)):
         return x.is_zero()
     raise TypeError(f"unsupported coefficient {x!r}")
 
@@ -541,7 +936,7 @@ _BIGN = 10 ** 9
 
 
 def _is_exact_zero(c):
-    if isinstance(c, GaussianRational):
+    if isinstance(c, (GaussianRational, AlgebraicNumber)):
         return c.is_zero()
     if isinstance(c, (int, Fraction)):
         return c == 0
@@ -1101,19 +1496,24 @@ def _roots_numeric(coeffs, precision):
     return _sort_roots([BigComplex(v, e, precision) for v, e in pairs])
 
 
+def _root_key(r):
+    v = coeff_to_mpc(r)
+    with mp.workprec(64):
+        grid = mpmath.mpf(2) ** 40
+        return (int(mpmath.floor(v.real * grid)),
+                int(mpmath.floor(v.imag * grid)))
+
+
 def _sort_roots(roots):
-    def key(r):
-        v = coeff_to_mpc(r)
-        with mp.workprec(64):
-            grid = mpmath.mpf(2) ** 40
-            return (int(mpmath.floor(v.real * grid)),
-                    int(mpmath.floor(v.imag * grid)))
-    return sorted(roots, key=key)
+    return sorted(roots, key=_root_key)
 
 
 def all_nth_roots(value, b, precision=DEFAULT_PREC):
-    """All b-th roots of a coefficient value; as in roots_univariate, the
-    certified-exact ones are GaussianRational."""
+    """All b-th roots of a coefficient value, as numbers: as in
+    roots_univariate, the certified-exact ones are GaussianRational and the
+    others balls (Aberth on x^b - value for an exact value, closed forms
+    for a ball).  For an exact value with x^b - value irreducible over Q(i),
+    radical_roots gives the same roots as one exact eta of the extension."""
     if is_exact(value):
         g = as_gaussian(value)
         poly = UPoly([-g] + [GR_ZERO] * (b - 1) + [GR_ONE])

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import time
 from fractions import Fraction
 
 from . import __version__
@@ -28,10 +29,10 @@ from .eqparse import (_fraction_str, canonical_string, gaussian_str,
 from .errors import BBError
 from .classify import (classify_equation, match_monomial, CONTINUATION_N,
                        DEFAULT_RATIO_TOL, DEFAULT_TRAJ_TOL)
-from .series import (coeff_to_json, germ_index, germs_for_pairs, series_to_json,
-                     verify_series)
+from .series import (coeff_to_json, germ_counts, germ_index, germs_for_pairs,
+                     series_to_json, verify_orders)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _cxpair(z):
@@ -82,7 +83,8 @@ class Options:
     the even-k continuation at c = 1."""
 
     def __init__(self, c=None, N=None, depth=None, precision=None,
-                 tol=DEFAULT_TRAJ_TOL, no_classify=False, fmt="text", n=None):
+                 tol=DEFAULT_TRAJ_TOL, no_classify=False, fmt="text", n=None,
+                 diagnostics=False):
         self.precision = _at_least(
             "precision", DEFAULT_PREC if precision is None else precision, 1)
         if not (c is None or is_exact(c)):
@@ -99,6 +101,7 @@ class Options:
             raise BBError(f"fmt must be one of {', '.join(_FORMATS)}, got {fmt!r}")
         self.fmt = fmt
         self.n = _at_least("n", n, 1)
+        self.diagnostics = diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -122,34 +125,59 @@ def _prepare(equation, opts, *germ_N):
     return eq, list(eq.notes), polygon, depth, branches, report
 
 
-def _germ_json(eq, ls):
-    entry = series_to_json(ls)
-    entry["verify_residual_order"] = (verify_series(eq, ls)
-                                      if not ls.has_free_parameter() else None)
-    return entry
+def _germs_json(germs, orders):
+    rows = []
+    for ls, order in zip(germs, orders):
+        entry = series_to_json(ls)
+        entry["verify_residual_order"] = order
+        rows.append(entry)
+    return rows
 
 
 def _germ_lines(s, coeffs_label):
-    return [f"  n={s['n']} branch={s['branch']} resonance={s['resonance']}"
-            + (f" verify_order={s['verify_residual_order']}"
-               if s["verify_residual_order"] is not None else ""),
-            f"    {coeffs_label}{_coeffs_text(s['coeffs'], s['n'])}"]
+    lines = [f"  n={s['n']} branch={s['branch']} resonance={s['resonance']}"
+             + (f" verify_order={s['verify_residual_order']}"
+                if s["verify_residual_order"] is not None else "")]
+    emb = s.get("embedding")
+    if emb is not None:
+        lines.append(f"    over Q(i)(eta), eta^{emb['g']} = {_coeff_text(emb['beta'])}: "
+                     f"root {emb['root']}, eta = {_coeff_text(emb['eta'])}")
+    lines.append(f"    {coeffs_label}{_coeffs_text(s['coeffs'], s['n'])}")
+    return lines
 
 
-def analyze(equation, opts=None):
+class Diagnostics:
+    """What one ``analyze`` call did, outside its report: the wall time of
+    each stage (front end, exactness, germs, classification, render) and
+    deterministic counts of its germs (see series.germ_counts)."""
+
+    def __init__(self):
+        self.stages_s = {}
+        self.counts = {}
+
+    def to_json(self):
+        return json.dumps({"stages_s": self.stages_s, "counts": self.counts})
+
+
+def analyze(equation, opts=None, diagnostics=None):
     """Full pipeline: parse -> curve -> conditions -> series -> classify.
 
-    Returns (report dict, exit_code)."""
+    Returns (report dict, exit_code).  A ``Diagnostics`` passed in receives
+    the stage times and germ counts; the report does not change."""
     opts = opts or Options()
+    clock = time.perf_counter
+    t0 = clock()
     # the report's germs at --N, and the continuation family at N_traj
     N_traj = max(opts.N or 0, CONTINUATION_N)
     germ_N = (opts.N,) if opts.no_classify else (opts.N, N_traj)
     eq, warnings, polygon, depth, branches, report = _prepare(equation, opts, *germ_N)
+    t1 = clock()
     assumptions = ["irreducibility of P assumed (not verified)"]
     ev = exactness_check(branches, resolved=eq.resolved, precision=opts.precision)
     if ev.mode == "general":
         assumptions.append("genus-0 assumed for the exactness verdict (general mode)")
     report = residue_screen(report, ev, eq.k)
+    t2 = clock()
 
     germ_notes = []
     germs, inventory = germs_for_pairs(
@@ -158,14 +186,21 @@ def analyze(equation, opts=None):
         germ_notes, "branch {bid}, n={n}: {exc}",
         c=opts.c, N=opts.N, precision=opts.precision, collect_notes=germ_notes)
     report = attach_degree_bound(report, inventory)
+    orders = verify_orders(eq, germs)
+    t3 = clock()
 
     # match_monomial runs without a verdict too, only because perfbench's
     # EXPECTED_SPANS["screen_fuzz"] needs its span (ROADMAP's benchmark list)
     mono = match_monomial(eq, opts.precision)
     verdict = None if opts.no_classify else classify_equation(
         eq, report, branches, ev, mono, opts.c, N_traj, opts.tol, opts.precision)
+    t4 = clock()
     out = _build_report(eq, opts, depth, assumptions, warnings, polygon,
-                        branches, ev, report, germs, germ_notes, verdict)
+                        branches, ev, report, germs, orders, germ_notes, verdict)
+    if diagnostics is not None:
+        diagnostics.stages_s.update(front_end=t1 - t0, exactness=t2 - t1, germs=t3 - t2,
+                                    classification=t4 - t3, render=clock() - t4)
+        diagnostics.counts.update(germ_counts(germs))
     code = 0
     if verdict is not None and verdict.label in ("none_with_pole", "entire_only"):
         code = 2
@@ -173,7 +208,7 @@ def analyze(equation, opts=None):
 
 
 def _build_report(eq, opts, depth, assumptions, warnings, polygon, branches,
-                  ev, report, germs, germ_notes, verdict):
+                  ev, report, germs, orders, germ_notes, verdict):
     poly_json = {
         "support": [[i, j] for i, j in polygon.support],
         "upper_edges": [{
@@ -218,11 +253,9 @@ def _build_report(eq, opts, depth, assumptions, warnings, polygon, branches,
         "degree_bound_is_heuristic": True,
         "notes": list(report.notes),
     }
-    series_json = []
-    for ls in germs:
-        entry = _germ_json(eq, ls)
+    series_json = _germs_json(germs, orders)
+    for entry, ls in zip(series_json, germs):
         entry["root_choice"] = ls.root_choice
-        series_json.append(entry)
     verdict_json = None
     if verdict is not None:
         verdict_json = {
@@ -319,6 +352,11 @@ def _coeff_text(cj):
         return "<free>"
     if "rat" in cj:
         return cj["rat"] + (f"+{cj['rat_im']}i" if "rat_im" in cj else "")
+    if "eta" in cj:
+        parts = [t if r == 0 else ("" if t == "1" else f"{t}*") + "eta"
+                 + (f"^{r}" if r > 1 else "")
+                 for r, t in enumerate(cj["eta"]) if t != "0"]
+        return " + ".join(parts) or "0"
     return f"{cj['re']:.12g}{cj['im']:+.12g}i (err {cj['err']:.2g})"
 
 
@@ -338,8 +376,13 @@ def _coeffs_text(coeffs, n):
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(equation, opts):
-    report, code = analyze(equation, opts)
+    diagnostics = Diagnostics() if opts.diagnostics else None
+    report, code = analyze(equation, opts, diagnostics)
+    t0 = time.perf_counter()
     text = render_json(report) if opts.fmt == "json" else render_text(report)
+    if diagnostics is not None:
+        diagnostics.stages_s["render"] += time.perf_counter() - t0
+        print(diagnostics.to_json(), file=sys.stderr)
     return text, code
 
 
@@ -351,7 +394,7 @@ def cmd_series(equation, opts):
     germs, _ = germs_for_pairs(eq, branches, pairs, notes,
                                "branch {bid}, n={n}: {exc}", c=opts.c, N=opts.N,
                                precision=opts.precision, collect_notes=notes)
-    rows = [_germ_json(eq, ls) for ls in germs]
+    rows = _germs_json(germs, verify_orders(eq, germs))
     out = {"input": canonical_string(eq), "series": rows, "notes": notes}
     if opts.fmt == "json":
         return render_json(out), 0
@@ -528,10 +571,12 @@ _FLAGS = {
     "--precision": {"type": int, "help": "working precision in bits (default 256)"},
     "--tol": {"type": float, "help": "continuation tolerance (default 1e-10)"},
     "--no-classify": {"action": "store_true", "help": "report without a verdict"},
+    "--diagnostics": {"action": "store_true",
+                      "help": "write stage times and germ counts to stderr as JSON"},
     "--format": {"choices": _FORMATS, "dest": "fmt", "help": "report format"}}
 _CLASSIFY_FLAGS = ("--c", "--N", "--depth", "--precision", "--tol", "--format")
 _COMMANDS = {
-    "analyze": (cmd_analyze, _CLASSIFY_FLAGS + ("--no-classify",)),
+    "analyze": (cmd_analyze, _CLASSIFY_FLAGS + ("--no-classify", "--diagnostics")),
     "series": (cmd_series, ("--c", "--N", "--n", "--depth", "--precision", "--format")),
     "residues": (cmd_residues, ("--depth", "--precision", "--format")),
     "classify": (cmd_classify, _CLASSIFY_FLAGS),

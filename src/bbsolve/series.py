@@ -15,24 +15,34 @@ vanishes and c_0 alone determines the series.
 
 Fractional powers of y are taken on a single determination eta_0 of
 c_0^(1/m); the admissible determinations are the g = m k / n roots of
-eta^g = D_0 / A_0, and each one yields one candidate series (conjugate
-branch choices are absorbed, duplicates removed).
+eta^g = beta = D_0 / A_0, and each one yields one candidate series
+(conjugate branch choices are absorbed, duplicates removed).
+
+When beta is exact and x^g - beta is irreducible over Q(i) (Capelli), eta_0
+is symbolic: the germ is computed once, exactly, in
+K = Q(i)[eta]/(eta^g - beta) (algebra.AlgebraicNumber), and each of the g
+roots gets the same coordinates read at its own embedding eta -> eta_k.
+Otherwise the roots are Gaussian rationals where exact and 256-bit balls
+elsewhere, and each root builds its own germ.
 
 Each term A q^x of the branch (and of s, for pinning) evaluates at
 y = c_0 z^(-n) (1 + w) to A eta_0^e z^(-n x) (1 + w)^(e/m), e = m x.  The
 germ keeps one list per distinct e, holding the coefficients of
 (1 + w)^(e/m); every index adds one coefficient to each list by J.C.P.
 Miller's power recurrence (Knuth, TAOCP vol. 2, 4.7), O(j) work with no
-series powers or inverses.  Numeric coefficients are only multiplied and
-added, never negated: BigComplex negation rounds to 53 bits.
+series powers or inverses.  On a germ of balls (a numeric branch, or a root
+of a reducible binomial outside Q(i)) coefficients are only multiplied and
+added, never negated: BigComplex negation rounds to 53 bits.  Exact
+coefficients, in Q(i) or in K, negate exactly.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .algebra import (GR_ONE, GR_ZERO, GaussianRational, ZSeries,
                       _is_exact_zero, all_nth_roots, as_gaussian, coeff_is_zero,
-                      falling, is_exact, pochhammer, DEFAULT_PREC)
+                      eta_str, falling, field_of, is_exact, pochhammer,
+                      radical_roots, same_coordinates, DEFAULT_PREC)
 from .curve import first_integral_series
 from .eqparse import _fraction_str, gaussian_str
 from .errors import (BBError, DepthTooSmall, InconsistentResonance, NoRoots,
@@ -106,6 +116,14 @@ def recurrence_bracket(k, n, j):
 
 
 def leading_roots(k, n, branch, precision=DEFAULT_PREC):
+    """The determinations eta0 of c_0^(1/m): the g = m k / n roots of
+    eta^g = beta, beta = D_0 / A_0, each with c_0 = eta0^m.
+
+    When beta is exact and x^g - beta is irreducible over Q(i) (Capelli),
+    every eta0 is the symbolic eta of K = Q(i)[eta]/(eta^g - beta), read at
+    one of its g embeddings (algebra.radical_roots); otherwise the roots
+    come from all_nth_roots: GaussianRationals where exact, balls elsewhere.
+    Either way the roots are ordered by their (embedded) values."""
     m = branch.m
     if n % m != 0:
         raise NoRoots(
@@ -116,8 +134,8 @@ def leading_roots(k, n, branch, precision=DEFAULT_PREC):
     g = m * k // n if (m * k) % n == 0 else None
     if g is None:
         raise NoRoots(f"m*k/n = {m}*{k}/{n} is not an integer")
-    D0 = GaussianRational(falling(-n, k))
-    roots = all_nth_roots(D0 * branch.lead.inverse(), g, precision)
+    beta = GaussianRational(falling(-n, k)) * branch.lead.inverse()
+    roots = radical_roots(beta, g, precision) or all_nth_roots(beta, g, precision)
     out = []
     for idx, eta0 in enumerate(roots):
         out.append(LeadingRoot(c0=eta0 ** m, eta0=eta0, index=idx))
@@ -217,17 +235,40 @@ def enumerate_series(eq, branch, n, c=None, N=None, precision=DEFAULT_PREC,
             f"branch {branch.id} expanded to q-exponent {branch.valid_q_to}, but "
             f"index N={N} needs {branch.kappa - Fraction(N, n)}; recompute branches "
             "with a larger depth")
-    out = []
+    out, conjugate = [], None
     for root in roots:
-        try:
-            ls = _build_series(k, n, branch, root, c, N)
-        except InconsistentResonance as exc:
+        over_k = field_of(root.eta0) is not None
+        if over_k and conjugate is not None:
+            # the recurrence never reads the embedding: the germ is built
+            # once over K, and each root re-reads its coordinates
+            ls, failure = conjugate
+        else:
+            ls, failure = _build_or_failure(k, n, branch, root, c, N)
+            conjugate = (ls, failure) if over_k else None
+        if failure is not None:
             if collect_notes is not None:
+                at = f" at eta={_fmt_coeff(field_of(root.eta0).eta)}" if over_k else ""
                 collect_notes.append(
-                    f"branch {branch.id}, c0={_fmt_coeff(root.c0)}: {exc}")
+                    f"branch {branch.id}, c0={_fmt_coeff(root.c0)}{at}: {failure}")
             continue
-        out.append(ls)
+        out.append(_read_at(ls, root) if over_k else ls)
     return _dedup(out)
+
+
+def _build_or_failure(k, n, branch, root, c, N):
+    """(germ, None), or (None, why) when the resonance rules this root out."""
+    try:
+        return _build_series(k, n, branch, root, c, N), None
+    except InconsistentResonance as exc:
+        return None, str(exc)
+
+
+def _read_at(ls, root):
+    """The germ over K read at the embedding of ``root``: the same exact
+    coordinates, its root index."""
+    emb = field_of(root.eta0)
+    return replace(ls, root_choice=root.index,
+                   coeffs=tuple(c.at(emb) if field_of(c) else c for c in ls.coeffs))
 
 
 def germs_for_pairs(eq, branches, pairs, notes, failure, **kwargs):
@@ -431,6 +472,52 @@ def verify_series(eq, ls):
     return int(bad - e_min)
 
 
+def verify_orders(eq, germs):
+    """verify_series of every germ, None for one with a free parameter.
+    Conjugate germs over K share their exact coordinates, so each
+    conjugate class is back-substituted once."""
+    out, done = [], []          # done: (germ over K, its order)
+    for ls in germs:
+        if ls.has_free_parameter():
+            out.append(None)
+        elif field_of(ls.coeffs[0]) is None:
+            out.append(verify_series(eq, ls))
+        else:
+            order = next((order for seen, order in done if conjugates(seen, ls)), None)
+            if order is None:
+                order = verify_series(eq, ls)
+                done.append((ls, order))
+            out.append(order)
+    return out
+
+
+def conjugates(a, b):
+    """Whether two germs differ at most in their root: the same exact
+    coordinates, read at the same or another embedding."""
+    return ((a.n, a.k, a.N, a.resonance_status, a.c, a.branch_id)
+            == (b.n, b.k, b.N, b.resonance_status, b.c, b.branch_id)
+            and len(a.coeffs) == len(b.coeffs)
+            and all(same_coordinates(x, y) for x, y in zip(a.coeffs, b.coeffs)))
+
+
+def germ_counts(germs):
+    """Deterministic counts of a germ list: germs with every coefficient in
+    Q(i), germs over K by their degree g, germs of balls, and the conjugate
+    classes over K (one per branch and pole order)."""
+    exact, algebraic, balls, classes = 0, {}, 0, set()
+    for ls in germs:
+        emb = field_of(ls.coeffs[0])
+        if emb is not None:
+            algebraic[str(emb.g)] = algebraic.get(str(emb.g), 0) + 1
+            classes.add((ls.branch_id, ls.n))
+        elif all(c is FREE or is_exact(c) for c in ls.coeffs):
+            exact += 1
+        else:
+            balls += 1
+    return {"germs_gaussian": exact, "germs_algebraic": algebraic, "germs_ball": balls,
+            "conjugate_classes": len(classes)}
+
+
 def _ladder(base, top):
     """[base^0, base^1, ..., base^top], each rung the previous one times base."""
     rungs = [ZSeries.one(), base]
@@ -447,10 +534,16 @@ def _fmt_coeff(c):
     if is_exact(c):
         g = as_gaussian(c)
         return gaussian_str(g)
+    if field_of(c) is not None:
+        return eta_str(c.coordinates())
     return f"{complex(c.val):.12g}~{float(c.err):.1e}"
 
 
 def coeff_to_json(c):
+    """A coefficient as JSON: exact Q(i) values as {"rat", "rat_im"},
+    elements of K as {"eta": [x_0, ..., x_{g-1}]}, each coordinate as
+    re-parseable exact text, balls as {"re", "im", "err"}, the free resonant
+    coefficient as {"free": true}."""
     if c is FREE:
         return {"free": True}
     if is_exact(c):
@@ -459,15 +552,24 @@ def coeff_to_json(c):
         if g.im != 0:
             entry["rat_im"] = _fraction_str(g.im)
         return entry
+    if field_of(c) is not None:
+        return {"eta": [gaussian_str(x) for x in c.coordinates()]}
     return {"re": float(c.val.real), "im": float(c.val.imag), "err": float(c.err)}
 
 
 def series_to_json(ls):
+    """A germ as JSON; a germ over K also names its field and embedding:
+    eta^g = beta, the root index of eta_k and eta_k as a ball."""
     res = {"none": "none", "pinned": "pinned", "free_parameter": "free"}[ls.resonance_status]
-    return {
+    out = {
         "n": ls.n,
         "coeffs": [coeff_to_json(c) for c in ls.coeffs],
         "resonance": res,
         "c": coeff_to_json(ls.c) if ls.c is not None else None,
         "branch": ls.branch_id,
     }
+    emb = field_of(ls.coeffs[0])
+    if emb is not None:
+        out["embedding"] = {"g": emb.g, "beta": coeff_to_json(emb.beta),
+                            "root": emb.index, "eta": coeff_to_json(emb.eta)}
+    return out

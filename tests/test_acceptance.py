@@ -7,19 +7,20 @@ no code with the package.
 
 import hashlib
 import json
+import os
 import random
 import time
 from fractions import Fraction
 
 from bbsolve.algebra import (DEFAULT_PREC, GaussianRational, UPoly, as_gaussian,
-                             coeff_is_zero, is_exact)
+                             coeff_is_zero, field_of, is_exact)
 from bbsolve.classify import (detect_periods, match_exponential, match_monomial,
                               sweep_poles)
-from bbsolve.cli import Options, analyze, render_json
+from bbsolve.cli import Options, _prepare, analyze, render_json
 from bbsolve.curve import (branches_at_infinity, exactness_check,
                            hermite_ostrogradsky, residue_at_infinity_resolved)
-from bbsolve.eqparse import parse_equation
-from bbsolve.series import (ZSeries, bracket_phi, enumerate_series,
+from bbsolve.eqparse import parse_constant, parse_equation
+from bbsolve.series import (FREE, ZSeries, bracket_phi, enumerate_series,
                             pinning_coefficient, recurrence_bracket,
                             verify_series)
 
@@ -323,19 +324,19 @@ def test_criterion_10_determinism():
 # default options.  A report changed on purpose updates this table and says
 # so in CHANGES.md; a speed-up leaves it alone.
 GOLDEN_SHA256 = {
-    "y'' = 6*y^2": "c446136bd2d797453454bb3e93e74af1ffca4f65ad6bdd7ac1ae084f4f782026",
-    "y'' = 6*y^2 - 2": "fa15ee9eda2a4f8d687aa7e9573280d6c0da8b26b11a5346b5b10bf0546af0a9",
+    "y'' = 6*y^2": "836b3a53a5da447634cf4d78f3fc9af76a8ef267a2a81d669196f78b5f0af72e",
+    "y'' = 6*y^2 - 2": "6210063edc7a0825e0a85ca528d190d857c4e7e79055de64b283d1e20673a5db",
     "P: p^2 - 4*q^3 + 4*q ; k=1":
-        "84b92405c7a239afde3c1fcf127d95cf93f51c770656f05efceb3f4953563973",
-    "y'' = y^4": "78e5cdac8d9f630f5771606dbd3fbdf375487e4911c63d1864fa6a4b29853907",
-    "y'' = 4*y^3 + 1/y": "c9d07f4774ed5d40475bfafb03e900ee09261b8b311f7f0f729213c1515e67c2",
-    "y''' = y": "4bfa9ede2b3974188e9e9c86f926f1029b2e3b5ad4eed13554ed1caa497e89fa",
-    "y'' = y": "aef4b743e977c5a18c584e78d0f81cfdb6348e26f7d42312d44e7239c233bdba",
-    "y' = y^2": "0ae2a09d81a7d13f19b128a0dcb46bf42d1f073005928124025ec61914d5d902",
-    "y' = y^2 - 1": "cbab9a05e1374f915bdeca05ce9e986df834f9366de48400b072b8e62c64cb07",
-    "y'' = y^2": "c220c6ef72054b6dff36731310610735304c04b7fa88d7c561177623eedcb109",
-    "P: p^2 - q^3 ; k=2": "1610b07032a43cc02635c4919bdd4da6f658f5b3a6bbbf6ed956916c6b65badd",
-    "y' = 2*y^3": "64fca254f7f11b99ef8f588ff3dbe50f77a608fc9ecafe4b5c84926051fad5b9",
+        "f8a09cc0bd4c6c55286c0891b0481758ad9c0ee590ca6719aa03463b8325e419",
+    "y'' = y^4": "acb3397f05c7ec5d4fa48420e662573da3306e148bef7b820d58924ca80bbf7e",
+    "y'' = 4*y^3 + 1/y": "745b783ee1de2d3962d11660f9df9e0298f4875337df84cee1c3bfa7c73d09de",
+    "y''' = y": "1b59812ef1bc495d99e4cb354111702be4425b3c375bb103f06893f3f49efebf",
+    "y'' = y": "674cb65e71fa224747afcf704939a85234b8c4d4c2f34f5984fbf9cf83bba73a",
+    "y' = y^2": "84fea772875925c87c3d4833ad64760e04a2103ba50a3f3a01a6d865d61f663e",
+    "y' = y^2 - 1": "8ad78b9db881ccc12f4f32108b9f2fe453eaee3cdf03f7355e7d8a250bfc9dc5",
+    "y'' = y^2": "2bdca618f43a01e02c820b6e9ad40cf305c54fc66487dc38c8124990549e36c3",
+    "P: p^2 - q^3 ; k=2": "b58160e966a86815341e098ebcf92789317b2f934b14366bf7559c1e18fc2cc3",
+    "y' = 2*y^3": "12050c5e79162a72d9641a3301051738386dd87eb8e5cb16b0c07ed47d732d78",
 }
 
 
@@ -356,9 +357,9 @@ def test_criterion_11_golden_reports_byte_identical():
 
 # The numeric side pinned bit for bit: sha256 of the raw midpoint and radius
 # of every coefficient of the numeric Puiseux branches below, and of
-# render_json(analyze(text, Options(no_classify=True))) for inputs whose germs
-# are 256-bit balls.  A widened radius or a moved midpoint changes a digest;
-# a speed-up leaves them alone.
+# render_json(analyze(text, Options(no_classify=True))) for an input whose
+# germs are 256-bit balls (c0 = 2^(1/4) on a numeric branch).  A widened
+# radius or a moved midpoint changes a digest; a speed-up leaves them alone.
 NUMERIC_BRANCH_SHA256 = {
     ("3*p^2*q - 2*p^2 + 2*q^5", 16):
         "5cacfff8043168f2b2ae5d4626eafb20447118fc9ecc4277a297d3e10a34e805",
@@ -366,13 +367,22 @@ NUMERIC_BRANCH_SHA256 = {
         "a3ba71ec8681719c396f225b0e8c2eb82e9ebb0f0a63713a920969f6a16e19a3",
 }
 NUMERIC_REPORT_SHA256 = {
-    "y''' = -1*y^4 + 1*y^3 + -1*y^2":
-        "557f954725f5983458f0c0e99f243a1d3551017df77e8def9cd85089511c75ab",
-    "y'' = -1*y^3 + 5*y^1 + 9":
-        "c0f8d7827dfa3a763f9d4aeaa86cfabda7c1628fc7098ae48db69d91d88c0081",
     "P: p^2 - 2*q^6 ; k=2":
-        "026046b3842639f516efb88bb62b264ef6798b7b03bcf14c572c5c4416630058",
+        "efd86607887ae762d4b40967b24023c22555dbaae69cc46b53e924b668fc3e08",
 }
+# Reports whose germs were 256-bit balls while c0 outside Q(i) was computed
+# in ball arithmetic, and are now exact over K = Q(i)[eta]/(eta^g - beta):
+# eta^3 = 6 free, and eta^2 = -2 with the resonant coefficient left free.
+# tests/ball_germs_256.json keeps those balls, as (mantissa, exponent) pairs
+# of the midpoint's real and imaginary parts and of the radius, or as the
+# exact text of a coefficient that was already exact.
+EXACT_GERM_REPORT_SHA256 = {
+    "y''' = -1*y^4 + 1*y^3 + -1*y^2":
+        "a667d295117a714612bf97038370bfe82e4913d1af5668f03539099e9d1ac8eb",
+    "y'' = -1*y^3 + 5*y^1 + 9":
+        "c7667767918f2bab1d427f8c47a2a1c6bf544eb68a0845a296585150a46545fd",
+}
+BALL_GERMS = os.path.join(os.path.dirname(__file__), "ball_germs_256.json")
 
 
 def _raw_branch_text(P_text, depth):
@@ -412,3 +422,56 @@ def test_criterion_11b_numeric_bits_pinned():
     dt = _elapsed_ok(t0, 60, "criterion 11b")
     _report(f"criterion 11b: {len(NUMERIC_BRANCH_SHA256) + len(NUMERIC_REPORT_SHA256)} "
             "numeric outputs match their sha256", dt)
+
+
+def _binary(pair):
+    man, exp = pair
+    return F(man << exp) if exp >= 0 else F(man, 1 << -exp)
+
+
+def _disks_overlap(got, ref):
+    """perfbench's exact rule: two (re, im, err) binary disks intersect."""
+    gre, gim, gerr = (_binary(p) for p in got)
+    rre, rim, rerr = (_binary(p) for p in ref)
+    return (gre - rre) ** 2 + (gim - rim) ** 2 <= (gerr + rerr) ** 2
+
+
+def _raw_ball(ball):
+    (re, im), err = ball.val._mpc_, ball.err._mpf_
+    return [[(-1) ** s * m, e] for s, m, e, _bc in (re, im, err)]
+
+
+def test_criterion_11c_exact_germs_stay_in_their_balls():
+    """Germs over K: pinned reports with exact coefficients only, each of
+    whose 256-bit embeddings lies in the ball the germ had before."""
+    t0 = time.monotonic()
+    with open(BALL_GERMS) as fh:
+        balls = json.load(fh)
+    assert list(balls) == list(EXACT_GERM_REPORT_SHA256)
+    changed = []
+    for text, want in EXACT_GERM_REPORT_SHA256.items():
+        report, _code = analyze(text, Options(no_classify=True))
+        rendered = render_json(report)
+        if hashlib.sha256(rendered.encode()).hexdigest() != want:
+            changed.append(text)
+        assert report["series"] and all(
+            "err" not in cj and "embedding" in s
+            for s in report["series"] for cj in s["coeffs"])
+        eq, _notes, _polygon, _depth, branches, screen = _prepare(
+            text, Options(no_classify=True), None)
+        (bid, n), = screen.admissible_pairs()
+        germs = enumerate_series(eq, next(b for b in branches if b.id == bid), n)
+        assert len(germs) == len(balls[text])
+        for ls, ref in zip(germs, balls[text]):
+            for c, r in zip(ls.coeffs, ref):
+                if r is None:                       # the free resonant coefficient
+                    assert c is FREE
+                elif isinstance(r, str):            # exact before, exact now
+                    assert c == parse_constant(r)
+                else:
+                    assert field_of(c) is not None, (text, c)
+                    assert _disks_overlap(_raw_ball(c.to_ball()), r), (text, c)
+    assert not changed, f"exact-germ reports differ from the pinned table: {changed}"
+    dt = _elapsed_ok(t0, 30, "criterion 11c")
+    _report(f"criterion 11c: {len(EXACT_GERM_REPORT_SHA256)} exact-germ reports pinned, "
+            "every coefficient inside its former ball", dt)

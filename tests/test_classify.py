@@ -746,22 +746,22 @@ class TestGermDerivatives:
 VERDICT_PATH_SHA256 = {
     # undetermined: one pole that does not recur
     "y''' = -1*y^2 + -2*y^1":
-        "0430e4c76bf9606ca52e365306d57f5853542f0436f10018c7e32c91199b5eee",
+        "acad5e8761891f512f77865e534b6d6365360f3e980debf2385a3ef14c022307",
     # undetermined: two poles, no verified lattice
     "y'''' = 3/4*y^3 + (3 + -5*i)":
-        "f5db613a7c53608210ee08bc181b2f71ed346a96bcb590b95e867b78453b1a22",
+        "0d706b70ed634d798cd0a374e3a1852eecaec7221364fa50093830ad16bdca41",
     # rational_in_exponential (numeric): the multiplier is not in Q(i)
     "y' = 7/3*y^2 + -4":
-        "870c1a76f95d010c6fa481662378429a0337bddb9a9671faccb2972ce7e80376",
+        "1a851b781230b2779ba6632bbddc37d320ed424429199f07c95a33eccd055668",
     # elliptic (numeric) with a complex coefficient
     "y'' = -1/3*i*y^2":
-        "882fbaa134d3d81690bbe8861ae73679aa71d4c122b58d1f9f8f1bd97b9ef34b",
+        "7713b617b4e5185587c0abad6da00ba503f0329fe8b4492fd03aab2932024cfc",
     # rational (exact): a monomial
     "y' = -2/3*y^2":
-        "bb0bb405b2b2bf61fff5b0a9f3f6af26e67ab1467cb6e7606b18e403330f0841",
+        "dac48efccb1f9015fc26cef5e017651eea8dfc84419f915e56915f712181a524",
     # none_with_pole with the "no exact exponential match" note
     "y' = -6*y^1 + -9 + -6/y^2":
-        "f25fdce8548e92e721388df725c6f2e3079d5dae8257ef33f72e629dfadc84b1",
+        "90c9c5bc15d30520bfdb22ff3316a9ed9c9c8079e2aa735bf26cee6ee8943f95",
 }
 
 

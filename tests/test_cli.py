@@ -36,7 +36,8 @@ class TestAnalyze:
 
     def test_schema_validation(self):
         for text in ("y'' = 6*y^2", "y'' = y^4", "y'' = 4*y^3 + 1/y",
-                     "y''' = y", "P: p^2 - 4*q^3 + 4*q ; k=1"):
+                     "y''' = y", "P: p^2 - 4*q^3 + 4*q ; k=1",
+                     "y'' = 4*y^3", "P: p^2 - 2*q^6 ; k=2"):
             rep, _ = analyze(text)
             validate(rep, SCHEMA)
 
@@ -73,10 +74,20 @@ class TestAnalyze:
         assert any("squarefree" in w for w in rep["warnings"])
 
     def test_every_numeric_value_carries_error(self):
-        rep, _ = analyze("y'' = 4*y^3", Options(no_classify=True))
-        for s in rep["series"]:
-            for cj in s["coeffs"]:
-                assert ("rat" in cj) or ("err" in cj) or ("free" in cj)
+        # c0 = 1/sqrt(2) is exact over Q(i)(eta); c0 = 2^(1/4) on a numeric
+        # branch is a ball, and every ball carries its radius
+        kinds = set()
+        for text in ("y'' = 4*y^3", "P: p^2 - 2*q^6 ; k=2"):
+            rep, _ = analyze(text, Options(no_classify=True))
+            for s in rep["series"]:
+                values = list(s["coeffs"])
+                if "embedding" in s:
+                    values.append(s["embedding"]["eta"])
+                for cj in values:
+                    kind = next(k for k in ("rat", "eta", "free", "re") if k in cj)
+                    assert kind != "re" or set(cj) == {"re", "im", "err"}
+                    kinds.add(kind)
+        assert {"eta", "re"} <= kinds
 
     def test_single_pole_verdict_is_undetermined(self):
         # the sweep finds one pole and no exact closed form is certified;
@@ -218,10 +229,10 @@ class TestCommands:
 # command reads
 ALL_FLAGS = {"--k": ["2"], "--c": ["1"], "--N": ["3"], "--n": ["1"],
              "--depth": ["8"], "--precision": ["64"], "--tol": ["1e-6"],
-             "--no-classify": [], "--format": ["json"]}
+             "--no-classify": [], "--format": ["json"], "--diagnostics": []}
 COMMAND_FLAGS = {
     "analyze": {"--c", "--N", "--depth", "--precision", "--tol", "--no-classify",
-                "--format"},
+                "--format", "--diagnostics"},
     "classify": {"--c", "--N", "--depth", "--precision", "--tol", "--format"},
     "series": {"--c", "--N", "--n", "--depth", "--precision", "--format"},
     "residues": {"--depth", "--precision", "--format"},
@@ -300,7 +311,27 @@ class TestMain:
         for flag in sorted(reads)])
     def test_flag_the_command_reads_accepted(self, capsys, command, flag):
         code = main([command, "y' = y^2", flag] + ALL_FLAGS[flag])
-        assert (code, capsys.readouterr().err) == (0, "")
+        err = capsys.readouterr().err
+        if flag == "--diagnostics":       # one JSON object, and nothing else
+            err = "" if set(json.loads(err)) == {"stages_s", "counts"} else err
+        assert (code, err) == (0, "")
+
+    def test_diagnostics_stay_outside_the_report(self, capsys):
+        text = "y''' = -1*y^4 + 1*y^3 + -1*y^2"
+        runs = []
+        for flags in ([], ["--diagnostics"], ["--diagnostics"]):
+            code = main(["analyze", text, "--format", "json"] + flags)
+            out, err = capsys.readouterr()
+            runs.append((code, out, err))
+        assert runs[0][2] == "" and runs[0][:2] == runs[1][:2] == runs[2][:2]
+        first, second = (json.loads(err) for _code, _out, err in runs[1:])
+        stages = ("front_end", "exactness", "germs", "classification", "render")
+        assert list(first["stages_s"]) == list(stages)
+        assert all(t >= 0 for t in first["stages_s"].values())
+        # the counts are deterministic: equal on every run
+        assert first["counts"] == second["counts"] == {
+            "germs_gaussian": 0, "germs_algebraic": {"3": 3}, "germs_ball": 0,
+            "conjugate_classes": 1}
 
     @pytest.mark.parametrize("args", [
         ["analyze", "y'' = 6*y^2", "--format", "xml"],
@@ -466,7 +497,7 @@ class TestModuleEntryPoint:
         # BigComplex; both answer the same arithmetic, so only algebra.py may
         # name BigComplex or dispatch on either type (__init__.py re-exports)
         pkg = os.path.join(SRC, "bbsolve")
-        types = {"BigComplex", "GaussianRational"}
+        types = {"BigComplex", "GaussianRational", "AlgebraicNumber"}
         for name in sorted(os.listdir(pkg)):
             if not name.endswith(".py") or name in ("algebra.py", "__init__.py"):
                 continue

@@ -7,16 +7,16 @@ from fractions import Fraction
 import pytest
 
 from bbsolve.algebra import (DEFAULT_PREC, GR_ONE, GR_ZERO, BigComplex,
-                             GaussianRational, _exact_ball, as_gaussian,
-                             coeff_is_zero, is_exact)
+                             GaussianRational, _exact_ball, coeff_is_zero,
+                             field_of, is_exact)
 from bbsolve.cli import Options, _prepare, analyze
 from bbsolve.curve import branches_at_infinity, first_integral_series
 from bbsolve.eqparse import parse_equation
 from bbsolve.errors import NoRoots
-from bbsolve.series import (FREE, ZSeries, bracket_phi, enumerate_series,
-                            leading_coefficients, leading_roots,
+from bbsolve.series import (FREE, ZSeries, bracket_phi, conjugates, enumerate_series,
+                            germ_index, leading_coefficients, leading_roots,
                             pinning_coefficient, recurrence_bracket,
-                            series_to_json, verify_series)
+                            series_to_json, verify_orders, verify_series)
 
 F = Fraction
 
@@ -181,6 +181,17 @@ class TestEnumerate:
             g = bs[0].m * eq.k // n
             assert 1 <= len(out) <= g * bs[0].m
 
+    def test_resonance_blocked_over_the_extension(self):
+        # eta^2 = 1/2: the forced term is decided once, exactly, for both
+        # roots, and each note names its own root
+        eq, bs = setup_eq("y'' = 4*y^3 + 1/y", depth=16)
+        notes = []
+        out = enumerate_series(eq, bs[0], 1, c=GaussianRational(0), N=8,
+                               collect_notes=notes)
+        assert out == [] and len(notes) == 2
+        assert all("forced term -2*eta is nonzero" in n for n in notes)
+        assert "eta=-0.707106781187" in notes[0] and "eta=0.707106781187" in notes[1]
+
     def test_resonance_blocked_by_residue(self):
         # P is irreducible here but p dq carries residue: engine must reject
         eq, bs = setup_eq("P: q^2*p - q^5 - q ; k=2", depth=16)
@@ -252,10 +263,22 @@ class TestSerialization:
         pinned, = enumerate_series(eq, bs[0], 2, c=GaussianRational(7), N=12)
         j2 = series_to_json(pinned)
         assert j2["resonance"] == "pinned" and j2["c"] == {"rat": "7"}
-        eq3, bs3 = setup_eq("y'' = 4*y^3")
-        irr, *_ = enumerate_series(eq3, bs3[0], 1, c=0, N=8)
-        j3 = series_to_json(irr)
-        assert set(j3["coeffs"][0]) == {"re", "im", "err"}
+        # c0 = 2^(1/4) on a numeric branch (lead sqrt(2)): a ball
+        eq3, _notes, _polygon, _depth, bs3, report = _prepare("P: p^2 - 2*q^6 ; k=2",
+                                                              Options(), 8)
+        bid, n = report.admissible_pairs()[0]
+        ball, *_ = enumerate_series(eq3, next(b for b in bs3 if b.id == bid), n,
+                                    c=GaussianRational(1), N=8)
+        j3 = series_to_json(ball)
+        assert set(j3["coeffs"][0]) == {"re", "im", "err"} and "embedding" not in j3
+        # c0 = 1/sqrt(2) from an exact branch: eta with eta^2 = 1/2, exactly
+        eq4, bs4 = setup_eq("y'' = 4*y^3")
+        alg, *_ = enumerate_series(eq4, bs4[0], 1, c=0, N=8)
+        j4 = series_to_json(alg)
+        assert j4["coeffs"][0] == {"eta": ["0", "1"]}
+        assert set(j4["embedding"]) == {"g", "beta", "root", "eta"}
+        assert j4["embedding"]["beta"] == {"rat": "1/2"}
+        assert set(j4["embedding"]["eta"]) == {"re", "im", "err"}
 
 
 def _reference_germ(k, n, branch, root, c, N):
@@ -264,7 +287,7 @@ def _reference_germ(k, n, branch, root, c, N):
     G^e with ZSeries.pow_int / inverse.  Exact germs only; returns the
     coefficient list."""
     m = branch.m
-    eta0 = as_gaussian(root.eta0)
+    eta0 = root.eta0          # a GaussianRational, or eta of K at its root
 
     def table(terms):
         return [(int(-n * x), int(m * x), A) for x, A in terms]
@@ -354,6 +377,26 @@ class TestMillerRecurrence:
         eq, bs = setup_eq("y'' = 6*y^2", depth=24)
         self.check(eq, bs[0], 2, c, 16)
 
+    @pytest.mark.parametrize("text, c", [
+        ("y''' = -1*y^4 + 1*y^3 + -1*y^2", None),
+        # pinned through the resonance, which inverts in K
+        ("y'' = -1*y^3 + 5*y^1 + 9", GaussianRational(1))])
+    def test_germs_over_the_extension(self, text, c):
+        eq, bs = setup_eq(text)
+        got = self.check(eq, bs[0], 1, c, germ_index(eq.k, 1))
+        assert len(got) == field_of(got[0].coeffs[0]).g >= 2
+        assert all(field_of(x) is not None or is_exact(x)
+                   for ls in got for x in ls.coeffs)
+        assert got[0].resonance_status == ("none" if c is None else "pinned")
+        # conjugate germs: the same coordinates, each at its own root
+        first = got[0]
+        for ls in got[1:]:
+            assert replace(ls, root_choice=first.root_choice) != first
+            assert conjugates(ls, first)
+            assert field_of(ls.coeffs[0]) != field_of(first.coeffs[0])
+            assert field_of(ls.coeffs[0]).same_field(field_of(first.coeffs[0]))
+        assert sorted(ls.root_choice for ls in got) == list(range(len(got)))
+
     def test_work_scales_quadratically(self, monkeypatch):
         # doubling N costs well under 8x the multiplications, and no
         # truncated power or inverse series is built
@@ -379,10 +422,16 @@ class TestMillerRecurrence:
         assert work[1] <= 8 * work[0], work
 
 
+# c0 outside Q(i), where x^g - beta is irreducible: germs over K
 NUMERIC_GERMS = [
     ("y''' = -1*y^4 + 1*y^3 + -1*y^2", None, None, 10),
     ("y'''' = 6*y^3 + 1/y^2", GaussianRational(1), 16, 17),
     ("y'' = 3*y^3", GaussianRational(1), 16, 17),
+]
+# c0 outside Q(i) where x^g - beta is reducible (x^3 - 1, x^4 - 4): 256-bit balls
+BALL_GERMS = [
+    ("y''' = -6*y^4 + 9/5*y^2", None, None, 10),
+    ("y'''' = 6*y^5", GaussianRational(1), 16, 17),
 ]
 
 
@@ -395,14 +444,24 @@ def numeric_germs(text, c, N):
 
 
 class TestNumericGermAccuracy:
-    """256-bit germs vanish through the whole verify window: no coefficient
-    passes through a 53-bit rounding."""
+    """Germs whose c0 lies outside Q(i) vanish through the whole verify
+    window: exactly over K, and as 256-bit balls with no coefficient passing
+    through a 53-bit rounding."""
 
     @pytest.mark.parametrize("text, c, N, want", NUMERIC_GERMS)
     def test_full_verify_order(self, text, c, N, want):
         eq, germs = numeric_germs(text, c, N)
         assert germs and not any(is_exact(ls.coeffs[0]) for ls in germs)
+        assert all(field_of(ls.coeffs[0]) is not None for ls in germs)
         assert [verify_series(eq, ls) for ls in germs] == [want] * len(germs)
+
+    @pytest.mark.parametrize("text, c, N, want", BALL_GERMS)
+    def test_full_verify_order_of_balls(self, text, c, N, want):
+        eq, germs = numeric_germs(text, c, N)
+        balls = [ls for ls in germs
+                 if not is_exact(ls.coeffs[0]) and field_of(ls.coeffs[0]) is None]
+        assert len(balls) >= 2
+        assert [verify_series(eq, ls) for ls in balls] == [want] * len(balls)
 
     def test_resonance_check_is_certified(self):
         # the forced term at the resonant index is zero to 256 bits, so both
@@ -446,7 +505,7 @@ class TestVerifyLadders:
         if eq.k % 2 == 0:
             self.agree(eq, enumerate_series(eq, branch, n, c=GaussianRational(1), N=24))
 
-    @pytest.mark.parametrize("text, c, N, want", NUMERIC_GERMS)
+    @pytest.mark.parametrize("text, c, N, want", NUMERIC_GERMS + BALL_GERMS)
     def test_numeric_germs(self, text, c, N, want):
         assert self.agree(*numeric_germs(text, c, N))[0] == want
 
@@ -457,18 +516,30 @@ class TestVerifyLadders:
         assert all(ls.has_free_parameter() for ls in germs)
         self.agree(eq, germs)
 
-    def test_corrupted_numeric_germ(self):
-        eq, (good, *_) = numeric_germs(*NUMERIC_GERMS[0][:3])
+    def corrupt(self, case, j):
+        eq, (good, *rest) = numeric_germs(*case[:3])
         coeffs = list(good.coeffs)
-        coeffs[3] = coeffs[3] * GaussianRational(F(3, 2))
+        assert not coeff_is_zero(coeffs[j])
+        coeffs[j] = coeffs[j] * GaussianRational(F(3, 2))
         bad = replace(good, coeffs=tuple(coeffs))
         assert self.agree(eq, [bad]) < self.agree(eq, [good])
+        return eq, [good, *rest], bad
+
+    def test_corrupted_numeric_germ(self):
+        eq, germs, bad = self.corrupt(NUMERIC_GERMS[0], 3)
+        # a corrupted germ over K shares no back-substitution with its conjugates
+        orders = verify_orders(eq, germs + [bad])
+        assert orders == [verify_series(eq, ls) for ls in germs + [bad]]
+        assert orders[-1] < orders[0]
+
+    def test_corrupted_ball_germ(self):
+        self.corrupt(BALL_GERMS[0], 2)
 
     def test_work_is_one_ladder_per_base(self, monkeypatch):
         # no power is rebuilt: (deg_p P - 1) + (deg_q P - 1) ladder rungs,
         # plus one product per term of P with both exponents positive
         eq, branch = germ_case("P: p^2 - 4*q^3 + 4*q ; k=1", 2, 24)
-        cases = [numeric_germs(*NUMERIC_GERMS[0][:3]),
+        cases = [numeric_germs(*NUMERIC_GERMS[0][:3]), numeric_germs(*BALL_GERMS[0][:3]),
                  (eq, enumerate_series(eq, branch, 2, N=24))]
         calls = {"mul": 0, "pow_int": 0}
 
@@ -507,5 +578,6 @@ class TestVerifyLadders:
         monkeypatch.setattr(BigComplex, "from_exact", staticmethod(counting_from_exact))
         monkeypatch.setattr(GaussianRational, "to_mpc", counting_to_mpc)
         _exact_ball.cache_clear()
-        analyze("y''' = -1*y^4 + 1*y^3 + -1*y^2", Options(no_classify=True))
+        # c0 = e^(+-2 pi i/3): x^3 - 1 is reducible, so these germs are balls
+        analyze(BALL_GERMS[0][0], Options(no_classify=True))
         assert converted and len(converted) == len(set(converted))
