@@ -745,7 +745,7 @@ class AlgebraicNumber:
         return hash((tuple(self._re), tuple(self._im), self._d, self._emb))
 
     def __repr__(self):
-        return (f"AlgebraicNumber({eta_str(self.coordinates())} at "
+        return (f"AlgebraicNumber({eta_str([str(x) for x in self.coordinates()])} at "
                 f"{self._emb!r})")
 
 
@@ -809,18 +809,19 @@ def _alg_product(x, re2, im2, d2):
 
 
 def eta_str(coords):
-    """x_0 + x_1*eta + ... for exact coordinates; 0 when all vanish."""
+    """x_0 + x_1*eta + ... from the text of each coordinate; 0 when all
+    vanish."""
     parts = []
-    for r, c in enumerate(coords):
-        if c.is_zero():
+    for r, t in enumerate(coords):
+        if t == "0":
             continue
         power = "" if r == 0 else "eta" if r == 1 else f"eta^{r}"
         if not power:
-            parts.append(str(c))
-        elif c == 1:
+            parts.append(t)
+        elif t == "1":
             parts.append(power)
         else:
-            parts.append(f"{c}*{power}")
+            parts.append(f"{t}*{power}")
     return " + ".join(parts) if parts else "0"
 
 
@@ -888,11 +889,12 @@ def field_of(x):
 
 def same_coordinates(x, y):
     """Whether x and y hold the same exact value up to the embedding: equal
-    coordinates in one field for elements of K, equal values otherwise."""
+    coordinates in one field for elements of K, equal exact values otherwise.
+    A ball is never the same: it was computed at one embedding only."""
     if type(x) is AlgebraicNumber and type(y) is AlgebraicNumber:
         return (x._emb.same_field(y._emb) and x._d == y._d
                 and x._re == y._re and x._im == y._im)
-    return x is y or (is_exact(x) and is_exact(y) and x == y)
+    return is_exact(x) and is_exact(y) and x == y
 
 
 def is_exact(x):

@@ -19,7 +19,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .algebra import GaussianRational, coeff_is_zero, is_exact, DEFAULT_PREC
+from .algebra import GaussianRational, coeff_is_zero, eta_str, is_exact, DEFAULT_PREC
 from .conditions import (attach_degree_bound, classify_kappa, screen_admissibility,
                          residue_screen)
 from .curve import (branches_at_infinity, exactness_check, newton_polygon,
@@ -146,24 +146,14 @@ def _germ_lines(s, coeffs_label):
     return lines
 
 
-class Diagnostics:
-    """What one ``analyze`` call did, outside its report: the wall time of
-    each stage (front end, exactness, germs, classification, render) and
-    deterministic counts of its germs (see series.germ_counts)."""
-
-    def __init__(self):
-        self.stages_s = {}
-        self.counts = {}
-
-    def to_json(self):
-        return json.dumps({"stages_s": self.stages_s, "counts": self.counts})
-
-
-def analyze(equation, opts=None, diagnostics=None):
+def analyze(equation, opts=None):
     """Full pipeline: parse -> curve -> conditions -> series -> classify.
 
-    Returns (report dict, exit_code).  A ``Diagnostics`` passed in receives
-    the stage times and germ counts; the report does not change."""
+    Returns (report dict, exit_code).  With ``opts.diagnostics`` it returns
+    (report dict, exit_code, diagnostics): a plain dict, outside the report,
+    of the wall time of each stage ("stages_s": front end, exactness, germs,
+    classification, render, the last building the report) and deterministic
+    counts of the germs ("counts", see series.germ_counts)."""
     opts = opts or Options()
     clock = time.perf_counter
     t0 = clock()
@@ -197,13 +187,14 @@ def analyze(equation, opts=None, diagnostics=None):
     t4 = clock()
     out = _build_report(eq, opts, depth, assumptions, warnings, polygon,
                         branches, ev, report, germs, orders, germ_notes, verdict)
-    if diagnostics is not None:
-        diagnostics.stages_s.update(front_end=t1 - t0, exactness=t2 - t1, germs=t3 - t2,
-                                    classification=t4 - t3, render=clock() - t4)
-        diagnostics.counts.update(germ_counts(germs))
+    t5 = clock()
     code = 0
     if verdict is not None and verdict.label in ("none_with_pole", "entire_only"):
         code = 2
+    if opts.diagnostics:
+        stages = dict(front_end=t1 - t0, exactness=t2 - t1, germs=t3 - t2,
+                      classification=t4 - t3, render=t5 - t4)
+        return out, code, {"stages_s": stages, "counts": germ_counts(germs)}
     return out, code
 
 
@@ -353,10 +344,7 @@ def _coeff_text(cj):
     if "rat" in cj:
         return cj["rat"] + (f"+{cj['rat_im']}i" if "rat_im" in cj else "")
     if "eta" in cj:
-        parts = [t if r == 0 else ("" if t == "1" else f"{t}*") + "eta"
-                 + (f"^{r}" if r > 1 else "")
-                 for r, t in enumerate(cj["eta"]) if t != "0"]
-        return " + ".join(parts) or "0"
+        return eta_str(cj["eta"])
     return f"{cj['re']:.12g}{cj['im']:+.12g}i (err {cj['err']:.2g})"
 
 
@@ -376,13 +364,10 @@ def _coeffs_text(coeffs, n):
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(equation, opts):
-    diagnostics = Diagnostics() if opts.diagnostics else None
-    report, code = analyze(equation, opts, diagnostics)
-    t0 = time.perf_counter()
+    report, code, *diagnostics = analyze(equation, opts)
     text = render_json(report) if opts.fmt == "json" else render_text(report)
-    if diagnostics is not None:
-        diagnostics.stages_s["render"] += time.perf_counter() - t0
-        print(diagnostics.to_json(), file=sys.stderr)
+    if diagnostics:
+        print(json.dumps(diagnostics[0]), file=sys.stderr)
     return text, code
 
 
@@ -438,7 +423,7 @@ def cmd_residues(equation, opts):
 def cmd_classify(equation, opts):
     if opts.no_classify:
         raise BBError("classify cannot run with no_classify set")
-    report, code = analyze(equation, opts)
+    report, code, *_ = analyze(equation, opts)
     v = report["classification"]
     out = {"input": report["input"]["canonical"], "classification": v}
     if opts.fmt == "json":

@@ -18,12 +18,14 @@ c_0^(1/m); the admissible determinations are the g = m k / n roots of
 eta^g = beta = D_0 / A_0, and each one yields one candidate series
 (conjugate branch choices are absorbed, duplicates removed).
 
-When beta is exact and x^g - beta is irreducible over Q(i) (Capelli), eta_0
-is symbolic: the germ is computed once, exactly, in
+On an exact branch whose x^g - beta is irreducible over Q(i) (Capelli),
+eta_0 is symbolic: the germ is computed once, exactly, in
 K = Q(i)[eta]/(eta^g - beta) (algebra.AlgebraicNumber), and each of the g
 roots gets the same coordinates read at its own embedding eta -> eta_k.
-Otherwise the roots are Gaussian rationals where exact and 256-bit balls
-elsewhere, and each root builds its own germ.
+Otherwise (a reducible binomial, or a branch with a ball term even below an
+exact lead) the roots are Gaussian rationals where exact and 256-bit balls
+elsewhere, and each root builds its own germ; so does each root when a
+numeric first-integral constant leaves balls in a germ over K.
 
 Each term A q^x of the branch (and of s, for pinning) evaluates at
 y = c_0 z^(-n) (1 + w) to A eta_0^e z^(-n x) (1 + w)^(e/m), e = m x.  The
@@ -119,10 +121,13 @@ def leading_roots(k, n, branch, precision=DEFAULT_PREC):
     """The determinations eta0 of c_0^(1/m): the g = m k / n roots of
     eta^g = beta, beta = D_0 / A_0, each with c_0 = eta0^m.
 
-    When beta is exact and x^g - beta is irreducible over Q(i) (Capelli),
-    every eta0 is the symbolic eta of K = Q(i)[eta]/(eta^g - beta), read at
-    one of its g embeddings (algebra.radical_roots); otherwise the roots
-    come from all_nth_roots: GaussianRationals where exact, balls elsewhere.
+    On an exact branch (beta then exact too) where x^g - beta is irreducible
+    over Q(i) (Capelli), every eta0 is the symbolic eta of
+    K = Q(i)[eta]/(eta^g - beta), read at one of its g embeddings
+    (algebra.radical_roots); otherwise the roots come from all_nth_roots:
+    GaussianRationals where exact, balls elsewhere.  A branch with any ball
+    term keeps ball roots even when its lead is exact: its germs mix balls
+    into every coefficient, and a ball is read at one embedding only.
     Either way the roots are ordered by their (embedded) values."""
     m = branch.m
     if n % m != 0:
@@ -135,7 +140,8 @@ def leading_roots(k, n, branch, precision=DEFAULT_PREC):
     if g is None:
         raise NoRoots(f"m*k/n = {m}*{k}/{n} is not an integer")
     beta = GaussianRational(falling(-n, k)) * branch.lead.inverse()
-    roots = radical_roots(beta, g, precision) or all_nth_roots(beta, g, precision)
+    roots = ((radical_roots(beta, g, precision) if branch.is_exact() else None)
+             or all_nth_roots(beta, g, precision))
     out = []
     for idx, eta0 in enumerate(roots):
         out.append(LeadingRoot(c0=eta0 ** m, eta0=eta0, index=idx))
@@ -238,21 +244,28 @@ def enumerate_series(eq, branch, n, c=None, N=None, precision=DEFAULT_PREC,
     out, conjugate = [], None
     for root in roots:
         over_k = field_of(root.eta0) is not None
-        if over_k and conjugate is not None:
+        if conjugate is not None:
             # the recurrence never reads the embedding: the germ is built
             # once over K, and each root re-reads its coordinates
             ls, failure = conjugate
         else:
             ls, failure = _build_or_failure(k, n, branch, root, c, N)
-            conjugate = (ls, failure) if over_k else None
+            # shared only when exact: a numeric c leaves balls made at this root
+            if over_k and (ls is None or _exact_over_k(ls)):
+                conjugate = (ls, failure)
         if failure is not None:
             if collect_notes is not None:
                 at = f" at eta={_fmt_coeff(field_of(root.eta0).eta)}" if over_k else ""
                 collect_notes.append(
                     f"branch {branch.id}, c0={_fmt_coeff(root.c0)}{at}: {failure}")
             continue
-        out.append(_read_at(ls, root) if over_k else ls)
+        out.append(_read_at(ls, root) if conjugate is not None else ls)
     return _dedup(out)
+
+
+def _exact_over_k(ls):
+    """Whether every coefficient of the germ is exact, in Q(i) or in K."""
+    return all(c is FREE or is_exact(c) or field_of(c) is not None for c in ls.coeffs)
 
 
 def _build_or_failure(k, n, branch, root, c, N):
@@ -497,7 +510,8 @@ def conjugates(a, b):
     return ((a.n, a.k, a.N, a.resonance_status, a.c, a.branch_id)
             == (b.n, b.k, b.N, b.resonance_status, b.c, b.branch_id)
             and len(a.coeffs) == len(b.coeffs)
-            and all(same_coordinates(x, y) for x, y in zip(a.coeffs, b.coeffs)))
+            and all((x is FREE and y is FREE) or same_coordinates(x, y)
+                    for x, y in zip(a.coeffs, b.coeffs)))
 
 
 def germ_counts(germs):
@@ -507,7 +521,7 @@ def germ_counts(germs):
     exact, algebraic, balls, classes = 0, {}, 0, set()
     for ls in germs:
         emb = field_of(ls.coeffs[0])
-        if emb is not None:
+        if emb is not None and _exact_over_k(ls):
             algebraic[str(emb.g)] = algebraic.get(str(emb.g), 0) + 1
             classes.add((ls.branch_id, ls.n))
         elif all(c is FREE or is_exact(c) for c in ls.coeffs):
@@ -535,7 +549,7 @@ def _fmt_coeff(c):
         g = as_gaussian(c)
         return gaussian_str(g)
     if field_of(c) is not None:
-        return eta_str(c.coordinates())
+        return eta_str([gaussian_str(x) for x in c.coordinates()])
     return f"{complex(c.val):.12g}~{float(c.err):.1e}"
 
 

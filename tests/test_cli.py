@@ -332,6 +332,11 @@ class TestMain:
         assert first["counts"] == second["counts"] == {
             "germs_gaussian": 0, "germs_algebraic": {"3": 3}, "germs_ball": 0,
             "conjugate_classes": 1}
+        # the library reads the same switch and returns the same dict
+        rep, code, diag = analyze(text, Options(diagnostics=True))
+        assert render_json(rep) + "\n" == runs[0][1] and code == runs[0][0]
+        assert list(diag["stages_s"]) == list(stages) and diag["counts"] == first["counts"]
+        assert len(analyze(text)) == 2
 
     @pytest.mark.parametrize("args", [
         ["analyze", "y'' = 6*y^2", "--format", "xml"],

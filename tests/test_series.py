@@ -3,6 +3,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -13,7 +14,8 @@ from bbsolve.cli import Options, _prepare, analyze
 from bbsolve.curve import branches_at_infinity, first_integral_series
 from bbsolve.eqparse import parse_equation
 from bbsolve.errors import NoRoots
-from bbsolve.series import (FREE, ZSeries, bracket_phi, conjugates, enumerate_series,
+from bbsolve.series import (FREE, ZSeries, _build_series, _coeff_close, bracket_phi,
+                            conjugates, enumerate_series,
                             germ_index, leading_coefficients, leading_roots,
                             pinning_coefficient, recurrence_bracket,
                             series_to_json, verify_orders, verify_series)
@@ -191,6 +193,43 @@ class TestEnumerate:
         assert out == [] and len(notes) == 2
         assert all("forced term -2*eta is nonzero" in n for n in notes)
         assert "eta=-0.707106781187" in notes[0] and "eta=0.707106781187" in notes[1]
+
+    def test_exact_lead_with_a_ball_tail(self):
+        # p = q^4 +- sqrt(2) q^3: the lead is exact but the tail is balls, so
+        # each root builds its own ball germ (a germ over K would be read at
+        # one embedding only)
+        eq, _notes, _polygon, _depth, bs, report = _prepare(
+            "P: (p - q^4)^2 - 2*q^6 ; k=3", Options(), 6)
+        for bid, n in report.admissible_pairs():
+            branch = next(b for b in bs if b.id == bid)
+            assert branch.lead == 1 and not branch.is_exact()
+            germs = enumerate_series(eq, branch, n, N=6)
+            assert len(germs) == 3
+            assert not any(is_exact(x) or field_of(x) for ls in germs for x in ls.coeffs)
+            roots = leading_roots(eq.k, n, branch)
+            for ls in germs:
+                own = _build_series(eq.k, n, branch, roots[ls.root_choice], None, 6)
+                assert all(_coeff_close(x, y) for x, y in zip(ls.coeffs, own.coeffs))
+            for a, b in combinations(germs, 2):
+                assert not _coeff_close(a.coeffs[2], b.coeffs[2])
+            orders = verify_orders(eq, germs)
+            assert orders == [verify_series(eq, ls) for ls in germs]
+            assert min(orders) >= 4
+
+    def test_numeric_constant_over_the_extension(self):
+        # eta^2 = 1/2 with c a ball: the pinned coefficient is a ball, so
+        # each root pins its own germ instead of sharing the first one's
+        eq, bs = setup_eq("y'' = 4*y^3", depth=16)
+        exact = enumerate_series(eq, bs[0], 1, c=GaussianRational(1), N=8)
+        balls = enumerate_series(eq, bs[0], 1, c=_exact_ball(1, 0, DEFAULT_PREC), N=8)
+        assert len(balls) == len(exact) == 2
+        for e, b in zip(exact, balls):
+            assert e.root_choice == b.root_choice
+            assert field_of(b.coeffs[0]) == field_of(e.coeffs[0])
+            assert type(b.coeffs[4]) is BigComplex
+            assert all(_coeff_close(x, y) for x, y in zip(b.coeffs, e.coeffs))
+        assert not conjugates(*balls)
+        assert verify_orders(eq, balls) == [verify_series(eq, ls) for ls in balls]
 
     def test_resonance_blocked_by_residue(self):
         # P is irreducible here but p dq carries residue: engine must reject
