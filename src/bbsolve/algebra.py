@@ -33,6 +33,8 @@ Polynomials
 polynomial in (p, q) stored as a sparse map (deg_p, deg_q) -> coefficient
 with no zero entries.  ``ZSeries`` is a dense truncated Laurent series on an
 integer exponent grid, shared by the Puiseux branches and the Laurent germs.
+Its products and inverses, and the germs' power recurrence, sum products
+through ``dot``, which normalises an exact sum once rather than per term.
 
 Root finding is simultaneous Aberth-Ehrlich iteration seeded on a circle,
 followed by Newton polishing, with a-posteriori error disks from the
@@ -40,8 +42,10 @@ Weierstrass correction, on libmp tuples as well; exact rational/Gaussian-
 rational roots are recognised and certified by exact back-substitution.
 """
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import gcd
 from operator import add, mul, sub, truediv
 
@@ -784,28 +788,141 @@ def _alg_sum(re1, im1, d1, re2, im2, d2, sign, emb):
 
 def _alg_product(x, re2, im2, d2):
     """x times (re2 + i im2)/d2, reduced by eta^g = beta."""
-    emb = x._emb
-    g = emb.g
-    br, bi, bd = emb._bt
-    pr = [0] * (2 * g - 1)
-    pi = [0] * (2 * g - 1)
-    for r, (a, b) in enumerate(zip(x._re, x._im)):
+    g = x._emb.g
+    pr, pi = [0] * (2 * g - 1), [0] * (2 * g - 1)
+    _convolve(pr, pi, x._re, x._im, re2, im2, 1)
+    return _alg_reduce(pr, pi, x._d, d2, x._emb)
+
+
+def _convolve(pr, pi, re1, im1, re2, im2, w):
+    """Add w (re1 + i im1)(re2 + i im2), as polynomials in eta, to (pr, pi)."""
+    for r, (a, b) in enumerate(zip(re1, im1)):
         if a == 0 and b == 0:
             continue
         for s, (c, e) in enumerate(zip(re2, im2)):
             if c == 0 and e == 0:
                 continue
-            pr[r + s] += a * c - b * e
-            pi[r + s] += a * e + b * c
-    # eta^(t+g) = beta eta^t, over the common denominator bd
+            pr[r + s] += (a * c - b * e) * w
+            pi[r + s] += (a * e + b * c) * w
+
+
+def _alg_reduce(pr, pi, d1, d2, emb):
+    """The element (pr + i pi)/(d1 d2), pr and pi of length at most 2g - 1,
+    reduced by eta^(t+g) = beta eta^t over the common denominator bd."""
+    g = emb.g
+    br, bi, bd = emb._bt
     re = [u * bd for u in pr[:g]]
     im = [v * bd for v in pi[:g]]
-    for t in range(g - 1):
+    for t in range(len(pr) - g):
         u, v = pr[t + g], pi[t + g]
         if u or v:
             re[t] += u * br - v * bi
             im[t] += u * bi + v * br
-    return _alg(re, im, x._d * d2 * bd, emb)
+    return _alg(re, im, d1 * d2 * bd, emb)
+
+
+# ---------------------------------------------------------------------------
+# fused multiply-accumulate
+# ---------------------------------------------------------------------------
+
+_OTHER = object()       # an operand the exact sums below do not take
+_FIELD = object()       # an element of K, for _dot_field
+_ONES = repeat(1)
+
+
+def dot(xs, ys, ws=None, div=1, from_zero=False):
+    """(sum_i xs[i] ys[i] ws[i]) / div over two sequences of coefficients,
+    small int weights ``ws`` (None: no weights) and an int ``div``, skipping
+    a term with an exact-zero factor or a zero weight.  None when no term is
+    left, unless ``from_zero``, which gives GR_ZERO then.
+
+    Over Q(i), or over K at one embedding with Q(i) operands at coordinate
+    0, the products are summed as integer numerators over a running common
+    denominator, reduced by eta^g = beta once and normalised with one gcd:
+    the normal form of the term-by-term sum, with no object per term.  Any
+    other operand (a ball, another embedding, an int or a Fraction) sends
+    the whole sum through the per-operation path, in the order callers
+    always used: each (x y) w added left to right onto the first term, or
+    onto GR_ZERO under ``from_zero`` (a sum of balls then charges the slack
+    of adding an exact zero, ROADMAP item 9), then times 1/div, so no
+    numeric bit moves."""
+    weights = _ONES if ws is None else ws
+    out = _dot_gaussian(xs, ys, weights, div)
+    if out is _FIELD:
+        out = _dot_field(xs, ys, weights, div)
+    if out is _OTHER:
+        out = GR_ZERO if from_zero else None
+        for x, y, w in zip(xs, ys, weights):
+            if w and not _is_exact_zero(x) and not _is_exact_zero(y):
+                t = x * y if ws is None else x * y * w
+                out = t if out is None else out + t
+        return out if div == 1 or out is None else out * Fraction(1, div)
+    return GR_ZERO if out is None and from_zero else out
+
+
+def _dot_gaussian(xs, ys, ws, div):
+    """The sum when every operand is a GaussianRational; else _FIELD at an
+    element of K, _OTHER at any other operand."""
+    A = B = 0
+    D = 1
+    kept = False
+    for x, y, w in zip(xs, ys, ws):
+        if x is GR_ZERO or y is GR_ZERO:
+            continue
+        if type(x) is not GaussianRational or type(y) is not GaussianRational:
+            return _FIELD if AlgebraicNumber in (type(x), type(y)) else _OTHER
+        a, b, c, e = x._a, x._b, y._a, y._b
+        if (a == 0 and b == 0) or (c == 0 and e == 0) or not w:
+            continue
+        q = x._d * y._d
+        if q != D:
+            s, r = divmod(D, q)
+            if r:                       # D becomes lcm(D, q) = D q / g
+                g = gcd(r, q)
+                t = q // g
+                A, B, D, s = A * t, B * t, D * t, s * t + r // g
+            w *= s
+        A += (a * c - b * e) * w
+        B += (a * e + b * c) * w
+        kept = True
+    return _gr(A, B, D * div) if kept else None
+
+
+def _dot_field(xs, ys, ws, div):
+    """The sum when every operand of a kept term is a GaussianRational or
+    an element of K at one embedding, else _OTHER."""
+    emb, D, pr, pi, kept = None, 1, [], [], False
+    for x, y, w in zip(xs, ys, ws):
+        if not w or _is_exact_zero(x) or _is_exact_zero(y):
+            continue
+        vecs = []
+        for v in (x, y):
+            if type(v) is GaussianRational:
+                vecs.append(((v._a,), (v._b,), v._d))
+            elif type(v) is AlgebraicNumber and (emb is None or v._emb is emb
+                                                 or v._emb == emb):
+                emb = v._emb
+                vecs.append((v._re, v._im, v._d))
+            else:
+                return _OTHER
+        (r1, i1, d1), (r2, i2, d2) = vecs
+        q = d1 * d2
+        if q != D:
+            s, r = divmod(D, q)
+            if r:
+                g = gcd(r, q)
+                t = q // g
+                D, s = D * t, s * t + r // g
+                pr, pi = [u * t for u in pr], [u * t for u in pi]
+            w *= s
+        grow = len(r1) + len(r2) - 1 - len(pr)
+        if grow > 0:
+            pr, pi = pr + [0] * grow, pi + [0] * grow
+        _convolve(pr, pi, r1, i1, r2, i2, w)
+        kept = True
+    if not kept:
+        return None
+    return _gr(pr[0], pi[0], D * div) if emb is None else _alg_reduce(pr, pi, D, div, emb)
 
 
 def eta_str(coords):
@@ -938,11 +1055,13 @@ _BIGN = 10 ** 9
 
 
 def _is_exact_zero(c):
+    if type(c) is BigComplex:
+        return False  # numeric values are kept even when tiny
     if isinstance(c, (GaussianRational, AlgebraicNumber)):
         return c.is_zero()
     if isinstance(c, (int, Fraction)):
         return c == 0
-    return False  # numeric values are kept even when tiny
+    return False
 
 
 class ZSeries:
@@ -1027,16 +1146,13 @@ class ZSeries:
         width = min(len(self.coeffs) + len(other.coeffs) - 1, vt - start + 1)
         if width <= 0:
             return ZSeries.zero(vt)
-        out = [GR_ZERO] * width
-        for i, a in enumerate(self.coeffs):
-            if _is_exact_zero(a):
-                continue
-            jmax = min(len(other.coeffs), width - i)
-            for j in range(jmax):
-                b = other.coeffs[j]
-                if _is_exact_zero(b):
-                    continue
-                out[i + j] = out[i + j] + a * b
+        b, lb = other.coeffs, len(other.coeffs)
+        ia = [i for i, c in enumerate(self.coeffs) if not _is_exact_zero(c)]
+        ca = [self.coeffs[i] for i in ia]
+        out = []
+        for k in range(width):      # sum a[i] b[k - i] over the nonzero a[i]
+            lo, hi = bisect_left(ia, k - lb + 1), bisect_right(ia, k)
+            out.append(dot(ca[lo:hi], [b[k - i] for i in ia[lo:hi]], from_zero=True))
         return ZSeries(start, out, vt)
 
     def __mul__(self, other):
@@ -1070,17 +1186,11 @@ class ZSeries:
         nterms = int(rel) + 1 if rel < _BIGN else len(self.coeffs) * 4 + 8
         out = [GR_ZERO] * max(nterms, 1)
         out[0] = inv0
-        nonzero = [(j, a) for j, a in enumerate(self.coeffs) if j and not _is_exact_zero(a)]
+        js = [j for j, a in enumerate(self.coeffs) if j and not _is_exact_zero(a)]
+        cs = [self.coeffs[j] for j in js]
         for idx in range(1, len(out)):
-            acc = None
-            for j, a in nonzero:
-                if j > idx:
-                    break
-                b = out[idx - j]
-                if _is_exact_zero(b):     # the product is exactly 0
-                    continue
-                term = a * b
-                acc = term if acc is None else acc + term
+            top = bisect_right(js, idx)
+            acc = dot(cs[:top], [out[idx - j] for j in js[:top]])
             out[idx] = acc * neg_inv0 if acc is not None else GR_ZERO
         return ZSeries(-e0, out, rel - e0)
 
@@ -1499,11 +1609,12 @@ def _roots_numeric(coeffs, precision):
 
 
 def _root_key(r):
-    v = coeff_to_mpc(r)
+    # a part that the ball holds 0 sorts as 0, not by the sign of its noise
+    v, err = coeff_to_mpc(r), coeff_err(r)
     with mp.workprec(64):
         grid = mpmath.mpf(2) ** 40
-        return (int(mpmath.floor(v.real * grid)),
-                int(mpmath.floor(v.imag * grid)))
+        return tuple(0 if abs(x) <= err else int(mpmath.floor(x * grid))
+                     for x in (v.real, v.imag))
 
 
 def _sort_roots(roots):

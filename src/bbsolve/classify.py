@@ -53,14 +53,13 @@ CONTINUATION_N = 24
 class MonomialMatch:
     n: int
     defining_poly: UPoly      # vanishes exactly on the admissible c values
-    roots: tuple              # coefficient values (exact or BigComplex)
 
     def describe(self):
         return (f"y = c*z^-{self.n} with c a root of "
                 f"{upoly_str(self.defining_poly, 'c')} = 0")
 
 
-def match_monomial(eq, precision=DEFAULT_PREC):
+def match_monomial(eq):
     """Exact one-term solutions c z^-n of P(y^(k), y) = 0.
 
     For each pole order n admitted by the Newton polygon, substitute
@@ -94,9 +93,7 @@ def match_monomial(eq, precision=DEFAULT_PREC):
             if not (buckets[expo] % core).is_zero():
                 raise PrecisionExhausted(
                     f"monomial gcd does not divide the z^{expo} bucket")
-        vals = tuple(r for r in roots_univariate(core, precision) if not r.is_zero())
-        if vals:
-            out.append(MonomialMatch(n=n, defining_poly=core, roots=vals))
+        out.append(MonomialMatch(n=n, defining_poly=core))
     return out
 
 
@@ -817,9 +814,17 @@ def sweep_poles(eq, germ_family, tol=DEFAULT_TRAJ_TOL, budget=13,
             if others:
                 scale = min(others)
     events.sort(key=lambda e: (round(abs(e.z), 9), round(cmath.phase(e.z + 1e-12), 9)))
+    # the probe is deterministic, and _verify_period tests T1 and T2 from the
+    # same base points: each point is continued once
+    probed = {}
 
     def probe(z):
         z = complex(z)
+        if z not in probed:
+            probed[z] = _probe(z)
+        return probed[z]
+
+    def _probe(z):
         ev = min(events, key=lambda e: abs(z - e.z))
         g = by_id[ev.germ_id]
         r = abs(z - ev.z)

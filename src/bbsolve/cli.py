@@ -181,7 +181,7 @@ def analyze(equation, opts=None):
 
     # match_monomial runs without a verdict too, only because perfbench's
     # EXPECTED_SPANS["screen_fuzz"] needs its span (ROADMAP's benchmark list)
-    mono = match_monomial(eq, opts.precision)
+    mono = match_monomial(eq)
     verdict = None if opts.no_classify else classify_equation(
         eq, report, branches, ev, mono, opts.c, N_traj, opts.tol, opts.precision)
     t4 = clock()

@@ -38,12 +38,14 @@ added, never negated: BigComplex negation rounds to 53 bits.  Exact
 coefficients, in Q(i) or in K, negate exactly.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 
 from .algebra import (GR_ONE, GR_ZERO, GaussianRational, ZSeries,
                       _is_exact_zero, all_nth_roots, as_gaussian, coeff_is_zero,
-                      eta_str, falling, field_of, is_exact, pochhammer,
+                      dot, eta_str, falling, field_of, is_exact, pochhammer,
                       radical_roots, same_coordinates, DEFAULT_PREC)
 from .curve import first_integral_series
 from .eqparse import _fraction_str, gaussian_str
@@ -111,6 +113,7 @@ def d_factor(k, n, j):
     return falling(j - n, k)
 
 
+@lru_cache(maxsize=4096)
 def recurrence_bracket(k, n, j):
     """bracket(j) = D_j - (1 + k/n) D_0 as an exact rational."""
     d0 = d_factor(k, n, 0)
@@ -375,15 +378,9 @@ class _Powers:
 
     def coeff(self, table, target):
         """Coefficient of z^target in sum A eta0^e z^(-n x) H_e over a table."""
-        total = None
-        for e, shift, K in table:
-            r = target + shift
-            if r < 0:
-                continue
-            h = self._power_coeff(e, r)
-            if not _is_exact_zero(h):
-                term = K * h
-                total = term if total is None else total + term
+        live = [(K, self._power_coeff(e, target + shift))
+                for e, shift, K in table if target + shift >= 0]
+        total = dot([K for K, _h in live], [h for _K, h in live])
         return GR_ZERO if total is None else total
 
     def _power_coeff(self, e, r):
@@ -392,17 +389,10 @@ class _Powers:
         w, m = self.w, self.m
         while len(H) <= r:
             j = len(H)
-            acc = None
-            for i in self.nonzero:
-                if i > j:
-                    break
-                h = H[j - i]
-                weight = (e + m) * i - m * j
-                if weight == 0 or _is_exact_zero(h):
-                    continue
-                term = w[i] * h * weight
-                acc = term if acc is None else acc + term
-            H.append(GR_ZERO if acc is None else acc * Fraction(1, m * j))
+            known = self.nonzero[:bisect_right(self.nonzero, j)]
+            acc = dot([w[i] for i in known], [H[j - i] for i in known],
+                      [(e + m) * i - m * j for i in known], div=m * j)
+            H.append(GR_ZERO if acc is None else acc)
         return H[r]
 
     def set_coeff(self, j, cj):

@@ -203,7 +203,7 @@ def test_criterion_06_screening():
 def test_criterion_07_monomial_solutions():
     """y^(k) = y^m: match_monomial returns c with c^(m-1) = (-1)^k poch(n,k)."""
     t0 = time.monotonic()
-    from bbsolve.algebra import falling
+    from bbsolve.algebra import falling, roots_univariate
     for k, m in ((1, 2), (2, 2), (2, 3), (4, 3), (3, 4)):
         n, rem = divmod(k, m - 1)
         assert rem == 0
@@ -214,7 +214,7 @@ def test_criterion_07_monomial_solutions():
         want = UPoly([-F(D0)] + [GaussianRational(0)] * (m - 2) + [GaussianRational(1)])
         assert matches[0].defining_poly == want.monic()
         # exact back-substitution: residual vanishes identically
-        for root in matches[0].roots:
+        for root in roots_univariate(matches[0].defining_poly):
             pval = eq.P.eval(root * GaussianRational(D0) if is_exact(root)
                              else root * D0, root)
             # P(D0 c, c) with the z-powers stripped: both monomials in the
@@ -475,3 +475,50 @@ def test_criterion_11c_exact_germs_stay_in_their_balls():
     dt = _elapsed_ok(t0, 30, "criterion 11c")
     _report(f"criterion 11c: {len(EXACT_GERM_REPORT_SHA256)} exact-germ reports pinned, "
             "every coefficient inside its former ball", dt)
+
+
+# Long exact series, pinned as text: the exact Puiseux branches of the
+# Weierstrass curve at depth 80, and the pinned germs (c = 1) of two k = 2
+# equations with their verify orders.  Every coefficient is in Q(i), so the
+# text is canonical; a faster series kernel leaves it alone.
+LONG_SERIES_SHA256 = {
+    ("branches", "p^2 - 4*q^3 + 4*q", 80):
+        "19c3f4e180bba4f1c87c48709c04f740561ce1879a06fc3c98e74cc3f9458e75",
+    ("germs", "y'' = 6*y^2", 96):
+        "f1f069de73b3b195dabb423260b17395321514155bd49090fa35cba5f9d08552",
+    ("germs", "y'' = 6*y^2 - 2", 64):
+        "15243d87808c53943b5f144dd204ab762a2dffff43a1ad82bea8a9f416593035",
+}
+
+
+def _long_series_text(kind, text, size):
+    lines = []
+    if kind == "branches":
+        P = parse_equation(f"P: {text} ; k=1").P
+        for b in branches_at_infinity(P, size):
+            lines.append(f"branch {b.id} m={b.m} kappa={b.kappa} "
+                         f"unbounded={b.p_unbounded} valid_to={b.valid_q_to} depth={b.depth}")
+            lines.extend(f"  {e} {as_gaussian(c)}" for e, c in b.terms)
+        return "\n".join(lines)
+    eq, _notes, _polygon, _depth, branches, screen = _prepare(text, Options(), size)
+    bid, = [b for b, n in screen.admissible_pairs() if n == 2]
+    branch = next(b for b in branches if b.id == bid)
+    for ls in enumerate_series(eq, branch, 2, c=GaussianRational(1), N=size):
+        lines.append(f"germ n={ls.n} N={ls.N} res={ls.resonance_status} c={ls.c} "
+                     f"root={ls.root_choice} verify_order={verify_series(eq, ls)}")
+        lines.extend(f"  {j} {as_gaussian(c)}" for j, c in enumerate(ls.coeffs))
+    return "\n".join(lines)
+
+
+def test_criterion_11d_long_exact_series_pinned():
+    """Deep exact branches and long exact germs: each text has its pinned sha256."""
+    t0 = time.monotonic()
+    changed = []
+    for key, want in LONG_SERIES_SHA256.items():
+        digest = hashlib.sha256(_long_series_text(*key).encode()).hexdigest()
+        if digest != want:
+            changed.append(f"{key}: {digest}")
+    assert not changed, "long exact series differ from the pinned table:\n" + "\n".join(changed)
+    dt = _elapsed_ok(t0, 60, "criterion 11d")
+    _report(f"criterion 11d: {len(LONG_SERIES_SHA256)} long exact series match their sha256",
+            dt)

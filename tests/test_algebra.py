@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bbsolve.algebra import (GR_ZERO, BiPoly, BigComplex, GaussianRational, UPoly,
-                             ZSeries, _exact_ball, all_nth_roots, coeff_is_zero,
-                             coeff_to_mpc, falling, is_exact, pochhammer,
+                             ZSeries, _exact_ball, _sort_roots, all_nth_roots,
+                             coeff_is_zero, coeff_to_mpc, falling, is_exact, pochhammer,
                              roots_univariate, solve_linear, squarefree_in_p,
                              squarefree_part_in_p)
 from bbsolve.errors import DegenerateInput
@@ -158,6 +158,15 @@ class TestRoots:
         a = roots_univariate(UPoly([-1, 0, 0, 1]))
         b = roots_univariate(UPoly([-1, 0, 0, 1]))
         assert [complex(x) for x in a] == [complex(x) for x in b]
+
+    @pytest.mark.parametrize("noise", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    def test_order_ignores_noise_inside_the_ball(self, noise):
+        # real parts of +-1e-80 inside radius 1e-70 are 0: the roots sort by
+        # their imaginary parts, -i first, whatever the sign of the noise
+        up, down = (BigComplex(mpmath.mpc(s * mpmath.mpf("1e-80"), im), mpmath.mpf("1e-70"))
+                    for s, im in zip(noise, (1, -1)))
+        assert _sort_roots([up, down]) == [down, up]
+        assert _sort_roots([down, up]) == [down, up]
 
     def test_nth_roots(self):
         rs = all_nth_roots(GaussianRational(4), 2)

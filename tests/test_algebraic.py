@@ -8,8 +8,9 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bbsolve.algebra import (GR_ONE, AlgebraicNumber, BigComplex, Embedding,
-                             GaussianRational, binomial_irreducible, is_exact,
+from bbsolve.algebra import (GR_ONE, GR_ZERO, AlgebraicNumber, BigComplex, Embedding,
+                             GaussianRational, ZSeries, _is_exact_zero,
+                             binomial_irreducible, dot, field_of, is_exact,
                              is_pth_power, radical_roots)
 
 G = GaussianRational
@@ -156,6 +157,119 @@ class TestEmbeddings:
         with pytest.raises(AttributeError):
             conjugates(0)[0]._d = 2
         assert isinstance(conjugates(0)[0], AlgebraicNumber)
+
+
+def term_by_term(xs, ys, ws=None, div=1, acc=None):
+    """The sum as every caller wrote it before the fused kernel: each kept
+    (x y) w added left to right, onto ``acc`` when given, then times 1/div."""
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        if (ws is not None and ws[i] == 0) or _is_exact_zero(x) or _is_exact_zero(y):
+            continue
+        t = x * y if ws is None else x * y * ws[i]
+        acc = t if acc is None else acc + t
+    return acc if div == 1 or acc is None else acc * F(1, div)
+
+
+def same_value(got, want):
+    """Equal exact values of the same type at the same embedding, or balls
+    with the same bits."""
+    if isinstance(want, BigComplex):
+        return (isinstance(got, BigComplex) and got.val == want.val
+                and got.err == want.err and got.prec == want.prec)
+    return type(got) is type(want) and field_of(got) == field_of(want) and got == want
+
+
+weights = st.one_of(st.none(), st.lists(st.integers(-3, 3), min_size=8, max_size=8))
+divisors = st.sampled_from((1, 1, 2, 12))
+
+
+@st.composite
+def operands(draw, field, root, n):
+    """n operands of K read at one root: elements of K, Gaussian rationals
+    over unequal denominators, and exact zeros of either type."""
+    out = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(("k", "k", "q", "zero_q", "zero_k")))
+        if kind == "k":
+            out.append(draw(elements(field, root)))
+        elif kind == "q":
+            out.append(draw(gaussians))
+        else:
+            out.append(GR_ZERO if kind == "zero_q" else conjugates(field)[root] * 0)
+    return out
+
+
+@st.composite
+def fused_case(draw):
+    field = draw(st.integers(0, len(FIELDS) - 1))
+    root = draw(st.integers(0, FIELDS[field][1] - 1))
+    n = draw(st.integers(0, 6))
+    return (draw(operands(field, root, n)), draw(operands(field, root, n)),
+            draw(weights), draw(divisors), (field, root))
+
+
+class TestFusedSum:
+    """dot equals the term-by-term sum: the same normal form over Q(i) and
+    over K, and the same bits once a ball or another embedding joins in."""
+
+    @BUDGET
+    @given(st.lists(gaussians, max_size=8), st.lists(gaussians, max_size=8), weights,
+           divisors, st.booleans())
+    def test_gaussian(self, xs, ys, ws, div, from_zero):
+        want = term_by_term(xs, ys, ws, div, GR_ZERO if from_zero else None)
+        assert same_value(dot(xs, ys, ws, div, from_zero), want)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(fused_case())
+    def test_field(self, case):
+        xs, ys, ws, div, _ = case
+        got = dot(xs, ys, ws, div)
+        assert same_value(got, term_by_term(xs, ys, ws, div))
+        assert dot(xs, ys, ws, div, from_zero=True) == (GR_ZERO if got is None else got)
+
+    @BUDGET
+    @given(fused_case(), st.integers(0, 7), st.sampled_from(("ball", "conjugate")))
+    def test_other_operands_keep_their_bits(self, case, at, kind):
+        xs, ys, ws, div, (field, root) = case
+        if not xs:
+            return
+        at %= len(xs)
+        x = xs[at] + conjugates(field)[root]
+        if kind == "ball":
+            xs[at] = BigComplex.from_exact(G(F(1, 3), 2)) * x.to_ball()
+        else:
+            other = conjugates(field)[(root + 1) % FIELDS[field][1]].embedding
+            xs[at] = x.at(other)
+        for acc in (None, GR_ZERO):
+            want = term_by_term(xs, ys, ws, div, acc)
+            assert same_value(dot(xs, ys, ws, div, from_zero=acc is not None), want)
+
+
+def old_mul(a, b):
+    """ZSeries.mul's product loop before the fused kernel (cap-free)."""
+    out = [GR_ZERO] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            if not _is_exact_zero(x) and not _is_exact_zero(y):
+                out[i + j] = out[i + j] + x * y
+    return out
+
+
+class TestSeriesWithABall:
+    @BUDGET
+    @given(st.lists(gaussians, min_size=1, max_size=7),
+           st.lists(gaussians, min_size=1, max_size=7), st.integers(0, 6))
+    def test_product_has_the_old_bits(self, xs, ys, at):
+        xs[at % len(xs)] = BigComplex.from_exact(G(F(2, 7), F(-1, 3))).root(3)
+        a, b = ZSeries(0, xs), ZSeries(0, ys)
+        if not a.coeffs or not b.coeffs:
+            return
+        got = a.mul(b)
+        want = old_mul(a, b)
+        shift = got.start - (a.start + b.start)
+        assert len(got.coeffs) + shift <= len(want)
+        assert all(same_value(got.coeff(a.start + b.start + k), w)
+                   for k, w in enumerate(want) if not _is_exact_zero(w))
 
 
 REDUCIBLE = [(G(4), 2), (G(0, 2), 2), (G(-4), 4), (G(8), 3), (G(0, 1), 3), (G(1), 3)]

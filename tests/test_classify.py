@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from bbsolve import classify
-from bbsolve.algebra import BigComplex, GaussianRational, UPoly
+from bbsolve.algebra import BigComplex, GaussianRational, UPoly, roots_univariate
 from bbsolve.cli import Options, analyze, render_json
 from bbsolve.classify import (PoleEvent, assemble_verdict, detect_periods,
                               match_exponential, match_monomial,
@@ -28,26 +28,26 @@ class TestMonomialMatcher:
     def test_p_case(self):
         ms = match_monomial(parse_equation("y'' = 6*y^2"))
         assert len(ms) == 1 and ms[0].n == 2
-        assert list(ms[0].roots) == [GaussianRational(1)]
+        assert roots_univariate(ms[0].defining_poly) == [GaussianRational(1)]
 
     def test_scaled_case(self):
         ms = match_monomial(parse_equation("y'' = y^2"))
-        assert list(ms[0].roots) == [GaussianRational(6)]
+        assert roots_univariate(ms[0].defining_poly) == [GaussianRational(6)]
 
     def test_constant_breaks_monomial(self):
         assert match_monomial(parse_equation("y'' = 6*y^2 - 2")) == []
 
     def test_first_order(self):
         ms = match_monomial(parse_equation("y' = y^2"))
-        assert ms[0].n == 1 and list(ms[0].roots) == [GaussianRational(-1)]
+        assert ms[0].n == 1 and roots_univariate(ms[0].defining_poly) == [GaussianRational(-1)]
 
     def test_back_substitution_exact(self):
         # emitted matches satisfy P identically: checked through verify_series
         from bbsolve.series import LaurentSeries, verify_series
         eq = parse_equation("y'' = y^2")
         m, = match_monomial(eq)
-        germ = LaurentSeries(n=m.n, k=eq.k,
-                             coeffs=(m.roots[0],) + (GaussianRational(0),) * 10,
+        c0, = roots_univariate(m.defining_poly)
+        germ = LaurentSeries(n=m.n, k=eq.k, coeffs=(c0,) + (GaussianRational(0),) * 10,
                              N=10, resonance_status="pinned", c=GaussianRational(0),
                              branch_id="b0", root_choice=0)
         assert verify_series(eq, germ) >= 11
@@ -770,3 +770,13 @@ def test_verdict_path_report_is_pinned(text):
     report, _code = analyze(text)
     digest = hashlib.sha256(render_json(report).encode()).hexdigest()
     assert digest == VERDICT_PATH_SHA256[text], report["classification"]
+
+
+@pytest.mark.xfail(strict=True, reason="the ball Puiseux terms below a double lead that "
+                   "splits one order later exclude their true value 0, so a residue of "
+                   "2.3e-66 +- 1.7e-72 is certified nonzero (ROADMAP item 9)")
+def test_split_double_lead_keeps_its_poles():
+    # the branches are exactly p = q^3 +- sqrt(2) q^2: every lower term, and
+    # so the residue of p dq, is 0, which rules no pole out
+    report, _code = analyze("P: (p - q^3)^2 - 2*q^4 ; k=2")
+    assert report["classification"]["label"] not in ("none_with_pole", "entire_only")

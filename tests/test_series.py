@@ -7,8 +7,9 @@ from itertools import combinations
 
 import pytest
 
+from bbsolve import series
 from bbsolve.algebra import (DEFAULT_PREC, GR_ONE, GR_ZERO, BigComplex,
-                             GaussianRational, _exact_ball, coeff_is_zero,
+                             GaussianRational, _exact_ball, coeff_is_zero, dot,
                              field_of, is_exact)
 from bbsolve.cli import Options, _prepare, analyze
 from bbsolve.curve import branches_at_infinity, first_integral_series
@@ -437,8 +438,9 @@ class TestMillerRecurrence:
         assert sorted(ls.root_choice for ls in got) == list(range(len(got)))
 
     def test_work_scales_quadratically(self, monkeypatch):
-        # doubling N costs well under 8x the multiplications, and no
-        # truncated power or inverse series is built
+        # doubling N costs well under 8x the multiplications (one per term
+        # of a fused sum, or per lone product), and no truncated power or
+        # inverse series is built
         eq, branch = germ_case("P: p^2 - 4*q^3 + 4*q ; k=1", 2, 48)
         calls = {"mul": 0, "pow_int": 0, "inverse": 0}
 
@@ -448,8 +450,13 @@ class TestMillerRecurrence:
                 return fn(*a, **kw)
             return wrapped
 
+        def counting_dot(xs, ys, *a, **kw):
+            calls["mul"] += len(xs)
+            return dot(xs, ys, *a, **kw)
+
         monkeypatch.setattr(GaussianRational, "__mul__",
                             counting("mul", GaussianRational.__mul__))
+        monkeypatch.setattr(series, "dot", counting_dot)
         monkeypatch.setattr(ZSeries, "pow_int", counting("pow_int", ZSeries.pow_int))
         monkeypatch.setattr(ZSeries, "inverse", counting("inverse", ZSeries.inverse))
         work = []
