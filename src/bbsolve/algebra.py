@@ -1403,7 +1403,8 @@ def _aberth(coeffs_mpc, prec, coeff_err_bound):
     """All roots of a (near-)squarefree monic polynomial given by mpc coefficients.
 
     Returns list of (mpc root, mpf error radius).  Raises PrecisionExhausted
-    if the a-posteriori disks cannot be separated.  The iteration runs on
+    only when two root estimates coincide; whether the a-posteriori disks
+    are disjoint is the caller's test.  The iteration runs on
     libmp tuples at prec + 32 bits and the Newton polish at 2 prec + 32,
     round-to-nearest, with the calls mpmath objects make at those precisions.
     """
@@ -1503,10 +1504,11 @@ def _horner(c, x, wp):
     return acc
 
 
-def _try_exactify(root_mpc, radius, upoly):
-    """Recognise a numeric root as an exact Gaussian rational root of upoly."""
+def _try_exactify(root_mpc, radius, upoly, reach):
+    """Recognise a numeric root as an exact Gaussian rational root of upoly,
+    no farther than ``reach`` from it."""
     with mp.workprec(mp.prec + 16):
-        window = radius * 4 + mpmath.mpf(2) ** (-40)
+        window = min(radius * 4 + mpmath.mpf(2) ** (-40), reach)
         re_f = _mpf_to_fraction(root_mpc.real)
         im_f = _mpf_to_fraction(root_mpc.imag)
         for bound in (1, 2, 6, 12, 60, 720, 10 ** 4, 10 ** 6, 10 ** 9, 10 ** 12):
@@ -1535,48 +1537,69 @@ def roots_univariate(poly, precision=DEFAULT_PREC):
     exact values and/or BigComplex).  Roots come back sorted lexicographically
     by (real, imag): a root certified exact by back-substitution is a
     GaussianRational, every other root a BigComplex disk.  For exact input
-    each radius is certified <= 2^(-precision/2).  Roots of numeric
-    coefficients carry the radius inherited from those coefficients' error
-    bounds, which may be wider: nothing holds it to that target.
+    each radius is certified <= 2^(-precision/2), and the disks of distinct
+    roots are disjoint.  Roots of numeric coefficients carry the radius
+    inherited from those coefficients' error bounds, which may be wider:
+    nothing holds it to that target.
     """
-    if isinstance(poly, UPoly):
-        exact_poly = poly
-        coeffs = list(poly.coeffs)
-    else:
-        coeffs = list(poly)
-        while coeffs and coeff_is_zero(coeffs[-1]):
-            coeffs.pop()
-        exact_poly = None
-        if coeffs and all(is_exact(c) for c in coeffs):
-            exact_poly = UPoly([as_gaussian(c) for c in coeffs])
+    exact_poly, coeffs = _root_input(poly)
     if exact_poly is not None:
-        if exact_poly.is_zero():
-            raise DegenerateInput("zero polynomial has every number as a root")
-        if exact_poly.degree() == 0:
-            return []
-        return _roots_exact(exact_poly, precision)
-    if not coeffs:
-        raise DegenerateInput("zero polynomial has every number as a root")
-    if len(coeffs) == 1:
-        return []
+        return [r for r, mult in _roots_exact(exact_poly, precision) for _ in range(mult)]
     return _roots_numeric(coeffs, precision)
 
 
+def root_multiplicities(poly, precision=DEFAULT_PREC):
+    """The distinct roots of ``poly`` with their multiplicities, [(root, mult)],
+    in the order of roots_univariate.  For exact input the multiplicities are
+    those of the squarefree decomposition (Yun); for numeric input, roots
+    whose disks overlap count as one root, and disks that nearly touch raise
+    PrecisionExhausted."""
+    exact_poly, coeffs = _root_input(poly)
+    if exact_poly is not None:
+        return _roots_exact(exact_poly, precision)
+    return _group_balls(_roots_numeric(coeffs, precision))
+
+
+def _root_input(poly):
+    """(exact UPoly, None), or (None, trimmed numeric coefficients)."""
+    if not isinstance(poly, UPoly):
+        coeffs = list(poly)
+        while coeffs and coeff_is_zero(coeffs[-1]):
+            coeffs.pop()
+        if coeffs and not all(is_exact(c) for c in coeffs):
+            return None, coeffs
+        poly = UPoly([as_gaussian(c) for c in coeffs])
+    if poly.is_zero():
+        raise DegenerateInput("zero polynomial has every number as a root")
+    return poly, None
+
+
 def _roots_exact(poly, precision):
+    """[(root, multiplicity)], one squarefree factor at a time; the disks of
+    roots of different factors must not meet."""
     v, core = poly.shift_valuation()
-    out = []
-    for _ in range(v):
-        out.append(GR_ZERO)
-    if core.degree() >= 1:
-        for factor, mult in core.squarefree_decomposition():
-            roots = _roots_squarefree(factor, precision)
-            for r in roots:
-                for _ in range(mult):
-                    out.append(r)
-    return _sort_roots(out)
+    out = [(GR_ZERO, v)] if v else []
+    factors = core.squarefree_decomposition() if core.degree() >= 1 else []
+    for factor, mult in factors:
+        out += [(r, mult) for r in _roots_squarefree(factor, precision)]
+    if len(factors) + bool(v) > 1:
+        with mp.workprec(precision + 32):
+            if not _disjoint([(coeff_to_mpc(r), coeff_err(r)) for r, _ in out]):
+                raise PrecisionExhausted(
+                    "root disks of different squarefree factors meet; raise precision")
+    return sorted(out, key=lambda pair: _root_key(pair[0]))
+
+
+def _disjoint(disks):
+    """Whether the (centre, radius) disks are pairwise disjoint; two points
+    (radius 0, exact roots of coprime factors) are distinct."""
+    return all(ea + eb == 0 or abs(za - zb) > ea + eb
+               for i, (za, ea) in enumerate(disks) for zb, eb in disks[i + 1:])
 
 
 def _roots_squarefree(factor, precision):
+    """The roots of a squarefree factor, in pairwise-disjoint disks of radius
+    at most 2^(-precision/2); the working precision doubles until they are."""
     if factor.degree() == 1:
         return [(-factor[0]) / factor[1]]
     target = mpmath.mpf(2) ** (-(precision // 2))
@@ -1585,19 +1608,24 @@ def _roots_squarefree(factor, precision):
         with mp.workprec(work):
             cs = [c.to_mpc(work) for c in factor.coeffs]
             pairs = _aberth(cs, work, mpmath.mpf(0))
-            if all(e <= target for _, e in pairs):
+            if all(e <= target for _, e in pairs) and _disjoint(pairs):
                 out = []
-                for val, e in pairs:
-                    exact = _try_exactify(val, e, factor)
+                for i, (val, e) in enumerate(pairs):
+                    # nearer this estimate than any other: distinct roots
+                    # never exactify to one value
+                    reach = min(abs(val - w) for w, _ in pairs[:i] + pairs[i + 1:]) / 2
+                    exact = _try_exactify(val, e, factor, reach)
                     out.append(exact if exact is not None
                                else BigComplex(val, e, precision))
                 return out
         work *= 2
     raise PrecisionExhausted(
-        f"root disks did not shrink below 2^-{precision // 2} at {work // 2} bits")
+        f"root disks did not separate below 2^-{precision // 2} at {work // 2} bits")
 
 
 def _roots_numeric(coeffs, precision):
+    if len(coeffs) == 1:
+        return []
     err_bound = mpmath.mpf(0)
     for c in coeffs:
         err_bound = max(err_bound, coeff_err(c))
@@ -1606,6 +1634,25 @@ def _roots_numeric(coeffs, precision):
         cs = [coeff_to_mpc(c, work) for c in coeffs]
         pairs = _aberth(cs, work, err_bound)
     return _sort_roots([BigComplex(v, e, precision) for v, e in pairs])
+
+
+def _group_balls(roots):
+    """Collapse the multiplicity-repeated balls of _roots_numeric."""
+    groups = []
+    for r in roots:
+        # multiply by -1 rather than negate: BigComplex negation rounds
+        g = next((g for g in groups if coeff_is_zero(r + g[0] * -1)), None)
+        if g is None:
+            groups.append([r, 1])
+        else:
+            g[1] += 1
+    # overlapping but unequal numeric roots cannot be told apart
+    for a, (ra, _) in enumerate(groups):
+        for rb, _ in groups[a + 1:]:
+            gap = abs(coeff_to_mpc(ra) - coeff_to_mpc(rb))
+            if gap != 0 and gap <= 2 * (coeff_err(ra) + coeff_err(rb)):
+                raise PrecisionExhausted("root clusters overlap; raise precision")
+    return [tuple(g) for g in groups]
 
 
 def _root_key(r):

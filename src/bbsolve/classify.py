@@ -31,8 +31,8 @@ from itertools import product
 from operator import mul
 
 from .algebra import (GR_ONE, GR_ZERO, GaussianRational, UPoly, ZSeries,
-                      falling, is_exact, roots_univariate, solve_linear,
-                      DEFAULT_PREC)
+                      falling, is_exact, root_multiplicities, roots_univariate,
+                      solve_linear)
 from .conditions import classify_kappa
 from .errors import (BBError, DegenerateInput, PrecisionExhausted, SingularEncounter,
                      ToleranceLoss)
@@ -104,7 +104,6 @@ def match_monomial(eq):
 @dataclass(frozen=True)
 class ExponentialMatch:
     a_poly: UPoly             # defining polynomial of the multiplier a
-    a_values: tuple           # its roots
     R_num: UPoly              # y = R_num(w)/R_den(w) at w = e^(az)
     R_den: UPoly
 
@@ -116,7 +115,7 @@ class ExponentialMatch:
                 f"{upoly_str(self.a_poly, 'a')} = 0")
 
 
-def match_exponential(eq, precision=DEFAULT_PREC, notes=None):
+def match_exponential(eq, notes=None):
     """Exact solutions y = R(e^(az)) of affine equations.
 
     Affine right-hand sides y^(k) = lambda y + mu give the complete family of
@@ -133,13 +132,11 @@ def match_exponential(eq, precision=DEFAULT_PREC, notes=None):
             mu = N[0]
             if not lam.is_zero():
                 a_poly = UPoly([-lam] + [GR_ZERO] * (eq.k - 1) + [GR_ONE])
-                vals = tuple(roots_univariate(a_poly, precision))
                 R_num = UPoly([-(mu * lam.inverse()), GR_ONE])
                 R_den = UPoly.constant(GR_ONE)
                 if not _certify_exponential(eq, lam, R_num, R_den):
                     raise PrecisionExhausted("exponential mode fails back-substitution")
-                out.append(ExponentialMatch(a_poly=a_poly, a_values=vals,
-                                            R_num=R_num, R_den=R_den))
+                out.append(ExponentialMatch(a_poly=a_poly, R_num=R_num, R_den=R_den))
     if not out and notes is not None:
         notes.append("no exact exponential match: without a period, only affine "
                      "right-hand sides are matched")
@@ -175,7 +172,7 @@ def reconstruct_exponential(eq, germ, a, degree_cap=6):
         for deg_d in range(n, degree_cap + 1):
             R = _pade_in_w(Y, n, deg_n, deg_d - n)
             if R is not None and _certify_exponential(eq, a_k, *R):
-                return ExponentialMatch(a_poly=UPoly([-a, GR_ONE]), a_values=(a,),
+                return ExponentialMatch(a_poly=UPoly([-a, GR_ONE]),
                                         R_num=R[0], R_den=R[1])
     return None
 
@@ -190,9 +187,8 @@ def _multipliers(eq, precision):
     """
     N, D = eq.resolved
     dN, out = N.derivative(), []
-    for r in roots_univariate(N, precision):
-        # a multiple root has dN(r) = 0, so each simple root comes once
-        if not is_exact(r) or dN.eval(r).is_zero() or D.eval(r).is_zero():
+    for r, mult in root_multiplicities(N, precision):
+        if mult > 1 or not is_exact(r) or D.eval(r).is_zero():
             continue
         lam = dN.eval(r) / D.eval(r)
         for a in roots_univariate(UPoly([-lam] + [GR_ZERO] * (eq.k - 1) + [GR_ONE]),
@@ -1031,7 +1027,7 @@ def classify_equation(eq, report, branches, ev, mono, c, N, tol, precision):
     numerically."""
     notes, expo, pr, events = [], [], None, ()
     if report.kappa_one_count >= 1:
-        expo = match_exponential(eq, precision, notes=notes)
+        expo = match_exponential(eq, notes=notes)
     even, family = eq.k % 2 == 0, []
     certified = report.exactness_required and ev.exact
     if report.pole_solutions_possible and even and not certified:
@@ -1073,12 +1069,13 @@ def assemble_verdict(report, mono_matches=(), exp_matches=(),
                      period_result=None, pole_events=(), notes=()):
     """Combine screening, exact matches, and numeric period evidence.
 
-    Priority: screening failures; then a certified closed form R(e^(az))
-    with a pole (R's denominator nonconstant), exact with period 2 pi i/a;
-    then verified periods (numeric); then exact monomials; else
-    undetermined.  A single non-recurring pole with no certified exact match
-    is kept as evidence only: one pole on a finite probe is not a rational
-    solution.  So are two or more poles without a verified lattice.
+    Priority: screening failures, unless an exact monomial solution (a
+    back-substituted pole) overrules the screen; then a certified closed
+    form R(e^(az)) with a pole (R's denominator nonconstant), exact with
+    period 2 pi i/a; then verified periods (numeric); then exact monomials;
+    else undetermined.  A single non-recurring pole with no certified exact
+    match is kept as evidence only: one pole on a finite probe is not a
+    rational solution.  So are two or more poles without a verified lattice.
     """
     evidence = list(notes)
     evidence += ["exact monomial solution: " + m.describe() for m in mono_matches]
@@ -1095,10 +1092,15 @@ def assemble_verdict(report, mono_matches=(), exp_matches=(),
                                      or not report.integrality_ok) else "entire_only"
         if label == "entire_only" and report.admissible_n:
             label = "none_with_pole"
-        return verdict(label, "exact")
+        if not mono_matches:
+            return verdict(label, "exact")
+        # the screen assumes P irreducible; a back-substituted pole is a proof
+        evidence.append(f"screening verdict {label} overruled by the exact "
+                        "monomial solution")
     poled = [m for m in exp_matches if m.R_den.degree() > 0]
     if poled:
-        T = 2j * cmath.pi / complex(poled[0].a_values[0])
+        # a certified closed form with a pole has a_poly = a - a0
+        T = 2j * cmath.pi / complex(-poled[0].a_poly[0])
         return verdict("rational_in_exponential", "exact",
                        f"period 2*pi*i/a: T={T:.9g}", periods=(T,))
     pr = period_result

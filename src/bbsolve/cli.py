@@ -19,7 +19,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .algebra import GaussianRational, coeff_is_zero, eta_str, is_exact, DEFAULT_PREC
+from .algebra import GaussianRational, coeff_is_zero, eta_str, DEFAULT_PREC
 from .conditions import (attach_degree_bound, classify_kappa, screen_admissibility,
                          residue_screen)
 from .curve import (branches_at_infinity, exactness_check, newton_polygon,
@@ -29,8 +29,8 @@ from .eqparse import (_fraction_str, canonical_string, gaussian_str,
 from .errors import BBError
 from .classify import (classify_equation, match_monomial, CONTINUATION_N,
                        DEFAULT_RATIO_TOL, DEFAULT_TRAJ_TOL)
-from .series import (coeff_to_json, germ_counts, germ_index, germs_for_pairs,
-                     series_to_json, verify_orders)
+from .series import (check_constant, coeff_to_json, germ_counts, germ_index,
+                     germs_for_pairs, series_to_json, verify_orders)
 
 SCHEMA_VERSION = 2
 
@@ -87,8 +87,7 @@ class Options:
                  diagnostics=False):
         self.precision = _at_least(
             "precision", DEFAULT_PREC if precision is None else precision, 1)
-        if not (c is None or is_exact(c)):
-            raise BBError(f"c must be None or an exact number, got {c!r}")
+        check_constant(c)
         # an int or Fraction constant from a library caller is exact
         self.c = GaussianRational(c) if isinstance(c, (int, Fraction)) else c
         self.N = _at_least("N", N, 0)
@@ -495,9 +494,10 @@ def cmd_selftest():
         return True
 
     def residue_sum():
+        # the residue at infinity comes from the branch, the finite ones from
+        # the Ostrogradsky decomposition: the theorem checks one against the other
         rng = random.Random(11)
-        from .algebra import UPoly
-        from .curve import hermite_ostrogradsky, residue_at_infinity_resolved
+        from .algebra import BiPoly, UPoly
         for _ in range(5):
             roots = [Fraction(rng.randint(-4, 4)) for _ in range(3)]
             D = UPoly([1])
@@ -510,13 +510,13 @@ def cmd_selftest():
             if g.degree() >= 1:
                 N = N * UPoly([Fraction(1, 1)])
                 D = D * UPoly([rng.randint(1, 3), 1])
-            _qp, _p1, _d1, P2, D2 = hermite_ostrogradsky(N, D)
-            total = residue_at_infinity_resolved(N, D)
-            if D2.degree() >= 1 and not P2.is_zero():
-                from .algebra import roots_univariate
-                D2p = D2.derivative()
-                for alpha in roots_univariate(D2):
-                    total = total + P2.eval(alpha) * D2p.eval(alpha).inverse()
+            P = BiPoly([((1, j), c) for j, c in enumerate(D.coeffs)]
+                       + [((0, j), -c) for j, c in enumerate(N.coeffs)])
+            ev = exactness_check(branches_at_infinity(P, N.degree() + 2),
+                                 resolved=(N, D))
+            total = GaussianRational(0)
+            for row in ev.residues:
+                total = total + row.value
             if not coeff_is_zero(total):
                 return False
         return True

@@ -16,8 +16,8 @@ from fractions import Fraction
 import math
 
 from .algebra import (GR_ONE, GR_ZERO, GaussianRational, UPoly, ZSeries,
-                      all_nth_roots, coeff_err, coeff_is_zero, coeff_to_mpc,
-                      is_exact, roots_univariate, solve_linear, DEFAULT_PREC)
+                      all_nth_roots, coeff_is_zero, is_exact, root_multiplicities,
+                      roots_univariate, solve_linear, DEFAULT_PREC)
 from .eqparse import gaussian_str, ratfunc_str
 from .errors import DegenerateInput, InsufficientDepth, PrecisionExhausted
 
@@ -62,17 +62,8 @@ def newton_polygon(P):
     top = {}
     for i, j in support:
         top[i] = max(top.get(i, j), j)
-    pts = sorted(top.items())
-    hull = []
-    for i, j in pts:
-        while len(hull) >= 2:
-            (ia, ja), (ib, jb) = hull[-2], hull[-1]
-            # keep strictly decreasing slopes: drop middle if not a right turn
-            if (jb - ja) * (i - ib) <= (j - jb) * (ib - ia):
-                hull.pop()
-            else:
-                break
-        hull.append((i, j))
+    # the upper hull is the lower hull of the points mirrored in j
+    hull = [(i, -j) for i, j in _lower_hull([(i, -j) for i, j in sorted(top.items())])]
     edges = []
     for (i1, j1), (i2, j2) in zip(hull, hull[1:]):
         slope = Fraction(j2 - j1, i2 - i1)
@@ -89,8 +80,8 @@ class PuiseuxBranch:
     """One place of the curve over q = infinity.
 
     p = sum of coeff * q^exp over ``terms`` (exponents kappa - i/m, strictly
-    decreasing), valid through q-exponent >= valid_q_to.  ``residue`` is the
-    residue of p dq at this place: -m * (coefficient of q^-1).
+    decreasing), valid through q-exponent >= valid_q_to.  residue_pdq reads
+    the residue of p dq at this place from it: -m * (coefficient of q^-1).
     """
 
     id: str
@@ -213,35 +204,12 @@ def _branches_finite(Ptilde, d, depth, precision):
     if top.degree() < 1:
         return out
     tau = depth + 3
-    roots = roots_univariate(top, precision)
-    grouped = _group_roots(roots)
-    for c_root, _mult in grouped:
+    for c_root, _mult in root_multiplicities(top, precision):
         Hc = _np_substitute(Ptilde, c_root, 0, 1)
         for wser, m in _np_branches(Hc, tau, _MAX_NP_RECURSION, precision):
             pser = wser + ZSeries(0, [c_root], wser.valid_to)
             out.append((_kappa(pser, m), pser, m))
     return out
-
-
-def _group_roots(roots):
-    """Collapse the multiplicity-repeated output of roots_univariate."""
-    groups = []
-    for r in roots:
-        for g in groups:
-            # multiply by -1 rather than negate: BigComplex negation rounds
-            if coeff_is_zero(r + g[0] * -1):
-                g[1] += 1
-                break
-        else:
-            groups.append([r, 1])
-    # overlapping but unequal numeric roots cannot be told apart
-    for a in range(len(groups)):
-        for b in range(a + 1, len(groups)):
-            ra, rb = groups[a][0], groups[b][0]
-            gap = abs(coeff_to_mpc(ra) - coeff_to_mpc(rb))
-            if gap != 0 and gap <= 2 * (coeff_err(ra) + coeff_err(rb)):
-                raise PrecisionExhausted("root clusters overlap; raise precision")
-    return [(g[0], g[1]) for g in groups]
 
 
 # ---------------------------------------------------------------------------
@@ -364,12 +332,12 @@ def _lower_hull(pts):
 
 
 def _edge_roots(Ex, precision):
-    """Nonzero roots of the ramification-compressed edge polynomial, grouped."""
+    """Nonzero roots of the ramification-compressed edge polynomial, with
+    their multiplicities."""
     while Ex and coeff_is_zero(Ex[0]):
         Ex = Ex[1:]
-    roots = roots_univariate(Ex, precision)
-    grouped = _group_roots([r for r in roots if not r.is_zero()])
-    return grouped
+    return [(r, mult) for r, mult in root_multiplicities(Ex, precision)
+            if not r.is_zero()]
 
 
 def _pick_mth_root(X, m, precision):
@@ -493,66 +461,51 @@ def hermite_ostrogradsky(N, D):
 def laurent_at_infinity(N, D, down_to):
     """Expansion of N/D in powers of q down to exponent ``down_to``, exact.
 
-    Returns a ZSeries in t = 1/q (so q^j appears at t-exponent -j).
+    Returns a ZSeries in t = 1/q (so q^j appears at t-exponent -j).  Cut at
+    t-exponent v, N and D give a quotient valid through t-exponent
+    v + min(deg D, 2 deg D - deg N), so v is placed from the degrees.
     """
     if D.is_zero():
         raise ZeroDivisionError("zero denominator")
-    vt = 1 - down_to
+    vt = 1 - down_to + max(N.degree() - 2 * D.degree() - 1, 0)
     num = ZSeries(1 - len(N.coeffs), reversed(N.coeffs), vt)
     den = ZSeries(1 - len(D.coeffs), reversed(D.coeffs), vt)
     return num * den.inverse()
 
 
-def residue_at_infinity_resolved(N, D):
-    """Exact residue of (N/D) dq at q = infinity: -[q^-1](N/D)."""
-    ser = laurent_at_infinity(N, D, down_to=-2)
-    c = ser.coeff(1)
-    return -c if not coeff_is_zero(c) else GR_ZERO
-
-
 def exactness_check(branches, resolved=None, precision=DEFAULT_PREC):
     """Is the differential p dq exact?
 
-    Resolved mode: exact iff the logarithmic part of the Ostrogradsky
-    decomposition vanishes and the residue at infinity is zero; the explicit
-    rational integral s is returned.  General mode: only the places over
-    q = infinity are checked (genus-0 assumed; finite places not examined).
+    The residue at each place over q = infinity is read from its branch
+    (residue_pdq).  Resolved mode (p = N/D, one branch): the finite places
+    come from the Ostrogradsky decomposition, and p dq is exact iff its
+    logarithmic part vanishes and the residue at infinity is zero; the
+    explicit rational integral s is returned.  General mode: only the places
+    over q = infinity are checked (genus-0 assumed; finite places not
+    examined).
     """
-    rows = []
-    notes = []
+    rows, exact = [], True
     if resolved is not None:
-        N, D = resolved
-        Qp, P1, D1, P2, D2 = hermite_ostrogradsky(N, D)
+        Qp, P1, D1, P2, D2 = hermite_ostrogradsky(*resolved)
         exact = P2.is_zero()
         if D2.degree() >= 1:
             D2p = D2.derivative()
             for alpha in roots_univariate(D2, precision):
-                if P2.is_zero():
-                    rows.append(ResidueRow(_place_label(alpha), GR_ZERO, True))
-                    continue
-                res = P2.eval(alpha) * D2p.eval(alpha).inverse()
+                res = GR_ZERO if exact else P2.eval(alpha) * D2p.eval(alpha).inverse()
                 rows.append(ResidueRow(_place_label(alpha), res, coeff_is_zero(res)))
-        res_inf = residue_at_infinity_resolved(N, D)
-        rows.append(ResidueRow("infinity", res_inf, coeff_is_zero(res_inf)))
-        exact = exact and coeff_is_zero(res_inf)
-        s_rat = None
-        if exact:
-            SP = Qp.integrate()
-            s_num = SP * D1 + P1
-            s_rat = (s_num, D1)
-        return ExactnessVerdict(residues=tuple(rows), exact=exact,
-                                s_rational=s_rat, mode="resolved", notes=tuple(notes))
-    # general mode
-    allzero = True
     for b in branches:
         r = residue_pdq(b)
-        z = coeff_is_zero(r)
-        allzero = allzero and z
-        rows.append(ResidueRow(b.id, r, z))
-    notes.append("general mode: residues checked at places over q=infinity only; "
-                 "genus-0 assumed, finite places not examined")
-    return ExactnessVerdict(residues=tuple(rows), exact=allzero,
-                            s_rational=None, mode="general", notes=tuple(notes))
+        rows.append(ResidueRow(b.id if resolved is None else "infinity", r,
+                               coeff_is_zero(r)))
+        exact = exact and coeff_is_zero(r)
+    if resolved is None:
+        notes = ("general mode: residues checked at places over q=infinity only; "
+                 "genus-0 assumed, finite places not examined",)
+        return ExactnessVerdict(residues=tuple(rows), exact=exact,
+                                s_rational=None, mode="general", notes=notes)
+    s_rat = (Qp.integrate() * D1 + P1, D1) if exact else None
+    return ExactnessVerdict(residues=tuple(rows), exact=exact,
+                            s_rational=s_rat, mode="resolved", notes=())
 
 
 def _place_label(alpha):

@@ -461,43 +461,28 @@ def _term_str(coeff, vars_and_degs):
     return f"{cs}*{body}"
 
 
+def _join_terms(texts):
+    """Term texts joined with " + " and " - ", or "0" when there are none."""
+    out = ""
+    for text in texts:
+        if not out:
+            out = text
+        elif text.startswith("-"):
+            out += f" - {text[1:]}"
+        else:
+            out += f" + {text}"
+    return out or "0"
+
+
 def bipoly_str(P):
     """Terms ordered by p-degree then q-degree, both descending."""
-    if P.is_zero():
-        return "0"
-    keys = sorted(P.terms.keys(), reverse=True)
-    out = []
-    for idx, key in enumerate(keys):
-        i, j = key
-        c = P.terms[key]
-        text = _term_str(c, (("p", i), ("q", j)))
-        if idx == 0:
-            out.append(text)
-        elif text.startswith("-"):
-            out.append(f" - {text[1:]}")
-        else:
-            out.append(f" + {text}")
-    return "".join(out)
+    return _join_terms(_term_str(P.terms[i, j], (("p", i), ("q", j)))
+                       for i, j in sorted(P.terms, reverse=True))
 
 
 def upoly_str(U, var="q"):
-    if U.is_zero():
-        return "0"
-    out = []
-    first = True
-    for j in range(U.degree(), -1, -1):
-        c = U[j]
-        if c.is_zero():
-            continue
-        text = _term_str(c, ((var, j),))
-        if first:
-            out.append(text)
-            first = False
-        elif text.startswith("-"):
-            out.append(f" - {text[1:]}")
-        else:
-            out.append(f" + {text}")
-    return "".join(out)
+    return _join_terms(_term_str(U[j], ((var, j),))
+                       for j in range(U.degree(), -1, -1) if not U[j].is_zero())
 
 
 def ratfunc_str(N, D, var="q"):

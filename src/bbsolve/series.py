@@ -24,8 +24,8 @@ K = Q(i)[eta]/(eta^g - beta) (algebra.AlgebraicNumber), and each of the g
 roots gets the same coordinates read at its own embedding eta -> eta_k.
 Otherwise (a reducible binomial, or a branch with a ball term even below an
 exact lead) the roots are Gaussian rationals where exact and 256-bit balls
-elsewhere, and each root builds its own germ; so does each root when a
-numeric first-integral constant leaves balls in a germ over K.
+elsewhere, and each root builds its own germ.  The first-integral constant
+is exact, so a germ over K is exact.
 
 Each term A q^x of the branch (and of s, for pinning) evaluates at
 y = c_0 z^(-n) (1 + w) to A eta_0^e z^(-n x) (1 + w)^(e/m), e = m x.  The
@@ -230,11 +230,12 @@ def enumerate_series(eq, branch, n, c=None, N=None, precision=DEFAULT_PREC,
                      collect_notes=None):
     """All Laurent germs with a pole of order n feeding this branch.
 
-    ``c``: first-integral constant (exact or numeric) for even k; None means
-    the resonant coefficient is emitted as a free parameter.  ``N``:
+    ``c``: exact first-integral constant for even k (a ball raises BBError);
+    None means the resonant coefficient is emitted as a free parameter.  ``N``:
     truncation index, raised by germ_index.  Skipped leading roots (resonance
     inconsistency) are reported through ``collect_notes`` when given.
     """
+    check_constant(c)
     k = eq.k
     N = germ_index(k, n, N)
     # a branch that cannot feed order n says so before its depth is judged
@@ -253,8 +254,7 @@ def enumerate_series(eq, branch, n, c=None, N=None, precision=DEFAULT_PREC,
             ls, failure = conjugate
         else:
             ls, failure = _build_or_failure(k, n, branch, root, c, N)
-            # shared only when exact: a numeric c leaves balls made at this root
-            if over_k and (ls is None or _exact_over_k(ls)):
+            if over_k:
                 conjugate = (ls, failure)
         if failure is not None:
             if collect_notes is not None:
@@ -266,9 +266,10 @@ def enumerate_series(eq, branch, n, c=None, N=None, precision=DEFAULT_PREC,
     return _dedup(out)
 
 
-def _exact_over_k(ls):
-    """Whether every coefficient of the germ is exact, in Q(i) or in K."""
-    return all(c is FREE or is_exact(c) or field_of(c) is not None for c in ls.coeffs)
+def check_constant(c):
+    """BBError unless the first-integral constant ``c`` is None or exact."""
+    if not (c is None or is_exact(c)):
+        raise BBError(f"c must be None or an exact number, got {c!r}")
 
 
 def _build_or_failure(k, n, branch, root, c, N):
@@ -511,7 +512,7 @@ def germ_counts(germs):
     exact, algebraic, balls, classes = 0, {}, 0, set()
     for ls in germs:
         emb = field_of(ls.coeffs[0])
-        if emb is not None and _exact_over_k(ls):
+        if emb is not None:
             algebraic[str(emb.g)] = algebraic.get(str(emb.g), 0) + 1
             classes.add((ls.branch_id, ls.n))
         elif all(c is FREE or is_exact(c) for c in ls.coeffs):

@@ -12,13 +12,13 @@ import random
 import time
 from fractions import Fraction
 
-from bbsolve.algebra import (DEFAULT_PREC, GaussianRational, UPoly, as_gaussian,
-                             coeff_is_zero, field_of, is_exact)
+from bbsolve.algebra import (DEFAULT_PREC, BiPoly, GaussianRational, UPoly,
+                             as_gaussian, coeff_is_zero, field_of, is_exact,
+                             roots_univariate)
 from bbsolve.classify import (detect_periods, match_exponential, match_monomial,
                               sweep_poles)
 from bbsolve.cli import Options, _prepare, analyze, render_json
-from bbsolve.curve import (branches_at_infinity, exactness_check,
-                           hermite_ostrogradsky, residue_at_infinity_resolved)
+from bbsolve.curve import branches_at_infinity, exactness_check
 from bbsolve.eqparse import parse_constant, parse_equation
 from bbsolve.series import (FREE, ZSeries, bracket_phi, enumerate_series,
                             pinning_coefficient, recurrence_bracket,
@@ -192,7 +192,7 @@ def test_criterion_06_screening():
     assert len(matches) == 1
     m = matches[0]
     assert m.a_poly == UPoly([-1, 0, 0, 1])   # a^3 = 1 exactly
-    assert [str(v) for v in m.a_values if is_exact(v)] == ["1"]
+    assert [str(v) for v in roots_univariate(m.a_poly) if is_exact(v)] == ["1"]
     rep, code = analyze("y''' = y")
     assert rep["classification"]["label"] == "entire_only"
     assert any("exponential" in e for e in rep["classification"]["evidence"])
@@ -203,7 +203,7 @@ def test_criterion_06_screening():
 def test_criterion_07_monomial_solutions():
     """y^(k) = y^m: match_monomial returns c with c^(m-1) = (-1)^k poch(n,k)."""
     t0 = time.monotonic()
-    from bbsolve.algebra import falling, roots_univariate
+    from bbsolve.algebra import falling
     for k, m in ((1, 2), (2, 2), (2, 3), (4, 3), (3, 4)):
         n, rem = divmod(k, m - 1)
         assert rem == 0
@@ -252,10 +252,12 @@ def test_criterion_08_elliptic_detection():
 
 
 def test_criterion_09_residue_theorem():
-    """50 random rational R: finite residues + residue at infinity == 0 exactly."""
+    """50 random rational R: finite residues + residue at infinity == 0 exactly.
+
+    The residue at infinity is read from the Puiseux branch of P = D p - N,
+    the finite ones from the Ostrogradsky decomposition."""
     t0 = time.monotonic()
     rng = random.Random(1789)
-    from bbsolve.algebra import roots_univariate
     done = 0
     while done < 50:
         # denominator split over Q(i): every residue is an exact Gaussian rational
@@ -275,13 +277,15 @@ def test_criterion_09_residue_theorem():
             D = D // g
         if D.degree() == 0:
             continue
-        _qp, _p1, _d1, P2, D2 = hermite_ostrogradsky(N, D)
-        total = residue_at_infinity_resolved(N, D)
-        if not P2.is_zero():
-            D2p = D2.derivative()
-            for alpha in roots_univariate(D2):
-                assert is_exact(alpha), "split denominator must exactify"
-                total = total + P2.eval(alpha) * D2p.eval(alpha).inverse()
+        P = BiPoly([((1, j), c) for j, c in enumerate(D.coeffs)]
+                   + [((0, j), -c) for j, c in enumerate(N.coeffs)])
+        ev = exactness_check(branches_at_infinity(P, N.degree() + 2),
+                             resolved=(N, D))
+        assert ev.residues[-1].place == "infinity"
+        total = GaussianRational(0)
+        for row in ev.residues:
+            assert is_exact(row.value), "split denominator must exactify"
+            total = total + row.value
         assert is_exact(total), f"residue sum not exact for N={N}, D={D}"
         total_g = as_gaussian(total)
         assert total_g.is_zero(), f"nonzero residue sum for N={N}, D={D}"

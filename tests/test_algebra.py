@@ -11,7 +11,7 @@ from bbsolve.algebra import (GR_ZERO, BiPoly, BigComplex, GaussianRational, UPol
                              coeff_is_zero, coeff_to_mpc, falling, is_exact, pochhammer,
                              roots_univariate, solve_linear, squarefree_in_p,
                              squarefree_part_in_p)
-from bbsolve.errors import DegenerateInput
+from bbsolve.errors import DegenerateInput, PrecisionExhausted
 
 rationals = st.builds(Fraction,
                       st.integers(min_value=-50, max_value=50),
@@ -167,6 +167,44 @@ class TestRoots:
                     for s, im in zip(noise, (1, -1)))
         assert _sort_roots([up, down]) == [down, up]
         assert _sort_roots([down, up]) == [down, up]
+
+    def test_close_roots_come_in_disjoint_disks(self):
+        # (x^2 - 2)(x^2 - 2 - 2^-120) is squarefree with roots ~2^-122 apart:
+        # at precision 64 the working precision must grow until the four
+        # disks separate
+        p = UPoly([-2, 0, 1]) * UPoly([-2 - Fraction(1, 2 ** 120), 0, 1])
+        roots = roots_univariate(p, precision=64)
+        assert len(roots) == 4
+        for i, a in enumerate(roots):
+            for b in roots[i + 1:]:
+                gap = abs(coeff_to_mpc(a) - coeff_to_mpc(b))
+                assert gap > a.err + b.err
+
+    def test_close_roots_exactify_apart(self):
+        # 1 and 1 + 2^-100 are both roots of one squarefree factor: the
+        # estimate of 1 + 2^-100 must not be recognised as 1
+        p = UPoly([-1, 1]) * UPoly([-1 - Fraction(1, 2 ** 100), 1])
+        one, near = roots_univariate(p)
+        assert one == GaussianRational(1) and not is_exact(near)
+        assert not coeff_is_zero(near - 1)
+
+    def test_multiplicities_come_from_the_factorisation(self):
+        from bbsolve.algebra import root_multiplicities
+        p = UPoly([-1, 1]) * UPoly([-1, 1]) * UPoly([1, 0, 1]) * UPoly([0, 0, 0, 1])
+        i = GaussianRational(0, 1)
+        assert root_multiplicities(p) \
+            == [(-i, 1), (GR_ZERO, 3), (i, 1), (GaussianRational(1), 2)]
+        # close distinct roots keep multiplicity 1 each
+        close = UPoly([-2, 0, 1]) * UPoly([-2 - Fraction(1, 2 ** 200), 0, 1])
+        assert [m for _, m in root_multiplicities(close)] == [1, 1, 1, 1]
+
+    def test_meeting_disks_of_different_factors_raise(self):
+        # x^2 - 2 (twice) and x^2 - 2 - 2^-600 are coprime, but their roots
+        # lie closer than any disk at 256 bits resolves
+        twice = UPoly([-2, 0, 1]) * UPoly([-2, 0, 1])
+        p = twice * UPoly([-2 - Fraction(1, 2 ** 600), 0, 1])
+        with pytest.raises(PrecisionExhausted):
+            roots_univariate(p)
 
     def test_nth_roots(self):
         rs = all_nth_roots(GaussianRational(4), 2)

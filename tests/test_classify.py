@@ -10,7 +10,7 @@ import pytest
 
 from bbsolve import classify
 from bbsolve.algebra import BigComplex, GaussianRational, UPoly, roots_univariate
-from bbsolve.cli import Options, analyze, render_json
+from bbsolve.cli import Options, analyze, cmd_classify, render_json
 from bbsolve.classify import (PoleEvent, assemble_verdict, detect_periods,
                               match_exponential, match_monomial,
                               reconstruct_exponential, run_segment, sweep_poles,
@@ -59,15 +59,29 @@ class TestExponentialMatcher:
         assert len(ms) == 1
         m = ms[0]
         assert m.a_poly == UPoly([-1, 0, 0, 1])
+        a_values = roots_univariate(m.a_poly)
         vals = [complex(v.val) if isinstance(v, BigComplex) else complex(v)
-                for v in m.a_values]
+                for v in a_values]
         assert all(abs(v ** 3 - 1) < 1e-12 for v in vals)
-        errs = [float(v.err) for v in m.a_values if isinstance(v, BigComplex)]
+        errs = [float(v.err) for v in a_values if isinstance(v, BigComplex)]
         assert all(e < 2.0 ** -128 for e in errs)
+
+    def test_matcher_finds_no_roots(self, monkeypatch):
+        # a_poly defines the multipliers: the matcher needs no root finder
+        import bbsolve.algebra as algebra
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("match_exponential ran a root finder")
+
+        for name in ("roots_univariate", "_roots_exact", "_roots_numeric"):
+            monkeypatch.setattr(algebra, name, refuse)
+        monkeypatch.setattr(classify, "roots_univariate", refuse)
+        m, = match_exponential(parse_equation("y''' = y"))
+        assert m.a_poly == UPoly([-1, 0, 0, 1])
 
     def test_harmonic(self):
         ms = match_exponential(parse_equation("y'' = y"))
-        assert sorted(str(v) for v in ms[0].a_values) == ["-1", "1"]
+        assert sorted(str(v) for v in roots_univariate(ms[0].a_poly)) == ["-1", "1"]
 
     def test_riccati_not_exponential(self):
         notes = []
@@ -81,7 +95,7 @@ class TestExponentialMatcher:
         m = ms[0]
         # y = w + 2 with w = e^(az), a^2 = 4
         assert str(m.R_num.coeffs[0]) == "2"
-        assert sorted(str(v) for v in m.a_values) == ["-2", "2"]
+        assert sorted(str(v) for v in roots_univariate(m.a_poly)) == ["-2", "2"]
 
 
 class TestRiccatiOrbit:
@@ -486,6 +500,31 @@ class TestVerdicts:
         assert (verdict["label"], verdict["confidence"]) == ("undetermined", "heuristic")
         assert verdict["evidence"][-1] == last
         assert sum("verified lattice" in e for e in verdict["evidence"]) == 1
+
+    def test_monomial_solution_overrules_the_screen(self):
+        # the screen assumes P irreducible; y = 6/z^2 solves the factor
+        # y'' = y^2 of this reducible P, and back-substitution is a proof
+        text = "P: (p - q^2)*(p^3 - q^7) ; k=2"
+        rep, code = analyze(text)
+        verdict = rep["classification"]
+        assert not rep["conditions"]["pole_solutions_possible"]
+        assert (verdict["label"], verdict["confidence"], code) == ("rational", "exact", 0)
+        assert "screening verdict none_with_pole overruled by the exact monomial " \
+            "solution" in verdict["evidence"]
+        out, code = cmd_classify(text, Options())
+        assert code == 0 and out.splitlines()[0].endswith("rational (confidence exact)")
+
+    def test_continuation_skipped_without_first_integral(self):
+        # two kappa = 1 places and an admissible n = 2, but no certified
+        # first integral: the even-k continuation does not start
+        rep, code = analyze("P: (p - q)*(p + q)*(p - q^2 - 1) ; k=2")
+        verdict = rep["classification"]
+        assert (verdict["label"], verdict["confidence"], code) \
+            == ("undetermined", "heuristic", 0)
+        assert "numeric continuation skipped: no certified first integral" \
+            in verdict["evidence"]
+        # the residue screen does not run on two kappa = 1 places
+        assert not rep["conditions"]["exactness_required"]
 
     def test_label_validation(self):
         from bbsolve.classify import ClassificationVerdict

@@ -435,6 +435,34 @@ class TestDepthDefaults:
             run()
             assert len(depths) == 1, depths
 
+    def test_one_division_per_resolved_equation(self, monkeypatch):
+        # the branch is the only expansion of N/D: the residue at infinity
+        # is read from it, not from a second division
+        import bbsolve.curve as curve
+        calls = []
+        real = curve.laurent_at_infinity
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(curve, "laurent_at_infinity", counting)
+        rep, _ = analyze("y''' = -5*y^5 + 3/y")
+        assert len(calls) == 1, calls
+        rows = {r["place"]: r["value"] for r in rep["exactness"]["residues"]}
+        assert rows["infinity"] == rep["branches"][0]["residue"] == {"rat": "-3"}
+
+    def test_close_places_at_low_precision(self, capsys):
+        # four places at p = +-sqrt(2), +-sqrt(2 + 2^-120): at 64 bits the
+        # report shows four unramified places or gives up, never two m = 2
+        text = f"P: q*(p^2 - 2)*(p^2 - 2 - 1/{2 ** 120}) + 1 ; k=1"
+        code = main(["residues", text, "--precision", "64"])
+        out = capsys.readouterr()
+        if code == 0:
+            assert out.out.count("m=1)") == 4 and "m=2" not in out.out
+        else:
+            assert (out.out + out.err).startswith("error:")
+
     def test_depth_option_is_a_floor(self):
         # --depth below what the germs need is raised to it, not obeyed
         out, _ = cmd_series("P: p^2 - 4*q^3 + 4*q ; k=1",

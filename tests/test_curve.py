@@ -1,15 +1,17 @@
 """Newton polygon, Puiseux branches, residues, exactness."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from bbsolve.algebra import (GR_ZERO, GaussianRational, ZSeries, coeff_is_zero,
-                             is_exact)
+from bbsolve.algebra import (GR_ZERO, GaussianRational, UPoly, ZSeries,
+                             coeff_is_zero, is_exact)
 from bbsolve.curve import (branches_at_infinity, exactness_check,
-                           first_integral_series, hermite_ostrogradsky,
-                           newton_polygon, residue_at_infinity_resolved,
-                           residue_pdq)
+                           first_integral_series, laurent_at_infinity,
+                           newton_polygon, residue_pdq)
+from bbsolve.cli import Options, _prepare
 from bbsolve.eqparse import parse_equation
 from bbsolve.errors import DegenerateInput, InsufficientDepth
 
@@ -173,15 +175,20 @@ class TestResidues:
             residue_pdq(shallow)
 
 
+def resolved_check(eq):
+    """The resolved-mode exactness verdict, its infinity row from the branch."""
+    return exactness_check(branches_at_infinity(eq.P, 12), resolved=eq.resolved)
+
+
 class TestExactness:
     def test_polynomial_antiderivative(self):
         eq = parse_equation("y'' = 6*y^2")
-        ev = exactness_check(None, resolved=eq.resolved)
+        ev = resolved_check(eq)
         assert ev.exact and ev.s_string() == "2*q^3"
 
     def test_simple_poles_block_exactness(self):
         eq = parse_equation("y'' = 4*y^3 + 1/y")
-        ev = exactness_check(None, resolved=eq.resolved)
+        ev = resolved_check(eq)
         assert not ev.exact
         by_place = {r.place: r for r in ev.residues}
         assert by_place["q=0"].value == GaussianRational(1)
@@ -189,13 +196,13 @@ class TestExactness:
 
     def test_constant_plus_square(self):
         eq = parse_equation("y'' = 3*y^2 + 5")
-        ev = exactness_check(None, resolved=eq.resolved)
+        ev = resolved_check(eq)
         assert ev.exact and ev.s_string() == "q^3 + 5*q"
 
     def test_double_pole_exact(self):
         # residue of q^-2 vanishes: s exists despite the finite pole
         eq = parse_equation("y'' = y^3 + 1/y^2")
-        ev = exactness_check(None, resolved=eq.resolved)
+        ev = resolved_check(eq)
         assert ev.exact
         assert ev.s_string() == "(1/4*q^5 - 1)/(q)"
 
@@ -204,7 +211,7 @@ class TestExactness:
         for text in ("y'' = 6*y^2", "y'' = 3*y^2 + 5", "y'' = y^3 + 1/y^2"):
             eq = parse_equation(text)
             N, D = eq.resolved
-            ev = exactness_check(None, resolved=eq.resolved)
+            ev = resolved_check(eq)
             assert ev.exact
             sN, sD = ev.s_rational
             dn = sN.derivative() * sD - sN * sD.derivative()
@@ -220,14 +227,73 @@ class TestExactness:
 
     def test_residue_rows_sum_to_zero(self):
         eq = parse_equation("y'' = (y^2 + 1/2)/(y^2 - 1) ")
-        N, D = eq.resolved
-        _qp, _p1, _d1, P2, D2 = hermite_ostrogradsky(N, D)
-        from bbsolve.algebra import roots_univariate
-        total = residue_at_infinity_resolved(N, D)
-        for alpha in roots_univariate(D2):
-            assert is_exact(alpha)
-            total = total + P2.eval(alpha) * D2.derivative().eval(alpha).inverse()
+        total = GaussianRational(0)
+        for row in resolved_check(eq).residues:
+            assert is_exact(row.value)
+            total = total + row.value
         assert total == GaussianRational(0)
+
+
+class TestLaurentAtInfinity:
+    def test_reaches_down_to(self):
+        # N/D = -5 q^5 + 3/q has deg N > 2 deg D + 1: still valid through q^-2
+        N, D = UPoly([3, 0, 0, 0, 0, 0, -5]), UPoly([0, 1])
+        ser = laurent_at_infinity(N, D, -2)
+        assert ser.valid_to >= 2
+        assert ser.coeff(-5) == GaussianRational(-5)
+        assert ser.coeff(1) == GaussianRational(3) and ser.coeff(2) == GR_ZERO
+
+
+class TestClosePlaces:
+    def test_places_closer_than_the_root_disks(self):
+        # the places over q = infinity sit at p = +-sqrt(2) and
+        # +-sqrt(2 + 2^-200): four unramified places, not two with m = 2
+        eq = parse_equation(f"P: q*(p^2 - 2)*(p^2 - 2 - 1/{2 ** 200}) + 1 ; k=1")
+        bs = branches_at_infinity(eq.P, depth=12)
+        assert [b.m for b in bs] == [1, 1, 1, 1]
+        want = 2.0 ** 200 / (2 * math.sqrt(2))     # 1/(2 sqrt(2) 2^-200)
+        got = sorted(complex(residue_pdq(b)).real for b in bs)
+        assert got == pytest.approx([-want, -want, want, want], rel=1e-12)
+
+
+fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+
+
+@st.composite
+def sugar_equations(draw):
+    """y^(k) = poly(y) + a/y^j, deg poly <= 6, j <= 2, a != 0."""
+    k = draw(st.integers(1, 4))
+    poly = draw(st.lists(fractions, min_size=1, max_size=7))
+    terms = [f"({c})*y^{d}" if d else f"({c})" for d, c in enumerate(poly) if c]
+    a = draw(fractions.filter(bool))
+    terms.append(f"({a})/y^{draw(st.integers(1, 2))}")
+    return f"y^({k}) = " + " + ".join(terms)
+
+
+class TestResidueTheorem:
+    """The residue at infinity, read from the branch, cancels the finite
+    residues from the Ostrogradsky decomposition; the resolved form's
+    infinity row is the branch's residue."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(sugar_equations())
+    @example("y' = 1*y^5 + 3*y^3 + 5*y^2 + 7/3*y^1 + -7/y^1")
+    @example("y' = 8*y^5 + 1 + -3/4/y^1")
+    @example("y' = 9*y^4 + -5*y^3 + -9*y^2 + 8/5/y^1")
+    @example("y'' = 9/4*y^5 + -2*y^4 + 2 + -2/y^1")
+    @example("y''' = (-6 + 8*i)*y^5 + -2*y^4 + 2*y^3 + 1 + -6/y^1")
+    @example("y''' = -5*y^5 + 3/y^1")
+    @example("y'''' = -6*y^5 + -4/5*y^3 + (7/5 + 5*i)*y^2 + 3/y^1")
+    @example("y'''' = 2*y^4 + 2/3*y^3 + -9/y^1")
+    def test_rows_sum_to_zero(self, text):
+        eq, _notes, _polygon, _depth, branches, _report = _prepare(text, Options())
+        ev = exactness_check(branches, resolved=eq.resolved)
+        total = GaussianRational(0)
+        for row in ev.residues:
+            total = total + row.value
+        assert coeff_is_zero(total), (text, ev.residues)
+        infinity, = [row.value for row in ev.residues if row.place == "infinity"]
+        assert infinity == residue_pdq(branches[0])
 
 
 class TestFirstIntegralSeries:

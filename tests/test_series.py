@@ -14,7 +14,7 @@ from bbsolve.algebra import (DEFAULT_PREC, GR_ONE, GR_ZERO, BigComplex,
 from bbsolve.cli import Options, _prepare, analyze
 from bbsolve.curve import branches_at_infinity, first_integral_series
 from bbsolve.eqparse import parse_equation
-from bbsolve.errors import NoRoots
+from bbsolve.errors import BBError, NoRoots
 from bbsolve.series import (FREE, ZSeries, _build_series, _coeff_close, bracket_phi,
                             conjugates, enumerate_series,
                             germ_index, leading_coefficients, leading_roots,
@@ -217,20 +217,13 @@ class TestEnumerate:
             assert orders == [verify_series(eq, ls) for ls in germs]
             assert min(orders) >= 4
 
-    def test_numeric_constant_over_the_extension(self):
-        # eta^2 = 1/2 with c a ball: the pinned coefficient is a ball, so
-        # each root pins its own germ instead of sharing the first one's
+    def test_ball_constant_is_refused(self):
+        # as Options refuses it: a germ over K is then always exact
         eq, bs = setup_eq("y'' = 4*y^3", depth=16)
-        exact = enumerate_series(eq, bs[0], 1, c=GaussianRational(1), N=8)
-        balls = enumerate_series(eq, bs[0], 1, c=_exact_ball(1, 0, DEFAULT_PREC), N=8)
-        assert len(balls) == len(exact) == 2
-        for e, b in zip(exact, balls):
-            assert e.root_choice == b.root_choice
-            assert field_of(b.coeffs[0]) == field_of(e.coeffs[0])
-            assert type(b.coeffs[4]) is BigComplex
-            assert all(_coeff_close(x, y) for x, y in zip(b.coeffs, e.coeffs))
-        assert not conjugates(*balls)
-        assert verify_orders(eq, balls) == [verify_series(eq, ls) for ls in balls]
+        with pytest.raises(BBError, match="c must be None or an exact number"):
+            enumerate_series(eq, bs[0], 1, c=_exact_ball(1, 0, DEFAULT_PREC), N=8)
+        with pytest.raises(BBError, match="c must be None or an exact number"):
+            Options(c=_exact_ball(1, 0, DEFAULT_PREC))
 
     def test_resonance_blocked_by_residue(self):
         # P is irreducible here but p dq carries residue: engine must reject
