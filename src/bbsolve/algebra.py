@@ -1599,7 +1599,8 @@ def _disjoint(disks):
 
 def _roots_squarefree(factor, precision):
     """The roots of a squarefree factor, in pairwise-disjoint disks of radius
-    at most 2^(-precision/2); the working precision doubles until they are."""
+    at most 2^(-precision/2); the working precision doubles until they are,
+    and each ball keeps the precision that separated it."""
     if factor.degree() == 1:
         return [(-factor[0]) / factor[1]]
     target = mpmath.mpf(2) ** (-(precision // 2))
@@ -1616,7 +1617,7 @@ def _roots_squarefree(factor, precision):
                     reach = min(abs(val - w) for w, _ in pairs[:i] + pairs[i + 1:]) / 2
                     exact = _try_exactify(val, e, factor, reach)
                     out.append(exact if exact is not None
-                               else BigComplex(val, e, precision))
+                               else BigComplex(val, e, work - 32))
                 return out
         work *= 2
     raise PrecisionExhausted(
@@ -1629,6 +1630,9 @@ def _roots_numeric(coeffs, precision):
     err_bound = mpmath.mpf(0)
     for c in coeffs:
         err_bound = max(err_bound, coeff_err(c))
+        if isinstance(c, BigComplex):
+            # a ball built on roots that needed more bits to separate keeps them
+            precision = max(precision, c.prec)
     work = precision + 32
     with mp.workprec(work):
         cs = [coeff_to_mpc(c, work) for c in coeffs]

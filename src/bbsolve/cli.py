@@ -4,7 +4,11 @@ Commands: analyze, series, residues, classify, selftest.  Reports are
 emitted as text or JSON (``--format``); the JSON layout is versioned and
 shipped as schemas/analysis_report.schema.json.  Identical invocations
 produce byte-identical JSON: every ordering is explicit and every numeric
-value carries its error bound.
+value carries its error bound.  series, residues and classify print the
+input and one section of the analyze report (the germ rows, the exactness
+section, the classification), built by the same code and written by the
+same text writers; every coefficient is written from its JSON by
+series.coeff_text.
 
 Exit codes: 0 analysis completed; 2 completed with a screening verdict of
 none_with_pole / entire_only; 1 error.
@@ -19,7 +23,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .algebra import GaussianRational, coeff_is_zero, eta_str, DEFAULT_PREC
+from .algebra import GaussianRational, coeff_is_zero, DEFAULT_PREC
 from .conditions import (attach_degree_bound, classify_kappa, screen_admissibility,
                          residue_screen)
 from .curve import (branches_at_infinity, exactness_check, newton_polygon,
@@ -29,8 +33,8 @@ from .eqparse import (_fraction_str, canonical_string, gaussian_str,
 from .errors import BBError
 from .classify import (classify_equation, match_monomial, CONTINUATION_N,
                        DEFAULT_RATIO_TOL, DEFAULT_TRAJ_TOL)
-from .series import (check_constant, coeff_to_json, germ_counts, germ_index,
-                     germs_for_pairs, series_to_json, verify_orders)
+from .series import (check_constant, coeff_text, coeff_to_json, germ_counts,
+                     germ_index, germs_for_pairs, series_to_json, verify_orders)
 
 SCHEMA_VERSION = 2
 
@@ -129,19 +133,20 @@ def _germs_json(germs, orders):
     for ls, order in zip(germs, orders):
         entry = series_to_json(ls)
         entry["verify_residual_order"] = order
+        entry["root_choice"] = ls.root_choice
         rows.append(entry)
     return rows
 
 
-def _germ_lines(s, coeffs_label):
+def _germ_lines(s):
     lines = [f"  n={s['n']} branch={s['branch']} resonance={s['resonance']}"
              + (f" verify_order={s['verify_residual_order']}"
                 if s["verify_residual_order"] is not None else "")]
     emb = s.get("embedding")
     if emb is not None:
-        lines.append(f"    over Q(i)(eta), eta^{emb['g']} = {_coeff_text(emb['beta'])}: "
-                     f"root {emb['root']}, eta = {_coeff_text(emb['eta'])}")
-    lines.append(f"    {coeffs_label}{_coeffs_text(s['coeffs'], s['n'])}")
+        lines.append(f"    over Q(i)(eta), eta^{emb['g']} = {coeff_text(emb['beta'])}: "
+                     f"root {emb['root']}, eta = {coeff_text(emb['eta'])}")
+    lines.append(f"    coeffs: {_coeffs_text(s['coeffs'], s['n'])}")
     return lines
 
 
@@ -197,6 +202,19 @@ def analyze(equation, opts=None):
     return out, code
 
 
+def _exactness_json(ev):
+    return {
+        "mode": ev.mode,
+        "exact": ev.exact,
+        "residues": [{
+            "place": r.place, "value": coeff_to_json(r.value),
+            "certified_zero": r.certified_zero,
+        } for r in ev.residues],
+        "s": ev.s_string(),
+        "notes": list(ev.notes),
+    }
+
+
 def _build_report(eq, opts, depth, assumptions, warnings, polygon, branches,
                   ev, report, germs, orders, germ_notes, verdict):
     poly_json = {
@@ -216,16 +234,6 @@ def _build_report(eq, opts, depth, assumptions, warnings, polygon, branches,
             "residue": coeff_to_json(residue_pdq(b)),
         }
         branches_json.append(row)
-    exact_json = {
-        "mode": ev.mode,
-        "exact": ev.exact,
-        "residues": [{
-            "place": r.place, "value": coeff_to_json(r.value),
-            "certified_zero": r.certified_zero,
-        } for r in ev.residues],
-        "s": ev.s_string(),
-        "notes": list(ev.notes),
-    }
     cond_json = {
         "k": report.k,
         "per_branch": [{
@@ -243,9 +251,6 @@ def _build_report(eq, opts, depth, assumptions, warnings, polygon, branches,
         "degree_bound_is_heuristic": True,
         "notes": list(report.notes),
     }
-    series_json = _germs_json(germs, orders)
-    for entry, ls in zip(series_json, germs):
-        entry["root_choice"] = ls.root_choice
     verdict_json = None
     if verdict is not None:
         verdict_json = {
@@ -270,9 +275,9 @@ def _build_report(eq, opts, depth, assumptions, warnings, polygon, branches,
         "warnings": warnings,
         "newton_polygon": poly_json,
         "branches": branches_json,
-        "exactness": exact_json,
+        "exactness": _exactness_json(ev),
         "conditions": cond_json,
-        "series": series_json,
+        "series": _germs_json(germs, orders),
         "series_notes": germ_notes,
         "classification": verdict_json,
     }
@@ -304,14 +309,9 @@ def render_text(report):
             f"  slope {e['slope']}  kappa {e['kappa']}")
     add("branches over q=infinity:")
     for b in report["branches"]:
-        add(f"  {b['id']}: m={b['m']} kappa={b['kappa']} lead={_coeff_text(b['lead'])}"
-            f" residue={_coeff_text(b['residue'])}")
-    ex = report["exactness"]
-    add(f"p dq exact: {ex['exact']} ({ex['mode']} mode)"
-        + (f", s = {ex['s']}" if ex["s"] else ""))
-    for r in ex["residues"]:
-        add(f"  residue at {r['place']}: {_coeff_text(r['value'])}"
-            f"{'  [zero]' if r['certified_zero'] else '  [NONZERO]'}")
+        add(f"  {b['id']}: m={b['m']} kappa={b['kappa']} lead={coeff_text(b['lead'])}"
+            f" residue={coeff_text(b['residue'])}")
+    lines.extend(_exactness_lines(report["exactness"]))
     cond = report["conditions"]
     add(f"admissible pole orders: {cond['admissible_n'] or 'none'}; "
         f"pole-bearing solutions possible: {cond['pole_solutions_possible']}")
@@ -320,41 +320,44 @@ def render_text(report):
     if report["series"]:
         add("Laurent germs:")
         for s in report["series"]:
-            lines.extend(_germ_lines(s, "coeffs: "))
+            lines.extend(_germ_lines(s))
     for note in report.get("series_notes", []):
         add(f"  series note: {note}")
     v = report["classification"]
     if v is not None:
         add(f"classification: {v['label']} (confidence {v['confidence']})")
-        for e in v["evidence"]:
-            add(f"  * {e}")
-        if v["degree_bound"] is not None:
-            add(f"  heuristic degree bound: {v['degree_bound']}")
-        for t in v["periods"]:
-            add(f"  period: {t[0]:.12g} + {t[1]:.12g} i")
+        lines.extend(_verdict_lines(v))
     return "\n".join(lines)
 
 
-def _coeff_text(cj):
-    if cj is None:
-        return "-"
-    if "free" in cj:
-        return "<free>"
-    if "rat" in cj:
-        return cj["rat"] + (f"+{cj['rat_im']}i" if "rat_im" in cj else "")
-    if "eta" in cj:
-        return eta_str(cj["eta"])
-    return f"{cj['re']:.12g}{cj['im']:+.12g}i (err {cj['err']:.2g})"
+def _exactness_lines(ex):
+    """The text of the report's exactness section."""
+    lines = [f"p dq exact: {ex['exact']} ({ex['mode']} mode)"
+             + (f", s = {ex['s']}" if ex["s"] else "")]
+    for r in ex["residues"]:
+        lines.append(f"  residue at {r['place']}: {coeff_text(r['value'])}"
+                     f"  [{'zero' if r['certified_zero'] else 'NONZERO'}]")
+    return lines + [f"  - {note}" for note in ex["notes"]]
+
+
+def _verdict_lines(v):
+    """The evidence, degree-bound and period lines of a classification."""
+    lines = [f"  * {e}" for e in v["evidence"]]
+    if v["degree_bound"] is not None:
+        lines.append(f"  heuristic degree bound: {v['degree_bound']}")
+    return lines + [f"  period: {t[0]:.12g} + {t[1]:.12g} i" for t in v["periods"]]
 
 
 def _coeffs_text(coeffs, n):
     parts = []
     for idx, cj in enumerate(coeffs):
-        txt = _coeff_text(cj)
-        if txt in ("0",):
+        txt = coeff_text(cj)
+        if txt == "0":
             continue
+        if "rat" not in cj or not txt.startswith("("):
+            txt = f"({txt})"   # gaussian_str brackets a complex value itself
         e = idx - n
-        parts.append(f"({txt})*z^{e}" if e != 0 else f"({txt})")
+        parts.append(f"{txt}*z^{e}" if e != 0 else txt)
     return " + ".join(parts) if parts else "0"
 
 
@@ -384,7 +387,7 @@ def cmd_series(equation, opts):
         return render_json(out), 0
     lines = [f"germs for {out['input']}:"]
     for s in rows:
-        lines += _germ_lines(s, "")
+        lines += _germ_lines(s)
     lines += [f"note: {n}" for n in notes]
     if not rows:
         lines.append("  (none)")
@@ -392,30 +395,15 @@ def cmd_series(equation, opts):
 
 
 def cmd_residues(equation, opts):
-    eq, warnings, _polygon, _depth, branches, _report = _prepare(equation, opts)
+    eq, notes, _polygon, _depth, branches, _report = _prepare(equation, opts)
     ev = exactness_check(branches, resolved=eq.resolved, precision=opts.precision)
-    rows = []
-    for b in branches:
-        r = residue_pdq(b)
-        rows.append({"place": f"branch {b.id} (q=infinity, m={b.m})",
-                     "value": coeff_to_json(r),
-                     "certified_zero": coeff_is_zero(r)})
-    if ev.mode == "resolved":  # general-mode rows repeat the branch rows
-        for r in ev.residues:
-            rows.append({"place": r.place, "value": coeff_to_json(r.value),
-                         "certified_zero": r.certified_zero})
-    out = {"input": canonical_string(eq), "exact": ev.exact, "mode": ev.mode,
-           "s": ev.s_string(), "residues": rows, "notes": warnings + list(ev.notes)}
+    out = {"input": canonical_string(eq), "exactness": _exactness_json(ev),
+           "notes": notes}
     if opts.fmt == "json":
         return render_json(out), 0
-    lines = [f"residues of p dq for {out['input']} "
-             f"(exact: {out['exact']}, {out['mode']} mode)"]
-    for r in rows:
-        flag = "zero" if r["certified_zero"] else "NONZERO"
-        lines.append(f"  {r['place']:34s} {_coeff_text(r['value']):28s} [{flag}]")
-    if out["s"]:
-        lines.append(f"  s = integral of p dq = {out['s']}")
-    lines += [f"note: {n}" for n in out["notes"]]
+    lines = [f"residues of p dq for {out['input']}:"]
+    lines += _exactness_lines(out["exactness"])
+    lines += [f"note: {n}" for n in notes]
     return "\n".join(lines), 0
 
 
@@ -428,10 +416,7 @@ def cmd_classify(equation, opts):
     if opts.fmt == "json":
         return render_json(out), code
     lines = [f"{out['input']}: {v['label']} (confidence {v['confidence']})"]
-    lines += [f"  * {e}" for e in v["evidence"]]
-    for t in v["periods"]:
-        lines.append(f"  period: {t[0]:.12g} + {t[1]:.12g} i")
-    return "\n".join(lines), code
+    return "\n".join(lines + _verdict_lines(v)), code
 
 
 def cmd_selftest():

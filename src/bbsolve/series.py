@@ -258,9 +258,10 @@ def enumerate_series(eq, branch, n, c=None, N=None, precision=DEFAULT_PREC,
                 conjugate = (ls, failure)
         if failure is not None:
             if collect_notes is not None:
-                at = f" at eta={_fmt_coeff(field_of(root.eta0).eta)}" if over_k else ""
-                collect_notes.append(
-                    f"branch {branch.id}, c0={_fmt_coeff(root.c0)}{at}: {failure}")
+                at = (f" at eta={coeff_text(coeff_to_json(field_of(root.eta0).eta))}"
+                      if over_k else "")
+                c0 = coeff_text(coeff_to_json(root.c0))
+                collect_notes.append(f"branch {branch.id}, c0={c0}{at}: {failure}")
             continue
         out.append(_read_at(ls, root) if conjugate is not None else ls)
     return _dedup(out)
@@ -319,9 +320,9 @@ def _build_series(k, n, branch, root, c, N):
             raise InconsistentResonance(
                 f"unexpected vanishing bracket at index {j} (expected {j_res})")
         if not coeff_is_zero(rhs):
-            forced = rhs * -1
+            forced = coeff_text(coeff_to_json(rhs * -1))
             raise InconsistentResonance(
-                f"resonant index {j}: forced term {_fmt_coeff(forced)} is nonzero "
+                f"resonant index {j}: forced term {forced} is nonzero "
                 "(this reflects a nonzero residue of p dq); no series with this c0")
         if c is None:
             return LaurentSeries(n=n, k=k, coeffs=tuple(powers.coeffs) + (FREE,),
@@ -535,15 +536,6 @@ def _ladder(base, top):
 # serialization
 # ---------------------------------------------------------------------------
 
-def _fmt_coeff(c):
-    if is_exact(c):
-        g = as_gaussian(c)
-        return gaussian_str(g)
-    if field_of(c) is not None:
-        return eta_str([gaussian_str(x) for x in c.coordinates()])
-    return f"{complex(c.val):.12g}~{float(c.err):.1e}"
-
-
 def coeff_to_json(c):
     """A coefficient as JSON: exact Q(i) values as {"rat", "rat_im"},
     elements of K as {"eta": [x_0, ..., x_{g-1}]}, each coordinate as
@@ -560,6 +552,21 @@ def coeff_to_json(c):
     if field_of(c) is not None:
         return {"eta": [gaussian_str(x) for x in c.coordinates()]}
     return {"re": float(c.val.real), "im": float(c.val.imag), "err": float(c.err)}
+
+
+def coeff_text(cj):
+    """The text of a coefficient's JSON (coeff_to_json): Q(i) values as
+    gaussian_str and each coordinate of an element of K as in the JSON, both
+    re-parseable by parse_constant; balls as ``re+im i (err e)``; the free
+    resonant coefficient as ``<free>``."""
+    if "free" in cj:
+        return "<free>"
+    if "rat" in cj:
+        return gaussian_str(GaussianRational(Fraction(cj["rat"]),
+                                             Fraction(cj.get("rat_im", 0))))
+    if "eta" in cj:
+        return eta_str(cj["eta"])
+    return f"{cj['re']:.12g}{cj['im']:+.12g}i (err {cj['err']:.2g})"
 
 
 def series_to_json(ls):

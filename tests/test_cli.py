@@ -4,6 +4,7 @@ import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,6 +19,7 @@ from bbsolve.algebra import GaussianRational
 from bbsolve.eqparse import parse_constant
 from bbsolve.errors import BBError, DegenerateInput
 from minischema import validate
+from test_acceptance import GOLDEN_CORPUS
 from oracle_periods import weierstrass_periods
 
 SCHEMA = json.load(open(os.path.join(os.path.dirname(__file__), "..", "src",
@@ -181,7 +183,7 @@ class TestCommands:
 
     def test_residues_table(self):
         out, _ = cmd_residues("y'' = 4*y^3 + 1/y", Options(fmt="json"))
-        data = json.loads(out)
+        data = json.loads(out)["exactness"]
         assert data["exact"] is False
         places = {r["place"]: r for r in data["residues"]}
         assert places["infinity"]["value"] == {"rat": "-1"}
@@ -196,7 +198,7 @@ class TestCommands:
     def test_residues_keep_exact_finite_place(self):
         # (p - 1)(p - q): the place p = 1 is exact, a factor w of P(1 + w, q)
         out, code = cmd_residues("P: p^2 - p*q - p + q ; k=1", Options(fmt="json"))
-        data = json.loads(out)
+        data = json.loads(out)["exactness"]
         assert code == 0
         assert len(data["residues"]) == 2
         assert all(r["value"] == {"rat": "0"} for r in data["residues"])
@@ -204,7 +206,7 @@ class TestCommands:
     def test_residues_list_irrational_finite_places(self):
         # the poles of 1/(y^2 - 2) lie at y = +-sqrt(2), outside Q(i)
         out, code = cmd_residues("y'' = 1/(y^2 - 2)", Options(fmt="json"))
-        data = json.loads(out)
+        data = json.loads(out)["exactness"]
         assert code == 0 and data["exact"] is False
         nonzero = [r["place"] for r in data["residues"] if not r["certified_zero"]]
         assert nonzero == ["q~-1.41421+0j", "q~1.41421+0j"]
@@ -223,6 +225,153 @@ class TestCommands:
         out, code = cmd_selftest()
         assert code == 0
         assert all(line.startswith("PASS") for line in out.splitlines())
+
+
+# the commands print the sections analyze builds, through its text writers
+WRITER_INPUTS = GOLDEN_CORPUS + ["y'' = (1 - 2*i)*y^3 + 3*i", "y''' = 6*y^4"]
+
+
+def _split_top(text):
+    """``text`` split at each " + " outside parentheses."""
+    parts, depth, start = [], 0, 0
+    for at, ch in enumerate(text):
+        depth += {"(": 1, ")": -1}.get(ch, 0)
+        if depth == 0 and text.startswith(" + ", at):
+            parts.append(text[start:at])
+            start = at + 3
+    return parts + [text[start:]]
+
+
+def _ungroup(text):
+    """``text`` without parentheses that enclose all of it."""
+    depth = 0
+    for at, ch in enumerate(text):
+        depth += {"(": 1, ")": -1}.get(ch, 0)
+        if depth == 0:
+            return text[1:-1] if text[0] == "(" and at == len(text) - 1 else text
+    return text
+
+
+def _printed_coefficients(text):
+    """Every coefficient a text report prints, in order."""
+    out = []
+    for line in text.splitlines():
+        if m := re.fullmatch(r"  \S+: m=\d+ kappa=\S+ lead=(.*) residue=(.*)", line):
+            out += [m[1], m[2]]
+        elif m := re.fullmatch(r"  residue at .*?: (.*)  \[(?:zero|NONZERO)\]", line):
+            out.append(m[1])
+        elif m := re.fullmatch(r"    over Q\(i\)\(eta\), eta\^\d+ = (.*): "
+                               r"root \d+, eta = (.*)", line):
+            out += [m[1], m[2]]
+        elif line.startswith("    coeffs: "):
+            for part in _split_top(line[len("    coeffs: "):]):
+                value = _ungroup(re.sub(r"\*z\^-?\d+$", "", part))
+                assert _ungroup(value) == value, f"doubled parentheses: {line}"
+                if part != "0":
+                    out.append(value)
+    return out
+
+
+def _json_coefficients(report):
+    """The JSON of every coefficient the text writers print, in the same order."""
+    out = []
+    for b in report.get("branches", []):
+        out += [b["lead"], b["residue"]]
+    out += [r["value"] for r in report.get("exactness", {}).get("residues", [])]
+    for s in report.get("series", []):
+        if "embedding" in s:
+            out += [s["embedding"]["beta"], s["embedding"]["eta"]]
+        out += [c for c in s["coeffs"]
+                if c != {"rat": "0"} and set(c.get("eta", ())) != {"0"}]
+    return out
+
+
+def _eta_coordinates(text):
+    """{r: x_r} of the nonzero coordinates printed as x_0 + x_1*eta + ..."""
+    coords = {}
+    for term in _split_top(text):
+        m = re.fullmatch(r"(?:(.+)\*)?eta(?:\^(\d+))?", term)
+        if m is None:
+            coords[0] = parse_constant(term)
+        else:
+            coords[int(m[2] or 1)] = parse_constant(m[1] or "1")
+    return coords
+
+
+def _assert_reparses(text, report):
+    printed, values = _printed_coefficients(text), _json_coefficients(report)
+    assert len(printed) == len(values), (printed, values)
+    for shown, cj in zip(printed, values):
+        if "rat" in cj:
+            want = GaussianRational(Fraction(cj["rat"]), Fraction(cj.get("rat_im", 0)))
+            assert parse_constant(shown) == want, (shown, cj)
+        elif "eta" in cj:
+            want = {r: parse_constant(x) for r, x in enumerate(cj["eta"])}
+            assert _eta_coordinates(shown) == {r: x for r, x in want.items() if x != 0}
+        elif "free" in cj:
+            assert shown == "<free>"
+        else:
+            assert re.fullmatch(r"\S+[+-]\S+i \(err \S+\)", shown), shown
+
+
+def _lines_from(text, prefix):
+    """The lines of ``text`` from the first that starts with ``prefix``."""
+    lines = text.splitlines()
+    return lines[next(i for i, line in enumerate(lines) if line.startswith(prefix)):]
+
+
+class TestOneWriterPerFact:
+    def test_series_rows_are_the_report_rows(self):
+        with_germs = 0
+        for text in GOLDEN_CORPUS:
+            rep, _ = analyze(text, Options(no_classify=True))
+            if not rep["series"]:
+                continue
+            with_germs += 1
+            out, _ = cmd_series(text, Options(fmt="json"))
+            assert json.loads(out)["series"] == rep["series"], text
+            germ_lines = [[line for line in shown.splitlines()
+                           if line.startswith(("  n=", "    "))]
+                          for shown in (cmd_series(text, Options())[0],
+                                        cli.render_text(rep))]
+            assert germ_lines[0] == germ_lines[1], text
+        assert with_germs >= 6
+
+    def test_residue_rows_are_the_report_rows(self):
+        for text in GOLDEN_CORPUS:
+            rep, _ = analyze(text, Options(no_classify=True))
+            out, _ = cmd_residues(text, Options(fmt="json"))
+            assert json.loads(out)["exactness"] == rep["exactness"], text
+            shown = [line for line in cmd_residues(text, Options())[0].splitlines()[1:]
+                     if not line.startswith("note: ")]
+            assert shown == _lines_from(cli.render_text(rep), "p dq exact: ")[:len(shown)]
+
+    def test_each_place_is_listed_once(self):
+        out, _ = cmd_residues("y''' = -5*y^5 + 3/y", Options(fmt="json"))
+        rows = json.loads(out)["exactness"]["residues"]
+        assert [(r["place"], r["value"]) for r in rows] \
+            == [("q=0", {"rat": "3"}), ("infinity", {"rat": "-3"})]
+
+    def test_classify_prints_the_report_verdict(self):
+        for text in GOLDEN_CORPUS:
+            rep, code = analyze(text)
+            out, classify_code = cmd_classify(text, Options(fmt="json"))
+            assert (json.loads(out)["classification"], classify_code) \
+                == (rep["classification"], code), text
+            assert cmd_classify(text, Options())[0].splitlines()[1:] \
+                == _lines_from(cli.render_text(rep), "classification: ")[1:], text
+
+    def test_printed_values_reparse_to_the_json(self):
+        for text in WRITER_INPUTS:
+            rep, _ = analyze(text, Options(no_classify=True))
+            shown = cli.render_text(rep)
+            assert "+-" not in shown, text
+            _assert_reparses(shown, rep)
+            for cmd, key in ((cmd_series, "series"), (cmd_residues, "exactness")):
+                out, _ = cmd(text, Options(fmt="json"))
+                _assert_reparses(cmd(text, Options())[0], {key: json.loads(out)[key]})
+        rep, _ = analyze(WRITER_INPUTS[-2], Options(no_classify=True))
+        assert "lead=(1 - 2*i)" in cli.render_text(rep)
 
 
 # every flag the CLI has ever taken, with a valid value, and the flags each
@@ -398,9 +547,10 @@ class TestDepthDefaults:
 
     def test_residues_below_residue_reach(self, capsys):
         code = main(["residues", "y'' = 6*y^2", "--depth", "1", "--format", "json"])
-        data = json.loads(capsys.readouterr().out)
+        data = json.loads(capsys.readouterr().out)["exactness"]
         assert code == 0 and data["exact"] is True
-        assert [r["certified_zero"] for r in data["residues"]] == [True, True]
+        assert [(r["place"], r["certified_zero"]) for r in data["residues"]] \
+            == [("infinity", True)]
 
     def test_analyze_no_classify_below_germ_reach(self, capsys):
         args = ["analyze", "y'' = 6*y^2", "--no-classify", "--format", "json"]
@@ -453,15 +603,17 @@ class TestDepthDefaults:
         assert rows["infinity"] == rep["branches"][0]["residue"] == {"rat": "-3"}
 
     def test_close_places_at_low_precision(self, capsys):
-        # four places at p = +-sqrt(2), +-sqrt(2 + 2^-120): at 64 bits the
-        # report shows four unramified places or gives up, never two m = 2
+        # four places at p = +-sqrt(2), +-sqrt(2 + 2^-120): the roots separate
+        # only at 192 bits, and the places keep those bits at --precision 64
         text = f"P: q*(p^2 - 2)*(p^2 - 2 - 1/{2 ** 120}) + 1 ; k=1"
-        code = main(["residues", text, "--precision", "64"])
-        out = capsys.readouterr()
-        if code == 0:
-            assert out.out.count("m=1)") == 4 and "m=2" not in out.out
-        else:
-            assert (out.out + out.err).startswith("error:")
+        code = main(["residues", text, "--precision", "64", "--format", "json"])
+        rows = json.loads(capsys.readouterr().out)["exactness"]["residues"]
+        assert code == 0 and [r["place"] for r in rows] == ["b0", "b1", "b2", "b3"]
+        # p dq = p dq ~ +-2^120/(2 sqrt 2) dq/q at each place
+        want = 2 ** 120 / (2 * math.sqrt(2))
+        assert sorted(round(r["value"]["re"] / want, 9) for r in rows) == [-1, -1, 1, 1]
+        rep, _ = analyze(text, Options(precision=64, no_classify=True))
+        assert [b["m"] for b in rep["branches"]] == [1, 1, 1, 1]
 
     def test_depth_option_is_a_floor(self):
         # --depth below what the germs need is raised to it, not obeyed

@@ -1,14 +1,17 @@
 """The benchmark's tracer still finds every span it needs in the library.
 
 perfbench/tracer.py wraps the functions bbsolve exports, and a traced
-corpus run fails when a span perfbench/worker.py expects never fires.  This
-runs the golden corpus once under the tracer, so a refactor that renames or
-stops calling one of those functions fails here first.
+benchmark run fails when a span perfbench/worker.py expects never fires.  This
+runs each workload once under the tracer (screen_fuzz at seed 1), so a
+refactor that renames or stops calling one of those functions fails here
+first.
 """
 
 import importlib.util
 import os
 import sys
+
+import pytest
 
 import bbsolve
 
@@ -25,18 +28,24 @@ def _load(name, monkeypatch):
     return module
 
 
-def test_traced_corpus_fires_every_expected_span(monkeypatch):
+@pytest.mark.parametrize("workload", ["corpus", "screen_fuzz", "deep_expansion"])
+def test_traced_workload_fires_every_expected_span(workload, monkeypatch):
     tracing = _load("tracer", monkeypatch)
     workloads = _load("workloads", monkeypatch)
     worker = _load("worker", monkeypatch)
     tracer = tracing.Tracer()
     tracer.install(bbsolve)
     try:
-        outs = [inp.call() for inp in workloads.build("corpus", 1, bbsolve, None)]
+        outs = [inp.call() for inp in workloads.build(workload, 1, bbsolve, None)]
     finally:
         tracer.uninstall()
     spans = tracer.take()
-    assert [workloads.status(out) for out in outs] == ["ok"] * len(workloads.CORPUS)
-    assert worker.EXPECTED_SPANS["corpus"] <= tracing.fired(spans)
-    metrics = tracing.layer_metrics(spans, 1.0, 0)
-    assert metrics["classify.poles"] > 0 and metrics["classify.periods_verified"] > 0
+    statuses = [workloads.status(out) for out in outs]
+    assert worker.EXPECTED_SPANS[workload] <= tracing.fired(spans)
+    if workload == "corpus":
+        assert statuses == ["ok"] * len(workloads.CORPUS)
+        metrics = tracing.layer_metrics(spans, 1.0, 0)
+        assert metrics["classify.poles"] > 0 and metrics["classify.periods_verified"] > 0
+    else:
+        # screen_fuzz's malformed inputs are rejected; nothing crashes
+        assert "crash" not in statuses and "ok" in statuses
