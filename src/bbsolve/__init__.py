@@ -18,8 +18,8 @@ from .curve import (ExactnessVerdict, NewtonPolygon, PuiseuxBranch,
 from .conditions import (ConditionsReport, screen_admissibility, degree_bound,
                          residue_screen)
 from .series import (FREE, LaurentSeries, ZSeries, bracket_phi,
-                     enumerate_series, leading_coefficients,
-                     pinning_coefficient, recurrence_bracket, verify_series)
+                     enumerate_series, pinning_coefficient, recurrence_bracket,
+                     verify_series)
 from .classify import (ClassificationVerdict, assemble_verdict, detect_periods,
                        match_exponential, match_monomial, sweep_poles)
 from .cli import analyze
@@ -31,8 +31,8 @@ __all__ = [
     "branches_at_infinity", "exactness_check", "newton_polygon", "residue_pdq",
     "ConditionsReport", "screen_admissibility", "degree_bound", "residue_screen",
     "FREE", "LaurentSeries", "ZSeries", "bracket_phi", "enumerate_series",
-    "leading_coefficients", "pinning_coefficient", "recurrence_bracket",
-    "verify_series", "ClassificationVerdict", "assemble_verdict",
+    "pinning_coefficient", "recurrence_bracket", "verify_series",
+    "ClassificationVerdict", "assemble_verdict",
     "detect_periods", "match_exponential", "match_monomial", "sweep_poles",
     "analyze",
 ]

@@ -10,12 +10,14 @@ conservative absolute error bound.  A value known exactly is always a
 GaussianRational; a BigComplex only ever stands for a value that is not.  Both
 types answer the same arithmetic (``+ - * /``, ``**``, ``inverse()``, int and
 Fraction operands, ``complex()``), so callers need not ask which one they
-hold.  ``AlgebraicNumber`` is an exact element of a radical extension
+hold; a ball takes no float, complex or mpmath operand.
+``AlgebraicNumber`` is an exact element of a radical extension
 K = Q(i)[eta]/(eta^g - beta), x^g - beta irreducible over Q(i) (Capelli's
 test, ``binomial_irreducible``): g Gaussian-integer coordinates over one
 common denominator, read at one embedding eta -> eta_k (``Embedding``, a
-closed-form root kept as a ball).  It answers the same arithmetic;
-``is_exact`` still means Q(i) alone.
+closed-form root kept as a ball).  Its arithmetic is exact and meets only
+Q(i) values and elements at its own embedding: a ball, or an element at
+another embedding, raises TypeError.  ``is_exact`` still means Q(i) alone.
 
 Ball arithmetic runs on raw ``mpmath.libmp`` tuples at p + 8 bits (p + 16
 for roots), round-to-nearest, with no mpmath context or number objects per
@@ -47,7 +49,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import gcd
-from operator import add, mul, sub, truediv
 
 import mpmath
 from mpmath import mp
@@ -278,7 +279,8 @@ class BigComplex:
     A ball of midpoint ``val`` (an mpc) and radius ``err`` (an mpf): ``err``
     bounds the distance to the represented value, and every operation
     propagates it outward (never shrinks it).  Exact operands (int, Fraction,
-    GaussianRational) are coerced through ``from_exact``.
+    GaussianRational) are coerced through ``from_exact``; any other operand
+    but a ball (a float, an mpmath number, an element of K) raises TypeError.
 
     The midpoint and radius are held as raw ``mpmath.libmp`` tuples.  An
     operation on balls of precision p calls libmp once per rounding at
@@ -346,8 +348,6 @@ class BigComplex:
             return x
         if isinstance(x, (int, Fraction, GaussianRational)):
             return BigComplex.from_exact(x, prec)
-        if isinstance(x, (float, complex, mpmath.mpf, mpmath.mpc)):
-            return BigComplex(mpmath.mpc(x), 0, prec)
         return None
 
     # -- arithmetic ------------------------------------------------------
@@ -565,9 +565,10 @@ class AlgebraicNumber:
     ``+ - * /``, ``**`` and ``inverse`` are exact
     and never read the embedding: operands at one embedding, or exact Q(i)
     values, give an element at that embedding.  An operand at another
-    embedding, or a ball, meets ``to_ball()`` in ball arithmetic instead.
-    ``complex()`` evaluates the embedding at its precision and rounds to a
-    double, as ``complex()`` of a ball rounds its midpoint."""
+    embedding, or a ball, raises TypeError; ``==`` holds across embeddings
+    only for equal values of Q(i).  ``to_ball()`` reads the element as a
+    ball, and ``complex()`` evaluates the embedding at its precision and
+    rounds to a double, as ``complex()`` of a ball rounds its midpoint."""
 
     __slots__ = ("_re", "_im", "_d", "_emb")
 
@@ -614,14 +615,14 @@ class AlgebraicNumber:
 
     def _operand(self, other):
         """(re, im, d) of ``other`` in this field at this embedding; None for
-        an operand to meet as a ball; NotImplemented for a foreign type."""
+        an element at another embedding; NotImplemented for any other type."""
         if type(other) is AlgebraicNumber:
             if other._emb is self._emb or other._emb == self._emb:
                 return other._re, other._im, other._d
             return None
         t = _triple(other)
         if t is None:
-            return None if type(other) is BigComplex else NotImplemented
+            return NotImplemented
         zeros = [0] * (self._emb.g - 1)
         return [t[0]] + zeros, [t[1]] + zeros, t[2]
 
@@ -629,7 +630,7 @@ class AlgebraicNumber:
     def __add__(self, other):
         o = self._operand(other)
         if o is None or o is NotImplemented:
-            return self._as_balls(other, add) if o is None else o
+            return NotImplemented
         return _alg_sum(self._re, self._im, self._d, *o, 1, self._emb)
 
     __radd__ = __add__
@@ -641,11 +642,11 @@ class AlgebraicNumber:
     def __sub__(self, other):
         o = self._operand(other)
         if o is None or o is NotImplemented:
-            return self._as_balls(other, sub) if o is None else o
+            return NotImplemented
         return _alg_sum(self._re, self._im, self._d, *o, -1, self._emb)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         t = _triple(other)
@@ -656,7 +657,7 @@ class AlgebraicNumber:
                         self._d * d, self._emb)
         o = self._operand(other)
         if o is None or o is NotImplemented:
-            return self._as_balls(other, mul) if o is None else o
+            return NotImplemented
         return _alg_product(self, *o)
 
     __rmul__ = __mul__
@@ -690,12 +691,10 @@ class AlgebraicNumber:
             return self * _quotient(1, 0, 1, *t)
         o = self._operand(other)
         if o is None or o is NotImplemented:
-            return self._as_balls(other, truediv) if o is None else o
+            return NotImplemented
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        if type(other) is BigComplex:
-            return other / self.to_ball()
         if _triple(other) is None:
             return NotImplemented
         return self.inverse() * other
@@ -716,11 +715,6 @@ class AlgebraicNumber:
                 base = base * base
         return out
 
-    def _as_balls(self, other, op):
-        if type(other) is AlgebraicNumber:
-            other = other.to_ball()
-        return op(self.to_ball(), other)
-
     # -- conversions -----------------------------------------------------
     def __complex__(self):
         return complex(self.to_ball())
@@ -736,8 +730,6 @@ class AlgebraicNumber:
         if o is NotImplemented:
             return NotImplemented
         if o is None:       # another embedding: equal only inside Q(i)
-            if type(other) is not AlgebraicNumber:
-                return False
             mine = self._in_gaussian()
             return mine is not None and mine == other._in_gaussian()
         return (self._re, self._im, self._d) == o        # normal forms on both sides
@@ -840,12 +832,13 @@ def dot(xs, ys, ws=None, div=1, from_zero=False):
     0, the products are summed as integer numerators over a running common
     denominator, reduced by eta^g = beta once and normalised with one gcd:
     the normal form of the term-by-term sum, with no object per term.  Any
-    other operand (a ball, another embedding, an int or a Fraction) sends
-    the whole sum through the per-operation path, in the order callers
-    always used: each (x y) w added left to right onto the first term, or
-    onto GR_ZERO under ``from_zero`` (a sum of balls then charges the slack
-    of adding an exact zero, ROADMAP item 9), then times 1/div, so no
-    numeric bit moves."""
+    other operand (a ball, an int or a Fraction) sends the whole sum through
+    the per-operation path, in the order callers always used: each (x y) w
+    added left to right onto the first term, or onto GR_ZERO under
+    ``from_zero`` (a sum of balls then charges the slack of adding an exact
+    zero, ROADMAP item 9), then times 1/div, so no numeric bit moves.  A sum
+    that mixes K with a ball or with another embedding raises TypeError
+    there, as the operators do."""
     weights = _ONES if ws is None else ws
     out = _dot_gaussian(xs, ys, weights, div)
     if out is _FIELD:

@@ -5,9 +5,11 @@ emitted as text or JSON (``--format``); the JSON layout is versioned and
 shipped as schemas/analysis_report.schema.json.  Identical invocations
 produce byte-identical JSON: every ordering is explicit and every numeric
 value carries its error bound.  series, residues and classify print the
-input and one section of the analyze report (the germ rows, the exactness
-section, the classification), built by the same code and written by the
-same text writers; every coefficient is written from its JSON by
+input and rows of the analyze report, built by the same code and written by
+the same text writers: residues the exactness section, classify the
+classification, series the germ rows of every admissible place, built
+before any screen (analyze's series section holds germs only while poles
+stay possible).  Every coefficient is written from its JSON by
 series.coeff_text.
 
 Exit codes: 0 analysis completed; 2 completed with a screening verdict of

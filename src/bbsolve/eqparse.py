@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import (BiPoly, GaussianRational, GR_ONE, GR_ZERO, UPoly,
-                      primitive_in_q, squarefree_part_in_p)
+from .algebra import (BiPoly, GaussianRational, GR_ONE, GR_ZERO, primitive_in_q,
+                      squarefree_part_in_p)
 from .errors import (DegenerateInput, EquationSyntaxError, NotPolynomial,
                      UnsupportedForm)
 

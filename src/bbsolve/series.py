@@ -16,7 +16,8 @@ vanishes and c_0 alone determines the series.
 Fractional powers of y are taken on a single determination eta_0 of
 c_0^(1/m); the admissible determinations are the g = m k / n roots of
 eta^g = beta = D_0 / A_0, and each one yields one candidate series
-(conjugate branch choices are absorbed, duplicates removed).
+(conjugate branch choices are absorbed): one germ per leading root, since
+the roots of the squarefree x^g - beta are distinct.
 
 On an exact branch whose x^g - beta is irreducible over Q(i) (Capelli),
 eta_0 is symbolic: the germ is computed once, exactly, in
@@ -153,15 +154,6 @@ def leading_roots(k, n, branch, precision=DEFAULT_PREC):
     return out
 
 
-def leading_coefficients(k, n, branch, precision=DEFAULT_PREC):
-    """All nonzero c_0 with D_0 c_0 = A_0 c_0^(1+k/n) on this branch."""
-    seen = []
-    for r in leading_roots(k, n, branch, precision):
-        if not any(_coeff_close(r.c0, s) for s in seen):
-            seen.append(r.c0)
-    return seen
-
-
 def pinning_coefficient(k, n, c0):
     """Coefficient of the resonant c_{2n+k} in the first-integral constant-term
     equation: c0 * sum_{m=0}^{k-1} (n+m)! (n+k)! / ((n+m+1)! (n-1)!); positive
@@ -205,12 +197,6 @@ class LaurentSeries:
 
     def resonant_index(self):
         return 2 * self.n + self.k if self.k % 2 == 0 else None
-
-
-def _coeff_close(a, b):
-    """Equal when both are exact; overlapping disks otherwise.  Multiplies by
-    -1 rather than negating: BigComplex negation rounds to 53 bits."""
-    return coeff_is_zero(a + b * -1)
 
 
 def _needed_branch_depth(branch, n, N):
@@ -264,7 +250,9 @@ def enumerate_series(eq, branch, n, c=None, N=None, precision=DEFAULT_PREC,
                 collect_notes.append(f"branch {branch.id}, c0={c0}{at}: {failure}")
             continue
         out.append(_read_at(ls, root) if conjugate is not None else ls)
-    return _dedup(out)
+    # distinct roots of the squarefree x^g - beta give distinct germs, even
+    # where a short truncation cannot tell them apart
+    return sorted(out, key=_series_sort_key)
 
 
 def check_constant(c):
@@ -417,24 +405,6 @@ def _pin_resonant(k, n, branch, root, powers, c):
     s0 = powers.coeff(powers.table(first_integral_series(branch)), 0)
     num = phi0 + s0 * -1 + c * -1
     return num * pinning_coefficient(k, n, root.c0).inverse()
-
-
-def _dedup(series_list):
-    out = []
-    for s in sorted(series_list, key=_series_sort_key):
-        dup = False
-        for t in out:
-            if s.n == t.n and len(s.coeffs) == len(t.coeffs):
-                same = all(
-                    (a is FREE and b is FREE) or
-                    (a is not FREE and b is not FREE and _coeff_close(a, b))
-                    for a, b in zip(s.coeffs, t.coeffs))
-                if same:
-                    dup = True
-                    break
-        if not dup:
-            out.append(s)
-    return out
 
 
 def _series_sort_key(s):

@@ -1,5 +1,6 @@
 """Exact arithmetic, polynomials, and certified root finding."""
 
+import operator
 from fractions import Fraction
 
 import mpmath
@@ -80,6 +81,16 @@ class TestBigComplex:
         assert (first.err == 0) == isinstance(x, int)   # 7 converts exactly
         with mpmath.mp.workprec(600):
             assert abs(first.val - g.to_mpc(600)) <= first.err
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                    operator.truediv])
+    @pytest.mark.parametrize("other", [0.5, 0.5j, mpmath.mpf(0.5), mpmath.mpc(0.5)])
+    def test_float_operands_are_refused(self, op, other):
+        # a ball meets exact values and balls only: a float has no error bound
+        one = BigComplex.from_exact(GaussianRational(1))
+        for x, y in ((one, other), (other, one)):
+            with pytest.raises(TypeError):
+                op(x, y)
 
 
 class TestZSeriesInverse:

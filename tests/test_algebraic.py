@@ -130,13 +130,15 @@ class TestEmbeddings:
         keys = [(complex(e).real, complex(e).imag) for e in etas]
         assert len(set(keys)) == g
 
-    def test_conjugates_meet_as_balls(self):
+    def test_other_embeddings_and_balls_are_refused(self):
+        # K meets Q(i) values and its own embedding only; equality stays exact
         eta0, eta1 = conjugates(0)[:2]
-        total = eta0 + eta1
-        assert isinstance(total, BigComplex)
-        assert overlap(total, eta0.to_ball() + eta1.to_ball())
+        ball = BigComplex.from_exact(G(3))
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            for x, y in ((eta0, eta1), (eta1, eta0), (eta0, ball), (ball, eta0)):
+                with pytest.raises(TypeError):
+                    op(x, y)
         assert eta0 != eta1 and eta0 * 0 + 2 == eta1 * 0 + 2
-        assert isinstance(eta0 * BigComplex.from_exact(G(3)), BigComplex)
 
     def test_values_in_gaussian_rationals_equal_and_hash_alike(self):
         eta = conjugates(1)[0]           # eta^2 = 1/2
@@ -210,7 +212,8 @@ def fused_case(draw):
 
 class TestFusedSum:
     """dot equals the term-by-term sum: the same normal form over Q(i) and
-    over K, and the same bits once a ball or another embedding joins in."""
+    over K, and the same bits once a ball or another embedding joins in
+    without meeting K at the first embedding, where both raise TypeError."""
 
     @BUDGET
     @given(st.lists(gaussians, max_size=8), st.lists(gaussians, max_size=8), weights,
@@ -240,7 +243,18 @@ class TestFusedSum:
         else:
             other = conjugates(field)[(root + 1) % FIELDS[field][1]].embedding
             xs[at] = x.at(other)
+        emb = conjugates(field)[root].embedding
+        kept = [(x, y) for i, (x, y) in enumerate(zip(xs, ys))
+                if (ws is None or ws[i]) and not _is_exact_zero(x) and not _is_exact_zero(y)]
+        mixed = (any(x is xs[at] for x, _y in kept)
+                 and any(field_of(v) == emb for pair in kept for v in pair))
         for acc in (None, GR_ZERO):
+            if mixed:
+                with pytest.raises(TypeError):
+                    term_by_term(xs, ys, ws, div, acc)
+                with pytest.raises(TypeError):
+                    dot(xs, ys, ws, div, from_zero=acc is not None)
+                continue
             want = term_by_term(xs, ys, ws, div, acc)
             assert same_value(dot(xs, ys, ws, div, from_zero=acc is not None), want)
 

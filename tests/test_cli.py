@@ -181,6 +181,32 @@ class TestCommands:
         assert germ["n"] == 1 and germ["resonance"] == "none"
         assert germ["coeffs"][0] == {"rat": "-1"}
 
+    def test_one_germ_per_leading_root(self):
+        # (p - q^2)^3 = q^5 has one place of ramification 3 over q = infinity;
+        # each root of eta^3 = -60 is its own germ, also where index N is too
+        # short to tell the three apart
+        text = "P: (p - q^2)^3 - q^5 ; k=3"
+        for N in (0, 1, None):
+            out, _ = cmd_series(text, Options(N=N, fmt="json"))
+            roots = sorted(s["root_choice"] for s in json.loads(out)["series"])
+            rep, _ = analyze(text, Options(N=N, no_classify=True))
+            assert (roots, rep["conditions"]["degree_bound"]) == ([0, 1, 2], 9), N
+
+    def test_series_builds_germs_before_any_screen(self):
+        # the kappa = 7/3 place of (p - q^2)(p^3 - q^7) rules poles out, so
+        # analyze builds no germs; series still builds the formal germ of the
+        # admissible place p = q^2, whose pole y = 6 z^-2 the verdict finds
+        text = "P: (p - q^2)*(p^3 - q^7) ; k=2"
+        out, _ = cmd_series(text, Options(fmt="json"))
+        rows = json.loads(out)["series"]
+        assert [(s["n"], s["coeffs"]) for s in rows] == [
+            (2, [{"rat": "6"}] + [{"rat": "0"}] * 5 + [{"free": True}])]
+        assert "    coeffs: (6)*z^-2 + (<free>)*z^4" in cmd_series(text, Options())[0]
+        rep, _ = analyze(text)
+        verdict = rep["classification"]
+        assert rep["series"] == []
+        assert (verdict["label"], verdict["confidence"]) == ("rational", "exact")
+
     def test_residues_table(self):
         out, _ = cmd_residues("y'' = 4*y^3 + 1/y", Options(fmt="json"))
         data = json.loads(out)["exactness"]
@@ -698,6 +724,25 @@ class TestModuleEntryPoint:
                              for n in ast.walk(node.args[1])}
                     bad += [node.lineno] if named & types else []
             assert bad == [], f"{name}: BigComplex import or type dispatch at lines {bad}"
+
+    def test_every_import_is_read(self):
+        # the project runs no linter, so this stands in for its unused-import
+        # check: a module may import a name only to read it (__init__.py
+        # re-exports)
+        pkg = os.path.join(SRC, "bbsolve")
+        for name in sorted(os.listdir(pkg)):
+            if not name.endswith(".py") or name == "__init__.py":
+                continue
+            with open(os.path.join(pkg, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            read = {n.id for n in ast.walk(tree)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread = [(node.lineno, (a.asname or a.name).split(".")[0])
+                      for node in ast.walk(tree)
+                      if isinstance(node, (ast.Import, ast.ImportFrom))
+                      for a in node.names
+                      if (a.asname or a.name).split(".")[0] not in read]
+            assert unread == [], f"{name}: imported and never read: {unread}"
 
     def test_only_algebra_imports_mpmath(self):
         # the ball kernel works on raw mpmath.libmp tuples at fixed working
