@@ -178,19 +178,20 @@ def reconstruct_exponential(eq, germ, a, degree_cap=6):
 
 
 def _multipliers(eq, precision):
-    """The exact multipliers a to try for y = R(e^(az)) on y^(k) = f(y) = N/D.
+    """The exact multipliers a to try for y = R(e^(az)) on y^(k) = N(y).
 
     As w = e^(az) -> 0, R(w) tends to an equilibrium r, and linearising at r
-    gives a^k = f'(r) = N'(r)/D(r) for a simple root r of N with D(r) != 0.
+    gives a^k = N'(r) for a simple root r of N.  Only a germ family reaches
+    here, and a family exists only when D = 1 (the integrality screen).
     Only roots r and a in Q(i) count, and a only on the half-plane Im a > 0
     or Im a = 0 < Re a, since R(1/w) covers -a.
     """
-    N, D = eq.resolved
+    N, _ = eq.resolved
     dN, out = N.derivative(), []
     for r, mult in root_multiplicities(N, precision):
-        if mult > 1 or not is_exact(r) or D.eval(r).is_zero():
+        if mult > 1 or not is_exact(r):
             continue
-        lam = dN.eval(r) / D.eval(r)
+        lam = dN.eval(r)
         for a in roots_univariate(UPoly([-lam] + [GR_ZERO] * (eq.k - 1) + [GR_ONE]),
                                   precision):
             if is_exact(a) and (a.im > 0 or (a.im == 0 and a.re > 0)) and a not in out:
@@ -364,9 +365,11 @@ class PoleEvent:
 class _Flow:
     """Taylor stepping of the system behind P(y^(k), y) = 0 in machine complex.
 
-    Resolved mode integrates y^(k) = N(y)/D(y) on the state
-    (y, y', ..., y^(k-1)); general mode carries p along with
-    p' = -(dP/dq / dP/dp) y' and projects P(p, y) ~ 0 each step.
+    Resolved mode integrates y^(k) = N(y) on the state (y, y', ..., y^(k-1)):
+    a nonconstant D has no solution with a pole (the integrality screen), so
+    no germ leads here and such an equation is refused.  General mode
+    carries p along with p' = -(dP/dq / dP/dp) y' and projects P(p, y) ~ 0
+    each step.
     """
 
     def __init__(self, eq, tol=DEFAULT_TRAJ_TOL, first_integral=None):
@@ -376,11 +379,12 @@ class _Flow:
         self.resolved = None
         if eq.resolved is not None:
             N, D = eq.resolved
-            self.resolved = ([complex(c) for c in N.coeffs],
-                             [complex(c) for c in D.coeffs])
-            # the (degree, coefficient) pairs of N and D that _poly_series reads
-            self._nonzero = tuple([(d, c) for d, c in enumerate(cf) if c != 0]
-                                  for cf in self.resolved)
+            if D.degree() > 0:
+                raise DegenerateInput("continuation of y^(k) = N(y)/D(y) with "
+                                      "nonconstant D: no solution has a pole")
+            self.resolved = [complex(c) for c in N.coeffs]
+            # the (degree, coefficient) pairs of N that _poly_series reads
+            self._nonzero = [(d, c) for d, c in enumerate(self.resolved) if c != 0]
         self.P_terms = [(i, j, complex(c)) for (i, j), c in sorted(eq.P.terms.items())]
         Pp = eq.P.partial_p()
         Pq = eq.P.partial_q()
@@ -485,28 +489,15 @@ class _Flow:
         k, M, fact = self.k, self.order, self._fact
         Y = [state[i] / fact[i] for i in range(k)] + [0j] * (M - k + 1)
         if self.resolved is not None:
-            Ncf, Dcf = self.resolved
-            Nnz, Dnz = self._nonzero
-            degmax = max(len(Ncf), len(Dcf)) - 1
+            degmax = len(self.resolved) - 1
             ypows = [[1.0 + 0j] + [0j] * M, Y] \
                 + [[0j] * (M + 1) for _ in range(max(degmax - 1, 0))]
-            W = [0j] * (M + 1)
-            Dser = []          # series of D(y), one coefficient per j
             for j in range(0, M - k + 1):
                 Yrev = Y[j::-1]
                 for d in range(2, degmax + 1):
                     ypows[d][j] = sum(map(mul, ypows[d - 1], Yrev))
-                Nj = self._poly_series(Nnz, ypows, j)
-                if len(Dcf) == 1:
-                    Wj = Nj / Dcf[0]
-                else:
-                    Dser.append(self._poly_series(Dnz, ypows, j))
-                    if abs(Dser[0]) < 1e-280:
-                        raise SingularEncounter(
-                            "denominator of the resolved form vanishes on the path")
-                    Wj = (Nj - sum(map(mul, Dser[1:], W[:j][::-1]))) / Dser[0]
-                W[j] = Wj
-                Y[j + k] = Wj * fact[j] / fact[j + k]
+                Nj = self._poly_series(self._nonzero, ypows, j)
+                Y[j + k] = Nj * fact[j] / fact[j + k]
             return Y, None
         # general curve mode: p' = -(P_q(p, y) / P_p(p, y)) y'
         if p0 is None:
@@ -1009,7 +1000,6 @@ class ClassificationVerdict:
     label: str
     confidence: str            # "exact" | "numeric" | "heuristic"
     evidence: tuple            # human-readable findings, ordered
-    degree_bound: int | None = None
     periods: tuple = ()
 
     def __post_init__(self):
@@ -1034,7 +1024,7 @@ def classify_equation(eq, report, branches, ev, mono, c, N, tol, precision):
         notes.append("numeric continuation skipped: no certified first integral")
     elif report.pole_solutions_possible:
         c = GR_ONE if c is None and even else c
-        family, _ = germs_for_pairs(
+        family = germs_for_pairs(
             eq, branches, report.admissible_pairs(), notes,
             "germ for continuation unavailable ({bid}, n={n}): {exc}",
             c=c, N=N, precision=precision)
@@ -1084,7 +1074,6 @@ def assemble_verdict(report, mono_matches=(), exp_matches=(),
     def verdict(label, confidence, *found, periods=()):
         return ClassificationVerdict(label=label, confidence=confidence,
                                      evidence=tuple(evidence) + found,
-                                     degree_bound=report.degree_bound,
                                      periods=periods)
 
     if not report.pole_solutions_possible:

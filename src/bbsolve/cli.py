@@ -176,12 +176,12 @@ def analyze(equation, opts=None):
     t2 = clock()
 
     germ_notes = []
-    germs, inventory = germs_for_pairs(
+    germs = germs_for_pairs(
         eq, branches,
         report.admissible_pairs() if report.pole_solutions_possible else [],
         germ_notes, "branch {bid}, n={n}: {exc}",
         c=opts.c, N=opts.N, precision=opts.precision, collect_notes=germ_notes)
-    report = attach_degree_bound(report, inventory)
+    report = attach_degree_bound(report, germs)
     orders = verify_orders(eq, germs)
     t3 = clock()
 
@@ -259,7 +259,7 @@ def _build_report(eq, opts, depth, assumptions, warnings, polygon, branches,
             "label": verdict.label,
             "confidence": verdict.confidence,
             "evidence": list(verdict.evidence),
-            "degree_bound": verdict.degree_bound,
+            "degree_bound": report.degree_bound,
             "periods": [_cxpair(t) for t in verdict.periods],
         }
     return {
@@ -380,9 +380,9 @@ def cmd_series(equation, opts):
     pairs = report.admissible_pairs()
     if opts.n is not None:
         pairs = [(bid, n) for bid, n in pairs if n == opts.n]
-    germs, _ = germs_for_pairs(eq, branches, pairs, notes,
-                               "branch {bid}, n={n}: {exc}", c=opts.c, N=opts.N,
-                               precision=opts.precision, collect_notes=notes)
+    germs = germs_for_pairs(eq, branches, pairs, notes,
+                            "branch {bid}, n={n}: {exc}", c=opts.c, N=opts.N,
+                            precision=opts.precision, collect_notes=notes)
     rows = _germs_json(germs, verify_orders(eq, germs))
     out = {"input": canonical_string(eq), "series": rows, "notes": notes}
     if opts.fmt == "json":

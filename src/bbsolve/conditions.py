@@ -2,18 +2,23 @@
 
 A solution with a pole of order n forces a place over q = infinity with
 exponent kappa = 1 + k/n; places with kappa = 1 are never hit, and (by the
-omitted-value bound on the sphere) at most two of them may exist.  For even
-k, when at most one kappa = 1 place exists and the curve is rational, p dq
-must in addition be exact, so a certified nonzero residue at an admissible
-branch kills every pole-bearing candidate.
+omitted-value bound on the sphere) at most two of them may exist.  A
+pole-bearing solution is elliptic, rational in e^(az), or rational, and it
+reaches every other place of the curve.  Over q = infinity the first two
+reach places only at poles; z = infinity of a rational solution with a
+polynomial part is the one other point that can, at a place with
+kappa < 1, and a kappa = 1 place excludes rational solutions.  So one
+kappa < 1 place, with no kappa = 1 place, does not by itself rule poles
+out, while two or more do, as does any kappa > 1 that is not 1 + k/n.
+For even k, when at most one kappa = 1 place exists and the curve is
+rational, p dq must in addition be exact, so a certified nonzero residue at
+an admissible branch kills every pole-bearing candidate.
 
 All verdicts here are necessary-condition failures, never existence proofs.
 """
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-
-from .errors import EmptyInventory
 
 KAPPA_ONE = "kappa_one"
 INADMISSIBLE = "inadmissible"
@@ -70,12 +75,22 @@ def screen_admissibility(k, branches, leading_p_coeff_constant=True):
     admissible = set()
     kappa_one = 0
     any_bad = False
-    for b in branches:
-        label, n = classify_kappa(k, b.kappa)
+    labels = [classify_kappa(k, b.kappa) for b in branches]
+    # z = infinity of a rational solution may reach one kappa < 1 place, which
+    # matters only when every other place admits a pole order
+    below = [b for b in branches if b.kappa < 1]
+    others_admit = all(label == "kappa_one_plus_k_over_n"
+                       for b, (label, _) in zip(branches, labels) if b.kappa >= 1)
+    lone = below[0] if len(below) == 1 < len(branches) and others_admit else None
+    for b, (label, n) in zip(branches, labels):
         per.append(BranchClass(branch_id=b.id, kappa=b.kappa, label=label, n=n))
         if label == KAPPA_ONE:
             kappa_one += 1
             notes.append(f"branch {b.id}: kappa=1; no pole of a solution maps here")
+        elif b is lone:
+            notes.append(f"branch {b.id}: kappa={b.kappa} < 1 at the only such place; "
+                         "only z = infinity of a rational solution with a "
+                         "polynomial part can map here")
         elif label == INADMISSIBLE:
             any_bad = True
             notes.append(
@@ -146,31 +161,18 @@ def residue_screen(report, verdict, k):
                    notes=tuple(notes))
 
 
-def degree_bound(series_inventory):
-    """Heuristic upper bound on the degree of a class-W solution.
-
-    ``series_inventory``: list of (n, count) pairs, one per admissible pole
-    order, counting the distinct Laurent germs found at a fixed value of the
-    first-integral constant.  Each distinct germ contributes its pole order.
-    """
-    total = 0
-    seen = False
-    for n, count in series_inventory:
-        if count:
-            seen = True
-            total += n * count
-    if not seen:
-        raise EmptyInventory("no Laurent germs: no pole-bearing solutions to bound")
-    return total
+def degree_bound(germs):
+    """Heuristic upper bound on the degree of a class-W solution: the sum of
+    the pole orders of the distinct Laurent germs found at a fixed value of
+    the first-integral constant; None when there are none."""
+    return sum(ls.n for ls in germs) or None
 
 
-def attach_degree_bound(report, series_inventory):
-    try:
-        bound = degree_bound(series_inventory)
-    except EmptyInventory:
-        notes = report.notes + ("degree bound undefined: no germs (entire-only)",)
-        return replace(report, degree_bound=None, notes=notes)
-    notes = report.notes + (
-        f"heuristic degree bound {bound}: sum of pole orders over distinct germs "
-        "at fixed first-integral constant",)
-    return replace(report, degree_bound=bound, notes=notes)
+def attach_degree_bound(report, germs):
+    bound = degree_bound(germs)
+    if bound is None:
+        note = "degree bound undefined: no germs (entire-only)"
+    else:
+        note = (f"heuristic degree bound {bound}: sum of pole orders over "
+                "distinct germs at fixed first-integral constant")
+    return replace(report, degree_bound=bound, notes=report.notes + (note,))

@@ -10,23 +10,25 @@ Two accepted syntaxes normalise to one EquationSpec:
 
 Numbers are integers, decimals, or rationals written with ``/``; the complex
 unit ``i`` is allowed; whitespace is insignificant.  Rational right-hand
-sides are cleared to polynomial P by multiplying through by the denominator;
-linear-in-p raw inputs are recognised as resolved y^(k) = N(q)/D(q).  A raw P
-of p-degree 2 or more that is not squarefree in p is replaced by its
-squarefree part, and one that keeps a factor constant in p (which only adds
-constant solutions) is made primitive in q, each with a note, so every
+sides are cleared to polynomial P by multiplying through by the denominator.
+A raw P of p-degree 2 or more that is not squarefree in p is replaced by its
+squarefree part, and a raw P that keeps a factor constant in p (which only
+adds constant solutions) is made primitive in q, each with a note, so every
 EquationSpec is squarefree in p.
 
-P is stored normalised: the lex-leading coefficient (p-degree major) is 1.
-``canonical_string`` prints that normal form, and parsing it back returns an
+An EquationSpec stores P and k only.  P is stored normalised: the
+lex-leading coefficient (p-degree major) is 1.  The resolved form
+y^(k) = N(y)/D(y) is read off P whenever P = D p - N is linear in p, from
+either syntax; normalised and primitive, that D is monic and coprime to N.
+``canonical_string`` prints the normal form, and parsing it back returns an
 equal EquationSpec.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from functools import cached_property
 
-from .algebra import (BiPoly, GaussianRational, GR_ONE, GR_ZERO, primitive_in_q,
+from .algebra import (BiPoly, GaussianRational, GR_ONE, primitive_in_q,
                       squarefree_part_in_p)
 from .errors import (DegenerateInput, EquationSyntaxError, NotPolynomial,
                      UnsupportedForm)
@@ -42,8 +44,7 @@ class EquationSpec:
 
     P: BiPoly
     k: int
-    resolved: Optional[tuple]  # (N: UPoly, D: UPoly) with R = N/D, D monic
-    source_text: str
+    source_text: str = field(compare=False)
     notes: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
@@ -52,17 +53,16 @@ class EquationSpec:
         if self.P.deg_p() < 1:
             raise DegenerateInput("P must be nonconstant in p = y^(k)")
 
+    @cached_property
+    def resolved(self):
+        """(N, D) with y^(k) = N(y)/D(y) when P = D p - N is linear in p,
+        else None; D is monic and coprime to N because P is normalised."""
+        if self.P.deg_p() != 1:
+            return None
+        return -self.P.coeff_in_p(0), self.P.coeff_in_p(1)
+
     def canonical(self):
         return canonical_string(self)
-
-    def __eq__(self, other):
-        if not isinstance(other, EquationSpec):
-            return NotImplemented
-        return (self.P == other.P and self.k == other.k
-                and self.resolved == other.resolved)
-
-    def __hash__(self):
-        return hash((self.P, self.k, self.resolved))
 
 
 # ---------------------------------------------------------------------------
@@ -339,37 +339,15 @@ def _parse_ode(text):
     if D.is_zero():
         raise DegenerateInput("right-hand side has zero denominator")
     notes = []
-    P, resolved = _resolve(N, D, notes,
-                           "common factor cancelled from the right-hand side")
-    return EquationSpec(P=P, k=k, resolved=resolved, source_text=text,
-                        notes=tuple(notes))
-
-
-def _resolve(N, D, notes, note):
-    """P = D p - N and the resolved form (N, D) of y^(k) = N/D: a common
-    factor of N and D is cancelled (appending ``note``) and D made monic."""
     g = N.gcd(D)
     if g.degree() >= 1:
         N, D = N // g, D // g
-        notes.append(note)
+        notes.append("common factor cancelled from the right-hand side")
+    # P = D p - N with D made monic
     lc = D.lc().inverse()
-    N, D = N * lc, D * lc
-    terms = {}
-    for j, c in enumerate(D.coeffs):
-        if not c.is_zero():
-            terms[(1, j)] = c
-    for j, c in enumerate(N.coeffs):
-        if not c.is_zero():
-            key = (0, j)
-            s = terms.get(key, GR_ZERO) - c
-            if s.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = s
-    return BiPoly(terms), (N, D)
-
-
-_CONTENT_NOTE = "common factor removed: P had a component constant in p"
+    P = BiPoly([((1, j), c * lc) for j, c in enumerate(D.coeffs)]
+               + [((0, j), -c * lc) for j, c in enumerate(N.coeffs)])
+    return EquationSpec(P=P, k=k, source_text=text, notes=tuple(notes))
 
 
 def _parse_raw(text):
@@ -406,18 +384,12 @@ def _parse_raw(text):
             notes.append("P is not squarefree in p: the equation is reducible; "
                          "the analysis below uses its squarefree part "
                          "(repeated factors removed)")
-        # the squarefree part is primitive in q already; P itself may not be
-        P_prim = primitive_in_q(P)
-        if P_prim is not P:
-            P = P_prim
-            notes.append(_CONTENT_NOTE)
-    resolved = None
-    if P.deg_p() == 1:
-        P, resolved = _resolve(
-            -P.coeff_in_p(0), P.coeff_in_p(1), notes,
-            _CONTENT_NOTE)
-    return EquationSpec(P=P, k=k, resolved=resolved, source_text=text,
-                        notes=tuple(notes))
+    # the squarefree part is primitive in q already; P itself may not be
+    P_prim = primitive_in_q(P)
+    if P_prim is not P:
+        P = P_prim
+        notes.append("common factor removed: P had a component constant in p")
+    return EquationSpec(P=P, k=k, source_text=text, notes=tuple(notes))
 
 
 # ---------------------------------------------------------------------------

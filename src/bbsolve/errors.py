@@ -34,10 +34,6 @@ class InconsistentResonance(BBError):
     """The resonant index meets a nonzero forced term: no series with this leading root."""
 
 
-class EmptyInventory(BBError):
-    """Degree bound requested but no Laurent germs exist."""
-
-
 class SingularEncounter(BBError):
     """Analytic continuation hit a branch point of the curve (dP/dp = 0 off-pole)."""
 

@@ -278,19 +278,16 @@ def _read_at(ls, root):
 
 
 def germs_for_pairs(eq, branches, pairs, notes, failure, **kwargs):
-    """Germs of every (branch id, n) pair and the (n, count) inventory; a pair
-    whose enumeration fails adds ``failure`` (formatted) to ``notes``."""
+    """The germs of every (branch id, n) pair, in order; a pair whose
+    enumeration fails adds ``failure`` (formatted) to ``notes``."""
     bmap = {b.id: b for b in branches}
-    germs, inventory = [], []
+    germs = []
     for bid, n in pairs:
         try:
-            found = enumerate_series(eq, bmap[bid], n, **kwargs)
+            germs.extend(enumerate_series(eq, bmap[bid], n, **kwargs))
         except BBError as exc:
             notes.append(failure.format(bid=bid, n=n, exc=exc))
-            continue
-        germs.extend(found)
-        inventory.append((n, len(found)))
-    return germs, inventory
+    return germs
 
 
 def _build_series(k, n, branch, root, c, N):

@@ -10,7 +10,7 @@ import pytest
 
 from bbsolve import classify
 from bbsolve.algebra import BigComplex, GaussianRational, UPoly, roots_univariate
-from bbsolve.cli import Options, analyze, cmd_classify, render_json
+from bbsolve.cli import Options, analyze, cmd_classify, render_json, render_text
 from bbsolve.classify import (PoleEvent, assemble_verdict, detect_periods,
                               match_exponential, match_monomial,
                               reconstruct_exponential, run_segment, sweep_poles,
@@ -18,7 +18,7 @@ from bbsolve.classify import (PoleEvent, assemble_verdict, detect_periods,
 from bbsolve.conditions import screen_admissibility
 from bbsolve.curve import branches_at_infinity
 from bbsolve.eqparse import parse_equation
-from bbsolve.errors import PrecisionExhausted
+from bbsolve.errors import DegenerateInput, PrecisionExhausted
 from bbsolve.series import enumerate_series
 
 F = Fraction
@@ -606,30 +606,18 @@ def _poly_at(coeffs, ypows, j):
 def _reference_taylor(flow, state, p0=None):
     """The direct quadratic-per-order Taylor recurrences, kept as an oracle
     that shares no series helper with the flow: every order j re-evaluates
-    the whole series of D(y) (resolved mode) or of P_q(p, y) (curve mode),
-    and every power of p and y up to deg P is built."""
+    the series of N(y) term by term (resolved mode) or the whole series of
+    P_q(p, y) (curve mode), and every power of p and y up to deg P is built."""
     k, M, fact = flow.k, flow.order, flow._fact
     Y = [state[i] / fact[i] for i in range(k)] + [0j] * (M - k + 1)
     if flow.resolved is not None:
-        Ncf, Dcf = flow.resolved
-        degmax = max(len(Ncf), len(Dcf)) - 1
+        Ncf = flow.resolved
         ypows = [[1.0 + 0j] + [0j] * M, Y] \
-            + [[0j] * (M + 1) for _ in range(max(degmax - 1, 0))]
-        W = [0j] * (M + 1)
-        D0 = Dcf[0]
+            + [[0j] * (M + 1) for _ in range(max(len(Ncf) - 2, 0))]
         for j in range(0, M - k + 1):
-            for d in range(2, degmax + 1):
+            for d in range(2, len(Ncf)):
                 ypows[d][j] = _conv(ypows[d - 1], Y, j)
-            if j == 0 and len(Dcf) > 1:
-                D0 = _poly_at(Dcf, ypows, 0)
-            Nj = _poly_at(Ncf, ypows, j)
-            if len(Dcf) == 1:
-                Wj = Nj / Dcf[0]
-            else:
-                Wj = (Nj - sum(_poly_at(Dcf, ypows, i) * W[j - i]
-                               for i in range(1, j + 1))) / D0
-            W[j] = Wj
-            Y[j + k] = Wj * fact[j] / fact[j + k]
+            Y[j + k] = _poly_at(Ncf, ypows, j) * fact[j] / fact[j + k]
         return Y, None
     dp = max(i for i, _, _ in flow.P_terms)
     dq = max(j for _, j, _ in flow.P_terms)
@@ -694,9 +682,13 @@ class TestTaylorFlow:
         assert rep["classification"]["label"] == "elliptic"
         assert len(built) == 1
 
+    # the last two read a mixed monomial p^i y^j (i, j >= 1) of dP/dp or
+    # dP/dq, and powers p^2 of the p series
     @pytest.mark.parametrize("text, y, yp", [
         ("P: p^2 - q^3 ; k=2", 1.3 + 0.4j, -0.6 + 0.9j),
         ("P: p^2 - 4*q^3 + 4*q ; k=1", 0.7 - 1.1j, None),
+        ("P: (p - q^3)^2 - 2*q^4 ; k=2", 0.6 + 0.5j, 0.3 - 0.8j),
+        ("P: p^3 - q^4 + 1 ; k=1", -0.9 + 0.4j, None),
     ])
     def test_curve_mode_matches_reference(self, text, y, yp):
         flow = _Flow(parse_equation(text))
@@ -707,15 +699,14 @@ class TestTaylorFlow:
         assert Y == Y_ref and Pser == Pser_ref
         assert any(c != 0 for c in Y[flow.k + 4:])
 
-    def test_resolved_mode_matches_reference(self):
-        # nonconstant denominator: the D(y) series enters every order
-        flow = _Flow(parse_equation("y'' = 4*y^3 + 1/y"))
-        assert len(flow.resolved[1]) > 1
-        state = (0.8 + 0.3j, -0.4 + 0.7j)
-        Y, Pser = flow.taylor(state)
-        Y_ref, _ = _reference_taylor(flow, state)
-        assert Pser is None and Y == Y_ref
-        assert any(c != 0 for c in Y[flow.k + 4:])
+    def test_resolved_mode_refuses_a_denominator(self):
+        # y^(k) = N/D with D nonconstant has no solution with a pole (the
+        # integrality screen), so no germ can seed a continuation on it
+        eq = parse_equation("y'' = 4*y^3 + 1/y")
+        with pytest.raises(DegenerateInput, match="nonconstant D"):
+            _Flow(eq)
+        with pytest.raises(DegenerateInput, match="nonconstant D"):
+            sweep_poles(eq, [])
 
     # the seven golden-corpus equations that run the pole sweep, two fixed
     # states each: (y, ..., y^(k-1)) and, in curve mode, a start for p
@@ -819,3 +810,22 @@ def test_split_double_lead_keeps_its_poles():
     # so the residue of p dq, is 0, which rules no pole out
     report, _code = analyze("P: (p - q^3)^2 - 2*q^4 ; k=2")
     assert report["classification"]["label"] not in ("none_with_pole", "entire_only")
+
+
+def test_lone_place_below_kappa_one_keeps_poles_possible():
+    # y = z + 1/z solves it: the pole maps to the kappa = 2 place, and
+    # z = infinity to the kappa = 0 place, the only place with kappa < 1
+    report, _code = analyze("P: q^2 - p*q^2 - p^2 + 4*p - 4 ; k=1")
+    assert report["conditions"]["pole_solutions_possible"]
+    assert report["classification"]["label"] not in ("none_with_pole", "entire_only")
+    assert [s["n"] for s in report["series"]] == [1]
+    assert "    coeffs: (1)*z^-1 + (1)*z^1" in render_text(report).splitlines()
+
+
+def test_two_places_below_kappa_one_rule_poles_out():
+    # kappa = 2 beside two kappa = -1 places: z = infinity reaches one place
+    report, code = analyze("P: p^3 + 4*p^2*q^2 - 1 ; k=1")
+    kappas = [b["kappa"] for b in report["branches"]]
+    assert kappas == ["2", "-1", "-1"] and code == 2
+    verdict = report["classification"]
+    assert (verdict["label"], verdict["confidence"]) == ("none_with_pole", "exact")

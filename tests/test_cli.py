@@ -75,6 +75,16 @@ class TestAnalyze:
         assert rep["input"]["canonical"] == "P: p^3 + p^2 - p*q - q ; k=1"
         assert any("squarefree" in w for w in rep["warnings"])
 
+    def test_text_report_prints_warnings_and_series_notes(self):
+        rep, _ = analyze("y'' = 6*y^3/y", Options(no_classify=True))
+        assert "warning: common factor cancelled from the right-hand side" \
+            in cli.render_text(rep).splitlines()
+        rep, _ = analyze("P: (p - q^2)^2 - q^3 ; k=1", Options(no_classify=True))
+        notes = [line for line in cli.render_text(rep).splitlines()
+                 if line.startswith("  series note: ")]
+        assert len(notes) == 1 and notes[0].startswith(
+            "  series note: branch b0, n=1: ramification 2 does not divide pole order 1")
+
     def test_every_numeric_value_carries_error(self):
         # c0 = 1/sqrt(2) is exact over Q(i)(eta); c0 = 2^(1/4) on a numeric
         # branch is a ball, and every ball carries its radius

@@ -2,13 +2,11 @@
 
 from fractions import Fraction
 
-import pytest
-
 from bbsolve.conditions import (attach_degree_bound, screen_admissibility,
                                 classify_kappa, degree_bound, residue_screen)
 from bbsolve.curve import branches_at_infinity, exactness_check
 from bbsolve.eqparse import parse_equation
-from bbsolve.errors import EmptyInventory
+from bbsolve.series import germs_for_pairs
 
 F = Fraction
 
@@ -110,19 +108,29 @@ class TestResidueScreen:
         assert any("skipped: k is odd" in n for n in rep2.notes)
 
 
+def germs_for(text):
+    eq, bs, rep = report_for(text, depth=16)
+    return germs_for_pairs(eq, bs, rep.admissible_pairs(), [], "{exc}", N=8)
+
+
 class TestDegreeBound:
     def test_single_germ(self):
-        assert degree_bound([(2, 1)]) == 2
+        germs = germs_for("y'' = 6*y^2")
+        assert [ls.n for ls in germs] == [2] and degree_bound(germs) == 2
 
     def test_two_simple_germs(self):
-        assert degree_bound([(1, 2)]) == 2
+        germs = germs_for("y'' = 2*y^3 - 2*y")
+        assert [ls.n for ls in germs] == [1, 1] and degree_bound(germs) == 2
 
-    def test_empty_inventory(self):
-        with pytest.raises(EmptyInventory):
-            degree_bound([(3, 0)])
+    def test_no_germs(self):
+        assert degree_bound([]) is None
+        _eq, _bs, rep = report_for("y'' = y^4")
+        rep2 = attach_degree_bound(rep, [])
+        assert rep2.degree_bound is None
+        assert rep2.notes[-1] == "degree bound undefined: no germs (entire-only)"
 
     def test_attach_notes(self):
         _eq, _bs, rep = report_for("y'' = 6*y^2")
-        rep2 = attach_degree_bound(rep, [(2, 1)])
+        rep2 = attach_degree_bound(rep, germs_for("y'' = 6*y^2"))
         assert rep2.degree_bound == 2
         assert any("heuristic degree bound 2" in n for n in rep2.notes)

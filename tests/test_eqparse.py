@@ -86,8 +86,10 @@ class TestParse:
     def test_linear_raw_detects_resolved(self):
         s = parse_equation("P: q*p - q^4 - 1 ; k=2")
         assert s.resolved is not None
-        N, D = s.resolved
-        assert upoly_str(N) == "q^3 + 1/q" or upoly_str(D) == "q"
+        assert [upoly_str(u) for u in s.resolved] == ["q^4 + 1", "q"]
+        # the resolved form is read off P, so a spec built from P alone has it
+        built = EquationSpec(P=s.P, k=2, source_text="")
+        assert built == s and built.resolved == s.resolved
 
 
 class TestCanonical:
@@ -113,15 +115,16 @@ class TestCanonical:
         P = BiPoly({ij: GaussianRational(re, im) for ij, (re, im) in terms.items()})
         if P.deg_p() < 1:
             return
-        spec = EquationSpec(P=P.normalized_pmajor(), k=k, resolved=None,
-                            source_text="<gen>")
-        if spec.P.deg_p() == 1:
-            return   # canonical raw parse re-derives resolved; compare P only
+        spec = EquationSpec(P=P.normalized_pmajor(), k=k, source_text="<gen>")
         back = parse_equation(canonical_string(spec))
         # the parser reduces P to its squarefree part (P itself if squarefree),
         # primitive in q
         assert back.P == primitive_in_q(squarefree_part_in_p(spec.P))
         assert back.k == spec.k
+        if back.resolved is not None:
+            # read off the primitive P: D monic and coprime to N
+            N, D = back.resolved
+            assert D.lc() == GaussianRational(1) and N.gcd(D).degree() == 0
 
     def test_roundtrip_resolved(self):
         for text in ("y'' = 6*y^2", "y''' = y", "y'' = y^3 + 1/y",
