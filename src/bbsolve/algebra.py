@@ -170,18 +170,7 @@ class GaussianRational:
         return _quotient(*o, self._a, self._b, self._d)
 
     def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = GaussianRational(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, GR_ONE)
 
     # -- conversions -----------------------------------------------------
     def to_mpc(self, prec=DEFAULT_PREC):
@@ -225,6 +214,22 @@ class GaussianRational:
 
 _set_a, _set_b, _set_d = (getattr(GaussianRational, slot).__set__
                           for slot in GaussianRational.__slots__)
+
+
+def _power(x, n, one):
+    """x^n for an int n by binary powering from ``one``, the 1 of x's own
+    type (so a ball power keeps the bits of x); x^-n is (1/x)^n."""
+    if not isinstance(n, int):
+        return NotImplemented
+    if n < 0:
+        return x.inverse() ** (-n)
+    while n:
+        if n & 1:
+            one = one * x
+        n >>= 1
+        if n:
+            x = x * x
+    return one
 
 
 def _gr(a, b, d):
@@ -426,18 +431,7 @@ class BigComplex:
         return 1 / self
 
     def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = _ball(_MPC_ONE, fzero, self.prec, None)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, _ball(_MPC_ONE, fzero, self.prec, None))
 
     def root(self, b, index=0):
         """One b-th root (mpmath determination rotated by the index-th unit root)."""
@@ -700,20 +694,8 @@ class AlgebraicNumber:
         return self.inverse() * other
 
     def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
         g = self._emb.g
-        out = _alg_raw([1] + [0] * (g - 1), [0] * g, 1, self._emb)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return _power(self, n, _alg_raw([1] + [0] * (g - 1), [0] * g, 1, self._emb))
 
     # -- conversions -----------------------------------------------------
     def __complex__(self):

@@ -17,7 +17,9 @@ proves nothing and leaves the verdict undetermined unless an exact rational
 solution is certified.  A continuation segment (run_segment) reaches its
 target within 1e-9 (1 + its length) or raises ToleranceLoss: the sweep drops
 that ray but keeps the poles it recorded, and its state probe answers None.
-classify_equation runs this whole policy on one screened equation.
+classify_equation runs this whole policy on one screened equation; it reads
+the equation and the screen's report only, and the screen alone decides
+whether the first integral of an even-k equation is certified.
 
 Numeric verdicts are labelled confidence="numeric"; only back-substituted
 identities are "exact".
@@ -254,29 +256,40 @@ def _pade_in_w(Y, n, dn, db):
 
 def _certify_exponential(eq, a_k, A, B):
     """Exact back-substitution of y = A(w)/B(w), w = e^(az), into the resolved
-    form y^(k) = N(y)/D(y), given a^k exactly.
+    form y^(k) = N(y), given a^k exactly.
 
     With Theta = w d/dw, y^(k) = a^k Theta^k (A/B) = a^k T_k / B^(k+1), where
-    T_0 = A and T_(j+1) = w (T_j' B - (j + 1) T_j B').  Clearing denominators
-    with N~ = B^(deg N) N(A/B) and D~ = B^(deg D) D(A/B), the equation holds
-    exactly when a^k T_k D~ B^(deg N) == N~ B^(k + 1 + deg D); the common
-    power of B is cancelled first, so its exponent may land on either side.
+    T_0 = A and T_(j+1) = w (T_j' B - (j + 1) T_j B').  With
+    N~ = B^(deg N) N(A/B), the equation holds exactly when
+    a^k T_k B^(deg N) == N~ B^(k + 1); the common power of B is cancelled
+    first, so its exponent may land on either side.  A nonconstant D is
+    refused, as in _Flow.
     """
     if eq.resolved is None:
         return False
-    N, D = eq.resolved
+    N = _polynomial_rhs(eq, "closed form")
     w, dB = UPoly.monomial(1), B.derivative()
     T = A
     for j in range(eq.k):
         T = w * (T.derivative() * B - T * dB * (j + 1))
-    lhs = T * _homogenised(D, A, B) * a_k
+    lhs = T * a_k
     rhs = _homogenised(N, A, B)
-    excess = eq.k + 1 + D.degree() - N.degree()
+    excess = eq.k + 1 - N.degree()
     for _ in range(excess):
         rhs = rhs * B
     for _ in range(-excess):
         lhs = lhs * B
     return lhs == rhs
+
+
+def _polynomial_rhs(eq, what):
+    """N of the resolved form y^(k) = N(y).  A nonconstant D has no solution
+    with a pole (the integrality screen), so no germ leads to ``what`` on it."""
+    N, D = eq.resolved
+    if D.degree() > 0:
+        raise DegenerateInput(f"{what} of y^(k) = N(y)/D(y) with nonconstant D: "
+                              "no solution has a pole")
+    return N
 
 
 def _homogenised(U, A, B):
@@ -367,38 +380,34 @@ class _Flow:
 
     Resolved mode integrates y^(k) = N(y) on the state (y, y', ..., y^(k-1)):
     a nonconstant D has no solution with a pole (the integrality screen), so
-    no germ leads here and such an equation is refused.  General mode
-    carries p along with p' = -(dP/dq / dP/dp) y' and projects P(p, y) ~ 0
-    each step.
+    no germ leads here and such an equation is refused.  For even k it
+    carries the first integral Phi_k(y) = s(y) + c with s = integral of N dy,
+    read off the equation.  General mode carries p along with
+    p' = -(dP/dq / dP/dp) y' and projects P(p, y) ~ 0 each step.
     """
 
-    def __init__(self, eq, tol=DEFAULT_TRAJ_TOL, first_integral=None):
+    def __init__(self, eq, tol=DEFAULT_TRAJ_TOL):
         self.k = eq.k
         self.tol = tol
         self.order = max(22, eq.k + 6)
         self.resolved = None
+        # complex coefficients of s(y) for even k in resolved mode; the
+        # constant c is pinned by anchor_first_integral
+        self.fi = None
+        self.fi_c = None
         if eq.resolved is not None:
-            N, D = eq.resolved
-            if D.degree() > 0:
-                raise DegenerateInput("continuation of y^(k) = N(y)/D(y) with "
-                                      "nonconstant D: no solution has a pole")
+            N = _polynomial_rhs(eq, "continuation")
             self.resolved = [complex(c) for c in N.coeffs]
             # the (degree, coefficient) pairs of N that _poly_series reads
             self._nonzero = [(d, c) for d, c in enumerate(self.resolved) if c != 0]
+            if self.k % 2 == 0:
+                self.fi = [complex(c) for c in N.integrate().coeffs]
         self.P_terms = [(i, j, complex(c)) for (i, j), c in sorted(eq.P.terms.items())]
         Pp = eq.P.partial_p()
         Pq = eq.P.partial_q()
         self.Pp_terms = [(i, j, complex(c)) for (i, j), c in sorted(Pp.terms.items())]
         self.Pq_terms = [(i, j, complex(c)) for (i, j), c in sorted(Pq.terms.items())]
         self._fact = [math.factorial(i) for i in range(self.order + self.k + 2)]
-        # first-integral projection data: (s_num, s_den) complex coefficient
-        # lists for s(y); the constant is pinned by anchor_first_integral
-        self.fi = None
-        self.fi_c = None
-        if first_integral is not None and self.k % 2 == 0:
-            sN, sD = first_integral
-            self.fi = ([complex(c) for c in sN.coeffs] or [0j],
-                       [complex(c) for c in sD.coeffs] or [1.0 + 0j])
 
     def phi_value(self, state):
         """Phi_k evaluated on (y, y', ..., y^(k-1))."""
@@ -413,14 +422,11 @@ class _Flow:
         return acc
 
     def s_value(self, y):
-        sN, sD = self.fi
-        nv = 0j
-        for c in reversed(sN):
-            nv = nv * y + c
-        dv = 0j
-        for c in reversed(sD):
-            dv = dv * y + c
-        return nv / dv
+        """s(y) = integral of N dy, without the constant c."""
+        acc = 0j
+        for c in reversed(self.fi):
+            acc = acc * y + c
+        return acc
 
     def anchor_first_integral(self, germ):
         """Pin the first-integral constant on a point of ``germ`` near its pole."""
@@ -748,8 +754,7 @@ def _record_event(events, ev):
     events.append(ev)
 
 
-def sweep_poles(eq, germ_family, tol=DEFAULT_TRAJ_TOL, budget=13,
-                first_integral=None):
+def sweep_poles(eq, germ_family, tol=DEFAULT_TRAJ_TOL, budget=13):
     """Breadth-first pole hunt around the seed pole at 0.
 
     Probes 8 rays from every discovered pole, 70 rays at most; each ray is
@@ -759,7 +764,7 @@ def sweep_poles(eq, germ_family, tol=DEFAULT_TRAJ_TOL, budget=13,
     z -> (y, ..., y^(k-1)), or None where germ-anchored continuation on the
     flow anchored on the seed germ cannot reach z.
     """
-    flow = _Flow(eq, tol, first_integral=first_integral)
+    flow = _Flow(eq, tol)
     germs = [germ_numeric(ls, f"g{i}") for i, ls in enumerate(germ_family)]
     by_id = {g.germ_id: g for g in germs}
     flow.anchor_first_integral(germs[0])
@@ -1007,20 +1012,20 @@ class ClassificationVerdict:
             raise DegenerateInput(f"unknown verdict label {self.label!r}")
 
 
-def classify_equation(eq, report, branches, ev, mono, c, N, tol, precision):
-    """The verdict on a screened equation, given its exactness verdict ``ev``
-    and match_monomial's result ``mono``.  The germs of index N at
-    first-integral constant c (1 for even k when c is None) first meet every
-    multiplier the resolved form admits: a closed form R(e^(az)) certified on
-    any germ, the seed germ first, decides the verdict exactly.  Otherwise the
-    pole sweep continues those germs and a verified lattice decides it
-    numerically."""
+def classify_equation(eq, report, branches, mono, c, N, tol, precision):
+    """The verdict on a screened equation, given match_monomial's result
+    ``mono``.  For even k the continuation runs only where the screen
+    requires, and so has certified, the first integral.  The germs of index N
+    at first-integral constant c (1 for even k when c is None) first meet
+    every multiplier the resolved form admits: a closed form R(e^(az))
+    certified on any germ, the seed germ first, decides the verdict exactly.
+    Otherwise the pole sweep continues those germs and a verified lattice
+    decides it numerically."""
     notes, expo, pr, events = [], [], None, ()
     if report.kappa_one_count >= 1:
         expo = match_exponential(eq, notes=notes)
     even, family = eq.k % 2 == 0, []
-    certified = report.exactness_required and ev.exact
-    if report.pole_solutions_possible and even and not certified:
+    if report.pole_solutions_possible and even and not report.exactness_required:
         notes.append("numeric continuation skipped: no certified first integral")
     elif report.pole_solutions_possible:
         c = GR_ONE if c is None and even else c
@@ -1045,9 +1050,8 @@ def classify_equation(eq, report, branches, ev, mono, c, N, tol, precision):
     if closed is not None:
         expo.append(closed)
     elif family:
-        fi = ev.s_rational if (ev.mode == "resolved" and ev.exact) else None
         try:
-            found, probe = sweep_poles(eq, family, tol=tol, first_integral=fi)
+            found, probe = sweep_poles(eq, family, tol=tol)
             pr, events = detect_periods(found, state_probe=probe), tuple(found)
         except BBError as exc:
             notes.append(f"numeric continuation failed: {exc}")

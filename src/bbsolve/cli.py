@@ -172,7 +172,7 @@ def analyze(equation, opts=None):
     ev = exactness_check(branches, resolved=eq.resolved, precision=opts.precision)
     if ev.mode == "general":
         assumptions.append("genus-0 assumed for the exactness verdict (general mode)")
-    report = residue_screen(report, ev, eq.k)
+    report = residue_screen(report, ev)
     t2 = clock()
 
     germ_notes = []
@@ -189,7 +189,7 @@ def analyze(equation, opts=None):
     # EXPECTED_SPANS["screen_fuzz"] needs its span (ROADMAP's benchmark list)
     mono = match_monomial(eq)
     verdict = None if opts.no_classify else classify_equation(
-        eq, report, branches, ev, mono, opts.c, N_traj, opts.tol, opts.precision)
+        eq, report, branches, mono, opts.c, N_traj, opts.tol, opts.precision)
     t4 = clock()
     out = _build_report(eq, opts, depth, assumptions, warnings, polygon,
                         branches, ev, report, germs, orders, germ_notes, verdict)

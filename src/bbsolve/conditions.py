@@ -129,7 +129,7 @@ def screen_admissibility(k, branches, leading_p_coeff_constant=True):
     )
 
 
-def residue_screen(report, verdict, k):
+def residue_screen(report, verdict):
     """Apply the residue obstruction to an admissibility report.
 
     Hypotheses: k even and at most one kappa=1 place.  When they fail the
@@ -138,7 +138,7 @@ def residue_screen(report, verdict, k):
     a certified nonzero residue, pole-bearing solutions are impossible.
     """
     notes = list(report.notes)
-    if k % 2 == 1:
+    if report.k % 2 == 1:
         notes.append("residue screen skipped: k is odd (first-integral bracket "
                      "requires even k)")
         return replace(report, residue_screen_ran=False, notes=tuple(notes))

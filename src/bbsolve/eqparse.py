@@ -108,7 +108,7 @@ def _tokenize(text):
     return toks
 
 
-def _num_to_fraction(text, pos):
+def _num_to_fraction(text):
     if "." in text:
         whole, frac = text.split(".")
         denom = 10 ** len(frac)
@@ -250,7 +250,7 @@ class _Parser:
     def parse_atom(self):
         kind, v, at = self.next()
         if kind == "NUM":
-            return _const(GaussianRational(_num_to_fraction(v, at)))
+            return _const(GaussianRational(_num_to_fraction(v)))
         if kind == "NAME":
             if v in self.variables:
                 return self._variable(v, at)

@@ -234,12 +234,9 @@ def test_criterion_08_elliptic_detection():
         eq = parse_equation(text)
         branches = branches_at_infinity(eq.P, depth=48)
         germs = enumerate_series(eq, branches[0], n, c=c, N=24)
-        fi = None
         if eq.resolved is not None and eq.k % 2 == 0:
-            ev = exactness_check(branches, resolved=eq.resolved)
-            assert ev.exact
-            fi = ev.s_rational
-        events, probe = sweep_poles(eq, germs, budget=12, first_integral=fi)
+            assert exactness_check(branches, resolved=eq.resolved).exact
+        events, probe = sweep_poles(eq, germs, budget=12)
         assert len(events) >= 8
         pr = detect_periods(events, tol=1e-4, state_probe=probe)
         assert pr.rank == 2 and pr.verified, text

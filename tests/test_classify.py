@@ -220,7 +220,7 @@ class TestEvenOrderClosedForm:
 
 
 class TestExponentialCertificate:
-    """_certify_exponential: y = A(w)/B(w), w = e^(az), against y^(k) = N/D."""
+    """_certify_exponential: y = A(w)/B(w), w = e^(az), against y^(k) = N(y)."""
 
     CASES = [
         # y = -coth z = -(w + 1)/(w - 1), w = e^(2z): a^k = 2, k = 1
@@ -243,6 +243,12 @@ class TestExponentialCertificate:
         bent = A + GaussianRational(F(1, 3))
         assert not _certify_exponential(parse_equation(text), GaussianRational(a_k),
                                         bent, B)
+
+    def test_refuses_a_denominator(self):
+        # a nonconstant D has no solution with a pole (the integrality screen)
+        eq = parse_equation("y'' = 4*y^3 + 1/y")
+        with pytest.raises(DegenerateInput, match="nonconstant D"):
+            _certify_exponential(eq, GaussianRational(4), UPoly([-1, 1]), UPoly([1, 1]))
 
     def test_power_of_b_on_the_left(self):
         # y' = y^3: deg N = 3 exceeds k + 1 + deg D = 2
@@ -556,13 +562,10 @@ class TestEquianharmonicSymmetry:
         # y'' = 6y^2 at c = 1 integrates to y'^2 = 4y^3 + 2: the cubic has
         # g2 = 0, so the pole lattice must be hexagonal: |ratio| = 1 and
         # Re(ratio) = +-1/2 exactly in the limit
-        from bbsolve.curve import exactness_check
         eq = parse_equation("y'' = 6*y^2")
         bs = branches_at_infinity(eq.P, depth=40)
         germ, = enumerate_series(eq, bs[0], 2, c=GaussianRational(1), N=24)
-        ev = exactness_check(bs, resolved=eq.resolved)
-        events, probe = sweep_poles(eq, [germ], budget=12,
-                                    first_integral=ev.s_rational)
+        events, probe = sweep_poles(eq, [germ], budget=12)
         pr = detect_periods(events, state_probe=probe)
         assert pr.rank == 2 and pr.verified
         assert abs(abs(pr.ratio) - 1) < 1e-6
@@ -574,13 +577,10 @@ class TestScaledLattice:
         # y'' = 600 y^2 - 200 is the lemniscatic equation contracted by 10:
         # every absolute threshold in the sweep must rescale off the germ
         import mpmath
-        from bbsolve.curve import exactness_check
         eq = parse_equation("y'' = 600*y^2 - 200")
         bs = branches_at_infinity(eq.P, depth=40)
         germs = enumerate_series(eq, bs[0], 2, c=GaussianRational(0), N=24)
-        ev = exactness_check(bs, resolved=eq.resolved)
-        events, probe = sweep_poles(eq, germs, budget=12,
-                                    first_integral=ev.s_rational)
+        events, probe = sweep_poles(eq, germs, budget=12)
         pr = detect_periods(events, state_probe=probe)
         assert pr.rank == 2 and pr.verified
         want = float(mpmath.pi / mpmath.agm(mpmath.sqrt(2), 1)) / 10
@@ -698,6 +698,12 @@ class TestTaylorFlow:
         Y_ref, Pser_ref = _reference_taylor(flow, state, p)
         assert Y == Y_ref and Pser == Pser_ref
         assert any(c != 0 for c in Y[flow.k + 4:])
+
+    def test_first_integral_read_off_the_equation(self):
+        # y'' = 6 y^2: s = integral of 6 y^2 dy = 2 y^3
+        assert _Flow(parse_equation("y'' = 6*y^2")).s_value(2) == 16
+        for text in ("y' = y^2 - 1", "y''' = y", "P: p^2 - q^3 ; k=2"):
+            assert _Flow(parse_equation(text)).fi is None, text
 
     def test_resolved_mode_refuses_a_denominator(self):
         # y^(k) = N/D with D nonconstant has no solution with a pole (the

@@ -754,6 +754,28 @@ class TestModuleEntryPoint:
                       if (a.asname or a.name).split(".")[0] not in read]
             assert unread == [], f"{name}: imported and never read: {unread}"
 
+    def test_every_parameter_is_read(self):
+        # a parameter no body reads is an argument every caller passes for
+        # nothing; self, cls, *args, **kwargs and names that start with an
+        # underscore are exempt
+        pkg = os.path.join(SRC, "bbsolve")
+        for name in sorted(os.listdir(pkg)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(pkg, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            unread = []
+            for fn in ast.walk(tree):
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+                unread += [(fn.lineno, fn.name, a.arg) for a in args
+                           if a.arg not in read and a.arg not in ("self", "cls")
+                           and not a.arg.startswith("_")]
+            assert unread == [], f"{name}: parameters never read: {unread}"
+
     def test_only_algebra_imports_mpmath(self):
         # the ball kernel works on raw mpmath.libmp tuples at fixed working
         # precisions; keeping mpmath inside algebra.py keeps that kernel there

@@ -2,11 +2,15 @@
 
 from fractions import Fraction
 
+import pytest
+
+from bbsolve.cli import Options, _prepare
 from bbsolve.conditions import (attach_degree_bound, screen_admissibility,
                                 classify_kappa, degree_bound, residue_screen)
 from bbsolve.curve import branches_at_infinity, exactness_check
 from bbsolve.eqparse import parse_equation
 from bbsolve.series import germs_for_pairs
+from test_acceptance import GOLDEN_CORPUS
 
 F = Fraction
 
@@ -88,7 +92,7 @@ class TestResidueScreen:
     def test_obstruction(self):
         eq, bs, rep = report_for("y'' = 4*y^3 + 1/y")
         ev = exactness_check(bs, resolved=eq.resolved)
-        rep2 = residue_screen(rep, ev, eq.k)
+        rep2 = residue_screen(rep, ev)
         assert rep2.residue_obstruction
         assert not rep2.pole_solutions_possible
         assert any("residue obstruction" in n for n in rep2.notes)
@@ -96,14 +100,26 @@ class TestResidueScreen:
     def test_passes_for_polynomial(self):
         eq, bs, rep = report_for("y'' = 6*y^2")
         ev = exactness_check(bs, resolved=eq.resolved)
-        rep2 = residue_screen(rep, ev, eq.k)
+        rep2 = residue_screen(rep, ev)
         assert rep2.residue_screen_ran and not rep2.residue_obstruction
         assert rep2.pole_solutions_possible
+
+    # classify_equation gates the even-k continuation on exactness_required
+    # alone: a report the screen leaves open must mean p dq is exact
+    @pytest.mark.parametrize("text", GOLDEN_CORPUS + [
+        "P: (p - q^3)^2 - 2*q^4 ; k=2", "P: p^2 - 2*q^6 ; k=2",
+        "y'''' = 120*y^3 - 72*y"])
+    def test_open_report_means_exact(self, text):
+        eq, _notes, _polygon, _depth, bs, rep = _prepare(text, Options())
+        ev = exactness_check(bs, resolved=eq.resolved)
+        rep2 = residue_screen(rep, ev)
+        if rep2.pole_solutions_possible and rep2.exactness_required:
+            assert rep2.residue_screen_ran and ev.exact
 
     def test_odd_k_skipped_with_note(self):
         eq, bs, rep = report_for("P: p^2 - 4*q^3 + 4*q ; k=1")
         ev = exactness_check(bs, resolved=eq.resolved)
-        rep2 = residue_screen(rep, ev, eq.k)
+        rep2 = residue_screen(rep, ev)
         assert not rep2.residue_screen_ran
         assert any("skipped: k is odd" in n for n in rep2.notes)
 
