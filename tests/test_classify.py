@@ -798,6 +798,15 @@ VERDICT_PATH_SHA256 = {
     # none_with_pole with the "no exact exponential match" note
     "y' = -6*y^1 + -9 + -6/y^2":
         "90c9c5bc15d30520bfdb22ff3316a9ed9c9c8079e2aa735bf26cee6ee8943f95",
+    # rational (exact): the monomial y = 6/z^2 overrules the screen
+    "P: (p - q^2)*(p^3 - q^7) ; k=2":
+        "439fa6b99fd3cbf283034141ba70d727918a71993724c3e720bd1202de1ffc5f",
+    # undetermined: no certified first integral, so no continuation
+    "P: (p - q)*(p + q)*(p - q^2 - 1) ; k=2":
+        "90d15c5c4746e11cd440ac09ec2bd736ea82f41719282af78fa1eaed3fa55f34",
+    # rational_in_exponential (exact): the closed form certified on a later germ
+    "y''' = -6*y^4 + 8*y^2 - 2":
+        "7359350d03c0c4583e0ca4338f3eab4326e819f73ff72aace470e2e79246ddd3",
 }
 
 
