@@ -74,8 +74,9 @@ def default_depth(k, polygon, base=None, germ_N=()):
 
 
 def _at_least(name, value, low):
-    """``value`` when it is None or an integer >= low; BBError otherwise."""
-    if value is not None and (not isinstance(value, int) or value < low):
+    """``value`` when it is None or an int (not a bool) >= low; BBError otherwise."""
+    if value is not None and (not isinstance(value, int) or isinstance(value, bool)
+                              or value < low):
         raise BBError(f"{name} must be an integer >= {low}, got {value!r}")
     return value
 
@@ -98,9 +99,13 @@ class Options:
         self.c = GaussianRational(c) if isinstance(c, (int, Fraction)) else c
         self.N = _at_least("N", N, 0)
         self.depth = _at_least("depth", depth, 1)
-        if not (isinstance(tol, (int, float)) and 0 < tol < math.inf):
+        if isinstance(tol, bool) or not (isinstance(tol, (int, float))
+                                         and 0 < tol < math.inf):
             raise BBError(f"tol must be a finite number > 0, got {tol!r}")
         self.tol = tol
+        for name, switch in (("no_classify", no_classify), ("diagnostics", diagnostics)):
+            if not isinstance(switch, bool):
+                raise BBError(f"{name} must be True or False, got {switch!r}")
         self.no_classify = no_classify
         if fmt not in _FORMATS:
             raise BBError(f"fmt must be one of {', '.join(_FORMATS)}, got {fmt!r}")

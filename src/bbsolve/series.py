@@ -256,8 +256,9 @@ def enumerate_series(eq, branch, n, c=None, N=None, precision=DEFAULT_PREC,
 
 
 def check_constant(c):
-    """BBError unless the first-integral constant ``c`` is None or exact."""
-    if not (c is None or is_exact(c)):
+    """BBError unless the first-integral constant ``c`` is None or exact (a
+    bool is not a number here)."""
+    if isinstance(c, bool) or not (c is None or is_exact(c)):
         raise BBError(f"c must be None or an exact number, got {c!r}")
 
 

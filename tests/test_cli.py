@@ -139,7 +139,7 @@ class TestAnalyze:
         want, _ = analyze("y'' = 6*y^2", Options(c=GaussianRational(1)))
         assert rep == want and rep["settings"]["c"] == "1"
 
-    @pytest.mark.parametrize("c", [0.5, 1j, "abc", "default", "free"])
+    @pytest.mark.parametrize("c", [0.5, 1j, "abc", "default", "free", True])
     def test_library_inexact_constant_rejected(self, c):
         with pytest.raises(BBError, match="c must be"):
             analyze("y'' = 6*y^2", Options(c=c))
@@ -153,6 +153,15 @@ class TestAnalyze:
     def test_unknown_format_rejected(self):
         with pytest.raises(BBError, match="fmt must be"):
             Options(fmt="xml")
+
+    @pytest.mark.parametrize("setting", [
+        {"no_classify": "no"}, {"no_classify": 0}, {"diagnostics": "yes"},
+        {"diagnostics": None}, {"N": True}, {"precision": True}, {"depth": True},
+        {"n": True}, {"tol": True}])
+    def test_bool_and_switch_settings_rejected(self, setting):
+        # a switch is a bool, and a bool is not a count or a tolerance
+        with pytest.raises(BBError, match="must be"):
+            Options(**setting)
 
     def test_no_classify_skips_exponential_matcher(self, monkeypatch):
         calls = []
