@@ -20,8 +20,8 @@ from .conditions import (ConditionsReport, screen_admissibility, degree_bound,
 from .series import (FREE, LaurentSeries, ZSeries, bracket_phi,
                      enumerate_series, pinning_coefficient, recurrence_bracket,
                      verify_series)
-from .classify import (ClassificationVerdict, assemble_verdict, detect_periods,
-                       match_exponential, match_monomial, sweep_poles)
+from .classify import (ClassificationVerdict, detect_periods, match_exponential,
+                       match_monomial, sweep_poles)
 from .cli import analyze
 
 __all__ = [
@@ -32,7 +32,7 @@ __all__ = [
     "ConditionsReport", "screen_admissibility", "degree_bound", "residue_screen",
     "FREE", "LaurentSeries", "ZSeries", "bracket_phi", "enumerate_series",
     "pinning_coefficient", "recurrence_bracket", "verify_series",
-    "ClassificationVerdict", "assemble_verdict",
-    "detect_periods", "match_exponential", "match_monomial", "sweep_poles",
+    "ClassificationVerdict", "detect_periods", "match_exponential",
+    "match_monomial", "sweep_poles",
     "analyze",
 ]

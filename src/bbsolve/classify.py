@@ -12,14 +12,16 @@ no closed form is certified: high-order Taylor continuation of the germ
 through the plane, pole crossing by matching the exact Laurent germ near
 each pole, and a lattice fit on the recorded pole set.  Two independent
 periods with nonreal ratio mean elliptic, one period rational in e^(az),
-both numerically.  A single non-recurring pole on a finite probe
-proves nothing and leaves the verdict undetermined unless an exact rational
-solution is certified.  A continuation segment (run_segment) reaches its
-target within 1e-9 (1 + its length) or raises ToleranceLoss: the sweep drops
-that ray but keeps the poles it recorded, and its state probe answers None.
-classify_equation runs this whole policy on one screened equation; it reads
-the equation and the screen's report only, and the screen alone decides
-whether the first integral of an even-k equation is certified.
+both numerically.  A continuation segment (run_segment) reaches its target
+within 1e-9 (1 + its length) or raises ToleranceLoss: the sweep drops that
+ray but keeps the poles it recorded, and its state probe answers None.
+classify_equation runs this policy on one screened equation as one chain
+whose first route that holds returns the verdict: the screen (overruled
+only by an exact monomial solution), a certified closed form R(e^(az)), a
+verified rank-2 then rank-1 lattice, the monomial solution, else
+undetermined.  It reads the equation and the screen's report only, and the
+screen alone decides whether the first integral of an even-k equation is
+certified.
 
 Numeric verdicts are labelled confidence="numeric"; only back-substituted
 identities are "exact".
@@ -993,7 +995,7 @@ def _verify_period(state_probe, pts, T):
 
 
 # ---------------------------------------------------------------------------
-# verdict assembly
+# the decision chain
 # ---------------------------------------------------------------------------
 
 LABELS = ("rational", "rational_in_exponential", "elliptic", "entire_only",
@@ -1014,20 +1016,41 @@ class ClassificationVerdict:
 
 def classify_equation(eq, report, branches, mono, c, N, tol, precision):
     """The verdict on a screened equation, given match_monomial's result
-    ``mono``.  For even k the continuation runs only where the screen
-    requires, and so has certified, the first integral.  The germs of index N
-    at first-integral constant c (1 for even k when c is None) first meet
-    every multiplier the resolved form admits: a closed form R(e^(az))
-    certified on any germ, the seed germ first, decides the verdict exactly.
-    Otherwise the pole sweep continues those germs and a verified lattice
-    decides it numerically."""
-    notes, expo, pr, events = [], [], None, ()
-    if report.kappa_one_count >= 1:
-        expo = match_exponential(eq, notes=notes)
+    ``mono``: the first route that holds returns it.
+
+    1. The screen, exact, unless an exact monomial solution overrules it (the
+       screen assumes P irreducible; a back-substituted pole is a proof).
+    2. A closed form R(e^(az)) with a pole, exact with period 2 pi i/a, on a
+       germ of index N at first-integral constant c (1 for even k when c is
+       None), the seed germ first, for a multiplier a the resolved form
+       admits.  For even k the germs exist only where the screen requires,
+       and so has certified, the first integral.
+    3. A verified lattice of the poles the sweep continues those germs to:
+       rank 2 elliptic, then rank 1 rational in e^(az), both numeric.
+    4. An exact monomial solution: rational.
+    5. Undetermined, with the pole count and why the fit failed: one pole on
+       a finite probe, or poles on no verified lattice, prove nothing.
+
+    The evidence lists the notes, the exact solutions, then the deciding line."""
+    notes = []
+    expo = match_exponential(eq, notes=notes) if report.kappa_one_count >= 1 else []
+    exact = (["exact monomial solution: " + m.describe() for m in mono]
+             + ["exact exponential solution: " + m.describe() for m in expo])
+
+    def verdict(label, confidence, *found, periods=()):
+        return ClassificationVerdict(label, confidence, tuple(notes + exact) + found, periods)
+
+    rational = "single-term pole germ solves the equation exactly"
+    screen = report.screen_label()
+    if screen is not None:
+        if not mono:
+            return verdict(screen, "exact")
+        return verdict("rational", "exact", f"screening verdict {screen} overruled "
+                       "by the exact monomial solution", rational)
     even, family = eq.k % 2 == 0, []
-    if report.pole_solutions_possible and even and not report.exactness_required:
+    if even and not report.exactness_required:
         notes.append("numeric continuation skipped: no certified first integral")
-    elif report.pole_solutions_possible:
+    else:
         c = GR_ONE if c is None and even else c
         family = germs_for_pairs(
             eq, branches, report.admissible_pairs(), notes,
@@ -1048,75 +1071,35 @@ def classify_equation(eq, report, branches, mono, c, N, tol, precision):
         how = "numeric continuation" if closed is None else "exact closed form"
         notes.append(f"{how} at first-integral constant c={gaussian_str(c)}")
     if closed is not None:
-        expo.append(closed)
-    elif family:
+        T = 2j * cmath.pi / complex(a)
+        return verdict("rational_in_exponential", "exact",
+                       "exact exponential solution: " + closed.describe(),
+                       f"period 2*pi*i/a: T={T:.9g}", periods=(T,))
+    pr, events = None, ()
+    if family:
         try:
             found, probe = sweep_poles(eq, family, tol=tol)
-            pr, events = detect_periods(found, state_probe=probe), tuple(found)
+            pr, events = detect_periods(found, state_probe=probe), found
         except BBError as exc:
             notes.append(f"numeric continuation failed: {exc}")
-    return assemble_verdict(report, mono, expo, pr, pole_events=events,
-                            notes=notes)
-
-
-def assemble_verdict(report, mono_matches=(), exp_matches=(),
-                     period_result=None, pole_events=(), notes=()):
-    """Combine screening, exact matches, and numeric period evidence.
-
-    Priority: screening failures, unless an exact monomial solution (a
-    back-substituted pole) overrules the screen; then a certified closed
-    form R(e^(az)) with a pole (R's denominator nonconstant), exact with
-    period 2 pi i/a; then verified periods (numeric); then exact monomials;
-    else undetermined.  A single non-recurring pole with no certified exact
-    match is kept as evidence only: one pole on a finite probe is not a
-    rational solution.  So are two or more poles without a verified lattice.
-    """
-    evidence = list(notes)
-    evidence += ["exact monomial solution: " + m.describe() for m in mono_matches]
-    evidence += ["exact exponential solution: " + m.describe() for m in exp_matches]
-
-    def verdict(label, confidence, *found, periods=()):
-        return ClassificationVerdict(label=label, confidence=confidence,
-                                     evidence=tuple(evidence) + found,
-                                     periods=periods)
-
-    if not report.pole_solutions_possible:
-        label = "none_with_pole" if (report.residue_obstruction
-                                     or not report.integrality_ok) else "entire_only"
-        if label == "entire_only" and report.admissible_n:
-            label = "none_with_pole"
-        if not mono_matches:
-            return verdict(label, "exact")
-        # the screen assumes P irreducible; a back-substituted pole is a proof
-        evidence.append(f"screening verdict {label} overruled by the exact "
-                        "monomial solution")
-    poled = [m for m in exp_matches if m.R_den.degree() > 0]
-    if poled:
-        # a certified closed form with a pole has a_poly = a - a0
-        T = 2j * cmath.pi / complex(-poled[0].a_poly[0])
-        return verdict("rational_in_exponential", "exact",
-                       f"period 2*pi*i/a: T={T:.9g}", periods=(T,))
-    pr = period_result
-    if pr is not None and pr.rank == 2 and pr.verified:
-        return verdict("elliptic", "numeric",
-                       f"rank-2 pole lattice: T1={pr.periods[0]:.9g}, "
-                       f"T2={pr.periods[1]:.9g}, ratio={pr.ratio:.9g}",
-                       periods=pr.periods)
-    if pr is not None and pr.rank == 1 and pr.verified:
+    if pr is not None and pr.verified:
+        if pr.rank == 2:
+            return verdict("elliptic", "numeric",
+                           f"rank-2 pole lattice: T1={pr.periods[0]:.9g}, "
+                           f"T2={pr.periods[1]:.9g}, ratio={pr.ratio:.9g}",
+                           periods=pr.periods)
         return verdict("rational_in_exponential", "numeric",
                        f"rank-1 pole lattice: T={pr.periods[0]:.9g}",
                        periods=pr.periods)
-    if mono_matches:
-        return verdict("rational", "exact",
-                       "single-term pole germ solves the equation exactly")
-    if len(pole_events) == 1:
+    if mono:
+        return verdict("rational", "exact", rational)
+    if len(events) == 1:
         return verdict("undetermined", "heuristic",
                        "continuation found a single non-recurring pole; "
                        "no exact rational solution certified")
-    if len(pole_events) >= 2 and pr is not None:
+    if events:
         refused = ", not confirmed by the state probe" if pr.rank else ""
         return verdict("undetermined", "heuristic",
-                       f"continuation found {len(pole_events)} poles but no "
+                       f"continuation found {len(events)} poles but no "
                        f"verified lattice: {pr.detail}{refused}")
     return verdict("undetermined", "heuristic")
-

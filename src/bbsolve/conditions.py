@@ -51,6 +51,16 @@ class ConditionsReport:
         return [(bc.branch_id, bc.n) for bc in self.per_branch
                 if bc.label == "kappa_one_plus_k_over_n"]
 
+    def screen_label(self):
+        """None while poles stay possible; else "entire_only" when P passes
+        the integrality screen and no place admits a pole order (so no
+        residue was screened), and "none_with_pole" otherwise."""
+        if self.pole_solutions_possible:
+            return None
+        if self.integrality_ok and not self.admissible_n:
+            return "entire_only"
+        return "none_with_pole"
+
 
 def classify_kappa(k, kappa):
     """Return (label, n) for one branch exponent."""

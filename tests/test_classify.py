@@ -11,11 +11,9 @@ import pytest
 from bbsolve import classify
 from bbsolve.algebra import BigComplex, GaussianRational, UPoly, roots_univariate
 from bbsolve.cli import Options, analyze, cmd_classify, render_json, render_text
-from bbsolve.classify import (PoleEvent, assemble_verdict, detect_periods,
-                              match_exponential, match_monomial,
-                              reconstruct_exponential, run_segment, sweep_poles,
-                              germ_numeric, _certify_exponential, _Flow)
-from bbsolve.conditions import screen_admissibility
+from bbsolve.classify import (PoleEvent, detect_periods, match_exponential,
+                              match_monomial, reconstruct_exponential, run_segment,
+                              sweep_poles, germ_numeric, _certify_exponential, _Flow)
 from bbsolve.curve import branches_at_infinity
 from bbsolve.eqparse import parse_equation
 from bbsolve.errors import DegenerateInput, PrecisionExhausted
@@ -430,65 +428,67 @@ class TestDetectPeriods:
 
 
 class TestVerdicts:
-    def _report(self, text):
-        eq = parse_equation(text)
-        bs = branches_at_infinity(eq.P, 12)
-        lead_const = eq.P.coeff_in_p(eq.P.deg_p()).degree() == 0
-        return eq, screen_admissibility(eq.k, bs, leading_p_coeff_constant=lead_const)
+    @staticmethod
+    def _verdict(text):
+        verdict = analyze(text)[0]["classification"]
+        return verdict["label"], verdict["confidence"]
+
+    @staticmethod
+    def _fake_sweep(monkeypatch, events, pr=None):
+        # the sweep records ``events``; detect_periods answers ``pr`` when
+        # given, and fits the events itself otherwise
+        calls = []
+        monkeypatch.setattr(classify, "sweep_poles",
+                            lambda *a, **kw: calls.append("sweep") or (events, None))
+        if pr is not None:
+            monkeypatch.setattr(classify, "detect_periods",
+                                lambda *a, **kw: calls.append("fit") or pr)
+        return calls
 
     def test_entire_only(self):
-        _eq, rep = self._report("y'' = y^4")
-        v = assemble_verdict(rep)
-        assert v.label == "entire_only" and v.confidence == "exact"
+        assert self._verdict("y'' = y^4") == ("entire_only", "exact")
 
     def test_monomial_gives_rational(self):
-        eq, rep = self._report("y' = y^2")
-        mono = match_monomial(eq)
-        v = assemble_verdict(rep, mono_matches=mono)
-        assert v.label == "rational" and v.confidence == "exact"
+        assert self._verdict("y' = y^2") == ("rational", "exact")
 
-    def test_monotonic_confidence(self):
-        # adding numeric evidence never downgrades an exact verdict: the
-        # closed form y = -coth z of y' = y^2 - 1, certified with a = 2
+    def test_monotonic_confidence(self, monkeypatch):
+        # numeric evidence never downgrades an exact verdict: the closed form
+        # y = -coth z of y' = y^2 - 1, certified with a = 2, decides before
+        # any lattice is consulted
         from bbsolve.classify import PeriodResult
-        eq, rep = self._report("y' = y^2 - 1")
-        germ, = enumerate_series(eq, branches_at_infinity(eq.P, 40)[0], 1, N=24)
-        exp = [reconstruct_exponential(eq, germ, GaussianRational(2))]
-        assert exp[0].R_den.degree() == 1
-        v0 = assemble_verdict(rep, exp_matches=exp)
-        assert (v0.label, v0.confidence) == ("rational_in_exponential", "exact")
-        assert v0.periods == (1j * math.pi,)
         events = [PoleEvent(z=1j * t, order=1, germ_id="g0", residual=0.0)
                   for t in range(4)]
         for pr in (PeriodResult(rank=1, periods=(3.14159j,), ratio=None,
                                 verified=True, detail=""),
                    PeriodResult(rank=2, periods=(3.14159j, 2.0), ratio=-0.63j,
                                 verified=True, detail="")):
-            for pole_events in ((), events):
-                v = assemble_verdict(rep, exp_matches=exp, period_result=pr,
-                                     pole_events=pole_events)
-                assert (v.label, v.confidence, v.periods) \
-                    == (v0.label, v0.confidence, v0.periods)
+            calls = self._fake_sweep(monkeypatch, events, pr)
+            verdict = analyze("y' = y^2 - 1")[0]["classification"]
+            assert (verdict["label"], verdict["confidence"]) \
+                == ("rational_in_exponential", "exact")
+            assert [complex(*T) for T in verdict["periods"]] == [1j * math.pi]
+            assert calls == []
 
-    def test_rank_one_lattice_alone_is_numeric(self):
-        # an exact label needs a certified closed form with a pole: an affine
-        # mode (B = 1) beside a verified rank-1 lattice leaves it numeric
+    def test_rank_one_lattice_alone_is_numeric(self, monkeypatch):
+        # an exact label needs a certified closed form with a pole: with no
+        # multiplier to try, a verified rank-1 lattice leaves it numeric
         from bbsolve.classify import PeriodResult
-        _eq, rep = self._report("y' = y^2 - 1")
-        affine = match_exponential(parse_equation("y'' = y"))
+        monkeypatch.setattr(classify, "_multipliers", lambda *a: [])
         one = PeriodResult(rank=1, periods=(3.14159j,), ratio=None,
                            verified=True, detail="")
-        v = assemble_verdict(rep, exp_matches=affine, period_result=one)
-        assert (v.label, v.confidence) == ("rational_in_exponential", "numeric")
+        calls = self._fake_sweep(monkeypatch, [], one)
+        assert self._verdict("y' = y^2 - 1") == ("rational_in_exponential", "numeric")
+        assert calls == ["sweep", "fit"]
 
-    def test_single_pole_is_undetermined(self):
+    def test_single_pole_is_undetermined(self, monkeypatch):
         # one pole on a finite probe, no certified exact match: evidence only
-        _eq, rep = self._report("y''' = -1*y^4 + 1*y^3 + -1*y^2")
-        assert rep.pole_solutions_possible
-        events = [PoleEvent(z=0j, order=1, germ_id="g0", residual=0.0)]
-        v = assemble_verdict(rep, pole_events=events)
-        assert (v.label, v.confidence) == ("undetermined", "heuristic")
-        assert any("single non-recurring pole" in e for e in v.evidence)
+        self._fake_sweep(monkeypatch, [PoleEvent(z=0j, order=1, germ_id="g0",
+                                                 residual=0.0)])
+        rep, _code = analyze("y''' = -1*y^4 + 1*y^3 + -1*y^2")
+        assert rep["conditions"]["pole_solutions_possible"]
+        verdict = rep["classification"]
+        assert (verdict["label"], verdict["confidence"]) == ("undetermined", "heuristic")
+        assert any("single non-recurring pole" in e for e in verdict["evidence"])
 
     @pytest.mark.parametrize("text, last", [
         # 13 poles fit a rank-2 lattice that the state probe refuses

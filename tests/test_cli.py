@@ -785,6 +785,24 @@ class TestModuleEntryPoint:
                            and not a.arg.startswith("_")]
             assert unread == [], f"{name}: parameters never read: {unread}"
 
+    def test_one_function_builds_the_verdict(self):
+        # classify.classify_equation is the one decision chain: no other
+        # function may construct a ClassificationVerdict
+        pkg = os.path.join(SRC, "bbsolve")
+        builders = []
+        for name in sorted(os.listdir(pkg)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(pkg, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            for top in tree.body:
+                builders += [(name, getattr(top, "name", top.lineno))
+                             for node in ast.walk(top)
+                             if isinstance(node, ast.Call)
+                             and "ClassificationVerdict" in (getattr(node.func, "id", None),
+                                                             getattr(node.func, "attr", None))]
+        assert set(builders) == {("classify.py", "classify_equation")}
+
     def test_only_algebra_imports_mpmath(self):
         # the ball kernel works on raw mpmath.libmp tuples at fixed working
         # precisions; keeping mpmath inside algebra.py keeps that kernel there

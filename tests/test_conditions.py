@@ -116,6 +116,22 @@ class TestResidueScreen:
         if rep2.pole_solutions_possible and rep2.exactness_required:
             assert rep2.residue_screen_ran and ev.exact
 
+    @pytest.mark.parametrize("text, label", [
+        ("y'' = 6*y^2", None),
+        # no admissible place: kappa = 4, and a lone kappa = 1 place
+        ("y'' = y^4", "entire_only"),
+        ("y''' = y", "entire_only"),
+        # a certified nonzero residue at an admissible place
+        ("P: p^2 - q^4 - q ; k=2", "none_with_pole"),
+        # the integrality screen, with and without an admissible place
+        ("y'' = 4*y^3 + 1/y", "none_with_pole"),
+        ("y'' = y^4 + 1/y", "none_with_pole"),
+    ])
+    def test_screen_label(self, text, label):
+        eq, bs, rep = report_for(text)
+        rep2 = residue_screen(rep, exactness_check(bs, resolved=eq.resolved))
+        assert rep2.screen_label() == label
+
     def test_odd_k_skipped_with_note(self):
         eq, bs, rep = report_for("P: p^2 - 4*q^3 + 4*q ; k=1")
         ev = exactness_check(bs, resolved=eq.resolved)
