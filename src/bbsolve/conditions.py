@@ -181,7 +181,7 @@ def degree_bound(germs):
 def attach_degree_bound(report, germs):
     bound = degree_bound(germs)
     if bound is None:
-        note = "degree bound undefined: no germs (entire-only)"
+        note = "degree bound undefined: no germs"
     else:
         note = (f"heuristic degree bound {bound}: sum of pole orders over "
                 "distinct germs at fixed first-integral constant")

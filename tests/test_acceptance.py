@@ -329,15 +329,15 @@ GOLDEN_SHA256 = {
     "y'' = 6*y^2 - 2": "6210063edc7a0825e0a85ca528d190d857c4e7e79055de64b283d1e20673a5db",
     "P: p^2 - 4*q^3 + 4*q ; k=1":
         "f8a09cc0bd4c6c55286c0891b0481758ad9c0ee590ca6719aa03463b8325e419",
-    "y'' = y^4": "acb3397f05c7ec5d4fa48420e662573da3306e148bef7b820d58924ca80bbf7e",
-    "y'' = 4*y^3 + 1/y": "745b783ee1de2d3962d11660f9df9e0298f4875337df84cee1c3bfa7c73d09de",
-    "y''' = y": "1b59812ef1bc495d99e4cb354111702be4425b3c375bb103f06893f3f49efebf",
-    "y'' = y": "674cb65e71fa224747afcf704939a85234b8c4d4c2f34f5984fbf9cf83bba73a",
+    "y'' = y^4": "0a00384daa786b15ae6c5ad7fbfd2b6ce91a4dc517cdfbae9c0f8d893a055fbb",
+    "y'' = 4*y^3 + 1/y": "e201d1f45c000e731c3049990523a6068ea23f94ab4afd12631e7b74f03575cc",
+    "y''' = y": "a7c618fbc713cbb7030f1dfb2d6764eb1a57178ceb00dc5a79e11bc9f8e8a65b",
+    "y'' = y": "37fbc6682727a9ee6a1e61ac517ddbb5b6fc4ea0274b66264d55b4a0dab57a65",
     "y' = y^2": "84fea772875925c87c3d4833ad64760e04a2103ba50a3f3a01a6d865d61f663e",
     "y' = y^2 - 1": "8ad78b9db881ccc12f4f32108b9f2fe453eaee3cdf03f7355e7d8a250bfc9dc5",
     "y'' = y^2": "2bdca618f43a01e02c820b6e9ad40cf305c54fc66487dc38c8124990549e36c3",
     "P: p^2 - q^3 ; k=2": "b58160e966a86815341e098ebcf92789317b2f934b14366bf7559c1e18fc2cc3",
-    "y' = 2*y^3": "12050c5e79162a72d9641a3301051738386dd87eb8e5cb16b0c07ed47d732d78",
+    "y' = 2*y^3": "36f3880b2bf54f37eba76bad1a0ed7837547449c9ed23c96f5e6ba0f688fac69",
 }
 
 

@@ -797,10 +797,10 @@ VERDICT_PATH_SHA256 = {
         "dac48efccb1f9015fc26cef5e017651eea8dfc84419f915e56915f712181a524",
     # none_with_pole with the "no exact exponential match" note
     "y' = -6*y^1 + -9 + -6/y^2":
-        "90c9c5bc15d30520bfdb22ff3316a9ed9c9c8079e2aa735bf26cee6ee8943f95",
+        "283ff9265abd01dbb6ccc62bf3f56d027cae6f4b2151a845377f95c1553e7c81",
     # rational (exact): the monomial y = 6/z^2 overrules the screen
     "P: (p - q^2)*(p^3 - q^7) ; k=2":
-        "439fa6b99fd3cbf283034141ba70d727918a71993724c3e720bd1202de1ffc5f",
+        "e820b1dc9ead4066ad7840fee02515c7dfc0c38538412ac167f1fd3bf6fcccf5",
     # undetermined: no certified first integral, so no continuation
     "P: (p - q)*(p + q)*(p - q^2 - 1) ; k=2":
         "90d15c5c4746e11cd440ac09ec2bd736ea82f41719282af78fa1eaed3fa55f34",

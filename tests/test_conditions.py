@@ -159,7 +159,7 @@ class TestDegreeBound:
         _eq, _bs, rep = report_for("y'' = y^4")
         rep2 = attach_degree_bound(rep, [])
         assert rep2.degree_bound is None
-        assert rep2.notes[-1] == "degree bound undefined: no germs (entire-only)"
+        assert rep2.notes[-1] == "degree bound undefined: no germs"
 
     def test_attach_notes(self):
         _eq, _bs, rep = report_for("y'' = 6*y^2")
