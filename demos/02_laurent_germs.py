@@ -33,6 +33,7 @@ print()
 print("germ with the resonant coefficient left free:")
 free, = enumerate_series(eq, branch, n, c=None, N=12)
 print("  ", [(i - n, str(c)) for i, c in enumerate(free.coeffs)])
+print(f"   it stops below z^{n + k}, whose coefficient is {free.resonance_status}")
 print()
 
 for c in (Fraction(0), Fraction(7), Fraction(-3, 2)):

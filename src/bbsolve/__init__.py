@@ -17,9 +17,8 @@ from .curve import (ExactnessVerdict, NewtonPolygon, PuiseuxBranch,
                     residue_pdq)
 from .conditions import (ConditionsReport, screen_admissibility, degree_bound,
                          residue_screen)
-from .series import (FREE, LaurentSeries, ZSeries, bracket_phi,
-                     enumerate_series, pinning_coefficient, recurrence_bracket,
-                     verify_series)
+from .series import (LaurentSeries, ZSeries, bracket_phi, enumerate_series,
+                     pinning_coefficient, recurrence_bracket, verify_series)
 from .classify import (ClassificationVerdict, detect_periods, match_exponential,
                        match_monomial, sweep_poles)
 from .cli import analyze
@@ -30,7 +29,7 @@ __all__ = [
     "parse_equation", "ExactnessVerdict", "NewtonPolygon", "PuiseuxBranch",
     "branches_at_infinity", "exactness_check", "newton_polygon", "residue_pdq",
     "ConditionsReport", "screen_admissibility", "degree_bound", "residue_screen",
-    "FREE", "LaurentSeries", "ZSeries", "bracket_phi", "enumerate_series",
+    "LaurentSeries", "ZSeries", "bracket_phi", "enumerate_series",
     "pinning_coefficient", "recurrence_bracket", "verify_series",
     "ClassificationVerdict", "detect_periods", "match_exponential",
     "match_monomial", "sweep_poles",

@@ -161,12 +161,11 @@ def reconstruct_exponential(eq, germ, a, degree_cap=6):
     not exact or nothing within the cap is certified.
     """
     n = germ.n
-    if n > degree_cap or germ.has_free_parameter() \
-            or not all(is_exact(c) for c in germ.coeffs):
+    if n > degree_cap or not all(is_exact(c) for c in germ.coeffs):
         return None
     # s^n y(s) two indices past what the largest Pade system reads, and for
-    # even k at least through the resonant index
-    res = germ.resonant_index() or 0
+    # even k at least through the resonant index (a free germ stops below it)
+    res = 2 * n + eq.k if eq.k % 2 == 0 else 0
     M = min(max(2 * degree_cap - n + 2, res), len(germ.coeffs) - 1)
     if M < res:
         return None
@@ -358,7 +357,7 @@ def _germ_trust(coeffs):
 
 
 def germ_numeric(ls, germ_id):
-    if ls.has_free_parameter():
+    if ls.resonance_status == "free":
         raise ValueError("free-parameter germ cannot be evaluated numerically; pin c")
     cs = [complex(c) for c in ls.coeffs]
     return NumericGerm(germ_id=germ_id, n=ls.n, coeffs=tuple(cs),
@@ -549,15 +548,15 @@ class _Flow:
         return best if best is not None else 1e6
 
     def singularity_estimate(self, Y):
-        """Domb-Sykes fit: location offset d and apparent order n of the
-        nearest singularity, from the top Taylor ratios."""
+        """Domb-Sykes fit: location offset d of the nearest singularity, from
+        the top Taylor ratios; None when the fit fails."""
         M = len(Y) - 1
         ratios = []
         for j in range(M - 7, M + 1):
             if 2 <= j <= M and Y[j - 1] != 0 and abs(Y[j]) > 1e-290:
                 ratios.append((j, Y[j] / Y[j - 1]))
         if len(ratios) < 3:
-            return None, None
+            return None
         xs = [1.0 / j for j, _ in ratios]
         us = [u for _, u in ratios]
         nn = len(xs)
@@ -565,14 +564,11 @@ class _Flow:
         su = sum(us); sxu = sum(map(mul, xs, us))
         det = nn * sxx - sx * sx
         if abs(det) < 1e-30:
-            return None, None
-        slope = (nn * sxu - sx * su) / det
+            return None
         intercept = (su * sxx - sx * sxu) / det
         if abs(intercept) < 1e-12:
-            return None, None
-        d = 1.0 / intercept
-        order = (slope / intercept).real + 1.0
-        return d, order
+            return None
+        return 1.0 / intercept
 
     def advance(self, Y, Pser, h):
         """State and projected p at step h, from the expansion ``taylor`` gave."""
@@ -609,31 +605,26 @@ def _unit(z):
     return z / a if a > 0 else 1.0 + 0j
 
 
-def match_pole(germs, z, state, d_est, n_est, k, p_obs=None):
+def match_pole(germs, z, state, k, p_obs=None):
     """Locate the pole near z by Newton-matching the exact germ.
 
     Returns (z_pole, germ, residual) or None.  The germ argument u = z - z_p
-    starts from the asymptotic root closest to the series-based estimate;
-    matches outside the germ's trust radius are rejected, and the full state
-    (plus p when supplied) must agree, which disambiguates even germs.
+    starts from each asymptotic root y(u) ~ c_0 u^(-n) of each germ in turn,
+    and the lowest score wins; matches outside the germ's trust radius are
+    rejected, and the full state (plus p when supplied) must agree, which
+    disambiguates even germs.
     """
     y_obs = state[0]
-    order_pref = int(round(n_est)) if n_est is not None else None
-    ranked = sorted(germs, key=lambda g: (g.n != order_pref,))
+    if y_obs == 0:
+        return None
     best = None
-    for g in ranked:
-        c0 = g.coeffs[0]
-        if y_obs == 0:
-            continue
-        base = c0 / y_obs
+    for g in germs:
+        base = g.coeffs[0] / y_obs
         try:
             r0 = base ** (1.0 / g.n)
         except (OverflowError, ZeroDivisionError):
             continue
-        cands = [r0 * cmath.exp(2j * cmath.pi * t / g.n) for t in range(g.n)]
-        if d_est is not None:
-            cands.sort(key=lambda u: abs(u - (-d_est)))
-        for u0 in cands:
+        for u0 in (r0 * cmath.exp(2j * cmath.pi * t / g.n) for t in range(g.n)):
             if abs(u0) > g.trust:
                 continue
             u = u0
@@ -697,11 +688,11 @@ def run_segment(flow, z0, state, p0, z1, germs, events, max_steps=400,
             continue
         Y, Pser = flow.taylor(state, p)
         rho = flow.radius_estimate(Y)
-        d_est, n_est = flow.singularity_estimate(Y)
+        d_est = flow.singularity_estimate(Y)
         near_pole = (d_est is not None and abs(d_est) < reach
                      and rho < 1.7 * reach and abs(d_est) < 3 * rho)
         if near_pole:
-            hit = match_pole(germs, z, state, d_est, n_est, flow.k, p_obs=p)
+            hit = match_pole(germs, z, state, flow.k, p_obs=p)
             if hit is not None:
                 z_p, g, resid = hit
                 _record_event(events, PoleEvent(z=z_p, order=g.n,

@@ -10,7 +10,9 @@ which for even k vanishes exactly once, at j = 2n + k.  The resonant
 coefficient is not determined by y^(k) = p(y); it is pinned by the constant
 term of the first-integral form  Phi_k(y) = s(y) + c,  where
 Phi_k(y) = y^(k-1) y' - y^(k-2) y'' + ... +- (1/2) (y^(k/2))^2  and s is the
-termwise integral of p dq along the branch.  For odd k the bracket never
+termwise integral of p dq along the branch.  Without c the germ stops just
+below the resonant index, holding numbers only; its JSON (series_to_json)
+ends with {"free": true} in the resonant place.  For odd k the bracket never
 vanishes and c_0 alone determines the series.
 
 Fractional powers of y are taken on a single determination eta_0 of
@@ -52,23 +54,6 @@ from .curve import first_integral_series
 from .eqparse import _fraction_str, gaussian_str
 from .errors import (BBError, DepthTooSmall, InconsistentResonance, NoRoots,
                      PrecisionExhausted)
-
-
-class FreeCoefficient:
-    """Marker for the undetermined resonant coefficient in c-free mode."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "FREE"
-
-
-FREE = FreeCoefficient()
 
 
 # ---------------------------------------------------------------------------
@@ -177,26 +162,33 @@ def pinning_coefficient(k, n, c0):
 
 @dataclass(frozen=True)
 class LaurentSeries:
-    """A formal solution germ y(z) = sum coeffs[j] z^(j - n), c_0 != 0."""
+    """A formal solution germ y(z) = sum coeffs[j] z^(j - n), c_0 != 0.
+
+    For even k without a first-integral constant c the resonant coefficient
+    is free, and the germ stops just below it, at index 2n + k - 1."""
 
     n: int
     k: int
-    coeffs: tuple               # entries: coefficient values, possibly FREE
-    N: int                      # truncation index (inclusive)
-    resonance_status: str       # "none" | "pinned" | "free_parameter"
+    coeffs: tuple               # coefficient values c_0, c_1, ...
     c: object                   # first-integral constant when pinned, else None
     branch_id: str
     root_choice: int
 
+    @property
+    def resonance_status(self):
+        """The resonance as the JSON names it: "none" for odd k, "pinned"
+        with a constant c, else "free"."""
+        return "none" if self.k % 2 else "free" if self.c is None else "pinned"
+
+    @property
+    def N(self):
+        """The truncation index: the last coefficient's, or for a free germ
+        the resonant index 2n + k just past it."""
+        last = len(self.coeffs) - 1
+        return last + 1 if self.resonance_status == "free" else last
+
     def as_zseries(self):
-        cs = [GR_ZERO if c is FREE else c for c in self.coeffs]
-        return ZSeries(-self.n, cs, valid_to=-self.n + self.N)
-
-    def has_free_parameter(self):
-        return any(c is FREE for c in self.coeffs)
-
-    def resonant_index(self):
-        return 2 * self.n + self.k if self.k % 2 == 0 else None
+        return ZSeries(-self.n, self.coeffs, valid_to=-self.n + len(self.coeffs) - 1)
 
 
 def _needed_branch_depth(branch, n, N):
@@ -217,9 +209,10 @@ def enumerate_series(eq, branch, n, c=None, N=None, precision=DEFAULT_PREC,
     """All Laurent germs with a pole of order n feeding this branch.
 
     ``c``: exact first-integral constant for even k (a ball raises BBError);
-    None means the resonant coefficient is emitted as a free parameter.  ``N``:
-    truncation index, raised by germ_index.  Skipped leading roots (resonance
-    inconsistency) are reported through ``collect_notes`` when given.
+    None leaves the resonant coefficient free, and each germ stops just below
+    it.  ``N``: truncation index, raised by germ_index.  Skipped leading
+    roots (resonance inconsistency) are reported through ``collect_notes``
+    when given.
     """
     check_constant(c)
     k = eq.k
@@ -311,12 +304,9 @@ def _build_series(k, n, branch, root, c, N):
                 f"resonant index {j}: forced term {forced} is nonzero "
                 "(this reflects a nonzero residue of p dq); no series with this c0")
         if c is None:
-            return LaurentSeries(n=n, k=k, coeffs=tuple(powers.coeffs) + (FREE,),
-                                 N=j_res, resonance_status="free_parameter", c=None,
-                                 branch_id=branch.id, root_choice=root.index)
+            break
         powers.set_coeff(j, _pin_resonant(k, n, branch, root, powers, c))
-    return LaurentSeries(n=n, k=k, coeffs=tuple(powers.coeffs), N=N,
-                         resonance_status="none" if j_res is None else "pinned",
+    return LaurentSeries(n=n, k=k, coeffs=tuple(powers.coeffs),
                          c=None if j_res is None else c,
                          branch_id=branch.id, root_choice=root.index)
 
@@ -428,8 +418,6 @@ def verify_series(eq, ls):
     corrupted coefficient shows up as a sharp drop.
     """
     y = ls.as_zseries()
-    if ls.has_free_parameter():
-        y = y.truncate(-ls.n + ls.resonant_index() - 1)
     p_ser = y.derivative_n(eq.k)
     e_min = min(i * (-ls.n - eq.k) + j * (-ls.n) for (i, j) in eq.P.terms)
     p_pow = _ladder(p_ser, eq.P.deg_p())
@@ -451,7 +439,7 @@ def verify_orders(eq, germs):
     conjugate class is back-substituted once."""
     out, done = [], []          # done: (germ over K, its order)
     for ls in germs:
-        if ls.has_free_parameter():
+        if ls.resonance_status == "free":
             out.append(None)
         elif field_of(ls.coeffs[0]) is None:
             out.append(verify_series(eq, ls))
@@ -467,11 +455,9 @@ def verify_orders(eq, germs):
 def conjugates(a, b):
     """Whether two germs differ at most in their root: the same exact
     coordinates, read at the same or another embedding."""
-    return ((a.n, a.k, a.N, a.resonance_status, a.c, a.branch_id)
-            == (b.n, b.k, b.N, b.resonance_status, b.c, b.branch_id)
+    return ((a.n, a.k, a.c, a.branch_id) == (b.n, b.k, b.c, b.branch_id)
             and len(a.coeffs) == len(b.coeffs)
-            and all((x is FREE and y is FREE) or same_coordinates(x, y)
-                    for x, y in zip(a.coeffs, b.coeffs)))
+            and all(map(same_coordinates, a.coeffs, b.coeffs)))
 
 
 def germ_counts(germs):
@@ -484,7 +470,7 @@ def germ_counts(germs):
         if emb is not None:
             algebraic[str(emb.g)] = algebraic.get(str(emb.g), 0) + 1
             classes.add((ls.branch_id, ls.n))
-        elif all(c is FREE or is_exact(c) for c in ls.coeffs):
+        elif all(is_exact(c) for c in ls.coeffs):
             exact += 1
         else:
             balls += 1
@@ -507,10 +493,7 @@ def _ladder(base, top):
 def coeff_to_json(c):
     """A coefficient as JSON: exact Q(i) values as {"rat", "rat_im"},
     elements of K as {"eta": [x_0, ..., x_{g-1}]}, each coordinate as
-    re-parseable exact text, balls as {"re", "im", "err"}, the free resonant
-    coefficient as {"free": true}."""
-    if c is FREE:
-        return {"free": True}
+    re-parseable exact text, balls as {"re", "im", "err"}."""
     if is_exact(c):
         g = as_gaussian(c)
         entry = {"rat": _fraction_str(g.re)}
@@ -538,13 +521,14 @@ def coeff_text(cj):
 
 
 def series_to_json(ls):
-    """A germ as JSON; a germ over K also names its field and embedding:
-    eta^g = beta, the root index of eta_k and eta_k as a ball."""
-    res = {"none": "none", "pinned": "pinned", "free_parameter": "free"}[ls.resonance_status]
+    """A germ as JSON; a free germ's coefficients end with {"free": true} at
+    the resonant index, and a germ over K also names its field and
+    embedding: eta^g = beta, the root index of eta_k and eta_k as a ball."""
+    free = [{"free": True}] if ls.resonance_status == "free" else []
     out = {
         "n": ls.n,
-        "coeffs": [coeff_to_json(c) for c in ls.coeffs],
-        "resonance": res,
+        "coeffs": [coeff_to_json(c) for c in ls.coeffs] + free,
+        "resonance": ls.resonance_status,
         "c": coeff_to_json(ls.c) if ls.c is not None else None,
         "branch": ls.branch_id,
     }

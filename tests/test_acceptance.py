@@ -20,7 +20,7 @@ from bbsolve.classify import (detect_periods, match_exponential, match_monomial,
 from bbsolve.cli import Options, _prepare, analyze, render_json
 from bbsolve.curve import branches_at_infinity, exactness_check
 from bbsolve.eqparse import parse_constant, parse_equation
-from bbsolve.series import (FREE, ZSeries, bracket_phi, enumerate_series,
+from bbsolve.series import (ZSeries, bracket_phi, enumerate_series,
                             pinning_coefficient, recurrence_bracket,
                             verify_series)
 
@@ -458,16 +458,21 @@ def test_criterion_11c_exact_germs_stay_in_their_balls():
         assert report["series"] and all(
             "err" not in cj and "embedding" in s
             for s in report["series"] for cj in s["coeffs"])
+        assert all(s["coeffs"][-1] == {"free": True}
+                   for s in report["series"] if s["resonance"] == "free")
         eq, _notes, _polygon, _depth, branches, screen = _prepare(
             text, Options(no_classify=True), None)
         (bid, n), = screen.admissible_pairs()
         germs = enumerate_series(eq, next(b for b in branches if b.id == bid), n)
         assert len(germs) == len(balls[text])
         for ls, ref in zip(germs, balls[text]):
+            if None in ref:         # the free resonant coefficient: the germ stops below it
+                assert ref.index(None) == len(ls.coeffs) == 2 * ls.n + ls.k
+                assert ls.resonance_status == "free"
+                ref = ref[:-1]
+            assert len(ls.coeffs) == len(ref)
             for c, r in zip(ls.coeffs, ref):
-                if r is None:                       # the free resonant coefficient
-                    assert c is FREE
-                elif isinstance(r, str):            # exact before, exact now
+                if isinstance(r, str):              # exact before, exact now
                     assert c == parse_constant(r)
                 else:
                     assert field_of(c) is not None, (text, c)

@@ -8,14 +8,14 @@ from itertools import combinations
 import pytest
 
 from bbsolve import series
-from bbsolve.algebra import (DEFAULT_PREC, GR_ONE, GR_ZERO, BigComplex,
-                             GaussianRational, _exact_ball, coeff_is_zero, dot,
-                             field_of, is_exact)
+from bbsolve.algebra import (DEFAULT_PREC, GR_ONE, GR_ZERO, AlgebraicNumber,
+                             BigComplex, GaussianRational, _exact_ball,
+                             coeff_is_zero, dot, field_of, is_exact)
 from bbsolve.cli import Options, _prepare, analyze
 from bbsolve.curve import branches_at_infinity, first_integral_series
 from bbsolve.eqparse import parse_equation
 from bbsolve.errors import BBError, NoRoots
-from bbsolve.series import (FREE, ZSeries, _build_series, bracket_phi,
+from bbsolve.series import (ZSeries, _build_series, bracket_phi,
                             conjugates, enumerate_series, germ_index, leading_roots,
                             pinning_coefficient, recurrence_bracket,
                             series_to_json, verify_orders, verify_series)
@@ -143,11 +143,15 @@ class TestEnumerate:
         assert ls.resonance_status == "pinned"
 
     def test_worked_germ_free(self):
+        # without c the germ stops at index 2n + k - 1 = 5, below the
+        # resonance, and only its JSON marks the free coefficient
         eq, bs = setup_eq("y'' = 6*y^2")
         out = enumerate_series(eq, bs[0], 2, c=None, N=12)
         ls = out[0]
-        assert ls.coeffs[-1] is FREE and len(ls.coeffs) == 7
-        assert ls.resonance_status == "free_parameter"
+        assert len(ls.coeffs) == 6 and ls.N == 6 and ls.c is None
+        assert ls.resonance_status == "free"
+        coeffs = series_to_json(ls)["coeffs"]
+        assert len(coeffs) == 7 and coeffs[-1] == {"free": True}
 
     def test_weierstrass_germ_matches_reference(self):
         eq, bs = setup_eq("P: p^2 - 4*q^3 + 4*q ; k=1", depth=40)
@@ -281,9 +285,8 @@ class TestVerify:
         ls, = enumerate_series(eq, bs[0], 2, c=GaussianRational(7), N=12)
         bad = list(ls.coeffs)
         bad[4] = GaussianRational(F(1, 3))
-        corrupted = type(ls)(n=ls.n, k=ls.k, coeffs=tuple(bad), N=ls.N,
-                             resonance_status=ls.resonance_status, c=ls.c,
-                             branch_id=ls.branch_id, root_choice=ls.root_choice)
+        corrupted = replace(ls, coeffs=tuple(bad))
+        assert (corrupted.N, corrupted.resonance_status) == (12, "pinned")
         assert verify_series(eq, corrupted) < verify_series(eq, ls)
 
 
@@ -319,7 +322,7 @@ def _reference_germ(k, n, branch, root, c, N):
     """The binomial-sum germ loop, kept as an oracle: at every index j it
     rebuilds G = (1 + w)^(1/m) as a sum of truncated powers of w and every
     G^e with ZSeries.pow_int / inverse.  Exact germs only; returns the
-    coefficient list."""
+    coefficient list, which stops below the resonant index when c is None."""
     m = branch.m
     eta0 = root.eta0          # a GaussianRational, or eta of K at its root
 
@@ -361,7 +364,7 @@ def _reference_germ(k, n, branch, root, c, N):
             continue
         assert coeff_is_zero(Ej)
         if c is None:
-            return coeffs + [FREE]
+            return coeffs
         phi0 = bracket_phi(k, y).coeff(0)
         s0 = coeff_of_powers(table(first_integral_series(branch)), g_series(y, j), j, 0)
         coeffs.append((phi0 - s0 - c) * pinning_coefficient(k, n, root.c0).inverse())
@@ -379,6 +382,28 @@ def germ_case(text, n, N):
     eq, _notes, _polygon, _depth, branches, report = _prepare(text, Options(), N)
     bid, = [b for b, nn in report.admissible_pairs() if nn == n]
     return eq, next(b for b in branches if b.id == bid)
+
+
+@pytest.mark.parametrize("c", [None, GaussianRational(1)])
+@pytest.mark.parametrize("text, n", CORPUS_GERMS)
+def test_germ_holds_numbers_only(text, n, c):
+    # a free germ (even k, no c) stops at index 2n + k - 1 and its JSON adds
+    # {"free": true} at 2n + k; any other germ runs through N = 24
+    eq, branch = germ_case(text, n, 24)
+    germs = enumerate_series(eq, branch, n, c=c, N=24)
+    assert germs
+    for ls in germs:
+        assert all(isinstance(x, (GaussianRational, AlgebraicNumber, BigComplex))
+                   for x in ls.coeffs)
+        coeffs = series_to_json(ls)["coeffs"]
+        if eq.k % 2 == 0 and c is None:
+            assert len(ls.coeffs) == ls.N == 2 * n + eq.k
+            assert ls.resonance_status == "free" and ls.c is None
+            assert coeffs[-1] == {"free": True} and len(coeffs) == 2 * n + eq.k + 1
+        else:
+            assert len(ls.coeffs) == 25 and ls.N == 24
+            assert ls.resonance_status == ("none" if eq.k % 2 else "pinned")
+            assert {"free": True} not in coeffs and len(coeffs) == 25
 
 
 class TestMillerRecurrence:
@@ -510,15 +535,16 @@ class TestNumericGermAccuracy:
         notes = []
         germs = enumerate_series(eq, bs[0], 1, c=None, collect_notes=notes)
         assert notes == [] and len(germs) == 2
-        assert all(ls.resonance_status == "free_parameter" for ls in germs)
+        assert all(ls.resonance_status == "free" for ls in germs)
 
 
 def _reference_verify(eq, ls):
     """The per-term back-substitution, kept as an oracle: every term of P
-    rebuilds its powers of y and y^(k) with ZSeries.pow_int."""
-    y = ls.as_zseries()
-    if ls.has_free_parameter():
-        y = y.truncate(-ls.n + ls.resonant_index() - 1)
+    rebuilds its powers of y and y^(k) with ZSeries.pow_int.  A free germ
+    stops below the resonant index, and the series ends where it does."""
+    if ls.resonance_status == "free":
+        assert len(ls.coeffs) == 2 * ls.n + ls.k
+    y = ZSeries(-ls.n, ls.coeffs, valid_to=-ls.n + len(ls.coeffs) - 1)
     p_ser = y.derivative_n(eq.k)
     e_min = min(i * (-ls.n - eq.k) + j * (-ls.n) for (i, j) in eq.P.terms)
     acc = ZSeries.zero()
@@ -553,7 +579,8 @@ class TestVerifyLadders:
         # numeric leading roots, resonant coefficient left free
         eq, bs = setup_eq("y'' = -1*y^3 + 5*y^1 + 9")
         germs = enumerate_series(eq, bs[0], 1, c=None)
-        assert all(ls.has_free_parameter() for ls in germs)
+        assert all(ls.resonance_status == "free" and len(ls.coeffs) == 2 * ls.n + ls.k
+                   for ls in germs)
         self.agree(eq, germs)
 
     def corrupt(self, case, j):
