@@ -1071,9 +1071,6 @@ class ZSeries:
     def one():
         return ZSeries(0, [GR_ONE])
 
-    def is_visibly_zero(self):
-        return not self.coeffs
-
     def coeff(self, e):
         i = e - self.start
         if 0 <= i < len(self.coeffs):

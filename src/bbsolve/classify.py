@@ -37,7 +37,7 @@ from operator import mul
 from .algebra import (GR_ONE, GR_ZERO, GaussianRational, UPoly, ZSeries,
                       falling, is_exact, root_multiplicities, roots_univariate,
                       solve_linear)
-from .conditions import classify_kappa
+from .conditions import classify_kappa, degree_bound
 from .errors import (BBError, DegenerateInput, PrecisionExhausted, SingularEncounter,
                      ToleranceLoss)
 from .eqparse import gaussian_str, upoly_str
@@ -1053,7 +1053,7 @@ def classify_equation(eq, report, branches, mono, c, N, tol, precision):
             # every germ is a pole at z = 0, the seed germ first; a numeric
             # germ (leading coefficient outside Q(i)) certifies nothing
             for germ, a in product(family, _multipliers(eq, precision)):
-                closed = reconstruct_exponential(eq, germ, a, report.degree_bound or 6)
+                closed = reconstruct_exponential(eq, germ, a, degree_bound(family))
                 if closed is not None:
                     break
         except BBError as exc:

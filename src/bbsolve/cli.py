@@ -26,8 +26,8 @@ from fractions import Fraction
 
 from . import __version__
 from .algebra import GaussianRational, coeff_is_zero, DEFAULT_PREC
-from .conditions import (attach_degree_bound, classify_kappa, screen_admissibility,
-                         residue_screen)
+from .conditions import (classify_kappa, degree_bound, degree_bound_note,
+                         screen_admissibility, residue_screen)
 from .curve import (branches_at_infinity, exactness_check, newton_polygon,
                     residue_pdq)
 from .eqparse import (_fraction_str, canonical_string, gaussian_str,
@@ -186,7 +186,6 @@ def analyze(equation, opts=None):
         report.admissible_pairs() if report.pole_solutions_possible else [],
         germ_notes, "branch {bid}, n={n}: {exc}",
         c=opts.c, N=opts.N, precision=opts.precision, collect_notes=germ_notes)
-    report = attach_degree_bound(report, germs)
     orders = verify_orders(eq, germs)
     t3 = clock()
 
@@ -224,6 +223,7 @@ def _exactness_json(ev):
 
 def _build_report(eq, opts, depth, assumptions, warnings, polygon, branches,
                   ev, report, germs, orders, germ_notes, verdict):
+    bound = degree_bound(germs)
     poly_json = {
         "support": [[i, j] for i, j in polygon.support],
         "upper_edges": [{
@@ -253,10 +253,10 @@ def _build_report(eq, opts, depth, assumptions, warnings, polygon, branches,
         "exactness_required": report.exactness_required,
         "integrality_ok": report.integrality_ok,
         "residue_screen_ran": report.residue_screen_ran,
-        "residue_obstruction": report.residue_obstruction,
-        "degree_bound": report.degree_bound,
+        "residue_obstruction": bool(report.residue_obstruction),
+        "degree_bound": bound,
         "degree_bound_is_heuristic": True,
-        "notes": list(report.notes),
+        "notes": [*report.notes, degree_bound_note(bound)],
     }
     verdict_json = None
     if verdict is not None:
@@ -264,7 +264,7 @@ def _build_report(eq, opts, depth, assumptions, warnings, polygon, branches,
             "label": verdict.label,
             "confidence": verdict.confidence,
             "evidence": list(verdict.evidence),
-            "degree_bound": report.degree_bound,
+            "degree_bound": bound,
             "periods": [_cxpair(t) for t in verdict.periods],
         }
     return {

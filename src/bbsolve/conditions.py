@@ -11,8 +11,11 @@ kappa < 1, and a kappa = 1 place excludes rational solutions.  So one
 kappa < 1 place, with no kappa = 1 place, does not by itself rule poles
 out, while two or more do, as does any kappa > 1 that is not 1 + k/n.
 For even k, when at most one kappa = 1 place exists and the curve is
-rational, p dq must in addition be exact, so a certified nonzero residue at
-an admissible branch kills every pole-bearing candidate.
+rational, a pole-bearing solution has the first integral Phi_k(y) = s(y) + c
+with ds = p dq, so p dq must be exact: a certified nonzero residue at any
+place the exactness check examined, admissible or not, kills every
+pole-bearing candidate.  A report holds the class of each place, the
+integrality and residue verdicts and the notes; its flags are read off them.
 
 All verdicts here are necessary-condition failures, never existence proofs.
 """
@@ -36,20 +39,48 @@ class BranchClass:
 class ConditionsReport:
     k: int
     per_branch: tuple           # of BranchClass
-    kappa_one_count: int
-    admissible_n: tuple         # sorted positive integers
-    pole_solutions_possible: bool
-    exactness_required: bool    # even k, <= 1 kappa-one place (genus-0 assumed)
     integrality_ok: bool        # p has no pole over finite q
-    residue_screen_ran: bool = False
-    residue_obstruction: bool = False
-    degree_bound: int | None = None
+    residue_obstruction: bool | None = None   # None unless residue_screen ran
     notes: tuple = field(default=())
 
     def admissible_pairs(self):
         """(branch_id, n) for every admissible branch."""
         return [(bc.branch_id, bc.n) for bc in self.per_branch
                 if bc.label == "kappa_one_plus_k_over_n"]
+
+    def lone_place_below_one(self):
+        """The only kappa < 1 place, when it is not the only place and every
+        other admits a pole order (so z = infinity of a rational solution
+        alone can reach it); else None."""
+        below = [bc for bc in self.per_branch if bc.kappa < 1]
+        others = {bc.label for bc in self.per_branch if bc.kappa >= 1}
+        return below[0] if len(below) == 1 and others == {"kappa_one_plus_k_over_n"} else None
+
+    def _screen_open(self):
+        """Poles are not ruled out before the residue screen."""
+        lone = self.lone_place_below_one()
+        return (self.integrality_ok and self.kappa_one_count <= 2 and bool(self.admissible_n)
+                and all(bc.label != INADMISSIBLE or bc is lone for bc in self.per_branch))
+
+    @property
+    def kappa_one_count(self):
+        return sum(bc.label == KAPPA_ONE for bc in self.per_branch)
+
+    @property
+    def admissible_n(self):
+        return tuple(sorted({n for _, n in self.admissible_pairs()}))
+
+    @property
+    def pole_solutions_possible(self):
+        return self._screen_open() and not self.residue_obstruction
+
+    @property
+    def exactness_required(self):      # genus 0 assumed
+        return self.k % 2 == 0 and self.kappa_one_count <= 1 and self._screen_open()
+
+    @property
+    def residue_screen_ran(self):
+        return self.residue_obstruction is not None
 
     def screen_label(self):
         """None while poles stay possible; else "entire_only" when P passes
@@ -80,95 +111,69 @@ def screen_admissibility(k, branches, leading_p_coeff_constant=True):
     P is constant in q, i.e. whether y^(k) can blow up only where y does; a
     nonconstant leading coefficient already rules out pole-bearing solutions.
     """
-    per = []
+    report = ConditionsReport(
+        k=k, integrality_ok=leading_p_coeff_constant,
+        per_branch=tuple(BranchClass(b.id, b.kappa, *classify_kappa(k, b.kappa))
+                         for b in branches))
+    lone = report.lone_place_below_one()
     notes = []
-    admissible = set()
-    kappa_one = 0
-    any_bad = False
-    labels = [classify_kappa(k, b.kappa) for b in branches]
-    # z = infinity of a rational solution may reach one kappa < 1 place, which
-    # matters only when every other place admits a pole order
-    below = [b for b in branches if b.kappa < 1]
-    others_admit = all(label == "kappa_one_plus_k_over_n"
-                       for b, (label, _) in zip(branches, labels) if b.kappa >= 1)
-    lone = below[0] if len(below) == 1 < len(branches) and others_admit else None
-    for b, (label, n) in zip(branches, labels):
-        per.append(BranchClass(branch_id=b.id, kappa=b.kappa, label=label, n=n))
-        if label == KAPPA_ONE:
-            kappa_one += 1
-            notes.append(f"branch {b.id}: kappa=1; no pole of a solution maps here")
-        elif b is lone:
-            notes.append(f"branch {b.id}: kappa={b.kappa} < 1 at the only such place; "
-                         "only z = infinity of a rational solution with a "
+    for bc in report.per_branch:
+        if bc.label == KAPPA_ONE:
+            notes.append(f"branch {bc.branch_id}: kappa=1; no pole of a solution maps here")
+        elif bc is lone:
+            notes.append(f"branch {bc.branch_id}: kappa={bc.kappa} < 1 at the only such "
+                         "place; only z = infinity of a rational solution with a "
                          "polynomial part can map here")
-        elif label == INADMISSIBLE:
-            any_bad = True
+        elif bc.label == INADMISSIBLE:
             notes.append(
-                f"branch {b.id}: kappa={b.kappa} is neither 1 nor 1+{k}/n for a "
+                f"branch {bc.branch_id}: kappa={bc.kappa} is neither 1 nor 1+{k}/n for a "
                 "positive integer n; no solution with a pole exists")
         else:
-            admissible.add(n)
-            notes.append(f"branch {b.id}: kappa={b.kappa} admits pole order n={n}")
-    possible = not any_bad
+            notes.append(f"branch {bc.branch_id}: kappa={bc.kappa} admits pole order "
+                         f"n={bc.n}")
+    kappa_one = report.kappa_one_count
     if kappa_one > 2:
-        possible = False
         notes.append(f"{kappa_one} branches with kappa=1: a nonconstant map to the "
                      "sphere omits at most two points; no transcendental solution")
     if not leading_p_coeff_constant:
-        possible = False
         notes.append("integrality screen: the p-leading coefficient of P depends on q, "
                      "so y^(k) blows up over a finite value of y; no solution with a "
                      "pole exists")
-    if not admissible:
-        possible = False
-        if not any_bad and kappa_one > 0:
-            notes.append("only kappa=1 branches: solutions, if any, are entire")
-    exactness_required = (k % 2 == 0) and kappa_one <= 1 and possible
-    if exactness_required:
+    if 0 < kappa_one == len(report.per_branch):
+        notes.append("only kappa=1 branches: solutions, if any, are entire")
+    if report.exactness_required:
         notes.append("even k with at most one kappa=1 place: p dq must be exact "
                      "(genus-0 assumed)")
-    return ConditionsReport(
-        k=k,
-        per_branch=tuple(per),
-        kappa_one_count=kappa_one,
-        admissible_n=tuple(sorted(admissible)),
-        pole_solutions_possible=possible and bool(admissible),
-        exactness_required=exactness_required,
-        integrality_ok=leading_p_coeff_constant,
-        notes=tuple(notes),
-    )
+    return replace(report, notes=tuple(notes))
 
 
 def residue_screen(report, verdict):
     """Apply the residue obstruction to an admissibility report.
 
-    Hypotheses: k even and at most one kappa=1 place.  When they fail the
-    screen is skipped with a note (soft behaviour, not an error).  When they
-    hold and any admissible branch (or, in resolved mode, any place) carries
-    a certified nonzero residue, pole-bearing solutions are impossible.
+    Hypotheses: k even, at most one kappa=1 place, some admissible pole
+    order.  When one fails the screen is skipped with a note (soft behaviour,
+    not an error) and residue_obstruction stays None.  When they hold p dq
+    must be exact, which one nonzero residue anywhere already denies: any
+    certified nonzero residue ``verdict`` computed (in general mode, at every
+    place over q = infinity, admissible or not) rules poles out.
     """
-    notes = list(report.notes)
     if report.k % 2 == 1:
-        notes.append("residue screen skipped: k is odd (first-integral bracket "
-                     "requires even k)")
-        return replace(report, residue_screen_ran=False, notes=tuple(notes))
-    if report.kappa_one_count >= 2:
-        notes.append("residue screen skipped: two kappa=1 places (rational-in-"
-                     "exponential regime)")
-        return replace(report, residue_screen_ran=False, notes=tuple(notes))
-    if not report.admissible_n:
-        notes.append("residue screen skipped: no admissible pole orders")
-        return replace(report, residue_screen_ran=False, notes=tuple(notes))
-    bad = [row for row in verdict.residues if not row.certified_zero]
-    if bad:
-        where = ", ".join(str(row.place) for row in bad)
-        notes.append(f"residue obstruction: p dq has nonzero residue at {where}; "
-                     "no solution with a pole exists")
-        return replace(report, residue_screen_ran=True, residue_obstruction=True,
-                       pole_solutions_possible=False, notes=tuple(notes))
-    notes.append("residue screen passed: all computed residues of p dq vanish")
-    return replace(report, residue_screen_ran=True, residue_obstruction=False,
-                   notes=tuple(notes))
+        note = "residue screen skipped: k is odd (first-integral bracket requires even k)"
+    elif report.kappa_one_count >= 2:
+        note = ("residue screen skipped: two kappa=1 places (rational-in-"
+                "exponential regime)")
+    elif not report.admissible_n:
+        note = "residue screen skipped: no admissible pole orders"
+    else:
+        bad = [row for row in verdict.residues if not row.certified_zero]
+        if bad:
+            where = ", ".join(str(row.place) for row in bad)
+            note = (f"residue obstruction: p dq has nonzero residue at {where}; "
+                    "no solution with a pole exists")
+        else:
+            note = "residue screen passed: all computed residues of p dq vanish"
+        return replace(report, residue_obstruction=bool(bad), notes=report.notes + (note,))
+    return replace(report, notes=report.notes + (note,))
 
 
 def degree_bound(germs):
@@ -178,11 +183,10 @@ def degree_bound(germs):
     return sum(ls.n for ls in germs) or None
 
 
-def attach_degree_bound(report, germs):
-    bound = degree_bound(germs)
+def degree_bound_note(bound):
+    """The last note of a report's conditions section: the bound, or why
+    there is none."""
     if bound is None:
-        note = "degree bound undefined: no germs"
-    else:
-        note = (f"heuristic degree bound {bound}: sum of pole orders over "
-                "distinct germs at fixed first-integral constant")
-    return replace(report, degree_bound=bound, notes=report.notes + (note,))
+        return "degree bound undefined: no germs"
+    return (f"heuristic degree bound {bound}: sum of pole orders over "
+            "distinct germs at fixed first-integral constant")

@@ -34,8 +34,15 @@ class Edge:
     j1: int
     i2: int
     j2: int
-    slope: Fraction
-    kappa: Fraction  # branch exponent candidate for places over q = infinity
+
+    @property
+    def slope(self):
+        return Fraction(self.j2 - self.j1, self.i2 - self.i1)
+
+    @property
+    def kappa(self):
+        """The branch exponent candidate for places over q = infinity."""
+        return -self.slope
 
     def width(self):
         return self.i2 - self.i1
@@ -51,7 +58,7 @@ class NewtonPolygon:
 
 
 def newton_polygon(P):
-    """Concave upper hull of the support of P, each edge annotated with kappa.
+    """Concave upper hull of the support of P; each edge reads off its kappa.
 
     kappa = (delta deg_q)/(-delta deg_p) is the exponent of p ~ A q^kappa on
     the branches over q = infinity induced by that edge.
@@ -64,11 +71,8 @@ def newton_polygon(P):
         top[i] = max(top.get(i, j), j)
     # the upper hull is the lower hull of the points mirrored in j
     hull = [(i, -j) for i, j in _lower_hull([(i, -j) for i, j in sorted(top.items())])]
-    edges = []
-    for (i1, j1), (i2, j2) in zip(hull, hull[1:]):
-        slope = Fraction(j2 - j1, i2 - i1)
-        edges.append(Edge(i1, j1, i2, j2, slope, -slope))
-    return NewtonPolygon(support=tuple(support), upper_edges=tuple(edges))
+    edges = tuple(Edge(i1, j1, i2, j2) for (i1, j1), (i2, j2) in zip(hull, hull[1:]))
+    return NewtonPolygon(support=tuple(support), upper_edges=edges)
 
 
 # ---------------------------------------------------------------------------
@@ -87,11 +91,18 @@ class PuiseuxBranch:
     id: str
     m: int
     kappa: Fraction
-    lead: object
     terms: tuple                # ((q_exponent, coeff), ...) descending
-    p_unbounded: bool
     valid_q_to: Fraction
     depth: int
+
+    @property
+    def lead(self):
+        """The coefficient of the first term, at q^kappa."""
+        return self.terms[0][1] if self.terms else GR_ZERO
+
+    @property
+    def p_unbounded(self):
+        return self.kappa > 0
 
     def coeff_at_qexp(self, e):
         e = Fraction(e)
@@ -151,10 +162,8 @@ def branches_at_infinity(P, depth, precision=DEFAULT_PREC):
             q_exp = Fraction(-e_u, m)
             if q_exp >= valid_q and not coeff_is_zero(c):
                 terms.append((q_exp, c))
-        lead = terms[0][1] if terms else GR_ZERO
-        out.append(PuiseuxBranch(
-            id=f"b{n_id}", m=m, kappa=kappa, lead=lead, terms=tuple(terms),
-            p_unbounded=kappa > 0, valid_q_to=valid_q, depth=depth))
+        out.append(PuiseuxBranch(id=f"b{n_id}", m=m, kappa=kappa, terms=tuple(terms),
+                                 valid_q_to=valid_q, depth=depth))
     _check_branch_count(out, d)
     return out
 

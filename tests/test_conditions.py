@@ -1,16 +1,19 @@
 """Admissibility screening, residue obstruction, degree bound."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from bbsolve.cli import Options, _prepare
-from bbsolve.conditions import (attach_degree_bound, screen_admissibility,
-                                classify_kappa, degree_bound, residue_screen)
+from bbsolve.cli import Options, _prepare, analyze
+from bbsolve.conditions import (degree_bound, degree_bound_note, screen_admissibility,
+                                classify_kappa, residue_screen)
 from bbsolve.curve import branches_at_infinity, exactness_check
 from bbsolve.eqparse import parse_equation
 from bbsolve.series import germs_for_pairs
 from test_acceptance import GOLDEN_CORPUS
+from test_classify import VERDICT_PATH_SHA256
 
 F = Fraction
 
@@ -156,13 +159,91 @@ class TestDegreeBound:
 
     def test_no_germs(self):
         assert degree_bound([]) is None
-        _eq, _bs, rep = report_for("y'' = y^4")
-        rep2 = attach_degree_bound(rep, [])
-        assert rep2.degree_bound is None
-        assert rep2.notes[-1] == "degree bound undefined: no germs"
+        assert degree_bound_note(None) == "degree bound undefined: no germs"
 
     def test_attach_notes(self):
-        _eq, _bs, rep = report_for("y'' = 6*y^2")
-        rep2 = attach_degree_bound(rep, germs_for("y'' = 6*y^2"))
-        assert rep2.degree_bound == 2
-        assert any("heuristic degree bound 2" in n for n in rep2.notes)
+        bound = degree_bound(germs_for("y'' = 6*y^2"))
+        assert bound == 2
+        assert degree_bound_note(bound).startswith("heuristic degree bound 2: ")
+        report, _code = analyze("y'' = 6*y^2", Options(no_classify=True))
+        assert report["conditions"]["notes"][-1] == degree_bound_note(2)
+
+    # one source: both report blocks and the last note carry the bound of
+    # the series the report lists
+    @pytest.mark.parametrize("text", GOLDEN_CORPUS + list(VERDICT_PATH_SHA256))
+    def test_one_bound_per_report(self, text):
+        report, _code = analyze(text, Options())
+        bound = sum(s["n"] for s in report["series"]) or None
+        cond = report["conditions"]
+        assert cond["degree_bound"] == report["classification"]["degree_bound"] == bound
+        stated = ("degree bound undefined: no germs" if bound is None
+                  else f"heuristic degree bound {bound}: ")
+        assert cond["notes"][-1].startswith(stated)
+
+
+# A reference screen on synthetic places, written from the module
+# docstring's rules rather than from the report's properties.
+def reference_screen(k, kappas, integral, residue_nonzero):
+    orders = [k / (kappa - 1) if kappa > 1 else None for kappa in kappas]
+    pairs = [(f"b{i}", int(n)) for i, n in enumerate(orders)
+             if n is not None and n.denominator == 1]
+    admissible = tuple(sorted({n for _, n in pairs}))
+    ones = sum(kappa == 1 for kappa in kappas)
+    below = sum(kappa < 1 for kappa in kappas)
+    other_above = any(n is not None and n.denominator != 1 for n in orders)
+    # one kappa < 1 place is reached by z = infinity alone, unless a kappa = 1
+    # place excludes rational solutions
+    below_ok = below == 0 or (below == 1 and ones == 0)
+    open_ = integral and ones <= 2 and bool(admissible) and not other_above and below_ok
+    ran = k % 2 == 0 and ones <= 1 and bool(admissible)
+    obstruction = ran and residue_nonzero
+    possible = open_ and not obstruction
+    label = (None if possible else
+             "entire_only" if integral and not admissible else "none_with_pole")
+    return dict(kappa_one_count=ones, admissible_n=admissible,
+                pole_solutions_possible=possible,
+                exactness_required=k % 2 == 0 and ones <= 1 and open_,
+                residue_screen_ran=ran, residue_obstruction=obstruction,
+                admissible_pairs=pairs, screen_label=label)
+
+
+@st.composite
+def screened_places(draw):
+    """k, and a shuffled list of places from each kappa class: up to three
+    with kappa = 1, two with kappa = 1 + k/n, two below 1 and one above 1
+    but not of the form 1 + k/n."""
+    k = draw(st.integers(1, 4))
+    ones, admissible, below, other = draw(st.tuples(
+        st.integers(0, 3), st.integers(0, 2), st.integers(0, 2), st.integers(0, 1))
+        .filter(lambda counts: sum(counts) > 0))
+    n = st.integers(1, 6)
+    lows = st.sampled_from([F(-2), F(-1), F(0), F(1, 3), F(1, 2), F(2, 3)])
+    kappas = ([F(1)] * ones + [1 + F(k, draw(n)) for _ in range(admissible)]
+              + [draw(lows) for _ in range(below)]
+              + [1 + F(2 * k, 2 * draw(n) + 1) for _ in range(other)])
+    return k, draw(st.permutations(kappas))
+
+
+class TestScreenOracle:
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(screened_places(), st.booleans(), st.booleans())
+    # the edges of the kappa = 1 count and of the lone kappa < 1 place
+    @example((2, [F(1), F(1), F(2)]), True, False)
+    @example((2, [F(1), F(1), F(1), F(2)]), True, False)
+    @example((1, [F(2), F(1, 2)]), True, False)
+    @example((1, [F(1), F(2), F(1, 2)]), True, False)
+    @example((2, [F(1, 2)]), True, True)
+    def test_flags_match_the_rules(self, k_kappas, integral, residue_nonzero):
+        k, kappas = k_kappas
+        places = [SimpleNamespace(id=f"b{i}", kappa=kappa) for i, kappa in enumerate(kappas)]
+        rep = screen_admissibility(k, places, leading_p_coeff_constant=integral)
+        verdict = SimpleNamespace(residues=(
+            SimpleNamespace(place="b0", certified_zero=not residue_nonzero),))
+        rep = residue_screen(rep, verdict)
+        got = dict(kappa_one_count=rep.kappa_one_count, admissible_n=rep.admissible_n,
+                   pole_solutions_possible=rep.pole_solutions_possible,
+                   exactness_required=rep.exactness_required,
+                   residue_screen_ran=rep.residue_screen_ran,
+                   residue_obstruction=bool(rep.residue_obstruction),
+                   admissible_pairs=rep.admissible_pairs(), screen_label=rep.screen_label())
+        assert got == reference_screen(k, kappas, integral, residue_nonzero)

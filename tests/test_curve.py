@@ -1,5 +1,6 @@
 """Newton polygon, Puiseux branches, residues, exactness."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -168,9 +169,7 @@ class TestResidues:
     def test_insufficient_depth(self):
         eq = parse_equation("y'' = 6*y^2")
         b, = branches_at_infinity(eq.P, depth=8)
-        shallow = type(b)(id=b.id, m=b.m, kappa=b.kappa, lead=b.lead,
-                          terms=b.terms, p_unbounded=b.p_unbounded,
-                          valid_q_to=F(1), depth=1)
+        shallow = dataclasses.replace(b, valid_q_to=F(1), depth=1)
         with pytest.raises(InsufficientDepth):
             residue_pdq(shallow)
 

@@ -335,7 +335,7 @@ def _reference_germ(k, n, branch, root, c, N):
         acc, wk, binom = ZSeries(0, [GR_ONE]), ZSeries(0, [GR_ONE]), F(1)
         for r in range(1, cap + 1):
             wk = wk.mul(w, cap=cap)
-            if wk.is_visibly_zero():
+            if not wk.coeffs:
                 break
             binom *= (F(1, m) - (r - 1)) / r
             acc = acc + wk.scale(GaussianRational(binom))
