@@ -21,6 +21,7 @@ from bbsolve.errors import BBError, DegenerateInput
 from minischema import validate
 from test_acceptance import GOLDEN_CORPUS
 from oracle_periods import weierstrass_periods
+from report_digests import digest_lines
 
 SCHEMA = json.load(open(os.path.join(os.path.dirname(__file__), "..", "src",
                                      "bbsolve", "schemas",
@@ -417,6 +418,137 @@ class TestOneWriterPerFact:
                 _assert_reparses(cmd(text, Options())[0], {key: json.loads(out)[key]})
         rep, _ = analyze(WRITER_INPUTS[-2], Options(no_classify=True))
         assert "lead=(1 - 2*i)" in cli.render_text(rep)
+
+
+# sha256 and exit code of every GOLDEN_CORPUS report that
+# test_acceptance.GOLDEN_SHA256 does not pin, in report_digests.digest_lines'
+# order: at Options() the analyze text, series JSON and residues JSON; at
+# Options(c=0) the analyze JSON and text, series JSON and residues JSON.  A
+# report changed on purpose updates this table and says so in CHANGES.md.
+CORPUS_DIGESTS = {
+    "y'' = 6*y^2": (
+        "41bd0e05177508aa744197c8dc0eab9dec17c95d1aa567b39814a535de3cfe07 0",
+        "8df3d19d3776a373258e49875e3eb036b7a0d01ddd1b6a8660b53d2e8e90eecd 0",
+        "0b9414b784341d2f623152898d125c1fb609fedf355a12cf37c5bb7998fdaf85 0",
+        "cfd71b106bc6c8444ab6fae90046a09bf849a72f801765db783a637a0e609df3 0",
+        "6a003c694c5b57054259d4f413552aa7102e31aba86652401ee1712de0f1507c 0",
+        "546c125c95e2509ec0f3b5106a9de7d94f99d17b02d5a602f7662976546cf398 0",
+        "0b9414b784341d2f623152898d125c1fb609fedf355a12cf37c5bb7998fdaf85 0",
+    ),
+    "y'' = 6*y^2 - 2": (
+        "5f0bc10a6dfd3f48ab084f5687bad508d0e9b009bb87ff5dba0acffa96a16a28 0",
+        "99f12ca9d0911730db1106bf1b08e7d35e03f340a19141b9ab6ea9b990b35b7f 0",
+        "43859fbc6dad355bc41cb1e926ef41ec5803723ce2deabff768339e833083bab 0",
+        "379bd29dab0ef45567aea7920203fa489a1c82caec7817e7ffab2d55a6bd276a 0",
+        "3a669f99b5649533d72eb483791ca29927f2840f039a31034fc49025db2b137c 0",
+        "54cfd87d90eed2302228392d015ca276cd34e2982a8afad2e41931fc84215ce0 0",
+        "43859fbc6dad355bc41cb1e926ef41ec5803723ce2deabff768339e833083bab 0",
+    ),
+    "P: p^2 - 4*q^3 + 4*q ; k=1": (
+        "9578d7d1bbb4d0854314073d4b443bcdb5cb522b9999094414ed111614071166 0",
+        "89e40411e32574dcf20a4750a3dd27544e7b18a11b8af6526d75484a4fff3039 0",
+        "5961a3cf3f4189d447330408cbb261c8238ab3111c173252f5d2e088a1e4b494 0",
+        "6ad74210ebfd41014c85072c12afe4c2babd5e9aa6be20eb38e65c1e4e7ace9b 0",
+        "9578d7d1bbb4d0854314073d4b443bcdb5cb522b9999094414ed111614071166 0",
+        "89e40411e32574dcf20a4750a3dd27544e7b18a11b8af6526d75484a4fff3039 0",
+        "5961a3cf3f4189d447330408cbb261c8238ab3111c173252f5d2e088a1e4b494 0",
+    ),
+    "y'' = y^4": (
+        "201b64d32b87fd4070d62b6811008f2a109b1cd61eba88b9e5bf29a5578f5c29 2",
+        "0616696f32de0416842dcc2810059b4e1b5de44e5d9d0ca5b3873f6e67ef3988 0",
+        "69b3a8e389baf6e732d54766109628f192ec39a7fd669ca01e819c38639fda4b 0",
+        "e9b13e0194e27ba966981ca534995c3cfdbe6e370b0943e9419c08aa28c3623a 2",
+        "201b64d32b87fd4070d62b6811008f2a109b1cd61eba88b9e5bf29a5578f5c29 2",
+        "0616696f32de0416842dcc2810059b4e1b5de44e5d9d0ca5b3873f6e67ef3988 0",
+        "69b3a8e389baf6e732d54766109628f192ec39a7fd669ca01e819c38639fda4b 0",
+    ),
+    "y'' = 4*y^3 + 1/y": (
+        "cf4a64797d955fa5ab9be219364bb3d8563702e5d7ea7e59cdc45d928c278528 2",
+        "922226cfb869216ebd1c956f737bbfd2c51887ccb4423b4a9941e2baa93e3d13 0",
+        "e4c610d57ef0f27495337a37d5ca68d35673617cfc7f05903accdd5cc0e67a3c 0",
+        "747cb99446bf313d3a86d6cccf18089f4a03fcccd6f0e5f4e0a7d03e275c5c45 2",
+        "cf4a64797d955fa5ab9be219364bb3d8563702e5d7ea7e59cdc45d928c278528 2",
+        "922226cfb869216ebd1c956f737bbfd2c51887ccb4423b4a9941e2baa93e3d13 0",
+        "e4c610d57ef0f27495337a37d5ca68d35673617cfc7f05903accdd5cc0e67a3c 0",
+    ),
+    "y''' = y": (
+        "e71dae083f4bc142c197a5f28754a06d69ae5582fccde60b224d136bb6dc0e07 2",
+        "5435db8f5a52eddfcc4647d15925bc7e9d63f04763536ca81de9f772dc4c037b 0",
+        "60a37a816cd74860099e23762612716342961b2040fd70f3d03e10de3dcecbf4 0",
+        "39b3e1c5bf6e99fad4468ed48d27ff06924114e944d6457ee1d6c794491c3cb4 2",
+        "e71dae083f4bc142c197a5f28754a06d69ae5582fccde60b224d136bb6dc0e07 2",
+        "5435db8f5a52eddfcc4647d15925bc7e9d63f04763536ca81de9f772dc4c037b 0",
+        "60a37a816cd74860099e23762612716342961b2040fd70f3d03e10de3dcecbf4 0",
+    ),
+    "y'' = y": (
+        "059cbe7ce67abe0fa888545a2a16cadccee4fc37cc85559e9efa37eacd7ff2c8 2",
+        "5d3251a17ec28629a65159a46cbf7f866be116b08b9db278fc9334a9039c0a59 0",
+        "cd5b5841c8c574b3aaef8a056b41e56801f67b77056d13d23201ceeb9c049759 0",
+        "3adcc86473a47e04e55dbdc62c33d3773dcf741a19a85b94340c96983fb05e22 2",
+        "059cbe7ce67abe0fa888545a2a16cadccee4fc37cc85559e9efa37eacd7ff2c8 2",
+        "5d3251a17ec28629a65159a46cbf7f866be116b08b9db278fc9334a9039c0a59 0",
+        "cd5b5841c8c574b3aaef8a056b41e56801f67b77056d13d23201ceeb9c049759 0",
+    ),
+    "y' = y^2": (
+        "7a79825c009398f974b1ad0dbd42227a52d70826ba89543eb26723670e6ce1d9 0",
+        "1674a4d63866cf6bc75c71b93d4243c1798655e726e85bccdc882ddfc3cbd98d 0",
+        "5890adf6d0149c9ffa7a0b95cefbeb3958337623378aee472e94e0a50b3f5144 0",
+        "19b813e74b4845b8be3e18271584e1afddd8a73ee271b67f6c913a65a79a9737 0",
+        "7a79825c009398f974b1ad0dbd42227a52d70826ba89543eb26723670e6ce1d9 0",
+        "1674a4d63866cf6bc75c71b93d4243c1798655e726e85bccdc882ddfc3cbd98d 0",
+        "5890adf6d0149c9ffa7a0b95cefbeb3958337623378aee472e94e0a50b3f5144 0",
+    ),
+    "y' = y^2 - 1": (
+        "287173c80eb937e8a5fd94e2503325c9060fa459147139272989f38cb1471ad8 0",
+        "fd50885755867472858c1135f82596ada2f5edc0c248a2f36c2022980a541d5f 0",
+        "8ff25bdbfc143467d8e9f7f6595853e3aaedbc5f3f5851702ac58b96e3c3e979 0",
+        "f7663365d39dd56315bf48c933d92159cc17bdeb20b59920ec740bf3bd80d01c 0",
+        "287173c80eb937e8a5fd94e2503325c9060fa459147139272989f38cb1471ad8 0",
+        "fd50885755867472858c1135f82596ada2f5edc0c248a2f36c2022980a541d5f 0",
+        "8ff25bdbfc143467d8e9f7f6595853e3aaedbc5f3f5851702ac58b96e3c3e979 0",
+    ),
+    "y'' = y^2": (
+        "fa4eb6fd47573d633ab20faf1848b2d1c5e545a1d794960b8a84c3f21a8fca58 0",
+        "c9c63f2f83ea385f1baf18439472b192e8d743eb8e6a781592b294300dd3f9b1 0",
+        "f00ac8d74ebec62a3fe728643beab75a54130b6b05f80ab9c738966919139f84 0",
+        "793e34e6214e20334802ec654c05e4c281c5631d5376ce6075924fc5425c678c 0",
+        "7d3eceb5c0298fbe85eca4e0f60e3effb79680b881a87ddf13e51c92d056ab8f 0",
+        "102b14c03e134aef2e283f57e1106c128c0dfc943ef7f3e2c301f7299a0b99a6 0",
+        "f00ac8d74ebec62a3fe728643beab75a54130b6b05f80ab9c738966919139f84 0",
+    ),
+    "P: p^2 - q^3 ; k=2": (
+        "2d35d3a36e7e49bfbb292e960855f1a085e7c21e8599ebc2accebf419f852cfa 0",
+        "3a20fed37b118ffcc0a29ae3a030388ee331089138381ee92ce27a58c0aece8b 0",
+        "fb7a8f11855d85212129965b1c4b287d779730360b5725edecfc1e59f8094fa7 0",
+        "1969d69ab12cfc7f42decf7d877e86a3245982ec51457dd112a15eea86ff9cce 0",
+        "86427e3fee019ff4d47a23cfe7f7010934beb66c25f26bf011bbe8a2c7a77667 0",
+        "14fe1dccfd5c25476563d0070ef8fdae99542f705f381daae220d22b68696c5c 0",
+        "fb7a8f11855d85212129965b1c4b287d779730360b5725edecfc1e59f8094fa7 0",
+    ),
+    "y' = 2*y^3": (
+        "ce4e0efd0ba7abf15bff8eb8efc72759f01842026c11e5ee51dcc4f0f0e927ca 2",
+        "62d2c7339ff0abf2554a8a16f5eadd9f066678b18a3c809f4aaea0b1d3aee2e1 0",
+        "3b2f80d768201d8ed3e2c74e2b485e434ba6e2824da17e06c0b867af1b1b47a4 0",
+        "4a6e83085812693ca9f3fee8cc076a18627ed155765514d0f3af4fd1497a3222 2",
+        "ce4e0efd0ba7abf15bff8eb8efc72759f01842026c11e5ee51dcc4f0f0e927ca 2",
+        "62d2c7339ff0abf2554a8a16f5eadd9f066678b18a3c809f4aaea0b1d3aee2e1 0",
+        "3b2f80d768201d8ed3e2c74e2b485e434ba6e2824da17e06c0b867af1b1b47a4 0",
+    ),
+}
+
+
+def _corpus_digests(text):
+    lines = (digest_lines(text, "default", Options())[1:]
+             + digest_lines(text, "c=0", Options(c=0)))
+    return tuple(" ".join(line.split(" ", 2)[:2]) for line in lines)
+
+
+def test_corpus_reports_keep_their_digests():
+    assert list(CORPUS_DIGESTS) == GOLDEN_CORPUS
+    changed = {text: [i for i, (got, want) in enumerate(zip(_corpus_digests(text), pinned))
+                      if got != want]
+               for text, pinned in CORPUS_DIGESTS.items()}
+    assert {text: at for text, at in changed.items() if at} == {}
 
 
 # every flag the CLI has ever taken, with a valid value, and the flags each
