@@ -26,7 +26,7 @@ for text, blurb in GALLERY:
     lead_const = eq.P.coeff_in_p(eq.P.deg_p()).degree() == 0
     report = screen_admissibility(eq.k, branches, leading_p_coeff_constant=lead_const)
     print(f"== {text}   ({blurb})")
-    print(f"   polygon kappa candidates: {polygon.kappa_candidates()}")
+    print(f"   polygon kappa candidates: {[e.kappa for e in polygon.upper_edges]}")
     for bc in report.per_branch:
         extra = f" -> pole order n={bc.n}" if bc.n else ""
         print(f"   {bc.branch_id}: kappa={bc.kappa} [{bc.label}]{extra}")

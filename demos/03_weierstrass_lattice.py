@@ -26,7 +26,7 @@ print("germ at the pole:",
 events, probe = sweep_poles(eq, [germ], budget=12)
 print(f"\nfound {len(events)} poles:")
 for ev in events:
-    print(f"   {ev.z:+.9f}   order {ev.order}")
+    print(f"   {ev.z:+.9f}   order {germ.n}")
 
 pr = detect_periods(events, state_probe=probe)
 print(f"\nlattice rank {pr.rank}, verified by state match: {pr.verified}")

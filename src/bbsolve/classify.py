@@ -371,7 +371,6 @@ def germ_numeric(ls, germ_id):
 @dataclass(frozen=True)
 class PoleEvent:
     z: complex
-    order: int
     germ_id: str
     residual: float
 
@@ -695,8 +694,7 @@ def run_segment(flow, z0, state, p0, z1, germs, events, max_steps=400,
             hit = match_pole(germs, z, state, flow.k, p_obs=p)
             if hit is not None:
                 z_p, g, resid = hit
-                _record_event(events, PoleEvent(z=z_p, order=g.n,
-                                                germ_id=g.germ_id, residual=resid))
+                _record_event(events, PoleEvent(z=z_p, germ_id=g.germ_id, residual=resid))
                 # hop only when the pole obstructs the path ahead; poles just
                 # behind (e.g. the anchor we started from) are records only
                 t_along = ((z_p - z) / dirv).real
@@ -764,8 +762,7 @@ def sweep_poles(eq, germ_family, tol=DEFAULT_TRAJ_TOL, budget=13):
     # detuned off the symmetry axes: straight rays through curve branch
     # points (dP/dp = 0) would stall the continuation
     dirs = [cmath.exp(1j * (cmath.pi * t / 4 + 0.0537)) for t in range(8)]
-    events = [PoleEvent(z=0j, order=germs[0].n, germ_id=germs[0].germ_id,
-                        residual=0.0)]
+    events = [PoleEvent(z=0j, germ_id=germs[0].germ_id, residual=0.0)]
     processed = set()
     segments = 0
     scale = None
@@ -840,11 +837,17 @@ def _zkey(z):
 
 @dataclass(frozen=True)
 class PeriodResult:
-    rank: int                 # 0, 1, or 2
     periods: tuple            # () | (T,) | (T1, T2)
-    ratio: complex | None     # T2/T1 for rank 2
     verified: bool
     detail: str
+
+    @property
+    def rank(self):
+        return len(self.periods)
+
+    @property
+    def ratio(self):          # T2/T1 for rank 2
+        return self.periods[1] / self.periods[0] if self.rank == 2 else None
 
 
 def detect_periods(pole_events, tol=DEFAULT_RATIO_TOL, state_probe=None):
@@ -871,7 +874,7 @@ def _fit_lattice(pts, tol, state_probe):
     periods are confirmed only when the full trajectory state agrees at
     z and z + T for three test points (when a probe is available)."""
     if len(pts) < 2:
-        return PeriodResult(0, (), None, False, "fewer than two poles")
+        return PeriodResult((), False, "fewer than two poles")
     seen = {}
     for a in pts:
         for b in pts:
@@ -884,7 +887,7 @@ def _fit_lattice(pts, tol, state_probe):
     if rank1:
         T1 = _canon_sign(T1)
         ok = _verify_period(state_probe, pts, T1)
-        return PeriodResult(1, (T1,), None, ok,
+        return PeriodResult((T1,), ok,
                             "all pole differences are integer multiples of one period")
     T2 = None
     for d in diffs[1:]:
@@ -893,11 +896,11 @@ def _fit_lattice(pts, tol, state_probe):
             T2 = d
             break
     if T2 is None:
-        return PeriodResult(0, (), None, False, "no independent second difference")
+        return PeriodResult((), False, "no independent second difference")
     T1, T2 = _gauss_reduce(T1, T2)
     fit_ok = all(_lattice_fits(d, T1, T2, tol) for d in diffs)
     if not fit_ok:
-        return PeriodResult(0, (), None, False,
+        return PeriodResult((), False,
                             "pole set does not fit a rank-2 lattice within tolerance")
     T1 = _canon_sign(T1)
     T2 = _canon_sign(T2)
@@ -908,8 +911,7 @@ def _fit_lattice(pts, tol, state_probe):
     ok = (_verify_period(state_probe, pts, T1)
           and _verify_period(state_probe, pts, T2))
     T1, T2 = _rebase(T1, T2, tol)
-    return PeriodResult(2, (T1, T2), T2 / T1, ok,
-                        "pole set fits a rank-2 lattice")
+    return PeriodResult((T1, T2), ok, "pole set fits a rank-2 lattice")
 
 
 def _basis_key(T):

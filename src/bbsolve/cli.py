@@ -124,15 +124,14 @@ def _prepare(equation, opts, *germ_N):
     screen.  The branches are expanded once, deep enough for the residues
     and for germs at each index of germ_N (None: the default index).
 
-    Returns (eq, notes, polygon, depth, branches, report); ``notes`` are the
-    parser's."""
+    Returns (eq, polygon, branches, report)."""
     eq = parse_equation(equation)
     polygon = newton_polygon(eq.P)
     depth = default_depth(eq.k, polygon, opts.depth, germ_N)
     branches = branches_at_infinity(eq.P, depth, opts.precision)
     lead_const = eq.P.coeff_in_p(eq.P.deg_p()).degree() == 0
     report = screen_admissibility(eq.k, branches, leading_p_coeff_constant=lead_const)
-    return eq, list(eq.notes), polygon, depth, branches, report
+    return eq, polygon, branches, report
 
 
 def _germs_json(germs, orders):
@@ -171,12 +170,9 @@ def analyze(equation, opts=None):
     # the report's germs at --N, and the continuation family at N_traj
     N_traj = max(opts.N or 0, CONTINUATION_N)
     germ_N = (opts.N,) if opts.no_classify else (opts.N, N_traj)
-    eq, warnings, polygon, depth, branches, report = _prepare(equation, opts, *germ_N)
+    eq, polygon, branches, report = _prepare(equation, opts, *germ_N)
     t1 = clock()
-    assumptions = ["irreducibility of P assumed (not verified)"]
     ev = exactness_check(branches, resolved=eq.resolved, precision=opts.precision)
-    if ev.mode == "general":
-        assumptions.append("genus-0 assumed for the exactness verdict (general mode)")
     report = residue_screen(report, ev)
     t2 = clock()
 
@@ -195,8 +191,8 @@ def analyze(equation, opts=None):
     verdict = None if opts.no_classify else classify_equation(
         eq, report, branches, mono, opts.c, N_traj, opts.tol, opts.precision)
     t4 = clock()
-    out = _build_report(eq, opts, depth, assumptions, warnings, polygon,
-                        branches, ev, report, germs, orders, germ_notes, verdict)
+    out = _build_report(eq, opts, polygon, branches, ev, report, germs, orders,
+                        germ_notes, verdict)
     t5 = clock()
     code = 0
     if verdict is not None and verdict.label in ("none_with_pole", "entire_only"):
@@ -221,11 +217,14 @@ def _exactness_json(ev):
     }
 
 
-def _build_report(eq, opts, depth, assumptions, warnings, polygon, branches,
-                  ev, report, germs, orders, germ_notes, verdict):
+def _build_report(eq, opts, polygon, branches, ev, report, germs, orders,
+                  germ_notes, verdict):
     bound = degree_bound(germs)
+    assumptions = ["irreducibility of P assumed (not verified)"]
+    if ev.mode == "general":
+        assumptions.append("genus-0 assumed for the exactness verdict (general mode)")
     poly_json = {
-        "support": [[i, j] for i, j in polygon.support],
+        "support": [[i, j] for i, j in eq.P.support()],
         "upper_edges": [{
             "from": [e.i1, e.j1], "to": [e.i2, e.j2],
             "slope": _fraction_str(e.slope), "kappa": _fraction_str(e.kappa),
@@ -274,12 +273,12 @@ def _build_report(eq, opts, depth, assumptions, warnings, polygon, branches,
                   "k": eq.k,
                   "resolved": (ratfunc_str(*eq.resolved, var="y")
                                if eq.resolved else None)},
-        "settings": {"precision_bits": opts.precision, "depth": depth,
+        "settings": {"precision_bits": opts.precision, "depth": branches[0].depth,
                      "trajectory_tol": opts.tol, "period_ratio_tol": DEFAULT_RATIO_TOL,
                      "series_N": opts.N,
                      "c": "default" if opts.c is None else gaussian_str(opts.c)},
         "assumptions": assumptions,
-        "warnings": warnings,
+        "warnings": list(eq.notes),
         "newton_polygon": poly_json,
         "branches": branches_json,
         "exactness": _exactness_json(ev),
@@ -381,7 +380,8 @@ def cmd_analyze(equation, opts):
 
 
 def cmd_series(equation, opts):
-    eq, notes, _polygon, _depth, branches, report = _prepare(equation, opts, opts.N)
+    eq, _polygon, branches, report = _prepare(equation, opts, opts.N)
+    notes = list(eq.notes)
     pairs = report.admissible_pairs()
     if opts.n is not None:
         pairs = [(bid, n) for bid, n in pairs if n == opts.n]
@@ -402,15 +402,15 @@ def cmd_series(equation, opts):
 
 
 def cmd_residues(equation, opts):
-    eq, notes, _polygon, _depth, branches, _report = _prepare(equation, opts)
+    eq, _polygon, branches, _report = _prepare(equation, opts)
     ev = exactness_check(branches, resolved=eq.resolved, precision=opts.precision)
     out = {"input": canonical_string(eq), "exactness": _exactness_json(ev),
-           "notes": notes}
+           "notes": list(eq.notes)}
     if opts.fmt == "json":
         return render_json(out), 0
     lines = [f"residues of p dq for {out['input']}:"]
     lines += _exactness_lines(out["exactness"])
-    lines += [f"note: {n}" for n in notes]
+    lines += [f"note: {n}" for n in out["notes"]]
     return "\n".join(lines), 0
 
 

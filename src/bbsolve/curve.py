@@ -44,17 +44,10 @@ class Edge:
         """The branch exponent candidate for places over q = infinity."""
         return -self.slope
 
-    def width(self):
-        return self.i2 - self.i1
-
 
 @dataclass(frozen=True)
 class NewtonPolygon:
-    support: tuple
     upper_edges: tuple
-
-    def kappa_candidates(self):
-        return [e.kappa for e in self.upper_edges]
 
 
 def newton_polygon(P):
@@ -65,14 +58,13 @@ def newton_polygon(P):
     """
     if P.deg_p() < 1 or P.deg_q() < 1:
         raise DegenerateInput("P must be nonconstant in both p and q")
-    support = P.support()
     top = {}
-    for i, j in support:
+    for i, j in P.support():
         top[i] = max(top.get(i, j), j)
     # the upper hull is the lower hull of the points mirrored in j
     hull = [(i, -j) for i, j in _lower_hull([(i, -j) for i, j in sorted(top.items())])]
     edges = tuple(Edge(i1, j1, i2, j2) for (i1, j1), (i2, j2) in zip(hull, hull[1:]))
-    return NewtonPolygon(support=tuple(support), upper_edges=edges)
+    return NewtonPolygon(upper_edges=edges)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +404,10 @@ def _bihorner(coeff_series, amax, x, cap, shift=0):
 class ResidueRow:
     place: str            # "q=<value>" or "infinity" or branch id
     value: object         # residue (exact or BigComplex)
-    certified_zero: bool
+
+    @property
+    def certified_zero(self):
+        return coeff_is_zero(self.value)
 
 
 @dataclass(frozen=True)
@@ -421,7 +416,13 @@ class ExactnessVerdict:
     exact: bool
     s_rational: object    # (N, D) UPoly pair for s = integral of p dq, or None
     mode: str             # "resolved" | "general"
-    notes: tuple
+
+    @property
+    def notes(self):
+        if self.mode == "resolved":
+            return ()
+        return ("general mode: residues checked at places over q=infinity only; "
+                "genus-0 assumed, finite places not examined",)
 
     def s_string(self):
         if self.s_rational is None:
@@ -493,7 +494,7 @@ def exactness_check(branches, resolved=None, precision=DEFAULT_PREC):
     over q = infinity are checked (genus-0 assumed; finite places not
     examined).
     """
-    rows, exact = [], True
+    rows, exact, s_rat = [], True, None
     if resolved is not None:
         Qp, P1, D1, P2, D2 = hermite_ostrogradsky(*resolved)
         exact = P2.is_zero()
@@ -501,20 +502,15 @@ def exactness_check(branches, resolved=None, precision=DEFAULT_PREC):
             D2p = D2.derivative()
             for alpha in roots_univariate(D2, precision):
                 res = GR_ZERO if exact else P2.eval(alpha) * D2p.eval(alpha).inverse()
-                rows.append(ResidueRow(_place_label(alpha), res, coeff_is_zero(res)))
+                rows.append(ResidueRow(_place_label(alpha), res))
     for b in branches:
-        r = residue_pdq(b)
-        rows.append(ResidueRow(b.id if resolved is None else "infinity", r,
-                               coeff_is_zero(r)))
-        exact = exact and coeff_is_zero(r)
-    if resolved is None:
-        notes = ("general mode: residues checked at places over q=infinity only; "
-                 "genus-0 assumed, finite places not examined",)
-        return ExactnessVerdict(residues=tuple(rows), exact=exact,
-                                s_rational=None, mode="general", notes=notes)
-    s_rat = (Qp.integrate() * D1 + P1, D1) if exact else None
-    return ExactnessVerdict(residues=tuple(rows), exact=exact,
-                            s_rational=s_rat, mode="resolved", notes=())
+        row = ResidueRow(b.id if resolved is None else "infinity", residue_pdq(b))
+        rows.append(row)
+        exact = exact and row.certified_zero
+    if resolved is not None and exact:
+        s_rat = (Qp.integrate() * D1 + P1, D1)
+    return ExactnessVerdict(residues=tuple(rows), exact=exact, s_rational=s_rat,
+                            mode="general" if resolved is None else "resolved")
 
 
 def _place_label(alpha):

@@ -89,7 +89,6 @@ def bracket_phi(k, y):
 
 @dataclass(frozen=True)
 class LeadingRoot:
-    c0: object          # eta0^m
     eta0: object        # chosen determination of c0^(1/m)
     index: int          # deterministic root index
 
@@ -131,9 +130,7 @@ def leading_roots(k, n, branch, precision=DEFAULT_PREC):
     beta = GaussianRational(falling(-n, k)) * branch.lead.inverse()
     roots = ((radical_roots(beta, g, precision) if branch.is_exact() else None)
              or all_nth_roots(beta, g, precision))
-    out = []
-    for idx, eta0 in enumerate(roots):
-        out.append(LeadingRoot(c0=eta0 ** m, eta0=eta0, index=idx))
+    out = [LeadingRoot(eta0=eta0, index=idx) for idx, eta0 in enumerate(roots)]
     if not out:
         raise NoRoots("no nonzero leading coefficient")
     return out
@@ -239,7 +236,7 @@ def enumerate_series(eq, branch, n, c=None, N=None, precision=DEFAULT_PREC,
             if collect_notes is not None:
                 at = (f" at eta={coeff_text(coeff_to_json(field_of(root.eta0).eta))}"
                       if over_k else "")
-                c0 = coeff_text(coeff_to_json(root.c0))
+                c0 = coeff_text(coeff_to_json(root.eta0 ** branch.m))
                 collect_notes.append(f"branch {branch.id}, c0={c0}{at}: {failure}")
             continue
         out.append(_read_at(ls, root) if conjugate is not None else ls)
@@ -305,7 +302,7 @@ def _build_series(k, n, branch, root, c, N):
                 "(this reflects a nonzero residue of p dq); no series with this c0")
         if c is None:
             break
-        powers.set_coeff(j, _pin_resonant(k, n, branch, root, powers, c))
+        powers.set_coeff(j, _pin_resonant(k, n, branch, powers, c))
     return LaurentSeries(n=n, k=k, coeffs=tuple(powers.coeffs),
                          c=None if j_res is None else c,
                          branch_id=branch.id, root_choice=root.index)
@@ -331,8 +328,8 @@ class _Powers:
         self.eta0 = root.eta0
         self.m = m
         self.n = n
-        self.coeffs = [root.c0]
-        self.inv0 = root.c0.inverse()
+        self.coeffs = [root.eta0 ** m]
+        self.inv0 = self.coeffs[0].inverse()
         self.w = [GR_ZERO]          # w_i = c_i / c_0 for every known index
         self.nonzero = []           # indices i >= 1 with w_i not exact zero
         self.lists = {}             # e -> [H_0, H_1, ...]
@@ -386,13 +383,13 @@ class _Powers:
                 H[j] = H[j] + wj * Fraction(e, self.m)
 
 
-def _pin_resonant(k, n, branch, root, powers, c):
+def _pin_resonant(k, n, branch, powers, c):
     """Solve the constant term of Phi_k(y) = s(y) + c for c_{2n+k}."""
     y = ZSeries(-n, powers.coeffs)       # resonant coefficient treated as 0
     phi0 = bracket_phi(k, y).coeff(0)
     s0 = powers.coeff(powers.table(first_integral_series(branch)), 0)
     num = phi0 + s0 * -1 + c * -1
-    return num * pinning_coefficient(k, n, root.c0).inverse()
+    return num * pinning_coefficient(k, n, powers.coeffs[0]).inverse()
 
 
 def _series_sort_key(s):

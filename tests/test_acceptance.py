@@ -460,7 +460,7 @@ def test_criterion_11c_exact_germs_stay_in_their_balls():
             for s in report["series"] for cj in s["coeffs"])
         assert all(s["coeffs"][-1] == {"free": True}
                    for s in report["series"] if s["resonance"] == "free")
-        eq, _notes, _polygon, _depth, branches, screen = _prepare(
+        eq, _polygon, branches, screen = _prepare(
             text, Options(no_classify=True), None)
         (bid, n), = screen.admissible_pairs()
         germs = enumerate_series(eq, next(b for b in branches if b.id == bid), n)
@@ -506,7 +506,7 @@ def _long_series_text(kind, text, size):
                          f"unbounded={b.p_unbounded} valid_to={b.valid_q_to} depth={b.depth}")
             lines.extend(f"  {e} {as_gaussian(c)}" for e, c in b.terms)
         return "\n".join(lines)
-    eq, _notes, _polygon, _depth, branches, screen = _prepare(text, Options(), size)
+    eq, _polygon, branches, screen = _prepare(text, Options(), size)
     bid, = [b for b, n in screen.admissible_pairs() if n == 2]
     branch = next(b for b in branches if b.id == bid)
     for ls in enumerate_series(eq, branch, 2, c=GaussianRational(1), N=size):

@@ -267,7 +267,7 @@ def _continue(eq, germ, path):
     flow = _Flow(eq)
     g0 = germ_numeric(germ, "seed")
     state, p = flow.germ_state(g0, complex(path[0]))
-    events = [PoleEvent(z=0j, order=g0.n, germ_id=g0.germ_id, residual=0.0)]
+    events = [PoleEvent(z=0j, germ_id=g0.germ_id, residual=0.0)]
     steps = [(complex(path[0]), state)]
     max_defect = 0.0
     for z0, z1 in zip(path, path[1:]):
@@ -284,7 +284,7 @@ class TestTrajectory:
         germ, = enumerate_series(eq, bs[0], 1, N=10)
         _steps, events, _ = _continue(eq, germ, [0.3 + 0.1j, 2.0 + 0.5j, -1.5 + 0.2j])
         assert len(events) == 1       # y = -1/(z - z0): one pole only
-        assert events[0].order == 1
+        assert events[0].germ_id == "seed" and germ.n == 1
 
     def test_p_germ_short_segment(self):
         eq = parse_equation("y'' = 6*y^2")
@@ -292,7 +292,7 @@ class TestTrajectory:
         germ, = enumerate_series(eq, bs[0], 2, c=GaussianRational(0), N=14)
         steps, events, _ = _continue(eq, germ, [0.2 + 0.1j, 0.8 + 0.3j])
         # seed pole at 0 of order 2 recorded
-        assert events[0].z == 0 and events[0].order == 2
+        assert events[0].z == 0 and events[0].germ_id == "seed" and germ.n == 2
         # y ~ 1/z^2 asymptotics at the endpoint
         z_end, state = steps[-1]
         assert abs(state[0] - 1 / z_end ** 2) < 1e-6 * abs(state[0])
@@ -347,7 +347,7 @@ class TestTrajectoryStability:
 class TestDetectPeriods:
     def test_arithmetic_progression(self):
         T = 2j * cmath.pi
-        events = [PoleEvent(z=m * T, order=1, germ_id="g0", residual=0.0)
+        events = [PoleEvent(z=m * T, germ_id="g0", residual=0.0)
                   for m in range(3)]
 
         def probe(z):
@@ -361,7 +361,7 @@ class TestDetectPeriods:
     def test_square_lattice_fit(self):
         T1, T2 = 1.0 + 0j, 1j
         pts = [a * T1 + b * T2 for a in range(-2, 3) for b in range(-2, 3)]
-        events = [PoleEvent(z=z, order=2, germ_id="g0", residual=0.0)
+        events = [PoleEvent(z=z, germ_id="g0", residual=0.0)
                   for z in sorted(pts, key=lambda t: (abs(t), t.real))]
 
         def probe(z):
@@ -375,7 +375,7 @@ class TestDetectPeriods:
     @staticmethod
     def _lattice_events(T1, T2):
         pts = [a * T1 + b * T2 for a in range(-2, 3) for b in range(-2, 3)]
-        return [PoleEvent(z=z, order=2, germ_id="g0", residual=0.0)
+        return [PoleEvent(z=z, germ_id="g0", residual=0.0)
                 for z in sorted(pts, key=lambda t: (abs(t), t.real))]
 
     def test_one_basis_per_lattice(self):
@@ -398,8 +398,8 @@ class TestDetectPeriods:
         # fits the finer lattice spanned by 1 and (1 + i)/2, which the state
         # refutes; the poles of g0 alone give the true periods
         pts = [a + b * 1j for a in range(-2, 3) for b in range(-2, 3)]
-        events = [PoleEvent(z=z, order=1, germ_id="g0", residual=0.0) for z in pts] \
-            + [PoleEvent(z=z + 0.5 + 0.5j, order=1, germ_id="g1", residual=0.0)
+        events = [PoleEvent(z=z, germ_id="g0", residual=0.0) for z in pts] \
+            + [PoleEvent(z=z + 0.5 + 0.5j, germ_id="g1", residual=0.0)
                for z in pts[:8]]
         events.sort(key=lambda e: (abs(e.z), e.z.real))
 
@@ -407,7 +407,7 @@ class TestDetectPeriods:
             zr = complex(z.real - round(z.real), z.imag - round(z.imag))
             return (zr, zr ** 2)
 
-        one_germ = [PoleEvent(z=e.z, order=1, germ_id="g0", residual=0.0)
+        one_germ = [PoleEvent(z=e.z, germ_id="g0", residual=0.0)
                     for e in events]
         assert not detect_periods(one_germ, state_probe=probe).verified
         pr = detect_periods(events, state_probe=probe)
@@ -427,7 +427,7 @@ class TestDetectPeriods:
             assert min(abs(T - s * want) for T in got for s in (1, -1)) < 1e-6
 
     def test_single_pole_inconclusive(self):
-        events = [PoleEvent(z=0j, order=1, germ_id="g0", residual=0.0)]
+        events = [PoleEvent(z=0j, germ_id="g0", residual=0.0)]
         pr = detect_periods(events)
         assert pr.rank == 0 and not pr.verified
 
@@ -461,12 +461,10 @@ class TestVerdicts:
         # y = -coth z of y' = y^2 - 1, certified with a = 2, decides before
         # any lattice is consulted
         from bbsolve.classify import PeriodResult
-        events = [PoleEvent(z=1j * t, order=1, germ_id="g0", residual=0.0)
+        events = [PoleEvent(z=1j * t, germ_id="g0", residual=0.0)
                   for t in range(4)]
-        for pr in (PeriodResult(rank=1, periods=(3.14159j,), ratio=None,
-                                verified=True, detail=""),
-                   PeriodResult(rank=2, periods=(3.14159j, 2.0), ratio=-0.63j,
-                                verified=True, detail="")):
+        for pr in (PeriodResult(periods=(3.14159j,), verified=True, detail=""),
+                   PeriodResult(periods=(3.14159j, 2.0), verified=True, detail="")):
             calls = self._fake_sweep(monkeypatch, events, pr)
             verdict = analyze("y' = y^2 - 1")[0]["classification"]
             assert (verdict["label"], verdict["confidence"]) \
@@ -479,16 +477,14 @@ class TestVerdicts:
         # multiplier to try, a verified rank-1 lattice leaves it numeric
         from bbsolve.classify import PeriodResult
         monkeypatch.setattr(classify, "_multipliers", lambda *a: [])
-        one = PeriodResult(rank=1, periods=(3.14159j,), ratio=None,
-                           verified=True, detail="")
+        one = PeriodResult(periods=(3.14159j,), verified=True, detail="")
         calls = self._fake_sweep(monkeypatch, [], one)
         assert self._verdict("y' = y^2 - 1") == ("rational_in_exponential", "numeric")
         assert calls == ["sweep", "fit"]
 
     def test_single_pole_is_undetermined(self, monkeypatch):
         # one pole on a finite probe, no certified exact match: evidence only
-        self._fake_sweep(monkeypatch, [PoleEvent(z=0j, order=1, germ_id="g0",
-                                                 residual=0.0)])
+        self._fake_sweep(monkeypatch, [PoleEvent(z=0j, germ_id="g0", residual=0.0)])
         rep, _code = analyze("y''' = -1*y^4 + 1*y^3 + -1*y^2")
         assert rep["conditions"]["pole_solutions_possible"]
         verdict = rep["classification"]

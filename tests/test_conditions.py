@@ -113,7 +113,7 @@ class TestResidueScreen:
         "P: (p - q^3)^2 - 2*q^4 ; k=2", "P: p^2 - 2*q^6 ; k=2",
         "y'''' = 120*y^3 - 72*y"])
     def test_open_report_means_exact(self, text):
-        eq, _notes, _polygon, _depth, bs, rep = _prepare(text, Options())
+        eq, _polygon, bs, rep = _prepare(text, Options())
         ev = exactness_check(bs, resolved=eq.resolved)
         rep2 = residue_screen(rep, ev)
         if rep2.pole_solutions_possible and rep2.exactness_required:

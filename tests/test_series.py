@@ -91,7 +91,7 @@ class TestRecurrenceBracket:
 
 
 def leading_c0(k, n, branch):
-    return [r.c0 for r in leading_roots(k, n, branch)]
+    return [r.eta0 ** branch.m for r in leading_roots(k, n, branch)]
 
 
 class TestLeadingCoefficients:
@@ -204,7 +204,7 @@ class TestEnumerate:
         # p = q^4 +- sqrt(2) q^3: the lead is exact but the tail is balls, so
         # each root builds its own ball germ (a germ over K would be read at
         # one embedding only)
-        eq, _notes, _polygon, _depth, bs, report = _prepare(
+        eq, _polygon, bs, report = _prepare(
             "P: (p - q^4)^2 - 2*q^6 ; k=3", Options(), 6)
         for bid, n in report.admissible_pairs():
             branch = next(b for b in bs if b.id == bid)
@@ -301,7 +301,7 @@ class TestSerialization:
         j2 = series_to_json(pinned)
         assert j2["resonance"] == "pinned" and j2["c"] == {"rat": "7"}
         # c0 = 2^(1/4) on a numeric branch (lead sqrt(2)): a ball
-        eq3, _notes, _polygon, _depth, bs3, report = _prepare("P: p^2 - 2*q^6 ; k=2",
+        eq3, _polygon, bs3, report = _prepare("P: p^2 - 2*q^6 ; k=2",
                                                               Options(), 8)
         bid, n = report.admissible_pairs()[0]
         ball, *_ = enumerate_series(eq3, next(b for b in bs3 if b.id == bid), n,
@@ -353,7 +353,7 @@ def _reference_germ(k, n, branch, root, c, N):
         return total
 
     pterms = table(branch.terms)
-    coeffs = [root.c0]
+    coeffs = [root.eta0 ** branch.m]
     for j in range(1, N + 1):
         y = ZSeries(-n, coeffs)
         Ej = (y.derivative_n(k).coeff(j - n - k)
@@ -367,7 +367,7 @@ def _reference_germ(k, n, branch, root, c, N):
             return coeffs
         phi0 = bracket_phi(k, y).coeff(0)
         s0 = coeff_of_powers(table(first_integral_series(branch)), g_series(y, j), j, 0)
-        coeffs.append((phi0 - s0 - c) * pinning_coefficient(k, n, root.c0).inverse())
+        coeffs.append((phi0 - s0 - c) * pinning_coefficient(k, n, coeffs[0]).inverse())
     return coeffs
 
 
@@ -379,7 +379,7 @@ CORPUS_GERMS = [("y'' = 6*y^2", 2), ("y'' = 6*y^2 - 2", 2),
 
 def germ_case(text, n, N):
     """(equation, the branch feeding pole order n, deep enough for index N)."""
-    eq, _notes, _polygon, _depth, branches, report = _prepare(text, Options(), N)
+    eq, _polygon, branches, report = _prepare(text, Options(), N)
     bid, = [b for b, nn in report.admissible_pairs() if nn == n]
     return eq, next(b for b in branches if b.id == bid)
 
@@ -502,7 +502,7 @@ BALL_GERMS = [
 
 def numeric_germs(text, c, N):
     """(equation, the germs of its one admissible pair) at constant c."""
-    eq, _notes, _polygon, _depth, branches, report = _prepare(text, Options(), N)
+    eq, _polygon, branches, report = _prepare(text, Options(), N)
     (bid, n), = report.admissible_pairs()
     branch, = [b for b in branches if b.id == bid]
     return eq, enumerate_series(eq, branch, n, c=c, N=N)
