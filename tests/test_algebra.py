@@ -58,7 +58,8 @@ class TestGaussianRational:
 
 class TestBigComplex:
     @pytest.mark.xfail(strict=True, reason="BigComplex.__neg__ rounds to mpmath's "
-                       "ambient 53-bit precision but keeps the 256-bit error bound")
+                       "ambient 53-bit precision but keeps the 256-bit error bound "
+                       "(ROADMAP item 1)")
     def test_negation_stays_in_its_disk(self):
         g = GaussianRational(Fraction(1, 3), Fraction(2, 7))
         x = BigComplex.from_exact(g)

@@ -842,6 +842,32 @@ def test_two_term_rational_solution_is_certified():
     assert (verdict["label"], verdict["confidence"]) == ("rational", "exact")
 
 
+# a reducible raw P: the screen reads the places of every factor as one
+# curve, so one factor's inadmissible place rules out the poles of another
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 13")
+@pytest.mark.parametrize("text", [
+    "P: (p - 6*q^2 + 2)*(p - q^4) ; k=2",           # y'' = 6y^2 - 2: Weierstrass wp
+    "P: (p - 6*q^2 + 2)*(p - q^4 - 1) ; k=2",       # the same
+    "P: (p^2 - 4*q^3 + 4*q)*(p - q^3 - 1) ; k=1",   # wp(z; 4, 0) solves the first factor
+    "P: (p - q^2 + 1)*(p^2 - q^5 - 1) ; k=1",       # y = -coth z solves y' = y^2 - 1
+])
+def test_reducible_P_keeps_the_poles_of_a_factor(text):
+    report, _code = analyze(text)
+    assert report["classification"]["label"] != "none_with_pole"
+
+
+@pytest.mark.xfail(strict=True, reason="sweep_poles drops a ray that raises without a trace, "
+                   "so a sweep whose eight rays all fail reads as a numeric continuation "
+                   "(ROADMAP items 5 and 10)")
+def test_failed_continuation_rays_are_reported():
+    # at tol=1e-300 every ray ends in ToleranceLoss ("segment step budget
+    # exhausted"); the exact monomial verdict may stand, but its evidence
+    # must say that the continuation found nothing
+    report, _code = analyze("y'' = 6*y^2", Options(tol=1e-300))
+    evidence = report["classification"]["evidence"]
+    assert any("ray" in e and "failed" in e for e in evidence), evidence
+
+
 def test_lone_place_below_kappa_one_keeps_poles_possible():
     # y = z + 1/z solves it: the pole maps to the kappa = 2 place, and
     # z = infinity to the kappa = 0 place, the only place with kappa < 1
