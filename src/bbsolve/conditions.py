@@ -75,7 +75,7 @@ class ConditionsReport:
         return self._screen_open() and not self.residue_obstruction
 
     @property
-    def exactness_required(self):      # genus 0 assumed
+    def exactness_required(self):
         return self.k % 2 == 0 and self.kappa_one_count <= 1 and self._screen_open()
 
     @property
@@ -142,8 +142,7 @@ def screen_admissibility(k, branches, leading_p_coeff_constant=True):
     if 0 < kappa_one == len(report.per_branch):
         notes.append("only kappa=1 branches: solutions, if any, are entire")
     if report.exactness_required:
-        notes.append("even k with at most one kappa=1 place: p dq must be exact "
-                     "(genus-0 assumed)")
+        notes.append("even k with at most one kappa=1 place: p dq must be exact")
     return replace(report, notes=tuple(notes))
 
 

@@ -325,8 +325,8 @@ def test_criterion_10_determinism():
 # default options.  A report changed on purpose updates this table and says
 # so in CHANGES.md; a speed-up leaves it alone.
 GOLDEN_SHA256 = {
-    "y'' = 6*y^2": "836b3a53a5da447634cf4d78f3fc9af76a8ef267a2a81d669196f78b5f0af72e",
-    "y'' = 6*y^2 - 2": "6210063edc7a0825e0a85ca528d190d857c4e7e79055de64b283d1e20673a5db",
+    "y'' = 6*y^2": "48e354b19f48c33fda83390471a7e7266fb1d2ac689125ebe500765bb5b15f5b",
+    "y'' = 6*y^2 - 2": "37367e473a5bc4e8af8ae522ff297bfcea8e732d3f11187720959fbfb884f2b7",
     "P: p^2 - 4*q^3 + 4*q ; k=1":
         "f8a09cc0bd4c6c55286c0891b0481758ad9c0ee590ca6719aa03463b8325e419",
     "y'' = y^4": "0a00384daa786b15ae6c5ad7fbfd2b6ce91a4dc517cdfbae9c0f8d893a055fbb",
@@ -335,8 +335,8 @@ GOLDEN_SHA256 = {
     "y'' = y": "37fbc6682727a9ee6a1e61ac517ddbb5b6fc4ea0274b66264d55b4a0dab57a65",
     "y' = y^2": "84fea772875925c87c3d4833ad64760e04a2103ba50a3f3a01a6d865d61f663e",
     "y' = y^2 - 1": "8ad78b9db881ccc12f4f32108b9f2fe453eaee3cdf03f7355e7d8a250bfc9dc5",
-    "y'' = y^2": "2bdca618f43a01e02c820b6e9ad40cf305c54fc66487dc38c8124990549e36c3",
-    "P: p^2 - q^3 ; k=2": "b58160e966a86815341e098ebcf92789317b2f934b14366bf7559c1e18fc2cc3",
+    "y'' = y^2": "4ce311390ecfeb7a695acd70af48a0714fb12dc3315dbc78b6f773045405ade7",
+    "P: p^2 - q^3 ; k=2": "5570ea77121e84cf92805ea9f5d47645dc6230fe34db859f220de98328cff379",
     "y' = 2*y^3": "36f3880b2bf54f37eba76bad1a0ed7837547449c9ed23c96f5e6ba0f688fac69",
 }
 
@@ -369,7 +369,7 @@ NUMERIC_BRANCH_SHA256 = {
 }
 NUMERIC_REPORT_SHA256 = {
     "P: p^2 - 2*q^6 ; k=2":
-        "efd86607887ae762d4b40967b24023c22555dbaae69cc46b53e924b668fc3e08",
+        "05314f1664552132f4532885b05a175561c20b41e00d6cf855c2a8f139980110",
 }
 # Reports whose germs were 256-bit balls while c0 outside Q(i) was computed
 # in ball arithmetic, and are now exact over K = Q(i)[eta]/(eta^g - beta):
@@ -381,7 +381,7 @@ EXACT_GERM_REPORT_SHA256 = {
     "y''' = -1*y^4 + 1*y^3 + -1*y^2":
         "a667d295117a714612bf97038370bfe82e4913d1af5668f03539099e9d1ac8eb",
     "y'' = -1*y^3 + 5*y^1 + 9":
-        "c7667767918f2bab1d427f8c47a2a1c6bf544eb68a0845a296585150a46545fd",
+        "4dea3ea5887d03960049b244ef6ac0bce290f19316705d57165ff0f1a6711308",
 }
 BALL_GERMS = os.path.join(os.path.dirname(__file__), "ball_germs_256.json")
 

@@ -786,13 +786,13 @@ VERDICT_PATH_SHA256 = {
         "acad5e8761891f512f77865e534b6d6365360f3e980debf2385a3ef14c022307",
     # undetermined: two poles, no verified lattice
     "y'''' = 3/4*y^3 + (3 + -5*i)":
-        "0d706b70ed634d798cd0a374e3a1852eecaec7221364fa50093830ad16bdca41",
+        "d06af98912986c63727d48a45be91af5ce37f52134371e915a11872478596129",
     # rational_in_exponential (numeric): the multiplier is not in Q(i)
     "y' = 7/3*y^2 + -4":
         "1a851b781230b2779ba6632bbddc37d320ed424429199f07c95a33eccd055668",
     # elliptic (numeric) with a complex coefficient
     "y'' = -1/3*i*y^2":
-        "7713b617b4e5185587c0abad6da00ba503f0329fe8b4492fd03aab2932024cfc",
+        "26c00f86082fc40a7571486eac85c48573ee81f0c61aeefacb5f70eb56df5a2a",
     # rational (exact): a monomial
     "y' = -2/3*y^2":
         "dac48efccb1f9015fc26cef5e017651eea8dfc84419f915e56915f712181a524",

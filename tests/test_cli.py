@@ -427,20 +427,20 @@ class TestOneWriterPerFact:
 # report changed on purpose updates this table and says so in CHANGES.md.
 CORPUS_DIGESTS = {
     "y'' = 6*y^2": (
-        "41bd0e05177508aa744197c8dc0eab9dec17c95d1aa567b39814a535de3cfe07 0",
+        "217255a2ab215c78fde154f1c594c779af9eec20666f17fa1d78c166257818a8 0",
         "8df3d19d3776a373258e49875e3eb036b7a0d01ddd1b6a8660b53d2e8e90eecd 0",
         "0b9414b784341d2f623152898d125c1fb609fedf355a12cf37c5bb7998fdaf85 0",
-        "cfd71b106bc6c8444ab6fae90046a09bf849a72f801765db783a637a0e609df3 0",
-        "6a003c694c5b57054259d4f413552aa7102e31aba86652401ee1712de0f1507c 0",
+        "c64238834be8fef4c87c2517637bf2f2ffc6ace3f2945ee6052dd46ed2c5a79a 0",
+        "4fe5074db61e04c72334ce1918d6d69b8d690293384ad5769596e6b18480f999 0",
         "546c125c95e2509ec0f3b5106a9de7d94f99d17b02d5a602f7662976546cf398 0",
         "0b9414b784341d2f623152898d125c1fb609fedf355a12cf37c5bb7998fdaf85 0",
     ),
     "y'' = 6*y^2 - 2": (
-        "5f0bc10a6dfd3f48ab084f5687bad508d0e9b009bb87ff5dba0acffa96a16a28 0",
+        "db9e8d9bed599eefb0f12cd9871228b7d15cec26971a3adc2abe7086adca6795 0",
         "99f12ca9d0911730db1106bf1b08e7d35e03f340a19141b9ab6ea9b990b35b7f 0",
         "43859fbc6dad355bc41cb1e926ef41ec5803723ce2deabff768339e833083bab 0",
-        "379bd29dab0ef45567aea7920203fa489a1c82caec7817e7ffab2d55a6bd276a 0",
-        "3a669f99b5649533d72eb483791ca29927f2840f039a31034fc49025db2b137c 0",
+        "c12a04380583813ea079b1a5dfcc5af493d86966efd8b863ada26a27b850a4df 0",
+        "8c20c0c35b3db76224bf7f95bcd4065fe39069a2671ecfc51a93938a702a174a 0",
         "54cfd87d90eed2302228392d015ca276cd34e2982a8afad2e41931fc84215ce0 0",
         "43859fbc6dad355bc41cb1e926ef41ec5803723ce2deabff768339e833083bab 0",
     ),
@@ -508,20 +508,20 @@ CORPUS_DIGESTS = {
         "8ff25bdbfc143467d8e9f7f6595853e3aaedbc5f3f5851702ac58b96e3c3e979 0",
     ),
     "y'' = y^2": (
-        "fa4eb6fd47573d633ab20faf1848b2d1c5e545a1d794960b8a84c3f21a8fca58 0",
+        "054578059533d019c096ac58a9c7dad7a96306c6d82d681c49c8f1c973c0c5aa 0",
         "c9c63f2f83ea385f1baf18439472b192e8d743eb8e6a781592b294300dd3f9b1 0",
         "f00ac8d74ebec62a3fe728643beab75a54130b6b05f80ab9c738966919139f84 0",
-        "793e34e6214e20334802ec654c05e4c281c5631d5376ce6075924fc5425c678c 0",
-        "7d3eceb5c0298fbe85eca4e0f60e3effb79680b881a87ddf13e51c92d056ab8f 0",
+        "3cbfd5781d4f02f9de33261d6dad40112bcf2e83b3533a6ed584ff57bc3634ca 0",
+        "badb4d858a8e8a149e8abd6b4187a1873b40724bb56e4ed246f34d78fc4307ac 0",
         "102b14c03e134aef2e283f57e1106c128c0dfc943ef7f3e2c301f7299a0b99a6 0",
         "f00ac8d74ebec62a3fe728643beab75a54130b6b05f80ab9c738966919139f84 0",
     ),
     "P: p^2 - q^3 ; k=2": (
-        "2d35d3a36e7e49bfbb292e960855f1a085e7c21e8599ebc2accebf419f852cfa 0",
+        "97b16c8d8137d7650610ca55276cb4211e441ad448397cbc9405979c5776f4ad 0",
         "3a20fed37b118ffcc0a29ae3a030388ee331089138381ee92ce27a58c0aece8b 0",
         "fb7a8f11855d85212129965b1c4b287d779730360b5725edecfc1e59f8094fa7 0",
-        "1969d69ab12cfc7f42decf7d877e86a3245982ec51457dd112a15eea86ff9cce 0",
-        "86427e3fee019ff4d47a23cfe7f7010934beb66c25f26bf011bbe8a2c7a77667 0",
+        "ae47c47f063fe04a2a1283565170e002a7da1b826321f3558b6b0117506d33b2 0",
+        "d36dd9ec6890b2373e77a458fde298569e233d78cd30497aa7ea347c7391291f 0",
         "14fe1dccfd5c25476563d0070ef8fdae99542f705f381daae220d22b68696c5c 0",
         "fb7a8f11855d85212129965b1c4b287d779730360b5725edecfc1e59f8094fa7 0",
     ),
