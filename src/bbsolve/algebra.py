@@ -54,10 +54,10 @@ import mpmath
 from mpmath import mp
 from mpmath.libmp import (fone, from_int, ftwo, fzero, mpc_abs, mpc_add, mpc_add_mpf,
                           mpc_div, mpc_expjpi, mpc_mpf_div, mpc_mul, mpc_mul_int,
-                          mpc_mul_mpf, mpc_neg, mpc_sub, mpc_to_complex, mpf_add,
-                          mpf_div, mpf_eq, mpf_ge, mpf_gt, mpf_le, mpf_lt, mpf_mul,
-                          mpf_mul_int, mpf_pow_int, mpf_rdiv_int, mpf_shift, mpf_sub,
-                          round_nearest as _RND)
+                          mpc_mul_mpf, mpc_neg, mpc_sub, mpc_to_complex, mpf_abs,
+                          mpf_add, mpf_div, mpf_eq, mpf_ge, mpf_gt, mpf_le, mpf_lt,
+                          mpf_mul, mpf_mul_int, mpf_pow_int, mpf_rdiv_int, mpf_shift,
+                          mpf_sub, round_floor, round_nearest as _RND, to_int)
 
 from .errors import DegenerateInput, PrecisionExhausted
 
@@ -1631,13 +1631,24 @@ def _group_balls(roots):
     return [tuple(g) for g in groups]
 
 
+_GRID = mpf_shift(fone, 40)
+
+
 def _root_key(r):
-    # a part that the ball holds 0 sorts as 0, not by the sign of its noise
-    v, err = coeff_to_mpc(r), coeff_err(r)
-    with mp.workprec(64):
-        grid = mpmath.mpf(2) ** 40
-        return tuple(0 if abs(x) <= err else int(mpmath.floor(x * grid))
-                     for x in (v.real, v.imag))
+    """The one order of roots, places and germs: real part, then imaginary
+    part, each floored on the 2^-40 grid.  A Gaussian rational is keyed
+    exactly; a ball's midpoint is rounded to 64 bits first, and a part that
+    the ball holds 0 counts as 0, not by the sign of its noise.  An element
+    of K is keyed by its ball (``to_ball``)."""
+    if type(r) is AlgebraicNumber:
+        r = r.to_ball()
+    if type(r) is not BigComplex:
+        g = as_gaussian(r)
+        return (g._a << 40) // g._d, (g._b << 40) // g._d
+    err = r._e
+    return tuple(0 if mpf_le(mpf_abs(x, 64, _RND), err)
+                 else to_int(mpf_mul(x, _GRID, 64, _RND), round_floor)
+                 for x in r._v)
 
 
 def _sort_roots(roots):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 import math
 
-from .algebra import (GR_ONE, GR_ZERO, GaussianRational, UPoly, ZSeries,
+from .algebra import (GR_ONE, GR_ZERO, GaussianRational, UPoly, ZSeries, _root_key,
                       all_nth_roots, coeff_is_zero, is_exact, root_multiplicities,
                       roots_univariate, solve_linear, DEFAULT_PREC)
 from .eqparse import gaussian_str, ratfunc_str
@@ -139,12 +139,10 @@ def branches_at_infinity(P, depth, precision=DEFAULT_PREC):
         Ptilde = {(i, dq - j): c for (i, j), c in P.terms.items()}
         raw.extend(_branches_unbounded(Ptilde, d, depth, kappa_max, precision))
         raw.extend(_branches_finite(Ptilde, d, depth, precision))
-    # deterministic ids: sort by kappa descending, then lead coeff key
-    def sort_key(item):
-        kappa, series, m = item
-        cx = complex(series.coeffs[0]) if series.coeffs else 0j
-        return (-kappa, round(cx.real, 9), round(cx.imag, 9))
-    raw.sort(key=sort_key)
+    # ids b0, b1, ... follow kappa descending, then the lead in the order
+    # of roots (algebra._root_key)
+    raw.sort(key=lambda item: (-item[0],
+                               _root_key(item[1].coeffs[0] if item[1].coeffs else GR_ZERO)))
     out = []
     for n_id, (kappa, pser, m) in enumerate(raw):
         # pser is in u = q^(-1/m): u-exponent e sits at q-exponent -e/m

@@ -47,9 +47,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import (GR_ONE, GR_ZERO, GaussianRational, ZSeries,
-                      _is_exact_zero, all_nth_roots, as_gaussian, coeff_is_zero,
-                      dot, eta_str, falling, field_of, is_exact, pochhammer,
-                      radical_roots, same_coordinates, DEFAULT_PREC)
+                      _is_exact_zero, _root_key, all_nth_roots, as_gaussian,
+                      coeff_is_zero, dot, eta_str, falling, field_of, is_exact,
+                      pochhammer, radical_roots, same_coordinates, DEFAULT_PREC)
 from .curve import first_integral_series
 from .eqparse import _fraction_str, gaussian_str
 from .errors import (BBError, DepthTooSmall, InconsistentResonance, NoRoots,
@@ -87,12 +87,6 @@ def bracket_phi(k, y):
 # leading coefficients
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LeadingRoot:
-    eta0: object        # chosen determination of c0^(1/m)
-    index: int          # deterministic root index
-
-
 def d_factor(k, n, j):
     """D_j = falling(j - n, k): the y^(k) coefficient multiplier at index j."""
     return falling(j - n, k)
@@ -116,7 +110,8 @@ def leading_roots(k, n, branch, precision=DEFAULT_PREC):
     GaussianRationals where exact, balls elsewhere.  A branch with any ball
     term keeps ball roots even when its lead is exact: its germs mix balls
     into every coefficient, and a ball is read at one embedding only.
-    Either way the roots are ordered by their (embedded) values."""
+    Either way the roots come in the order of roots (algebra._root_key) of
+    their (embedded) values, and a root's index is its position."""
     m = branch.m
     if n % m != 0:
         raise NoRoots(
@@ -130,10 +125,9 @@ def leading_roots(k, n, branch, precision=DEFAULT_PREC):
     beta = GaussianRational(falling(-n, k)) * branch.lead.inverse()
     roots = ((radical_roots(beta, g, precision) if branch.is_exact() else None)
              or all_nth_roots(beta, g, precision))
-    out = [LeadingRoot(eta0=eta0, index=idx) for idx, eta0 in enumerate(roots)]
-    if not out:
+    if not roots:
         raise NoRoots("no nonzero leading coefficient")
-    return out
+    return roots
 
 
 def pinning_coefficient(k, n, c0):
@@ -222,27 +216,28 @@ def enumerate_series(eq, branch, n, c=None, N=None, precision=DEFAULT_PREC,
             f"index N={N} needs {branch.kappa - Fraction(N, n)}; recompute branches "
             "with a larger depth")
     out, conjugate = [], None
-    for root in roots:
-        over_k = field_of(root.eta0) is not None
+    for index, eta0 in enumerate(roots):
+        over_k = field_of(eta0) is not None
         if conjugate is not None:
             # the recurrence never reads the embedding: the germ is built
             # once over K, and each root re-reads its coordinates
             ls, failure = conjugate
         else:
-            ls, failure = _build_or_failure(k, n, branch, root, c, N)
+            ls, failure = _build_or_failure(k, n, branch, eta0, index, c, N)
             if over_k:
                 conjugate = (ls, failure)
         if failure is not None:
             if collect_notes is not None:
-                at = (f" at eta={coeff_text(coeff_to_json(field_of(root.eta0).eta))}"
+                at = (f" at eta={coeff_text(coeff_to_json(field_of(eta0).eta))}"
                       if over_k else "")
-                c0 = coeff_text(coeff_to_json(root.eta0 ** branch.m))
+                c0 = coeff_text(coeff_to_json(eta0 ** branch.m))
                 collect_notes.append(f"branch {branch.id}, c0={c0}{at}: {failure}")
             continue
-        out.append(_read_at(ls, root) if conjugate is not None else ls)
-    # distinct roots of the squarefree x^g - beta give distinct germs, even
-    # where a short truncation cannot tell them apart
-    return sorted(out, key=_series_sort_key)
+        out.append(_read_at(ls, eta0, index) if conjugate is not None else ls)
+    # germs follow c0 in the order of roots (algebra._root_key); distinct
+    # roots of the squarefree x^g - beta give distinct germs, even where a
+    # short truncation cannot tell them apart, and keep the root order
+    return sorted(out, key=lambda ls: (_root_key(ls.coeffs[0]), ls.root_choice))
 
 
 def check_constant(c):
@@ -252,19 +247,19 @@ def check_constant(c):
         raise BBError(f"c must be None or an exact number, got {c!r}")
 
 
-def _build_or_failure(k, n, branch, root, c, N):
+def _build_or_failure(k, n, branch, eta0, index, c, N):
     """(germ, None), or (None, why) when the resonance rules this root out."""
     try:
-        return _build_series(k, n, branch, root, c, N), None
+        return _build_series(k, n, branch, eta0, index, c, N), None
     except InconsistentResonance as exc:
         return None, str(exc)
 
 
-def _read_at(ls, root):
-    """The germ over K read at the embedding of ``root``: the same exact
-    coordinates, its root index."""
-    emb = field_of(root.eta0)
-    return replace(ls, root_choice=root.index,
+def _read_at(ls, eta0, index):
+    """The germ over K read at the embedding of ``eta0``: the same exact
+    coordinates, root index ``index``."""
+    emb = field_of(eta0)
+    return replace(ls, root_choice=index,
                    coeffs=tuple(c.at(emb) if field_of(c) else c for c in ls.coeffs))
 
 
@@ -281,9 +276,10 @@ def germs_for_pairs(eq, branches, pairs, notes, failure, **kwargs):
     return germs
 
 
-def _build_series(k, n, branch, root, c, N):
+def _build_series(k, n, branch, eta0, index, c, N):
+    """The germ of the leading root ``eta0``, root index ``index``."""
     j_res = 2 * n + k if k % 2 == 0 else None
-    powers = _Powers(root, branch.m, n)
+    powers = _Powers(eta0, branch.m, n)
     pterms = powers.table(branch.terms)
     for j in range(1, N + 1):
         # coefficient of z^(j - n - k) in p(y) with c_j = 0; y^(k) has none
@@ -305,7 +301,7 @@ def _build_series(k, n, branch, root, c, N):
         powers.set_coeff(j, _pin_resonant(k, n, branch, powers, c))
     return LaurentSeries(n=n, k=k, coeffs=tuple(powers.coeffs),
                          c=None if j_res is None else c,
-                         branch_id=branch.id, root_choice=root.index)
+                         branch_id=branch.id, root_choice=index)
 
 
 class _Powers:
@@ -324,11 +320,11 @@ class _Powers:
     numeric germ.
     """
 
-    def __init__(self, root, m, n):
-        self.eta0 = root.eta0
+    def __init__(self, eta0, m, n):
+        self.eta0 = eta0
         self.m = m
         self.n = n
-        self.coeffs = [root.eta0 ** m]
+        self.coeffs = [eta0 ** m]
         self.inv0 = self.coeffs[0].inverse()
         self.w = [GR_ZERO]          # w_i = c_i / c_0 for every known index
         self.nonzero = []           # indices i >= 1 with w_i not exact zero
@@ -390,11 +386,6 @@ def _pin_resonant(k, n, branch, powers, c):
     s0 = powers.coeff(powers.table(first_integral_series(branch)), 0)
     num = phi0 + s0 * -1 + c * -1
     return num * pinning_coefficient(k, n, powers.coeffs[0]).inverse()
-
-
-def _series_sort_key(s):
-    cx = complex(s.coeffs[0])
-    return (s.n, round(cx.real, 12), round(cx.imag, 12), s.root_choice)
 
 
 # ---------------------------------------------------------------------------

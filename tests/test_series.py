@@ -91,7 +91,7 @@ class TestRecurrenceBracket:
 
 
 def leading_c0(k, n, branch):
-    return [r.eta0 ** branch.m for r in leading_roots(k, n, branch)]
+    return [r ** branch.m for r in leading_roots(k, n, branch)]
 
 
 class TestLeadingCoefficients:
@@ -214,7 +214,8 @@ class TestEnumerate:
             assert not any(is_exact(x) or field_of(x) for ls in germs for x in ls.coeffs)
             roots = leading_roots(eq.k, n, branch)
             for ls in germs:
-                own = _build_series(eq.k, n, branch, roots[ls.root_choice], None, 6)
+                own = _build_series(eq.k, n, branch, roots[ls.root_choice], ls.root_choice,
+                                    None, 6)
                 assert all(coeff_is_zero(x + y * -1) for x, y in zip(ls.coeffs, own.coeffs))
             for a, b in combinations(germs, 2):
                 assert not coeff_is_zero(a.coeffs[2] + b.coeffs[2] * -1)
@@ -318,13 +319,13 @@ class TestSerialization:
         assert set(j4["embedding"]["eta"]) == {"re", "im", "err"}
 
 
-def _reference_germ(k, n, branch, root, c, N):
+def _reference_germ(k, n, branch, eta0, c, N):
     """The binomial-sum germ loop, kept as an oracle: at every index j it
     rebuilds G = (1 + w)^(1/m) as a sum of truncated powers of w and every
-    G^e with ZSeries.pow_int / inverse.  Exact germs only; returns the
+    G^e with ZSeries.pow_int / inverse.  Exact germs only: the leading root
+    eta0 is a GaussianRational, or eta of K at its root.  Returns the
     coefficient list, which stops below the resonant index when c is None."""
     m = branch.m
-    eta0 = root.eta0          # a GaussianRational, or eta of K at its root
 
     def table(terms):
         return [(int(-n * x), int(m * x), A) for x, A in terms]
@@ -353,7 +354,7 @@ def _reference_germ(k, n, branch, root, c, N):
         return total
 
     pterms = table(branch.terms)
-    coeffs = [root.eta0 ** branch.m]
+    coeffs = [eta0 ** branch.m]
     for j in range(1, N + 1):
         y = ZSeries(-n, coeffs)
         Ej = (y.derivative_n(k).coeff(j - n - k)
