@@ -785,8 +785,8 @@ def sweep_poles(eq, germ_family, tol=DEFAULT_TRAJ_TOL, budget=13):
                 break
             segments += 1
             z_s = ev.z + start_off * dirv
-            state, p = flow.germ_state(g, z_s - ev.z)
             try:
+                state, p = flow.germ_state(g, z_s - ev.z)
                 run_segment(flow, z_s, state, p, ev.z + reach * dirv, germs,
                             events, max_steps=500)
             except (ToleranceLoss, SingularEncounter, OverflowError):
@@ -814,12 +814,11 @@ def sweep_poles(eq, germ_family, tol=DEFAULT_TRAJ_TOL, budget=13):
             return None
         off = min(0.31, 0.4 * g.trust, max(0.9 * r, 1e-3))
         z_s = ev.z + off * _unit(z - ev.z)
-        state, p = flow.germ_state(g, z_s - ev.z)
-        if abs(z_s - z) < 1e-12:
-            return state
         try:
-            state, _, _ = run_segment(flow, z_s, state, p, z, germs, list(events),
-                                      max_steps=300)
+            state, p = flow.germ_state(g, z_s - ev.z)
+            if abs(z_s - z) >= 1e-12:
+                state, _, _ = run_segment(flow, z_s, state, p, z, germs, list(events),
+                                          max_steps=300)
         except (ToleranceLoss, SingularEncounter, OverflowError):
             return None
         return state
@@ -995,6 +994,15 @@ LABELS = ("rational", "rational_in_exponential", "elliptic", "entire_only",
           "none_with_pole", "undetermined")
 
 
+def _period(a):
+    """T = 2 pi i/a as a double; None unless it is finite and nonzero."""
+    try:
+        T = 2j * cmath.pi / complex(a)
+    except (OverflowError, ZeroDivisionError):
+        return None
+    return T if T and cmath.isfinite(T) else None
+
+
 @dataclass(frozen=True)
 class ClassificationVerdict:
     label: str
@@ -1064,16 +1072,19 @@ def classify_equation(eq, report, branches, mono, c, N, tol, precision):
         how = "numeric continuation" if closed is None else "exact closed form"
         notes.append(f"{how} at first-integral constant c={gaussian_str(c)}")
     if closed is not None:
-        T = 2j * cmath.pi / complex(a)
+        T = _period(a)
         return verdict("rational_in_exponential", "exact",
                        "exact exponential solution: " + closed.describe(),
-                       f"period 2*pi*i/a: T={T:.9g}", periods=(T,))
+                       "period 2*pi*i/a lies outside the double range" if T is None
+                       else f"period 2*pi*i/a: T={T:.9g}",
+                       periods=() if T is None else (T,))
     pr, events = None, ()
     if family:
         try:
             found, probe = sweep_poles(eq, family, tol=tol)
             pr, events = detect_periods(found, state_probe=probe), found
-        except BBError as exc:
+        except (BBError, OverflowError) as exc:
+            # a coefficient or a germ outside the double range
             notes.append(f"numeric continuation failed: {exc}")
     if pr is not None and pr.verified:
         if pr.rank == 2:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bbsolve.algebra import (GR_ZERO, BiPoly, BigComplex, GaussianRational, UPoly,
-                             ZSeries, _exact_ball, _sort_roots, all_nth_roots,
+                             ZSeries, _exact_ball, _root_key, _sort_roots, all_nth_roots,
                              coeff_is_zero, coeff_to_mpc, falling, is_exact, pochhammer,
                              roots_univariate, solve_linear, squarefree_in_p,
                              squarefree_part_in_p)
@@ -18,6 +18,9 @@ rationals = st.builds(Fraction,
                       st.integers(min_value=-50, max_value=50),
                       st.integers(min_value=1, max_value=20))
 gaussians = st.builds(GaussianRational, rationals, rationals)
+wide_rationals = st.builds(Fraction,
+                           st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+                           st.integers(min_value=1, max_value=10 ** 3))
 
 
 class TestPochhammer:
@@ -150,7 +153,7 @@ class TestRoots:
         roots = roots_univariate(p, precision=192)
         for r in roots:
             val = p.eval(r)
-            assert val.abs_upper() <= 1e-20
+            assert abs(val.val) + val.err <= 1e-20
 
     def test_monic_reconstruction(self):
         p = UPoly([Fraction(-6), Fraction(11), Fraction(-6), Fraction(1)])
@@ -179,6 +182,18 @@ class TestRoots:
                     for s, im in zip(noise, (1, -1)))
         assert _sort_roots([up, down]) == [down, up]
         assert _sort_roots([down, up]) == [down, up]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.builds(GaussianRational, wide_rationals, wide_rationals),
+                    min_size=2, max_size=6, unique=True))
+    def test_exact_key_orders_by_real_then_imaginary_part(self, xs):
+        # distinct values at denominators <= 10^3 differ by >= 10^-6 in a
+        # part that differs, far above the 2^-40 grid
+        assert sorted(xs, key=_root_key) == sorted(xs, key=lambda g: (g.re, g.im))
+
+    def test_key_of_values_outside_the_double_range(self):
+        big = GaussianRational(10 ** 400, Fraction(1, 10 ** 400))
+        assert _root_key(big) == (10 ** 400 << 40, 0)
 
     def test_close_roots_come_in_disjoint_disks(self):
         # (x^2 - 2)(x^2 - 2 - 2^-120) is squarefree with roots ~2^-122 apart:

@@ -696,6 +696,41 @@ class TestMain:
             assert words in out
 
 
+# coefficients and orders whose values a double cannot hold: the exact
+# layers never round them, and the numeric continuation drops a ray, or
+# records its failure, where a double overflows
+OUTSIDE_DOUBLES = [
+    "y'' = 10^400*y^2", "y'' = y^3 - 10^320", "y''' = 10^1000*y^4",
+    "P: p^2 - q^3 + 10^400 ; k=1", "P: p^2 - 10^400*q^3 ; k=1",
+    "y'' = y^2/10^400 - 1", "y' = y^2/10^400 - 1", "P: p^2 - q^3 ; k=99",
+    "P: p^2 - q^3/10^400 ; k=1", "P: p^2 - q^3 ; k=30"]
+# closed forms y = R(e^(az)) whose period 2 pi i/a is no finite nonzero double
+CLOSED_FORMS_OUTSIDE_DOUBLES = [
+    "y' = 10^400*y^2 - 10^400", "y' = y^2/10^400 - 1/10^400",
+    "y' = y^2/10^320 - 1/10^320"]
+
+
+class TestOutsideTheDoubleRange:
+    @pytest.mark.parametrize("args", [
+        ["analyze"], ["analyze", "--format", "json"], ["analyze", "--no-classify"],
+        ["series"], ["residues"]])
+    @pytest.mark.parametrize("text", OUTSIDE_DOUBLES + CLOSED_FORMS_OUTSIDE_DOUBLES)
+    def test_ends_without_a_traceback(self, capsys, text, args):
+        code = main([args[0], text] + args[1:])
+        err = capsys.readouterr().err
+        assert (code in (0, 2) and err == ""
+                or code == 1 and err.startswith("error:") and err.count("\n") == 1), err
+
+    @pytest.mark.parametrize("text", CLOSED_FORMS_OUTSIDE_DOUBLES)
+    def test_closed_form_stays_exact(self, capsys, text):
+        assert main(["analyze", text, "--format", "json"]) == 0
+        verdict = json.loads(capsys.readouterr().out)["classification"]
+        assert (verdict["label"], verdict["confidence"]) == ("rational_in_exponential",
+                                                             "exact")
+        assert verdict["periods"] == []
+        assert "period 2*pi*i/a lies outside the double range" in verdict["evidence"]
+
+
 class TestDepthDefaults:
     def test_large_kappa_reaches_residue_term(self):
         # kappa far above any admissible order: the default depth must still
@@ -875,6 +910,23 @@ class TestModuleEntryPoint:
                              for n in ast.walk(node.args[1])}
                     bad += [node.lineno] if named & types else []
             assert bad == [], f"{name}: BigComplex import or type dispatch at lines {bad}"
+
+    def test_exact_layers_round_no_value_to_a_double(self):
+        # curve, series, conditions and eqparse hold exact values and balls
+        # and order them by algebra._root_key; only the two ball writers
+        # print a double
+        pkg = os.path.join(SRC, "bbsolve")
+        writers = {("series.py", "coeff_to_json"), ("curve.py", "_place_label")}
+        for name in ("curve.py", "series.py", "conditions.py", "eqparse.py"):
+            with open(os.path.join(pkg, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            exempt = {id(node) for fn in ast.walk(tree)
+                      if isinstance(fn, ast.FunctionDef) and (name, fn.name) in writers
+                      for node in ast.walk(fn)}
+            bad = [node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and id(node) not in exempt
+                   and getattr(node.func, "id", None) in ("complex", "float", "round")]
+            assert bad == [], f"{name}: complex, float or round at lines {bad}"
 
     def test_every_import_is_read(self):
         # the project runs no linter, so this stands in for its unused-import
