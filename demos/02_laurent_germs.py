@@ -15,15 +15,16 @@ Run:
 
 from fractions import Fraction
 
-from bbsolve import (branches_at_infinity, enumerate_series, parse_equation,
-                     pinning_coefficient, recurrence_bracket, verify_series)
+from bbsolve import (branches_at_infinity, canonical_string, enumerate_series,
+                     parse_equation, pinning_coefficient, recurrence_bracket,
+                     verify_series)
 from bbsolve.algebra import GaussianRational
 
 eq = parse_equation("y'' = 6*y^2")
 branch, = branches_at_infinity(eq.P, depth=24)
 n, k = 2, eq.k
 
-print("recurrence factor bracket(j) = D_j - (1 + k/n) D_0 for", eq.canonical())
+print("recurrence factor bracket(j) = D_j - (1 + k/n) D_0 for", canonical_string(eq))
 row = {j: recurrence_bracket(k, n, j) for j in range(0, 12)}
 print("  ", ", ".join(f"j={j}: {v}" for j, v in row.items()))
 print(f"  vanishes only at j = 2n+k = {2 * n + k}")

@@ -299,8 +299,8 @@ class BigComplex:
     Two defects are kept bit for bit until ROADMAP item 9 fixes them with
     the next change to the benchmark: negation (and so ``-``) rounds the
     midpoint at mpmath's ambient precision but keeps the radius, and adding
-    an exact zero still charges rounding slack.  ``is_zero`` and
-    ``abs_upper`` are evaluated at the ambient precision as well.
+    an exact zero still charges rounding slack.  ``is_zero`` is evaluated
+    at the ambient precision as well.
     """
 
     __slots__ = ("_v", "_e", "prec", "_mod")
@@ -452,10 +452,6 @@ class BigComplex:
         return _ball(r, e, prec, (wp, mr))
 
     # -- predicates ------------------------------------------------------
-    def abs_upper(self):
-        prec, rnd = mp._prec_rounding
-        return mp.make_mpf(mpf_add(mpc_abs(self._v, prec, rnd), self._e, prec, rnd))
-
     def is_zero(self):
         """Certified-zero flag: the disk contains zero."""
         prec, rnd = mp._prec_rounding
@@ -575,10 +571,6 @@ class AlgebraicNumber:
         re = [0] * emb.g
         re[1] = 1
         return _alg_raw(re, [0] * emb.g, 1, emb)
-
-    @property
-    def embedding(self):
-        return self._emb
 
     def coordinates(self):
         """[x_0, ..., x_{g-1}] as GaussianRationals."""
@@ -1506,9 +1498,11 @@ def roots_univariate(poly, precision=DEFAULT_PREC):
     """All complex roots with multiplicity, each with an error radius.
 
     Accepts a UPoly (exact coefficients) or a list of coefficients (ascending;
-    exact values and/or BigComplex).  Roots come back sorted lexicographically
-    by (real, imag): a root certified exact by back-substitution is a
-    GaussianRational, every other root a BigComplex disk.  For exact input
+    exact values and/or BigComplex).  Roots come back in the order of
+    _root_key (real part, then imaginary part, on a 2^-40 grid, with a part
+    that a ball holds 0 counting as 0): a root certified exact by
+    back-substitution is a GaussianRational, every other root a BigComplex
+    disk.  For exact input
     each radius is certified <= 2^(-precision/2), and the disks of distinct
     roots are disjoint.  Roots of numeric coefficients carry the radius
     inherited from those coefficients' error bounds, which may be wider:

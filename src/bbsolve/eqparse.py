@@ -61,9 +61,6 @@ class EquationSpec:
             return None
         return -self.P.coeff_in_p(0), self.P.coeff_in_p(1)
 
-    def canonical(self):
-        return canonical_string(self)
-
 
 # ---------------------------------------------------------------------------
 # tokenizer

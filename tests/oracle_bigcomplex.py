@@ -163,9 +163,6 @@ class BigComplex:
         return BigComplex(r, e, prec)
 
     # -- predicates ------------------------------------------------------
-    def abs_upper(self):
-        return abs(self.val) + self.err
-
     def is_zero(self):
         """Certified-zero flag: the disk contains zero."""
         return abs(self.val) <= self.err

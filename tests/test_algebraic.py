@@ -115,16 +115,16 @@ class TestEmbeddings:
         assert complex(x) == complex(bx)
         # the same coordinates at every other root
         for eta in conjugates(field):
-            emb = eta.embedding
+            emb = field_of(eta)
             assert overlap((x * y).at(emb).to_ball(), x.at(emb).to_ball() * y.at(emb).to_ball())
 
     @pytest.mark.parametrize("field", range(len(FIELDS)))
     def test_roots_are_the_closed_forms(self, field):
         beta, g = FIELDS[field]
         etas = conjugates(field)
-        assert sorted(e.embedding.index for e in etas) == list(range(g))
+        assert sorted(field_of(e).index for e in etas) == list(range(g))
         for e in etas:
-            ball = e.embedding.eta
+            ball = field_of(e).eta
             assert overlap(ball ** g, BigComplex.from_exact(beta))
             assert ball == e.to_ball() or overlap(ball, e.to_ball())
         keys = [(complex(e).real, complex(e).imag) for e in etas]
@@ -149,11 +149,11 @@ class TestEmbeddings:
 
     def test_embedding_identity(self):
         beta, g = FIELDS[0]
-        e = conjugates(0)[0].embedding
+        e = field_of(conjugates(0)[0])
         assert Embedding(g, beta, e.index) == e and hash(Embedding(g, beta, e.index)) == hash(e)
         assert Embedding(g, beta, (e.index + 1) % g) != e
         with pytest.raises(ValueError):
-            conjugates(0)[0].at(conjugates(1)[0].embedding)
+            conjugates(0)[0].at(field_of(conjugates(1)[0]))
 
     def test_immutable(self):
         with pytest.raises(AttributeError):
@@ -241,9 +241,9 @@ class TestFusedSum:
         if kind == "ball":
             xs[at] = BigComplex.from_exact(G(F(1, 3), 2)) * x.to_ball()
         else:
-            other = conjugates(field)[(root + 1) % FIELDS[field][1]].embedding
+            other = field_of(conjugates(field)[(root + 1) % FIELDS[field][1]])
             xs[at] = x.at(other)
-        emb = conjugates(field)[root].embedding
+        emb = field_of(conjugates(field)[root])
         kept = [(x, y) for i, (x, y) in enumerate(zip(xs, ys))
                 if (ws is None or ws[i]) and not _is_exact_zero(x) and not _is_exact_zero(y)]
         mixed = (any(x is xs[at] for x, _y in kept)
