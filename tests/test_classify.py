@@ -824,7 +824,7 @@ def test_verdict_path_report_is_pinned(text):
 
 @pytest.mark.xfail(strict=True, reason="the ball Puiseux terms below a double lead that "
                    "splits one order later exclude their true value 0, so a residue of "
-                   "2.3e-66 +- 1.7e-72 is certified nonzero (ROADMAP item 9)")
+                   "2.3e-66 +- 1.7e-72 is certified nonzero (ROADMAP item 1)")
 def test_split_double_lead_keeps_its_poles():
     # the branches are exactly p = q^3 +- sqrt(2) q^2: every lower term, and
     # so the residue of p dq, is 0, which rules no pole out
