@@ -54,9 +54,9 @@ import mpmath
 from mpmath import mp
 from mpmath.libmp import (fone, from_int, ftwo, fzero, mpc_abs, mpc_add, mpc_add_mpf,
                           mpc_div, mpc_expjpi, mpc_mpf_div, mpc_mul, mpc_mul_int,
-                          mpc_mul_mpf, mpc_neg, mpc_sub, mpc_to_complex, mpf_abs,
-                          mpf_add, mpf_div, mpf_eq, mpf_ge, mpf_gt, mpf_le, mpf_lt,
-                          mpf_mul, mpf_mul_int, mpf_pow_int, mpf_rdiv_int, mpf_shift,
+                          mpc_mul_mpf, mpc_neg, mpc_sub, mpc_to_complex, mpf_abs, mpf_add,
+                          mpf_div, mpf_eq, mpf_ge, mpf_gt, mpf_le, mpf_lt, mpf_mul,
+                          mpf_mul_int, mpf_pos, mpf_pow_int, mpf_rdiv_int, mpf_shift,
                           mpf_sub, round_floor, round_nearest as _RND, to_int)
 
 from .errors import DegenerateInput, PrecisionExhausted
@@ -1502,11 +1502,10 @@ def roots_univariate(poly, precision=DEFAULT_PREC):
     _root_key (real part, then imaginary part, on a 2^-40 grid, with a part
     that a ball holds 0 counting as 0): a root certified exact by
     back-substitution is a GaussianRational, every other root a BigComplex
-    disk.  For exact input
-    each radius is certified <= 2^(-precision/2), and the disks of distinct
-    roots are disjoint.  Roots of numeric coefficients carry the radius
-    inherited from those coefficients' error bounds, which may be wider:
-    nothing holds it to that target.
+    disk.  For exact input each radius is certified <= 2^(-precision/2), and
+    the disks of distinct roots are disjoint.  Roots of numeric coefficients
+    carry the radius inherited from those coefficients' error bounds, which
+    may be wider: nothing holds it to that target.
     """
     exact_poly, coeffs = _root_input(poly)
     if exact_poly is not None:
@@ -1625,15 +1624,10 @@ def _group_balls(roots):
     return [tuple(g) for g in groups]
 
 
-_GRID = mpf_shift(fone, 40)
-
-
 def _root_key(r):
     """The one order of roots, places and germs: real part, then imaginary
-    part, each floored on the 2^-40 grid.  A Gaussian rational is keyed
-    exactly; a ball's midpoint is rounded to 64 bits first, and a part that
-    the ball holds 0 counts as 0, not by the sign of its noise.  An element
-    of K is keyed by its ball (``to_ball``)."""
+    part, floored on the 2^-40 grid; exact for Q(i), from the 64-bit rounded
+    midpoint for a ball (a part it holds 0 is 0), from to_ball() for K."""
     if type(r) is AlgebraicNumber:
         r = r.to_ball()
     if type(r) is not BigComplex:
@@ -1641,7 +1635,7 @@ def _root_key(r):
         return (g._a << 40) // g._d, (g._b << 40) // g._d
     err = r._e
     return tuple(0 if mpf_le(mpf_abs(x, 64, _RND), err)
-                 else to_int(mpf_mul(x, _GRID, 64, _RND), round_floor)
+                 else to_int(mpf_shift(mpf_pos(x, 64, _RND), 40), round_floor)
                  for x in r._v)
 
 

@@ -234,9 +234,8 @@ def enumerate_series(eq, branch, n, c=None, N=None, precision=DEFAULT_PREC,
                 collect_notes.append(f"branch {branch.id}, c0={c0}{at}: {failure}")
             continue
         out.append(_read_at(ls, eta0, index) if conjugate is not None else ls)
-    # germs follow c0 in the order of roots (algebra._root_key); distinct
-    # roots of the squarefree x^g - beta give distinct germs, even where a
-    # short truncation cannot tell them apart, and keep the root order
+    # germs follow c0, then the root: distinct roots of the squarefree
+    # x^g - beta give distinct germs, even where a truncation cannot tell
     return sorted(out, key=lambda ls: (_root_key(ls.coeffs[0]), ls.root_choice))
 
 
