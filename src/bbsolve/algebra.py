@@ -42,13 +42,15 @@ Root finding is simultaneous Aberth-Ehrlich iteration seeded on a circle,
 followed by Newton polishing, with a-posteriori error disks from the
 Weierstrass correction, on libmp tuples as well; exact rational/Gaussian-
 rational roots are recognised and certified by exact back-substitution.
+Linear factors, and quadratic factors whose roots lie in Q(i) where that
+recognition would certify them, are solved in closed form instead.
 """
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from math import gcd
+from math import gcd, isqrt
 
 import mpmath
 from mpmath import mp
@@ -1468,6 +1470,11 @@ def _horner(c, x, wp):
     return acc
 
 
+# The denominator bounds _try_exactify tries in turn; a root in Q(i) whose
+# real or imaginary part needs a larger denominator stays a ball.
+_EXACTIFY_DENOMINATORS = (1, 2, 6, 12, 60, 720, 10 ** 4, 10 ** 6, 10 ** 9, 10 ** 12)
+
+
 def _try_exactify(root_mpc, radius, upoly, reach):
     """Recognise a numeric root as an exact Gaussian rational root of upoly,
     no farther than ``reach`` from it."""
@@ -1475,7 +1482,7 @@ def _try_exactify(root_mpc, radius, upoly, reach):
         window = min(radius * 4 + mpmath.mpf(2) ** (-40), reach)
         re_f = _mpf_to_fraction(root_mpc.real)
         im_f = _mpf_to_fraction(root_mpc.imag)
-        for bound in (1, 2, 6, 12, 60, 720, 10 ** 4, 10 ** 6, 10 ** 9, 10 ** 12):
+        for bound in _EXACTIFY_DENOMINATORS:
             cand = GaussianRational(re_f.limit_denominator(bound),
                                     im_f.limit_denominator(bound))
             delta = cand.to_mpc(mp.prec) - root_mpc
@@ -1500,10 +1507,13 @@ def roots_univariate(poly, precision=DEFAULT_PREC):
     Accepts a UPoly (exact coefficients) or a list of coefficients (ascending;
     exact values and/or BigComplex).  Roots come back in the order of
     _root_key (real part, then imaginary part, on a 2^-40 grid, with a part
-    that a ball holds 0 counting as 0): a root certified exact by
-    back-substitution is a GaussianRational, every other root a BigComplex
-    disk.  For exact input each radius is certified <= 2^(-precision/2), and
-    the disks of distinct roots are disjoint.  Roots of numeric coefficients
+    that a ball holds 0 counting as 0): a root certified exact is a
+    GaussianRational, every other root a BigComplex disk.  A root of a
+    linear factor, and the roots in Q(i) of a quadratic factor, come in
+    closed form (_quadratic_roots, exactly where back-substitution would
+    certify them); the rest come from Aberth and back-substitution.  For
+    exact input each radius is certified <= 2^(-precision/2), and the
+    disks of distinct roots are disjoint.  Roots of numeric coefficients
     carry the radius inherited from those coefficients' error bounds, which
     may be wider: nothing holds it to that target.
     """
@@ -1563,11 +1573,18 @@ def _disjoint(disks):
 
 
 def _roots_squarefree(factor, precision):
-    """The roots of a squarefree factor, in pairwise-disjoint disks of radius
-    at most 2^(-precision/2); the working precision doubles until they are,
-    and each ball keeps the precision that separated it."""
+    """The roots of a monic squarefree factor.  A linear factor's root, and
+    a quadratic's two roots where _quadratic_roots finds them, come in closed
+    form; the rest come from _aberth in pairwise-disjoint disks of radius at
+    most 2^(-precision/2), the working precision doubling until they are, and
+    _try_exactify makes a root exact where it can; each ball keeps the
+    precision that separated it."""
     if factor.degree() == 1:
         return [(-factor[0]) / factor[1]]
+    if factor.degree() == 2:
+        roots = _quadratic_roots(factor, precision)
+        if roots is not None:
+            return roots
     target = mpmath.mpf(2) ** (-(precision // 2))
     work = precision + 32
     for _ in range(4):
@@ -1587,6 +1604,51 @@ def _roots_squarefree(factor, precision):
         work *= 2
     raise PrecisionExhausted(
         f"root disks did not separate below 2^-{precision // 2} at {work // 2} bits")
+
+
+def _gaussian_sqrt(g):
+    """The square root of a GaussianRational with nonnegative real part (and
+    nonnegative imaginary part on the imaginary axis) when it lies in Q(i),
+    else None.  With g = (x + y i)/d^2, a root (u + v i)/d needs
+    u^2 = (r + x)/2 and v^2 = (r - x)/2 for r^2 = x^2 + y^2, in integers."""
+    d = g._d
+    x, y = g._a * d, g._b * d
+    n = x * x + y * y
+    r = isqrt(n)
+    if r * r != n or (r + x) & 1:
+        return None
+    u2, v2 = (r + x) >> 1, (r - x) >> 1
+    u, v = isqrt(u2), isqrt(v2)
+    if u * u != u2 or v * v != v2:
+        return None
+    return _gr(u, v if y >= 0 else -v, d)
+
+
+def _quadratic_roots(factor, precision):
+    """The roots (-b +- sqrt(b^2 - 4c))/2 of a monic squarefree x^2 + b x + c,
+    only where the Aberth path would certify both exact: they lie in Q(i),
+    every part's denominator is within _EXACTIFY_DENOMINATORS, their keys
+    differ (so the sort alone orders them), and rounding the coefficients to
+    the working precision moves a root by less than 2^-156 min(1, |r1 - r2|),
+    far inside the 2^-81 and |r1 - r2|/4 that _try_exactify needs.
+    Otherwise None."""
+    c, b, _ = factor.coeffs
+    s = _gaussian_sqrt(b * b - 4 * c)
+    if s is None:
+        return None
+    roots = [(s - b) / 2, (-s - b) / 2]
+    bound = _EXACTIFY_DENOMINATORS[-1]
+    if any(r._d // gcd(r._a, r._d) > bound or r._d // gcd(r._b, r._d) > bound
+           for r in roots) or _root_key(roots[0]) == _root_key(roots[1]):
+        return None
+    # |root| < 2^size and |r1 - r2| = |s| > 2^-gap; coefficients rounded at
+    # precision + 32 bits move a root by under 2^(2 size + gap - precision - 28)
+    size = max(max(abs(r._a), abs(r._b)).bit_length() - r._d.bit_length() + 2
+               for r in roots)
+    gap = s._d.bit_length() - max(abs(s._a), abs(s._b)).bit_length() + 1
+    if 2 * (max(size, 0) + max(gap, 0)) + 128 > precision:
+        return None
+    return roots
 
 
 def _roots_numeric(coeffs, precision):
@@ -1646,9 +1708,10 @@ def _sort_roots(roots):
 def all_nth_roots(value, b, precision=DEFAULT_PREC):
     """All b-th roots of a coefficient value, as numbers: as in
     roots_univariate, the certified-exact ones are GaussianRational and the
-    others balls (Aberth on x^b - value for an exact value, closed forms
-    for a ball).  For an exact value with x^b - value irreducible over Q(i),
-    radical_roots gives the same roots as one exact eta of the extension."""
+    others balls (roots_univariate of x^b - value for an exact value, so
+    square roots in Q(i) in closed form; closed forms for a ball).  For an
+    exact value with x^b - value irreducible over Q(i), radical_roots gives
+    the same roots as one exact eta of the extension."""
     if is_exact(value):
         g = as_gaussian(value)
         poly = UPoly([-g] + [GR_ZERO] * (b - 1) + [GR_ONE])

@@ -7,11 +7,13 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bbsolve import algebra
 from bbsolve.algebra import (GR_ZERO, BiPoly, BigComplex, GaussianRational, UPoly,
-                             ZSeries, _exact_ball, _root_key, _sort_roots, all_nth_roots,
-                             coeff_is_zero, coeff_to_mpc, falling, is_exact, pochhammer,
-                             roots_univariate, solve_linear, squarefree_in_p,
-                             squarefree_part_in_p)
+                             ZSeries, _exact_ball, _gaussian_sqrt, _root_key, _sort_roots,
+                             all_nth_roots, coeff_is_zero, coeff_to_mpc, falling, is_exact,
+                             pochhammer, root_multiplicities, roots_univariate, solve_linear,
+                             squarefree_in_p, squarefree_part_in_p)
+from bbsolve.cli import analyze
 from bbsolve.errors import DegenerateInput, PrecisionExhausted
 
 rationals = st.builds(Fraction,
@@ -216,7 +218,6 @@ class TestRoots:
         assert not coeff_is_zero(near - 1)
 
     def test_multiplicities_come_from_the_factorisation(self):
-        from bbsolve.algebra import root_multiplicities
         p = UPoly([-1, 1]) * UPoly([-1, 1]) * UPoly([1, 0, 1]) * UPoly([0, 0, 0, 1])
         i = GaussianRational(0, 1)
         assert root_multiplicities(p) \
@@ -237,6 +238,104 @@ class TestRoots:
         rs = all_nth_roots(GaussianRational(4), 2)
         assert all(is_exact(r) for r in rs)
         assert sorted(str(r) for r in rs) == ["-2", "2"]
+
+
+I = GaussianRational(0, 1)
+# part denominators on both sides of the largest one _try_exactify tries
+BOUND = algebra._EXACTIFY_DENOMINATORS[-1]
+ladder_parts = st.builds(Fraction, st.integers(-30, 30),
+                         st.integers(1, 12) | st.integers(BOUND - 2, BOUND + 2))
+small_roots = st.builds(GaussianRational, ladder_parts, ladder_parts)
+# a common shift of both roots by +-2^k or +-2^k i: far from 0 and close
+# together, they need the precision the closed form asks for
+shifts = st.builds(lambda k, unit: unit * 2 ** k, st.integers(0, 160),
+                   st.sampled_from([GaussianRational(1), GaussianRational(-1), I, -I]))
+
+
+def outcome(find, poly, precision):
+    """What find(poly, precision) returns, each ball as its raw bits, or
+    what it raised."""
+    try:
+        found = find(poly, precision)
+    except PrecisionExhausted as exc:
+        return type(exc), str(exc)
+
+    def bits(r):
+        return (r.val._mpc_, r.err._mpf_, r.prec) if isinstance(r, BigComplex) else r
+    return [(bits(r[0]), r[1]) if isinstance(r, tuple) else bits(r) for r in found]
+
+
+def both_paths(poly, precision):
+    """The outcomes of roots_univariate and root_multiplicities with the
+    closed form for quadratics, and with it disabled (the Aberth path)."""
+    def run():
+        return [outcome(find, poly, precision)
+                for find in (roots_univariate, root_multiplicities)]
+    closed = run()
+    with pytest.MonkeyPatch.context() as mpatch:
+        mpatch.setattr(algebra, "_quadratic_roots", lambda factor, precision: None)
+        return closed, run()
+
+
+class TestQuadraticClosedForm:
+    @pytest.mark.parametrize("value,root", [
+        (0, 0), (1, 1), (-1, I), (2 * I, 1 + I), (3 + 4 * I, 2 + I),
+        (Fraction(-4, 9), Fraction(2, 3) * I), (-5 + 12 * I, 2 + 3 * I),
+        (-5 - 12 * I, 2 - 3 * I), (Fraction(-7, 4) - 6 * I, Fraction(3, 2) - 2 * I)])
+    def test_gaussian_sqrt(self, value, root):
+        assert _gaussian_sqrt(GaussianRational(0) + value) == root
+
+    @pytest.mark.parametrize("value", [3, 1 + I, 2, -2, Fraction(1, 2), 5 * I,
+                                       Fraction(-4, 3), 2 + I])
+    def test_gaussian_sqrt_of_a_non_square(self, value):
+        assert _gaussian_sqrt(GaussianRational(0) + value) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(gaussians)
+    def test_gaussian_sqrt_of_a_square(self, x):
+        root = _gaussian_sqrt(x * x)
+        assert root in (x, -x)
+        assert root.re > 0 or root.re == 0 and root.im >= 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_roots, small_roots, st.none() | shifts,
+           st.sampled_from([64, 128, 192, 256, 256, 512]))
+    def test_same_roots_as_the_aberth_path(self, r1, r2, shift, precision):
+        # (x - r1)(x - r2): exact values and ball bits as without the closed form
+        if shift is not None:
+            r1, r2 = r1 + shift, r2 + shift
+        closed, aberth = both_paths(UPoly([r1 * r2, -r1 - r2, 1]), precision)
+        assert closed == aberth
+
+    @settings(max_examples=100, deadline=None)
+    @given(gaussians, gaussians, gaussians.filter(lambda c: not c.is_zero()),
+           st.sampled_from([113, 256]))
+    def test_random_quadratics_match_the_aberth_path(self, c, b, a, precision):
+        closed, aberth = both_paths(UPoly([c, b, a]), precision)
+        assert closed == aberth
+
+    def test_corpus_quadratics_skip_aberth(self, monkeypatch):
+        # x^2 - 1 for y' = y^2 - 1 comes in closed form; x^2 - 1/3 for
+        # y'' = 6*y^2 - 2 (roots outside Q(i)) still goes through Aberth
+        degrees = []
+        aberth = algebra._aberth
+
+        def spy(coeffs, *args):
+            degrees.append(len(coeffs) - 1)
+            return aberth(coeffs, *args)
+        monkeypatch.setattr(algebra, "_aberth", spy)
+        analyze("y' = y^2 - 1")
+        assert degrees == []
+        analyze("y'' = 6*y^2 - 2")
+        assert degrees == [2]
+
+    def test_large_denominator_stays_a_ball(self):
+        # a part denominator past the ladder: the Aberth path's ball, not a
+        # closed-form exact root
+        r = GaussianRational(Fraction(1, BOUND + 1))
+        minus_one, near = roots_univariate(UPoly([-r, 1]) * UPoly([1, 1]))
+        assert minus_one == -1 and not is_exact(near)
+        assert abs(complex(near) - complex(r)) < 1e-30
 
 
 # F, G monic in p with small integer coefficients of degree <= 2 in q, and a
