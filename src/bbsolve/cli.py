@@ -583,7 +583,7 @@ def main(argv=None):
             if "c" in settings:
                 settings["c"] = parse_constant(settings["c"])
             text, code = _COMMANDS[command][0](equation, Options(**settings))
-    except (BBError, ZeroDivisionError) as exc:
+    except BBError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return _emit(text, code)

@@ -77,10 +77,10 @@ def _tokenize(text):
         if c.isspace():
             i += 1
             continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
+        if c.isdecimal() or (c == "." and i + 1 < n and text[i + 1].isdecimal()):
             j = i
             seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
+            while j < n and (text[j].isdecimal() or (text[j] == "." and not seen_dot)):
                 if text[j] == ".":
                     seen_dot = True
                 j += 1
@@ -109,8 +109,18 @@ def _num_to_fraction(text):
     if "." in text:
         whole, frac = text.split(".")
         denom = 10 ** len(frac)
-        return Fraction(int(whole or "0") * denom + int(frac or "0"), denom)
-    return Fraction(int(text))
+        return Fraction(_digits_int(whole or "0") * denom + _digits_int(frac or "0"), denom)
+    return Fraction(_digits_int(text))
+
+
+def _digits_int(digits):
+    """int() of a run of decimal digits of any length: past the interpreter's
+    limit on text-to-int digits, from its two halves."""
+    try:
+        return int(digits)
+    except ValueError:
+        half = len(digits) // 2
+        return _digits_int(digits[:-half]) * 10 ** half + _digits_int(digits[-half:])
 
 
 # ---------------------------------------------------------------------------
@@ -394,22 +404,39 @@ def _parse_raw(text):
 # ---------------------------------------------------------------------------
 
 def _fraction_str(fr):
-    return str(fr.numerator) if fr.denominator == 1 else f"{fr.numerator}/{fr.denominator}"
+    try:
+        return str(fr.numerator) if fr.denominator == 1 else f"{fr.numerator}/{fr.denominator}"
+    except ValueError:      # past the interpreter's limit on int-to-text digits
+        num = _int_str(fr.numerator)
+        return num if fr.denominator == 1 else f"{num}/{_int_str(fr.denominator)}"
+
+
+def _int_str(n):
+    """The decimal text of an int of any size: str() below the interpreter's
+    digit limit, else the texts of two halves split at a power of ten."""
+    try:
+        return str(n)
+    except ValueError:
+        half = n.bit_length() * 3 // 20         # about half the digits
+        hi, lo = divmod(abs(n), 10 ** half)
+        return ("-" if n < 0 else "") + _int_str(hi) + _int_str(lo).zfill(half)
 
 
 def gaussian_str(g):
     """Re-parseable text for an exact coefficient."""
-    if g.im == 0:
-        return _fraction_str(g.re)
-    if g.re == 0:
-        if g.im == 1:
-            return "i"
-        if g.im == -1:
-            return "-i"
-        return f"{_fraction_str(g.im)}*i"
-    impart = "i" if g.im == 1 else f"{_fraction_str(abs(g.im))}*i"
-    sign = "+" if g.im > 0 else "-"
-    return f"({_fraction_str(g.re)} {sign} {impart})"
+    return gaussian_text(_fraction_str(g.re), _fraction_str(g.im))
+
+
+def gaussian_text(re, im):
+    """gaussian_str of the value whose parts have the texts ``re`` and
+    ``im`` (as _fraction_str writes them)."""
+    if im == "0":
+        return re
+    if re == "0":
+        return "i" if im == "1" else "-i" if im == "-1" else f"{im}*i"
+    sign, size = ("-", im[1:]) if im[0] == "-" else ("+", im)
+    impart = "i" if im == "1" else f"{size}*i"
+    return f"({re} {sign} {impart})"
 
 
 def _term_str(coeff, vars_and_degs):

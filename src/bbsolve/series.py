@@ -51,7 +51,7 @@ from .algebra import (GR_ONE, GR_ZERO, GaussianRational, ZSeries,
                       coeff_is_zero, dot, eta_str, falling, field_of, is_exact,
                       pochhammer, radical_roots, same_coordinates, DEFAULT_PREC)
 from .curve import first_integral_series
-from .eqparse import _fraction_str, gaussian_str
+from .eqparse import _fraction_str, gaussian_str, gaussian_text
 from .errors import (BBError, DepthTooSmall, InconsistentResonance, NoRoots,
                      PrecisionExhausted)
 
@@ -500,8 +500,7 @@ def coeff_text(cj):
     if "free" in cj:
         return "<free>"
     if "rat" in cj:
-        return gaussian_str(GaussianRational(Fraction(cj["rat"]),
-                                             Fraction(cj.get("rat_im", 0))))
+        return gaussian_text(cj["rat"], cj.get("rat_im", "0"))
     if "eta" in cj:
         return eta_str(cj["eta"])
     return f"{cj['re']:.12g}{cj['im']:+.12g}i (err {cj['err']:.2g})"

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -344,12 +345,19 @@ def _eta_coordinates(text):
     return coords
 
 
+def _exact(text):
+    """The Fraction of "n" or "n/d", read through Decimal, which takes any
+    number of digits."""
+    num, _, den = text.partition("/")
+    return Fraction(Decimal(num)) / Fraction(Decimal(den or "1"))
+
+
 def _assert_reparses(text, report):
     printed, values = _printed_coefficients(text), _json_coefficients(report)
     assert len(printed) == len(values), (printed, values)
     for shown, cj in zip(printed, values):
         if "rat" in cj:
-            want = GaussianRational(Fraction(cj["rat"]), Fraction(cj.get("rat_im", 0)))
+            want = GaussianRational(_exact(cj["rat"]), _exact(cj.get("rat_im", "0")))
             assert parse_constant(shown) == want, (shown, cj)
         elif "eta" in cj:
             want = {r: parse_constant(x) for r, x in enumerate(cj["eta"])}
@@ -584,6 +592,19 @@ class TestMain:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_division_by_zero_in_the_equation_is_an_input_error(self, capsys):
+        assert main(["analyze", "y' = 1/0"]) == 1
+        assert capsys.readouterr().err == "error: division by zero in equation\n"
+
+    def test_library_fault_is_not_an_input_error(self, monkeypatch):
+        # only BBError reads as bad input: a ZeroDivisionError inside the
+        # library propagates as the bug it is
+        def fault(equation, opts):
+            raise ZeroDivisionError("inside the library")
+        monkeypatch.setattr(cli, "analyze", fault)
+        with pytest.raises(ZeroDivisionError, match="inside the library"):
+            main(["analyze", "y' = y^2 - 1"])
+
     def test_zero_division_in_c_rejected(self):
         with pytest.raises(DegenerateInput):
             parse_constant("1/0")
@@ -729,6 +750,34 @@ class TestOutsideTheDoubleRange:
                                                              "exact")
         assert verdict["periods"] == []
         assert "period 2*pi*i/a lies outside the double range" in verdict["evidence"]
+
+
+# exact values past the interpreter's limit of 4,300 digits on converting
+# an int to text: branch terms of the first input, a literal of the second
+PAST_THE_DIGIT_LIMIT = ["P: 1*p^3*q^4 + 2*p^1*q^5 + 10^400*p^2*q^6 ; k=2",
+                        "y' = y^2 - 1" + "0" * 5000]
+DIGIT_LIMIT_IDS = ["branch_terms", "literal"]
+
+
+class TestPastTheDigitLimit:
+    @pytest.mark.parametrize("args", [
+        ["analyze"], ["analyze", "--format", "json"], ["analyze", "--no-classify"],
+        ["series"], ["residues"]])
+    @pytest.mark.parametrize("text", PAST_THE_DIGIT_LIMIT, ids=DIGIT_LIMIT_IDS)
+    def test_ends_in_a_report_or_an_error(self, capsys, text, args):
+        code = main([args[0], text] + args[1:])
+        err = capsys.readouterr().err
+        assert (code in (0, 2) and err == ""
+                or code == 1 and err.startswith("error:") and err.count("\n") == 1), err
+
+    @pytest.mark.parametrize("text", PAST_THE_DIGIT_LIMIT, ids=DIGIT_LIMIT_IDS)
+    def test_printed_values_are_exact(self, text):
+        rep, _ = analyze(text, Options(no_classify=True))
+        _assert_reparses(cli.render_text(rep), rep)
+        rats = [cj["rat"] for cj in _json_coefficients(rep)]
+        rats += [cj["rat"] for b in rep["branches"] for _e, cj in b["terms"]]
+        assert all(re.fullmatch(r"-?[0-9]+(/[0-9]+)?", r) for r in rats)
+        assert max(map(len, rats)) > 4300
 
 
 class TestDepthDefaults:

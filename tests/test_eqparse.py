@@ -1,5 +1,6 @@
 """Parsing, canonicalisation, and rejection diagnostics."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from bbsolve.algebra import (BiPoly, GaussianRational, primitive_in_q,
                              squarefree_part_in_p)
-from bbsolve.eqparse import (EquationSpec, canonical_string, parse_constant,
-                             parse_equation, upoly_str)
+from bbsolve.eqparse import (EquationSpec, _digits_int, _fraction_str, canonical_string,
+                             gaussian_str, parse_constant, parse_equation, upoly_str)
 from bbsolve.errors import (DegenerateInput, EquationSyntaxError,
                             NotPolynomial, UnsupportedForm)
 
@@ -155,6 +156,12 @@ class TestRejections:
         with pytest.raises(EquationSyntaxError):
             parse_equation("y" + "'" * 13 + " = y")
 
+    @pytest.mark.parametrize("text", ["y' = y^2 - \u00b2", "y' = y^\u00b2", "P: p - q ; k=\u00b2"])
+    def test_digit_that_is_no_decimal_rejected(self, text):
+        # a superscript two is a digit to str.isdigit, but no decimal digit
+        with pytest.raises(EquationSyntaxError):
+            parse_equation(text)
+
     def test_constant_in_p_rejected(self):
         with pytest.raises((DegenerateInput, NotPolynomial)):
             parse_equation("P: q^2 - 1 ; k=1")
@@ -173,3 +180,25 @@ class TestRejections:
             parse_equation("P: p/q - 1 ; k=1")
         with pytest.raises(NotPolynomial):
             parse_equation("P: p + 1/q + 1/q ; k=1")
+
+
+class TestPastTheDigitLimit:
+    """Integers past the interpreter's 4,300-digit limit on int <-> text."""
+
+    @pytest.mark.parametrize("n", [10 ** 4299, 10 ** 4300 - 1, -10 ** 4300, 10 ** 4300 + 7,
+                                   -3 ** 20000 - 1, 2 ** 30000, 7 * 10 ** 9000],
+                             ids=lambda n: f"{'-' if n < 0 else ''}{n.bit_length()}bits")
+    def test_prints_and_reads_back_exactly(self, n):
+        # Decimal converts without the limit: an independent reference
+        text = str(Decimal(n))
+        assert _fraction_str(Fraction(n)) == text
+        fr = Fraction(n, 3 ** 9000)
+        assert _fraction_str(fr) == f"{Decimal(fr.numerator)}/{Decimal(fr.denominator)}"
+        assert _digits_int(text.lstrip("-")) == abs(n)
+        assert parse_constant(f"{text}*i") == GaussianRational(0, n)
+
+    def test_long_parts_of_a_gaussian_rational(self):
+        big = 10 ** 5000
+        g = GaussianRational(Fraction(1, big), -big)
+        assert gaussian_str(g) == f"(1/{Decimal(big)} - {Decimal(big)}*i)"
+        assert parse_constant(gaussian_str(g)) == g
