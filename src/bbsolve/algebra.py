@@ -1637,9 +1637,8 @@ def _quadratic_roots(factor, precision):
     if s is None:
         return None
     roots = [(s - b) / 2, (-s - b) / 2]
-    bound = _EXACTIFY_DENOMINATORS[-1]
-    if any(r._d // gcd(r._a, r._d) > bound or r._d // gcd(r._b, r._d) > bound
-           for r in roots) or _root_key(roots[0]) == _root_key(roots[1]):
+    if (max(max(r.re.denominator, r.im.denominator) for r in roots)
+            > _EXACTIFY_DENOMINATORS[-1] or _root_key(roots[0]) == _root_key(roots[1])):
         return None
     # |root| < 2^size and |r1 - r2| = |s| > 2^-gap; coefficients rounded at
     # precision + 32 bits move a root by under 2^(2 size + gap - precision - 28)
