@@ -22,7 +22,7 @@ another embedding, raises TypeError.  ``is_exact`` still means Q(i) alone.
 Ball arithmetic runs on raw ``mpmath.libmp`` tuples at p + 8 bits (p + 16
 for roots), round-to-nearest, with no mpmath context or number objects per
 arithmetic operation; ``val`` and ``err`` hand out mpmath objects.  It reproduces two
-defects bit for bit until ROADMAP item 9 fixes them together with the
+defects bit for bit until ROADMAP item 1 fixes them together with the
 benchmark's numeric references: negation rounds the midpoint at mpmath's
 ambient precision (53 bits by default) but keeps the radius, and adding an
 exact zero still charges rounding slack.  This module is the only one that
@@ -298,7 +298,7 @@ class BigComplex:
     already needed, tagged with that working precision; a product reads it
     instead of taking the modulus of each operand again.
 
-    Two defects are kept bit for bit until ROADMAP item 9 fixes them with
+    Two defects are kept bit for bit until ROADMAP item 1 fixes them with
     the next change to the benchmark: negation (and so ``-``) rounds the
     midpoint at mpmath's ambient precision but keeps the radius, and adding
     an exact zero still charges rounding slack.  ``is_zero`` is evaluated
@@ -373,7 +373,7 @@ class BigComplex:
     __radd__ = __add__
 
     def __neg__(self):
-        # rounds at the ambient precision (ROADMAP item 9)
+        # rounds at the ambient precision (ROADMAP item 1)
         return _ball(mpc_neg(self._v, *mp._prec_rounding), self._e, self.prec, None)
 
     def __sub__(self, other):
@@ -812,7 +812,7 @@ def dot(xs, ys, ws=None, div=1, from_zero=False):
     the per-operation path, in the order callers always used: each (x y) w
     added left to right onto the first term, or onto GR_ZERO under
     ``from_zero`` (a sum of balls then charges the slack of adding an exact
-    zero, ROADMAP item 9), then times 1/div, so no numeric bit moves.  A sum
+    zero, ROADMAP item 1), then times 1/div, so no numeric bit moves.  A sum
     that mixes K with a ball or with another embedding raises TypeError
     there, as the operators do."""
     weights = _ONES if ws is None else ws

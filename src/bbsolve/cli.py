@@ -1,6 +1,6 @@
 """Command-line front end and report assembly.
 
-Commands: analyze, series, residues, classify, selftest.  Reports are
+Commands: analyze, series, residues, classify.  Reports are
 emitted as text or JSON (``--format``); the JSON layout is versioned and
 shipped as schemas/analysis_report.schema.json.  Identical invocations
 produce byte-identical JSON: every ordering is explicit and every numeric
@@ -25,7 +25,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .algebra import GaussianRational, coeff_is_zero, DEFAULT_PREC
+from .algebra import GaussianRational, DEFAULT_PREC
 from .conditions import (classify_kappa, degree_bound, degree_bound_note,
                          screen_admissibility, residue_screen)
 from .curve import (branches_at_infinity, exactness_check, newton_polygon,
@@ -426,106 +426,6 @@ def cmd_classify(equation, opts):
     return "\n".join(lines + _verdict_lines(v)), code
 
 
-def cmd_selftest():
-    """Fast invariant suite; one PASS/FAIL line per check."""
-    import random
-    from .series import (bracket_phi, pinning_coefficient, recurrence_bracket,
-                         ZSeries)
-    checks = []
-
-    def check(name, fn):
-        try:
-            ok = fn()
-        except Exception as exc:          # surfaced, not hidden
-            checks.append((name, False, f"{type(exc).__name__}: {exc}"))
-            return
-        checks.append((name, bool(ok), ""))
-
-    def bracket_identity():
-        rng = random.Random(7)
-        for k in (2, 4):
-            for _ in range(3):
-                n = rng.randint(1, 3)
-                coeffs = [GaussianRational(Fraction(rng.randint(-9, 9),
-                                                    rng.randint(1, 5)))
-                          for _ in range(10)]
-                if coeffs[0].is_zero():
-                    coeffs[0] = GaussianRational(1)
-                y = ZSeries(-n, coeffs)
-                lhs = bracket_phi(k, y).derivative()
-                rhs = y.derivative_n(k) * y.derivative()
-                diff = lhs - rhs
-                if diff.first_noncertified_zero() is not None:
-                    return False
-        return True
-
-    def resonance_table():
-        for k in (2, 4, 6):
-            for n in range(1, 7):
-                zeros = [j for j in range(0, 4 * n + 2 * k + 4)
-                         if recurrence_bracket(k, n, j) == 0]
-                if zeros != [2 * n + k]:
-                    return False
-        for k in (1, 3):
-            for n in range(1, 7):
-                if any(recurrence_bracket(k, n, j) == 0
-                       for j in range(1, 4 * n + 2 * k + 4)):
-                    return False
-        return True
-
-    def pinning_spots():
-        a = pinning_coefficient(2, 2, 1)
-        b = pinning_coefficient(2, 1, 1)
-        return a == GaussianRational(14) and b == GaussianRational(5)
-
-    def parser_roundtrip():
-        for text in ("y'' = 6*y^2", "P: p^2 - 4*q^3 + 4*q ; k=1", "y''' = y"):
-            s = parse_equation(text)
-            if parse_equation(canonical_string(s)) != s:
-                return False
-        return True
-
-    def residue_sum():
-        # the residue at infinity comes from the branch, the finite ones from
-        # the Ostrogradsky decomposition: the theorem checks one against the other
-        rng = random.Random(11)
-        from .algebra import BiPoly, UPoly
-        for _ in range(5):
-            roots = [Fraction(rng.randint(-4, 4)) for _ in range(3)]
-            D = UPoly([1])
-            for r in roots:
-                D = D * UPoly([-r, 1])
-            N = UPoly([Fraction(rng.randint(-9, 9)) for _ in range(4)])
-            if N.is_zero():
-                N = UPoly([1])
-            g = N.gcd(D)
-            if g.degree() >= 1:
-                N = N * UPoly([Fraction(1, 1)])
-                D = D * UPoly([rng.randint(1, 3), 1])
-            P = BiPoly([((1, j), c) for j, c in enumerate(D.coeffs)]
-                       + [((0, j), -c) for j, c in enumerate(N.coeffs)])
-            ev = exactness_check(branches_at_infinity(P, N.degree() + 2),
-                                 resolved=(N, D))
-            total = GaussianRational(0)
-            for row in ev.residues:
-                total = total + row.value
-            if not coeff_is_zero(total):
-                return False
-        return True
-
-    check("first-integral bracket identity", bracket_identity)
-    check("resonance bracket structure", resonance_table)
-    check("pinning spot values 14 and 5", pinning_spots)
-    check("parser round-trip", parser_roundtrip)
-    check("residue theorem sample", residue_sum)
-    lines = []
-    ok_all = True
-    for name, ok, msg in checks:
-        lines.append(f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  ({msg})" if msg else ""))
-        ok_all = ok_all and ok
-    return "\n".join(lines), 0 if ok_all else 1
-
-
 # ---------------------------------------------------------------------------
 # argparse wiring
 # ---------------------------------------------------------------------------
@@ -572,17 +472,13 @@ def main(argv=None):
         sub.add_argument("equation")
         for flag in flags:
             sub.add_argument(flag, **_FLAGS[flag])
-    subs.add_parser("selftest")
     try:
         settings = vars(parser.parse_args(argv))
         command = settings.pop("command")
-        if command == "selftest":
-            text, code = cmd_selftest()
-        else:
-            equation = settings.pop("equation")
-            if "c" in settings:
-                settings["c"] = parse_constant(settings["c"])
-            text, code = _COMMANDS[command][0](equation, Options(**settings))
+        equation = settings.pop("equation")
+        if "c" in settings:
+            settings["c"] = parse_constant(settings["c"])
+        text, code = _COMMANDS[command][0](equation, Options(**settings))
     except BBError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -34,6 +34,8 @@ from .errors import (DegenerateInput, EquationSyntaxError, NotPolynomial,
                      UnsupportedForm)
 
 MAX_APOSTROPHES = 12
+# an exponent or a derivative order has at most this many digits
+MAX_INTEGER_DIGITS = 4
 _FUNCTION_WORDS = {"sin", "cos", "tan", "exp", "log", "ln", "sqrt", "sinh",
                    "cosh", "tanh", "abs"}
 
@@ -111,6 +113,16 @@ def _num_to_fraction(text):
         denom = 10 ** len(frac)
         return Fraction(_digits_int(whole or "0") * denom + _digits_int(frac or "0"), denom)
     return Fraction(_digits_int(text))
+
+
+def _small_int(digits, at, what):
+    """int() of the digits of an exponent or a derivative order at position
+    ``at``; one of more than MAX_INTEGER_DIGITS digits is refused before any
+    power or derivative that large is formed."""
+    if len(digits) > MAX_INTEGER_DIGITS:
+        raise EquationSyntaxError(
+            f"{what} has more than {MAX_INTEGER_DIGITS} digits", at)
+    return int(digits)
 
 
 def _digits_int(digits):
@@ -248,10 +260,7 @@ class _Parser:
                 raise EquationSyntaxError("exponent must be a positive integer", at,
                                           ("integer",))
             self.next()
-            e = int(v)
-            if e < 0:
-                raise EquationSyntaxError("exponent must be a positive integer", at)
-            return base.pow(e)
+            return base.pow(_small_int(v, at, "exponent"))
         return base
 
     def parse_atom(self):
@@ -309,7 +318,7 @@ def _parse_yterm(parser):
         kind, v, at = parser.next()
         if kind != "NUM" or "." in v:
             raise EquationSyntaxError("derivative order must be an integer", at)
-        k = int(v)
+        k = _small_int(v, at, "derivative order")
         parser.expect(")")
     if k == 0:
         raise UnsupportedForm("left-hand side must be a derivative y', ..., y^(k)")
@@ -372,7 +381,7 @@ def _parse_raw(text):
     kind, v, at = parser.next()
     if kind != "NUM" or "." in v:
         raise EquationSyntaxError("derivative order must be an integer", at)
-    k = int(v)
+    k = _small_int(v, at, "derivative order")
     parser.expect_end()
 
     notes = []

@@ -87,16 +87,11 @@ def bracket_phi(k, y):
 # leading coefficients
 # ---------------------------------------------------------------------------
 
-def d_factor(k, n, j):
-    """D_j = falling(j - n, k): the y^(k) coefficient multiplier at index j."""
-    return falling(j - n, k)
-
-
 @lru_cache(maxsize=4096)
 def recurrence_bracket(k, n, j):
-    """bracket(j) = D_j - (1 + k/n) D_0 as an exact rational."""
-    d0 = d_factor(k, n, 0)
-    return Fraction(d_factor(k, n, j)) - (1 + Fraction(k, n)) * d0
+    """bracket(j) = D_j - (1 + k/n) D_0 as an exact rational, where
+    D_j = falling(j - n, k) multiplies c_j in y^(k)."""
+    return Fraction(falling(j - n, k)) - (1 + Fraction(k, n)) * falling(-n, k)
 
 
 def leading_roots(k, n, branch, precision=DEFAULT_PREC):

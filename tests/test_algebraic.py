@@ -108,7 +108,7 @@ class TestEmbeddings:
     def test_complex_is_a_ring_homomorphism(self, case):
         (field, root), x, y = case
         bx, by = x.to_ball(), y.to_ball()
-        # x - y against bx + (-1) by: ball negation rounds (ROADMAP item 9)
+        # x - y against bx + (-1) by: ball negation rounds (ROADMAP item 1)
         for op, ball_op in ((operator.add, operator.add), (operator.mul, operator.mul),
                             (operator.sub, lambda a, b: a + b * -1)):
             assert overlap(op(x, y).to_ball(), ball_op(bx, by))

@@ -146,7 +146,7 @@ def test_ambient_precision_reads_match(x, y):
 
 
 def test_exact_zero_sum_widens_the_radius():
-    # kept from the reference until ROADMAP item 9: x + 0 charges slack
+    # kept from the reference until ROADMAP item 1: x + 0 charges slack
     x = BigComplex.from_exact(GaussianRational(Fraction(1, 3)))
     for zero in (0, GR_ZERO):
         assert (x + zero).err > x.err

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ import pytest
 from bbsolve import classify, cli
 from bbsolve.curve import branches_at_infinity
 from bbsolve.cli import (Options, analyze, cmd_classify, cmd_residues,
-                         cmd_selftest, cmd_series, main, render_json)
+                         cmd_series, main, render_json)
 from bbsolve.algebra import GaussianRational
 from bbsolve.eqparse import parse_constant
 from bbsolve.errors import BBError, DegenerateInput
@@ -267,11 +268,6 @@ class TestCommands:
     def test_classify_refuses_library_no_classify(self):
         with pytest.raises(BBError, match="no_classify"):
             cmd_classify("y' = y^2", Options(no_classify=True))
-
-    def test_selftest_passes(self):
-        out, code = cmd_selftest()
-        assert code == 0
-        assert all(line.startswith("PASS") for line in out.splitlines())
 
 
 # the commands print the sections analyze builds, through its text writers
@@ -570,7 +566,6 @@ COMMAND_FLAGS = {
     "classify": {"--c", "--N", "--depth", "--precision", "--tol", "--format"},
     "series": {"--c", "--N", "--n", "--depth", "--precision", "--format"},
     "residues": {"--depth", "--precision", "--format"},
-    "selftest": set(),
 }
 
 
@@ -591,6 +586,17 @@ class TestMain:
         code = main(["analyze", "y'' = sin(y)"])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "y' = y^1" + "0" * 5000, "P: p - q^2 ; k=1" + "0" * 5000,
+        "y' = y^100000000000"], ids=["long exponent", "long k", "large exponent"])
+    def test_integer_past_the_digit_bound_is_an_input_error(self, capsys, text):
+        start = time.perf_counter()
+        code = main(["analyze", text])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error:") and err.count("\n") == 1, err
+        assert elapsed < 1.0
 
     def test_division_by_zero_in_the_equation_is_an_input_error(self, capsys):
         assert main(["analyze", "y' = 1/0"]) == 1
@@ -647,8 +653,7 @@ class TestMain:
         (command, flag) for command, reads in COMMAND_FLAGS.items()
         for flag in ALL_FLAGS if flag not in reads])
     def test_flag_the_command_does_not_read_rejected(self, capsys, command, flag):
-        args = [command] + (["y'' = 6*y^2"] if command != "selftest" else [])
-        code = main(args + [flag] + ALL_FLAGS[flag])
+        code = main([command, "y'' = 6*y^2", flag] + ALL_FLAGS[flag])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1, err
@@ -914,6 +919,21 @@ class TestModuleEntryPoint:
         _out, err = proc.communicate(timeout=120)
         assert proc.returncode == 1
         assert b"Traceback" not in err and b"BrokenPipeError" not in err
+
+    def test_selftest_is_no_command(self):
+        res = _run_module("-m", "bbsolve", "selftest")
+        assert res.returncode == 1 and res.stdout == ""
+        assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1, res.stderr
+
+    def test_readme_tables_list_the_commands_and_flags(self):
+        # README's command table and flag table against cli's own wiring
+        with open(os.path.join(SRC, "..", "README.md")) as fh:
+            rows = re.findall(r"^\| `([^`]+)` *\| (.*) \|$", fh.read(), re.M)
+        commands = {name: set(re.findall(r"--[\w-]+", cell))
+                    for name, cell in rows if not name.startswith("--")}
+        assert commands == {name: set(flags) for name, (_fn, flags)
+                            in cli._COMMANDS.items()}
+        assert {name for name, _cell in rows if name.startswith("--")} == set(cli._FLAGS)
 
     def test_python_m_bbsolve_is_quiet(self):
         res = _run_module("-m", "bbsolve", "analyze", "y' = y^2")

@@ -283,6 +283,7 @@ class TestResidueTheorem:
     @example("y''' = -5*y^5 + 3/y^1")
     @example("y'''' = -6*y^5 + -4/5*y^3 + (7/5 + 5*i)*y^2 + 3/y^1")
     @example("y'''' = 2*y^4 + 2/3*y^3 + -9/y^1")
+    @example("y' = (2*y^3 - y + 5)/((y - 1)*(y + 2)*(y - 3))")   # three finite places
     def test_rows_sum_to_zero(self, text):
         eq, _polygon, branches, _report = _prepare(text, Options())
         ev = exactness_check(branches, resolved=eq.resolved)

@@ -129,7 +129,8 @@ class TestCanonical:
 
     def test_roundtrip_resolved(self):
         for text in ("y'' = 6*y^2", "y''' = y", "y'' = y^3 + 1/y",
-                     "y' = y^2 - 1", "y^(4) = 2*y^3 - 1/2"):
+                     "y' = y^2 - 1", "y^(4) = 2*y^3 - 1/2",
+                     "P: p^2 - 4*q^3 + 4*q ; k=1"):
             s = parse_equation(text)
             assert parse_equation(canonical_string(s)) == s
 
@@ -161,6 +162,13 @@ class TestRejections:
         # a superscript two is a digit to str.isdigit, but no decimal digit
         with pytest.raises(EquationSyntaxError):
             parse_equation(text)
+
+    def test_integer_digits_bounded(self):
+        # an exponent or a derivative order has at most MAX_INTEGER_DIGITS digits
+        assert parse_equation("P: p - q^2 ; k=9999").k == 9999
+        for text in ("P: p - q^2 ; k=10000", "y^(10000) = y^2", "y' = y^10000"):
+            with pytest.raises(EquationSyntaxError, match="more than 4 digits"):
+                parse_equation(text)
 
     def test_constant_in_p_rejected(self):
         with pytest.raises((DegenerateInput, NotPolynomial)):
