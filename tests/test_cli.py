@@ -697,6 +697,7 @@ class TestMain:
         ["series", "y'' = 6*y^2", "--no-such-flag"],
         ["analyze", "y'' = 6*y^2", "--prec", "64"],
         ["no-such-command", "y'' = 6*y^2"],
+        ["selftest"],
         []])
     def test_usage_error_exits_1(self, capsys, args):
         code = main(args)

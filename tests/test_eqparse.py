@@ -163,12 +163,18 @@ class TestRejections:
         with pytest.raises(EquationSyntaxError):
             parse_equation(text)
 
-    def test_integer_digits_bounded(self):
-        # an exponent or a derivative order has at most MAX_INTEGER_DIGITS digits
-        assert parse_equation("P: p - q^2 ; k=9999").k == 9999
-        for text in ("P: p - q^2 ; k=10000", "y^(10000) = y^2", "y' = y^10000"):
-            with pytest.raises(EquationSyntaxError, match="more than 4 digits"):
-                parse_equation(text)
+    # an exponent or a derivative order has at most MAX_INTEGER_DIGITS digits
+    @pytest.mark.parametrize("text, k", [
+        ("P: p - q^2 ; k=9999", 9999), ("y^(9999) = y", 9999), ("y' = y^9999", 1),
+        ("y''' = 10^1000*y^4", 3)])
+    def test_integer_at_the_digit_bound_accepted(self, text, k):
+        assert parse_equation(text).k == k
+
+    @pytest.mark.parametrize("text", [
+        "P: p - q^2 ; k=10000", "y^(10000) = y^2", "y' = y^10000"])
+    def test_integer_past_the_digit_bound_rejected(self, text):
+        with pytest.raises(EquationSyntaxError, match="more than 4 digits"):
+            parse_equation(text)
 
     def test_constant_in_p_rejected(self):
         with pytest.raises((DegenerateInput, NotPolynomial)):
