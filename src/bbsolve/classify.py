@@ -31,7 +31,8 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from functools import lru_cache
+from itertools import product, repeat
 from operator import mul
 
 from .algebra import (GR_ONE, GR_ZERO, GaussianRational, UPoly, ZSeries,
@@ -47,6 +48,8 @@ DEFAULT_TRAJ_TOL = 1e-10
 DEFAULT_RATIO_TOL = 1e-4
 # germ index of the family the numeric continuation starts from
 CONTINUATION_N = 24
+# Domb-Sykes fit: the abscissae of each set of qualifying Taylor indices
+_ABSCISSAE = {}
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +327,12 @@ class NumericGerm:
         while len(tables) <= count:
             start = 1 - self.n - len(tables)
             tables.append([c * (start + idx) for idx, c in enumerate(tables[-1])])
+        if count == 1:      # match_pole's Newton step: both sums in one loop
+            acc0 = acc1 = 0j
+            for c0, c1 in zip(reversed(tables[0]), reversed(tables[1])):
+                acc0 = acc0 * u + c0
+                acc1 = acc1 * u + c1
+            return [acc0 * u ** -self.n, acc1 * u ** (-self.n - 1)]
         out = []
         for m in range(count + 1):
             acc = 0j
@@ -407,7 +416,17 @@ class _Flow:
         Pq = eq.P.partial_q()
         self.Pp_terms = [(i, j, complex(c)) for (i, j), c in sorted(Pp.terms.items())]
         self.Pq_terms = [(i, j, complex(c)) for (i, j), c in sorted(Pq.terms.items())]
-        self._fact = [math.factorial(i) for i in range(self.order + self.k + 2)]
+        # j! as a double: a complex operation converts an int operand to it first
+        self._fact = [float(math.factorial(i)) for i in range(self.order + self.k + 2)]
+        # curve mode's plan: each term c p^i y^jq of P_p and P_q as (c, its series
+        # in p^0..p^dp, y^0..y^dq, jq when it convolves p^i with y^jq)
+        read = self.Pp_terms + self.Pq_terms
+        self._dp = dp = max([1] + [i for i, _, _ in read])
+        self._dq = max([1] + [jq for _, jq, _ in read])
+        self._den_plan, self._pq_plan = (
+            [(c, i if i else dp + 1 + jq, jq if i and jq else None) for i, jq, c in terms]
+            for terms in (self.Pp_terms, self.Pq_terms))
+        self._mixed = sorted({jq for i, jq, _ in read if i and jq > 1})
 
     def phi_value(self, state):
         """Phi_k evaluated on (y, y', ..., y^(k-1))."""
@@ -456,33 +475,10 @@ class _Flow:
 
     # -- series helpers ---------------------------------------------------
 
-    # Each Cauchy product is sum(map(mul, a[lo:], b[:j - lo + 1][::-1])): the
-    # products and additions of sum(a[i] * b[j - i] for i in lo..j), in that
-    # order from the start 0, with no generator frame; map stops at b[0].
-
-    @staticmethod
-    def _poly_series(pairs, ypows, j):
-        """Coefficient j of sum c y^d over the pairs (d, c), given powers of y."""
-        acc = 0j
-        for d, c in pairs:
-            acc += c * ypows[d][j]
-        return acc
-
-    @staticmethod
-    def _bipoly_series(terms, ppows, ypows, j):
-        """Coefficient j of sum c p^i y^jq given cached powers of p and y.
-
-        A zero exponent reads the other factor's series directly instead of
-        convolving it with the series 1."""
-        acc = 0
-        for i, jq, c in terms:
-            if i == 0:
-                acc += c * ypows[jq][j]
-            elif jq == 0:
-                acc += c * ppows[i][j]
-            else:
-                acc += c * sum(map(mul, ppows[i], ypows[jq][j::-1]))
-        return acc
+    # Each Cauchy product is sum(map(mul, a, b_rev)), b_rev = [b[j], ..., b[0]]:
+    # the products and additions of sum(a[i] * b[j - i] for i in 0..j), in that
+    # order from the start 0, with no generator frame.  Every b_rev (of y, p,
+    # y^jq, y' and the quotient) gains its head once per order, unsliced.
 
     def taylor(self, state, p0=None):
         """Taylor coefficients Y[0..order] at the current point.
@@ -494,45 +490,64 @@ class _Flow:
         """
         k, M, fact = self.k, self.order, self._fact
         Y = [state[i] / fact[i] for i in range(k)] + [0j] * (M - k + 1)
+        Yrev = []
         if self.resolved is not None:
-            degmax = len(self.resolved) - 1
             ypows = [[1.0 + 0j] + [0j] * M, Y] \
-                + [[0j] * (M + 1) for _ in range(max(degmax - 1, 0))]
+                + [[0j] * (M + 1) for _ in range(max(len(self.resolved) - 2, 0))]
+            grow = list(zip(ypows[2:], ypows[1:]))
+            terms = [(c, ypows[d]) for d, c in self._nonzero]
             for j in range(0, M - k + 1):
-                Yrev = Y[j::-1]
-                for d in range(2, degmax + 1):
-                    ypows[d][j] = sum(map(mul, ypows[d - 1], Yrev))
-                Nj = self._poly_series(self._nonzero, ypows, j)
+                Yrev.insert(0, Y[j])
+                for yd, lower in grow:
+                    yd[j] = sum(map(mul, lower, Yrev))
+                Nj = 0j
+                for c, ys in terms:
+                    Nj += c * ys[j]
                 Y[j + k] = Nj * fact[j] / fact[j + k]
             return Y, None
         # general curve mode: p' = -(P_q(p, y) / P_p(p, y)) y'
         if p0 is None:
             raise ValueError("curve mode needs the p component in the state")
-        read = self.Pp_terms + self.Pq_terms
-        dp = max([1] + [i for i, _, _ in read])
-        dq = max([1] + [jq for _, jq, _ in read])
+        dp, dq = self._dp, self._dq
         Pser = [p0] + [0j] * M
         ypows = [[1.0 + 0j] + [0j] * M, Y] + [[0j] * (M + 1) for _ in range(dq - 1)]
         ppows = [[1.0 + 0j] + [0j] * M, Pser] + [[0j] * (M + 1) for _ in range(dp - 1)]
-        den = [0j] * (M + 1)   # series of P_p(p, y)
-        pq = [0j] * (M + 1)    # series of P_q(p, y)
-        yprime = [0j] * (M + 1)
-        quo = [0j] * (M + 1)
+        grow_y = list(zip(ypows[2:], ypows[1:]))
+        grow_p = list(zip(ppows[2:], ppows[1:]))
+        revs = [None, Yrev] + [[] for _ in range(dq - 1)]   # revs[jq]: y^jq reversed
+        grow_rev = [(revs[jq], ypows[jq]) for jq in self._mixed]
+        pool = ppows + ypows
+        den_terms, pq_terms = ([(c, pool[at], None if jq is None else revs[jq])
+                                for c, at, jq in plan]
+                               for plan in (self._den_plan, self._pq_plan))
+        Prev, pq, yp_rev, den_tail, quo_rev = [], [], [], [], []
         for j in range(0, M - k + 1):
             Y[j + k] = Pser[j] * fact[j] / fact[j + k]
-            Yrev, Prev = Y[j::-1], Pser[j::-1]
-            for d in range(2, dq + 1):
-                ypows[d][j] = sum(map(mul, ypows[d - 1], Yrev))
-            for d in range(2, dp + 1):
-                ppows[d][j] = sum(map(mul, ppows[d - 1], Prev))
-            den[j] = self._bipoly_series(self.Pp_terms, ppows, ypows, j)
-            pq[j] = self._bipoly_series(self.Pq_terms, ppows, ypows, j)
-            yprime[j] = (j + 1) * Y[j + 1]
-            num = -sum(map(mul, pq, yprime[j::-1]))
-            if abs(den[0]) < 1e-280:
+            Yrev.insert(0, Y[j])
+            Prev.insert(0, Pser[j])
+            for yd, lower in grow_y:
+                yd[j] = sum(map(mul, lower, Yrev))
+            for pd, lower in grow_p:
+                pd[j] = sum(map(mul, lower, Prev))
+            for rev, ys in grow_rev:
+                rev.insert(0, ys[j])
+            den_j = pq_j = 0      # series of P_p(p, y) and P_q(p, y)
+            for c, s, rev in den_terms:
+                den_j += c * (s[j] if rev is None else sum(map(mul, s, rev)))
+            for c, s, rev in pq_terms:
+                pq_j += c * (s[j] if rev is None else sum(map(mul, s, rev)))
+            pq.append(pq_j)
+            yp_rev.insert(0, (j + 1) * Y[j + 1])
+            num = -sum(map(mul, pq, yp_rev))
+            if j:
+                den_tail.append(den_j)
+            elif abs(den_j) < 1e-280:      # P_p's series starts at a final den_0
                 raise SingularEncounter("dP/dp = 0 on the path: curve branch point")
-            quo[j] = (num - sum(map(mul, den[1:], quo[:j][::-1]))) / den[0]
-            Pser[j + 1] = quo[j] / (j + 1)
+            else:
+                den0 = den_j
+            quo_j = (num - sum(map(mul, den_tail, quo_rev))) / den0
+            quo_rev.insert(0, quo_j)
+            Pser[j + 1] = quo_j / (j + 1)
         return Y, Pser
 
     # -- stepping ---------------------------------------------------------
@@ -543,25 +558,26 @@ class _Flow:
         for j in range(M, max(M - 6, 2), -1):
             if Y[j] != 0 and Y[j - 1] != 0:
                 r = abs(Y[j - 1] / Y[j])
-                best = r if best is None else min(best, r)
+                if best is None or r < best:        # min(best, r)
+                    best = r
         return best if best is not None else 1e6
 
     def singularity_estimate(self, Y):
         """Domb-Sykes fit: location offset d of the nearest singularity, from
         the top Taylor ratios; None when the fit fails."""
         M = len(Y) - 1
-        ratios = []
+        js, us = [], []
         for j in range(M - 7, M + 1):
             if 2 <= j <= M and Y[j - 1] != 0 and abs(Y[j]) > 1e-290:
-                ratios.append((j, Y[j] / Y[j - 1]))
-        if len(ratios) < 3:
+                js.append(j); us.append(Y[j] / Y[j - 1])
+        if len(js) < 3:
             return None
-        xs = [1.0 / j for j, _ in ratios]
-        us = [u for _, u in ratios]
-        nn = len(xs)
-        sx = sum(xs); sxx = sum(map(mul, xs, xs))
+        js = tuple(js)
+        if js not in _ABSCISSAE:        # 1/j, their sum, square sum and det
+            xs = [1.0 / j for j in js]; sx = sum(xs); sxx = sum(map(mul, xs, xs))
+            _ABSCISSAE[js] = xs, sx, sxx, len(xs) * sxx - sx * sx
+        xs, sx, sxx, det = _ABSCISSAE[js]
         su = sum(us); sxu = sum(map(mul, xs, us))
-        det = nn * sxx - sx * sx
         if abs(det) < 1e-30:
             return None
         intercept = (su * sxx - sx * sxu) / det
@@ -571,16 +587,18 @@ class _Flow:
 
     def advance(self, Y, Pser, h):
         """State and projected p at step h, from the expansion ``taylor`` gave."""
-        k = self.k
+        fact, top = self._fact, len(Y) - 1
+        # the i-th derivative sums Y_j j! / (j - i)! h^(j - i) by Horner's rule
+        scaled = list(map(mul, Y, fact))
         new_state = []
-        for i in range(k):
+        for i in range(self.k):
             acc = 0j
-            for j in range(len(Y) - 1, i - 1, -1):
-                acc = acc * h + Y[j] * self._fact[j] / self._fact[j - i]
+            for yf, f in zip(reversed(scaled[i:]), reversed(fact[:top - i + 1])):
+                acc = acc * h + yf / f
             new_state.append(acc)
         p_new = None
         if Pser is not None:
-            p_new = sum(Pser[j] * h ** j for j in range(len(Pser)))
+            p_new = sum(map(mul, Pser, map(pow, repeat(h), range(len(Pser)))))
             p_new = self._project(p_new, new_state[0])
         return tuple(new_state), p_new
 
@@ -597,6 +615,12 @@ class _Flow:
         val = abs(sum(c * p ** i * y ** j for i, j, c in self.P_terms))
         scale = sum(abs(c) * abs(p) ** i * abs(y) ** j for i, j, c in self.P_terms)
         return val / scale if scale > 0 else val
+
+
+@lru_cache(maxsize=None)
+def _unit_roots(n):
+    """The n-th roots of unity e^(2 pi i t/n), t = 0..n-1."""
+    return tuple(cmath.exp(2j * cmath.pi * t / n) for t in range(n))
 
 
 def _unit(z):
@@ -623,7 +647,7 @@ def match_pole(germs, z, state, k, p_obs=None):
             r0 = base ** (1.0 / g.n)
         except (OverflowError, ZeroDivisionError):
             continue
-        for u0 in (r0 * cmath.exp(2j * cmath.pi * t / g.n) for t in range(g.n)):
+        for u0 in (r0 * w for w in _unit_roots(g.n)):
             if abs(u0) > g.trust:
                 continue
             u = u0
@@ -660,12 +684,14 @@ def match_pole(germs, z, state, k, p_obs=None):
 
 
 def run_segment(flow, z0, state, p0, z1, germs, events, max_steps=400,
-                record=None):
+                record=None, counts=None):
     """Integrate from z0 to z1 at flow.tol along the straight segment, hopping
     poles.  ``events``: mutable list of PoleEvent, deduplicated in place.
     Returns (state, p, max_defect) within 1e-9 (1 + |z1 - z0|) of z1, or
-    raises ToleranceLoss.
+    raises ToleranceLoss.  ``counts`` (sweep_counts) gains its work.
     """
+    counts = sweep_counts() if counts is None else counts
+    taylor, radius, singularity = flow.taylor, flow.radius_estimate, flow.singularity_estimate
     z = z0
     p = p0
     max_defect = 0.0
@@ -685,12 +711,14 @@ def run_segment(flow, z0, state, p0, z1, germs, events, max_steps=400,
             passes += 1
             dirv = _unit(z1 - z)
             continue
-        Y, Pser = flow.taylor(state, p)
-        rho = flow.radius_estimate(Y)
-        d_est = flow.singularity_estimate(Y)
+        counts["taylor_expansions"] += 1
+        Y, Pser = taylor(state, p)
+        rho = radius(Y)
+        d_est = singularity(Y)
         near_pole = (d_est is not None and abs(d_est) < reach
                      and rho < 1.7 * reach and abs(d_est) < 3 * rho)
         if near_pole:
+            counts["pole_matches"] += 1
             hit = match_pole(germs, z, state, flow.k, p_obs=p)
             if hit is not None:
                 z_p, g, resid = hit
@@ -704,6 +732,7 @@ def run_segment(flow, z0, state, p0, z1, germs, events, max_steps=400,
                     hop_guard += 1
                     if hop_guard > 60:
                         raise ToleranceLoss("pole hopping did not progress")
+                    counts["hops"] += 1
                     u_new = max(abs(z - z_p), 0.06 * g.trust)
                     z_new = z_p + u_new * dirv
                     state, p = flow.germ_state(g, z_new - z_p)
@@ -745,7 +774,13 @@ def _record_event(events, ev):
     events.append(ev)
 
 
-def sweep_poles(eq, germ_family, tol=DEFAULT_TRAJ_TOL, budget=13):
+def sweep_counts():
+    """Zeroed counters of a sweep's work and of its probe's, outside the report."""
+    return {"rays": 0, "rays_failed": {}, "probe_segments": 0,
+            "taylor_expansions": 0, "pole_matches": 0, "hops": 0}
+
+
+def sweep_poles(eq, germ_family, tol=DEFAULT_TRAJ_TOL, budget=13, counts=None):
     """Breadth-first pole hunt around the seed pole at 0.
 
     Probes 8 rays from every discovered pole, 70 rays at most; each ray is
@@ -753,8 +788,10 @@ def sweep_poles(eq, germ_family, tol=DEFAULT_TRAJ_TOL, budget=13):
     too.  Deterministic processing order.  Returns (events, probe) with
     events sorted by (|z|, arg) and probe the state evaluator
     z -> (y, ..., y^(k-1)), or None where germ-anchored continuation on the
-    flow anchored on the seed germ cannot reach z.
+    flow anchored on the seed germ cannot reach z.  ``counts`` (see
+    sweep_counts) gains the work of the sweep and of the probe's runs.
     """
+    counts = sweep_counts() if counts is None else counts
     flow = _Flow(eq, tol)
     germs = [germ_numeric(ls, f"g{i}") for i, ls in enumerate(germ_family)]
     by_id = {g.germ_id: g for g in germs}
@@ -784,13 +821,15 @@ def sweep_poles(eq, germ_family, tol=DEFAULT_TRAJ_TOL, budget=13):
             if segments >= 70 or len(events) >= budget + 3:
                 break
             segments += 1
+            counts["rays"] += 1
             z_s = ev.z + start_off * dirv
             try:
                 state, p = flow.germ_state(g, z_s - ev.z)
                 run_segment(flow, z_s, state, p, ev.z + reach * dirv, germs,
-                            events, max_steps=500)
-            except (ToleranceLoss, SingularEncounter, OverflowError):
-                continue
+                            events, max_steps=500, counts=counts)
+            except (ToleranceLoss, SingularEncounter, OverflowError) as exc:
+                failed = counts["rays_failed"]
+                failed[type(exc).__name__] = failed.get(type(exc).__name__, 0) + 1
         if scale is None:
             others = [abs(e.z - events[0].z) for e in events[1:]]
             if others:
@@ -817,8 +856,9 @@ def sweep_poles(eq, germ_family, tol=DEFAULT_TRAJ_TOL, budget=13):
         try:
             state, p = flow.germ_state(g, z_s - ev.z)
             if abs(z_s - z) >= 1e-12:
+                counts["probe_segments"] += 1
                 state, _, _ = run_segment(flow, z_s, state, p, z, germs, list(events),
-                                          max_steps=300)
+                                          max_steps=300, counts=counts)
         except (ToleranceLoss, SingularEncounter, OverflowError):
             return None
         return state
@@ -1015,9 +1055,10 @@ class ClassificationVerdict:
             raise DegenerateInput(f"unknown verdict label {self.label!r}")
 
 
-def classify_equation(eq, report, branches, mono, c, N, tol, precision):
+def classify_equation(eq, report, branches, mono, c, N, tol, precision, counts=None):
     """The verdict on a screened equation, given match_monomial's result
-    ``mono``: the first route that holds returns it.
+    ``mono``: the first route that holds returns it.  A sweep adds its work
+    to ``counts`` (see sweep_counts).
 
     1. The screen, exact, unless an exact monomial solution overrules it (the
        screen assumes P irreducible; a back-substituted pole is a proof).
@@ -1081,7 +1122,7 @@ def classify_equation(eq, report, branches, mono, c, N, tol, precision):
     pr, events = None, ()
     if family:
         try:
-            found, probe = sweep_poles(eq, family, tol=tol)
+            found, probe = sweep_poles(eq, family, tol=tol, counts=counts)
             pr, events = detect_periods(found, state_probe=probe), found
         except (BBError, OverflowError) as exc:
             # a coefficient or a germ outside the double range

@@ -33,7 +33,7 @@ from .curve import (branches_at_infinity, exactness_check, newton_polygon,
 from .eqparse import (_fraction_str, canonical_string, gaussian_str,
                       parse_constant, parse_equation, ratfunc_str)
 from .errors import BBError
-from .classify import (classify_equation, match_monomial, CONTINUATION_N,
+from .classify import (classify_equation, match_monomial, sweep_counts, CONTINUATION_N,
                        DEFAULT_RATIO_TOL, DEFAULT_TRAJ_TOL)
 from .series import (check_constant, coeff_text, coeff_to_json, germ_counts,
                      germ_index, germs_for_pairs, series_to_json, verify_orders)
@@ -163,7 +163,8 @@ def analyze(equation, opts=None):
     (report dict, exit_code, diagnostics): a plain dict, outside the report,
     of the wall time of each stage ("stages_s": front end, exactness, germs,
     classification, render, the last building the report) and deterministic
-    counts of the germs ("counts", see series.germ_counts)."""
+    counts of the germs and of the pole sweep's work ("counts", see
+    series.germ_counts; "sweep", see classify.sweep_counts)."""
     opts = opts or Options()
     clock = time.perf_counter
     t0 = clock()
@@ -188,8 +189,9 @@ def analyze(equation, opts=None):
     # match_monomial runs without a verdict too, only because perfbench's
     # EXPECTED_SPANS["screen_fuzz"] needs its span (ROADMAP's benchmark list)
     mono = match_monomial(eq)
+    sweep = sweep_counts()
     verdict = None if opts.no_classify else classify_equation(
-        eq, report, branches, mono, opts.c, N_traj, opts.tol, opts.precision)
+        eq, report, branches, mono, opts.c, N_traj, opts.tol, opts.precision, sweep)
     t4 = clock()
     out = _build_report(eq, opts, polygon, branches, ev, report, germs, orders,
                         germ_notes, verdict)
@@ -200,7 +202,8 @@ def analyze(equation, opts=None):
     if opts.diagnostics:
         stages = dict(front_end=t1 - t0, exactness=t2 - t1, germs=t3 - t2,
                       classification=t4 - t3, render=t5 - t4)
-        return out, code, {"stages_s": stages, "counts": germ_counts(germs)}
+        return out, code, {"stages_s": stages,
+                           "counts": dict(germ_counts(germs), sweep=sweep)}
     return out, code
 
 
@@ -449,7 +452,8 @@ _FLAGS = {
     "--tol": {"type": float, "help": "continuation tolerance (default 1e-10)"},
     "--no-classify": {"action": "store_true", "help": "report without a verdict"},
     "--diagnostics": {"action": "store_true",
-                      "help": "write stage times and germ counts to stderr as JSON"},
+                      "help": "write stage times, germ counts and sweep work "
+                              "counts to stderr as JSON"},
     "--format": {"choices": _FORMATS, "dest": "fmt", "help": "report format"}}
 _CLASSIFY_FLAGS = ("--c", "--N", "--depth", "--precision", "--tol", "--format")
 _COMMANDS = {

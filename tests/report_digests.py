@@ -6,9 +6,11 @@ as JSON and as text, and the JSON of the ``series`` and ``residues``
 commands.  A line holds the sha256 of the report and the exit code, then
 the options, the report and the input.  An input that raises BBError prints
 the sha256 of the error text and exit code 1, as ``bbsolve`` would.  The
-inputs are tests/test_acceptance.py's GOLDEN_CORPUS and the well-formed
-screen_fuzz equations of each given seed (perfbench/workloads.py's
-fuzz_equations), each at Options() and at Options(c=0).
+inputs are tests/test_acceptance.py's GOLDEN_CORPUS, the raw-P equations
+of CURVE_MODE (the fuzz inputs are all ODE sugar, so these run the
+curve-mode sweep), and the well-formed screen_fuzz equations of each given
+seed (perfbench/workloads.py's fuzz_equations), each at Options() and at
+Options(c=0).
 
 Run from the repository root, on two checkouts, and compare the outputs:
 
@@ -29,6 +31,16 @@ from bbsolve.cli import (Options, analyze, cmd_residues, cmd_series,  # noqa: E4
 from bbsolve.errors import BBError  # noqa: E402
 from test_acceptance import GOLDEN_CORPUS  # noqa: E402
 from workloads import fuzz_equations  # noqa: E402
+
+# raw P whose sweep steps in curve mode (p carried along with y)
+CURVE_MODE = [
+    "P: p^2 - q^6 + 1 ; k=2",
+    "P: p^3 - q^4 + 1 ; k=1",
+    "P: p^2 - q^4 + 1 ; k=1",
+    "P: p^2 - q^3 + 1 ; k=2",
+    "P: p^2 - 4*q^3 + 4*q ; k=2",
+    "P: q^2 - p*q^2 - p^2 + 4*p - 4 ; k=1",    # a mixed p*q term
+]
 
 
 def _analyzed(text, opts):
@@ -54,7 +66,7 @@ def digest_lines(text, label, opts):
 
 def main(argv):
     seeds = [int(s) for s in argv]
-    texts = list(GOLDEN_CORPUS)
+    texts = GOLDEN_CORPUS + CURVE_MODE
     for seed in seeds:
         texts.extend(text for text, malformed in fuzz_equations(seed) if not malformed)
     for label, opts in (("default", Options()), ("c=0", Options(c=0))):

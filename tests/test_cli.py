@@ -683,12 +683,31 @@ class TestMain:
         # the counts are deterministic: equal on every run
         assert first["counts"] == second["counts"] == {
             "germs_gaussian": 0, "germs_algebraic": {"3": 3}, "germs_ball": 0,
-            "conjugate_classes": 1}
+            "conjugate_classes": 1,
+            "sweep": {"rays": 8, "rays_failed": {}, "probe_segments": 0,
+                      "taylor_expansions": 163, "pole_matches": 101, "hops": 0}}
         # the library reads the same switch and returns the same dict
         rep, code, diag = analyze(text, Options(diagnostics=True))
         assert render_json(rep) + "\n" == runs[0][1] and code == runs[0][0]
         assert list(diag["stages_s"]) == list(stages) and diag["counts"] == first["counts"]
         assert len(analyze(text)) == 2
+
+    # rays tried, failed rays, probe segments, Taylor expansions, pole
+    # matches and hops, as counted by wrapping the sweep's functions
+    @pytest.mark.parametrize("text, tol, sweep", [
+        ("y'' = 6*y^2", 1e-10, (16, {}, 9, 482, 191, 8)),
+        ("P: p^2 - q^3 ; k=2", 1e-10, (14, {}, 0, 564, 382, 14)),
+        ("P: p^2 - 4*q^3 + 4*q ; k=1", 1e-10, (8, {}, 9, 249, 149, 12)),
+        # every ray runs out of steps; the verdict does not say so (the
+        # strict xfail test_failed_continuation_rays_are_reported)
+        ("y'' = 6*y^2", 1e-300, (8, {"ToleranceLoss": 8}, 0, 4000, 4000, 0)),
+        ("y' = 2*y^3", 1e-10, (0, {}, 0, 0, 0, 0)),
+    ])
+    def test_diagnostics_count_the_sweep(self, text, tol, sweep):
+        _rep, _code, diag = analyze(text, Options(tol=tol, diagnostics=True))
+        names = ("rays", "rays_failed", "probe_segments", "taylor_expansions",
+                 "pole_matches", "hops")
+        assert diag["counts"]["sweep"] == dict(zip(names, sweep))
 
     @pytest.mark.parametrize("args", [
         ["analyze", "y'' = 6*y^2", "--format", "xml"],
