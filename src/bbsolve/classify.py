@@ -48,8 +48,6 @@ DEFAULT_TRAJ_TOL = 1e-10
 DEFAULT_RATIO_TOL = 1e-4
 # germ index of the family the numeric continuation starts from
 CONTINUATION_N = 24
-# Domb-Sykes fit: the abscissae of each set of qualifying Taylor indices
-_ABSCISSAE = {}
 
 
 # ---------------------------------------------------------------------------
@@ -416,16 +414,14 @@ class _Flow:
         Pq = eq.P.partial_q()
         self.Pp_terms = [(i, j, complex(c)) for (i, j), c in sorted(Pp.terms.items())]
         self.Pq_terms = [(i, j, complex(c)) for (i, j), c in sorted(Pq.terms.items())]
-        # j! as a double: a complex operation converts an int operand to it first
-        self._fact = [float(math.factorial(i)) for i in range(self.order + self.k + 2)]
-        # curve mode's plan: each term c p^i y^jq of P_p and P_q as (c, its series
-        # in p^0..p^dp, y^0..y^dq, jq when it convolves p^i with y^jq)
+        # j! as the double a complex operation converts an int operand to; past
+        # 170! an int, so a step reading one overflows on that conversion
+        self._fact = [float(math.factorial(i)) if i <= 170 else math.factorial(i)
+                      for i in range(self.order + 1)]
+        # curve mode: the top powers of p and y read, and each mixed term's y^jq
         read = self.Pp_terms + self.Pq_terms
-        self._dp = dp = max([1] + [i for i, _, _ in read])
+        self._dp = max([1] + [i for i, _, _ in read])
         self._dq = max([1] + [jq for _, jq, _ in read])
-        self._den_plan, self._pq_plan = (
-            [(c, i if i else dp + 1 + jq, jq if i and jq else None) for i, jq, c in terms]
-            for terms in (self.Pp_terms, self.Pq_terms))
         self._mixed = sorted({jq for i, jq, _ in read if i and jq > 1})
 
     def phi_value(self, state):
@@ -516,10 +512,9 @@ class _Flow:
         grow_p = list(zip(ppows[2:], ppows[1:]))
         revs = [None, Yrev] + [[] for _ in range(dq - 1)]   # revs[jq]: y^jq reversed
         grow_rev = [(revs[jq], ypows[jq]) for jq in self._mixed]
-        pool = ppows + ypows
-        den_terms, pq_terms = ([(c, pool[at], None if jq is None else revs[jq])
-                                for c, at, jq in plan]
-                               for plan in (self._den_plan, self._pq_plan))
+        den_terms, pq_terms = ([(c, ppows[i] if i else ypows[jq], revs[jq] if i and jq else None)
+                                for i, jq, c in terms]
+                               for terms in (self.Pp_terms, self.Pq_terms))
         Prev, pq, yp_rev, den_tail, quo_rev = [], [], [], [], []
         for j in range(0, M - k + 1):
             Y[j + k] = Pser[j] * fact[j] / fact[j + k]
@@ -572,11 +567,7 @@ class _Flow:
                 js.append(j); us.append(Y[j] / Y[j - 1])
         if len(js) < 3:
             return None
-        js = tuple(js)
-        if js not in _ABSCISSAE:        # 1/j, their sum, square sum and det
-            xs = [1.0 / j for j in js]; sx = sum(xs); sxx = sum(map(mul, xs, xs))
-            _ABSCISSAE[js] = xs, sx, sxx, len(xs) * sxx - sx * sx
-        xs, sx, sxx, det = _ABSCISSAE[js]
+        xs, sx, sxx, det = _abscissae(tuple(js))
         su = sum(us); sxu = sum(map(mul, xs, us))
         if abs(det) < 1e-30:
             return None
@@ -615,6 +606,14 @@ class _Flow:
         val = abs(sum(c * p ** i * y ** j for i, j, c in self.P_terms))
         scale = sum(abs(c) * abs(p) ** i * abs(y) ** j for i, j, c in self.P_terms)
         return val / scale if scale > 0 else val
+
+
+@lru_cache(maxsize=None)
+def _abscissae(js):
+    """Domb-Sykes abscissae 1/j of the indices js, their sum, square sum, det."""
+    xs = [1.0 / j for j in js]
+    sx = sum(xs); sxx = sum(map(mul, xs, xs))
+    return xs, sx, sxx, len(xs) * sxx - sx * sx
 
 
 @lru_cache(maxsize=None)

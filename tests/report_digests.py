@@ -8,9 +8,9 @@ the options, the report and the input.  An input that raises BBError prints
 the sha256 of the error text and exit code 1, as ``bbsolve`` would.  The
 inputs are tests/test_acceptance.py's GOLDEN_CORPUS, the raw-P equations
 of CURVE_MODE (the fuzz inputs are all ODE sugar, so these run the
-curve-mode sweep), and the well-formed screen_fuzz equations of each given
-seed (perfbench/workloads.py's fuzz_equations), each at Options() and at
-Options(c=0).
+curve-mode sweep), LARGE_ORDERS, and the well-formed screen_fuzz
+equations of each given seed (perfbench/workloads.py's fuzz_equations),
+each at Options() and at Options(c=0).
 
 Run from the repository root, on two checkouts, and compare the outputs:
 
@@ -41,6 +41,10 @@ CURVE_MODE = [
     "P: p^2 - 4*q^3 + 4*q ; k=2",
     "P: q^2 - p*q^2 - p^2 + 4*p - 4 ; k=1",    # a mixed p*q term
 ]
+# derivative orders whose Taylor steps read factorials past 10^120; the
+# first two sweep, the last two fail before the sweep
+LARGE_ORDERS = ["y^(83) = y^2", "y^(120) = 6*y^2", "P: p^2 - q^3 ; k=99",
+                "y^(165) = y^2"]
 
 
 def _analyzed(text, opts):
@@ -66,7 +70,7 @@ def digest_lines(text, label, opts):
 
 def main(argv):
     seeds = [int(s) for s in argv]
-    texts = GOLDEN_CORPUS + CURVE_MODE
+    texts = GOLDEN_CORPUS + CURVE_MODE + LARGE_ORDERS
     for seed in seeds:
         texts.extend(text for text, malformed in fuzz_equations(seed) if not malformed)
     for label, opts in (("default", Options()), ("c=0", Options(c=0))):

@@ -92,6 +92,19 @@ def test_drawn_states_match_oracle(text, values, h):
     assert_steps_match(text, tuple(values[:k]), values[k] if curve else None, h)
 
 
+# the kernel's j! runs to the Taylor order k + 6; from k = 165 on it passes
+# 170!, the last factorial a double holds, and the step overflows
+@pytest.mark.parametrize("text, overflows", [
+    ("y^(83) = y^2", False), ("y^(120) = 6*y^2", False),
+    ("P: p^2 - q^3 ; k=99", False), ("y^(166) = y^2", True)])
+def test_large_orders_match_oracle(text, overflows):
+    new = flows(text)[0]
+    state = tuple(complex(1 - i / new.k, 0.3) for i in range(new.k))
+    p = None if new.resolved is not None else new._project(1.1 + 0.2j, state[0])
+    assert_steps_match(text, state, p, 0.21 - 0.08j)
+    assert (outcome(new.taylor, state, p)[0] == "OverflowError") == overflows
+
+
 @functools.lru_cache(maxsize=None)
 def seed_germs(text, n, c):
     """The numeric germs of pole order n at constant c on the first branch."""
