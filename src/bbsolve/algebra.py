@@ -1033,6 +1033,10 @@ def _is_exact_zero(c):
     return False
 
 
+def _is_gr_zero(c):
+    return type(c) is GaussianRational and c.is_zero()
+
+
 class ZSeries:
     """sum coeffs[i] * z^(start + i), coefficients valid through exponent valid_to.
 
@@ -1098,7 +1102,11 @@ class ZSeries:
         return self + (-other)
 
     def scale(self, c, shift=0):
-        return ZSeries(self.start + shift, [x * c for x in self.coeffs], self.valid_to + shift)
+        if is_exact(c):     # an exact zero times c is that zero; a ball keeps its product
+            out = [x if _is_gr_zero(x) else x * c for x in self.coeffs]
+        else:
+            out = [x * c for x in self.coeffs]
+        return ZSeries(self.start + shift, out, self.valid_to + shift)
 
     def mul(self, other, cap=None):
         if not self.coeffs or not other.coeffs:
@@ -1161,7 +1169,8 @@ class ZSeries:
         return ZSeries(-e0, out, rel - e0)
 
     def derivative(self):
-        out = [c * (self.start + i) for i, c in enumerate(self.coeffs)]
+        out = [c if _is_gr_zero(c) else c * (self.start + i)
+               for i, c in enumerate(self.coeffs)]
         return ZSeries(self.start - 1, out, self.valid_to - 1)
 
     def derivative_n(self, k):
@@ -1775,15 +1784,16 @@ class BiPoly:
     def __add__(self, other):
         out = dict(self.terms)
         for k, c in other.terms.items():
-            s = out.get(k, GR_ZERO) + c
+            s = out.get(k)
+            s = c if s is None else s + c
             if s.is_zero():
-                out.pop(k, None)
+                del out[k]
             else:
                 out[k] = s
-        return BiPoly(out)
+        return _bipoly(out)
 
     def __neg__(self):
-        return BiPoly({k: -c for k, c in self.terms.items()})
+        return _bipoly({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -1793,17 +1803,18 @@ class BiPoly:
             g = as_gaussian(other)
             if g.is_zero():
                 return BiPoly()
-            return BiPoly({k: c * g for k, c in self.terms.items()})
+            return _bipoly({k: c * g for k, c in self.terms.items()})
         out = {}
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
                 k = (i1 + i2, j1 + j2)
-                s = out.get(k, GR_ZERO) + c1 * c2
+                s = out.get(k)
+                s = c1 * c2 if s is None else s + c1 * c2
                 if s.is_zero():
-                    out.pop(k, None)
+                    del out[k]
                 else:
                     out[k] = s
-        return BiPoly(out)
+        return _bipoly(out)
 
     __rmul__ = __mul__
 
@@ -1861,6 +1872,13 @@ class BiPoly:
 
     def __repr__(self):
         return f"BiPoly({dict(sorted(self.terms.items()))!r})"
+
+
+def _bipoly(terms):
+    """The BiPoly of a dict {(int, int): nonzero GaussianRational}, unchecked."""
+    out = object.__new__(BiPoly)
+    object.__setattr__(out, "terms", terms)
+    return out
 
 
 def squarefree_in_p(P):

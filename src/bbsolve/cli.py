@@ -23,6 +23,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import __version__
 from .algebra import GaussianRational, DEFAULT_PREC
@@ -297,7 +298,61 @@ def _build_report(eq, opts, polygon, branches, ev, report, germs, orders,
 # ---------------------------------------------------------------------------
 
 def render_json(report):
-    return json.dumps(report, indent=2, sort_keys=False, allow_nan=False)
+    """The report as JSON text, byte for byte what
+    ``json.dumps(report, indent=2, allow_nan=False)`` returns: the same
+    string escaper (the C ``encode_basestring_ascii``), the same int and
+    float reprs and the same layout, without the stdlib's pure-Python
+    indenting encoder.  NaN and +-inf raise ValueError, as there; a value
+    of any other type than dict, list, tuple, str, int, float, bool or None,
+    and a dict key that is not a str, raise TypeError."""
+    out = []
+    _write_json(report, out, "\n")
+    return "".join(out)
+
+
+def _write_json(x, out, nl):
+    """Append the JSON text of ``x`` to ``out``; ``nl`` is the newline and
+    indent that close x's brackets."""
+    if isinstance(x, str):
+        out.append(_encode_str(x))
+    elif x is None:
+        out.append("null")
+    elif x is True:
+        out.append("true")
+    elif x is False:
+        out.append("false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    elif isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+        out.append(float.__repr__(x))
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for value in x:
+            out.append(sep)
+            sep = "," + inner
+            _write_json(value, out, inner)
+        out.append(nl + "]")
+    elif isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in x.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + _encode_str(key) + ": ")
+            sep = "," + inner
+            _write_json(value, out, inner)
+        out.append(nl + "}")
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def render_text(report):

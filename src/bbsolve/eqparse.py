@@ -68,7 +68,8 @@ class EquationSpec:
 # tokenizer
 # ---------------------------------------------------------------------------
 
-_PUNCT = ("**", "+", "-", "*", "/", "^", "(", ")", "=", ";", ":", "'")
+# one-character operators; "**" is read as "^"
+_PUNCT = frozenset("+-*/^()=;:'")
 
 
 def _tokenize(text):
@@ -76,6 +77,14 @@ def _tokenize(text):
     i, n = 0, len(text)
     while i < n:
         c = text[i]
+        if c in _PUNCT:     # none is a space, a digit or a letter
+            if c == "*" and text.startswith("*", i + 1):
+                toks.append(("OP", "^", i))
+                i += 2
+            else:
+                toks.append(("OP", c, i))
+                i += 1
+            continue
         if c.isspace():
             i += 1
             continue
@@ -96,13 +105,7 @@ def _tokenize(text):
             toks.append(("NAME", text[i:j], i))
             i = j
             continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                toks.append(("OP", "^" if p == "**" else p, i))
-                i += len(p)
-                break
-        else:
-            raise EquationSyntaxError(f"unexpected character {c!r}", i)
+        raise EquationSyntaxError(f"unexpected character {c!r}", i)
     toks.append(("END", "", n))
     return toks
 
@@ -151,11 +154,11 @@ class _Rat:
 
     def __add__(self, o):
         a, b = self._cofactors(o)
-        return _Rat(self.num * a + o.num * b, self.den * a)
+        return _Rat(_times(self.num, a) + _times(o.num, b), _times(self.den, a))
 
     def __sub__(self, o):
         a, b = self._cofactors(o)
-        return _Rat(self.num * a - o.num * b, self.den * a)
+        return _Rat(_times(self.num, a) - _times(o.num, b), _times(self.den, a))
 
     def _cofactors(self, o):
         """(a, b) with self.den * a == o.den * b: the common denominator is
@@ -170,25 +173,35 @@ class _Rat:
         return o.den, self.den
 
     def __mul__(self, o):
-        return _Rat(self.num * o.num, self.den * o.den)
+        return _Rat(_times(self.num, o.num), _times(self.den, o.den))
 
     def __truediv__(self, o):
         if o.num.is_zero():
             raise DegenerateInput("division by zero in equation")
-        return _Rat(self.num * o.den, self.den * o.num)
+        return _Rat(_times(self.num, o.den), _times(self.den, o.num))
 
     def __neg__(self):
         return _Rat(-self.num, self.den)
 
     def pow(self, e):
+        """self^e by binary powering."""
         out = _Rat(_ONE_BP)
         b = self
-        for _ in range(e):
-            out = out * b
+        while e:
+            if e & 1:
+                out = out * b
+            e >>= 1
+            if e:
+                b = b * b
         return out
 
 
 _ONE_BP = BiPoly({(0, 0): GR_ONE})
+
+
+def _times(a, b):
+    """a * b, with no product when either is the unit denominator _ONE_BP."""
+    return b if a is _ONE_BP else a if b is _ONE_BP else a * b
 
 
 def _const(g):

@@ -285,6 +285,54 @@ class TestSeriesWithABall:
         assert all(same_value(got.coeff(a.start + b.start + k), w)
                    for k, w in enumerate(want) if not _is_exact_zero(w))
 
+    @BUDGET
+    @given(fused_case(), st.integers(-3, 3), st.integers(0, 7),
+           st.sampled_from((None, "ball", "zero ball")))
+    def test_scale_and_derivative_keep_every_value(self, case, start, at, ball):
+        # skipping the product of an exact zero changes no value, no type and
+        # no ball: every coefficient is what the product gives
+        xs, _, _, _, (field, root) = case
+        if xs and ball:
+            x = G(F(2, 7), F(-1, 3)) if ball == "ball" else GR_ZERO
+            xs[at % len(xs)] = BigComplex.from_exact(x).root(3)
+        eta = conjugates(field)[root]
+        s = ZSeries(start, xs, start + 9)
+        for c in (GR_ZERO, G(F(2, 3), -1), -1, 0, F(1, 2), eta, eta * 0,
+                  BigComplex.from_exact(G(F(1, 3))), BigComplex.from_exact(GR_ZERO)):
+            for shift in (0, 2):
+                assert same_series(outcome(s.scale, c, shift),
+                                   outcome(plain_scale, s, c, shift))
+        assert same_series(s.derivative(), plain_derivative(s))
+        assert same_series(s.derivative_n(3), plain_derivative(plain_derivative(
+            plain_derivative(s))))
+
+
+def plain_scale(s, c, shift=0):
+    """ZSeries.scale before it skipped exact zeros: a product per coefficient."""
+    return ZSeries(s.start + shift, [x * c for x in s.coeffs], s.valid_to + shift)
+
+
+def plain_derivative(s):
+    """ZSeries.derivative before it skipped exact zeros."""
+    return ZSeries(s.start - 1, [c * (s.start + i) for i, c in enumerate(s.coeffs)],
+                   s.valid_to - 1)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the class of the TypeError it raised."""
+    try:
+        return fn(*args)
+    except TypeError as exc:
+        return type(exc)
+
+
+def same_series(got, want):
+    if not isinstance(want, ZSeries):
+        return got is want
+    return ((got.start, got.valid_to, len(got.coeffs))
+            == (want.start, want.valid_to, len(want.coeffs))
+            and all(same_value(g, w) for g, w in zip(got.coeffs, want.coeffs)))
+
 
 REDUCIBLE = [(G(4), 2), (G(0, 2), 2), (G(-4), 4), (G(8), 3), (G(0, 1), 3), (G(1), 3)]
 IRREDUCIBLE = [(G(6), 3), (G(F(1, 2)), 2), (G(2), 4), (G(-2), 2)]

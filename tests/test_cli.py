@@ -12,10 +12,11 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bbsolve import classify, cli
 from bbsolve.curve import branches_at_infinity
-from bbsolve.cli import (Options, analyze, cmd_classify, cmd_residues,
+from bbsolve.cli import (Options, analyze, cmd_analyze, cmd_classify, cmd_residues,
                          cmd_series, main, render_json)
 from bbsolve.algebra import GaussianRational
 from bbsolve.eqparse import parse_constant
@@ -23,7 +24,8 @@ from bbsolve.errors import BBError, DegenerateInput
 from minischema import validate
 from test_acceptance import GOLDEN_CORPUS
 from oracle_periods import weierstrass_periods
-from report_digests import digest_lines
+from report_digests import CURVE_MODE, LARGE_ORDERS, digest_lines
+from workloads import fuzz_equations  # perfbench/, put on sys.path by report_digests
 
 SCHEMA = json.load(open(os.path.join(os.path.dirname(__file__), "..", "src",
                                      "bbsolve", "schemas",
@@ -1150,3 +1152,110 @@ class TestModuleEntryPoint:
                 assert not any("squarefree" in n for n in names)
             if name != "eqparse.py":
                 assert "_Parser" not in names, name
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer: json.dumps(x, indent=2, allow_nan=False), byte for byte
+# ---------------------------------------------------------------------------
+
+def _stdlib_json(x):
+    return json.dumps(x, indent=2, allow_nan=False)
+
+
+def _rendered(monkeypatch, text, opts, commands):
+    """(object, text) for every object the commands give render_json on
+    ``text``; analyze runs once, and cmd_analyze and cmd_classify read its
+    result.  A command that fails on the input renders nothing."""
+    rendered = []
+
+    def recording(x):
+        out = render_json(x)
+        rendered.append((x, out))
+        return out
+
+    monkeypatch.setattr(cli, "render_json", recording)
+    try:
+        analyzed = analyze(text, opts)
+    except BBError:
+        commands = [c for c in commands if c not in (cmd_analyze, cmd_classify)]
+    monkeypatch.setattr(cli, "analyze", lambda equation, o: analyzed)
+    for command in commands:
+        try:
+            command(text, opts)
+        except (BBError, ZeroDivisionError):
+            pass
+    return rendered
+
+
+json_strings = st.text(st.characters(codec="utf-8")
+                       | st.sampled_from('"\\/\x00\x1f\x7f\u2028é€\U0001f600'), max_size=8)
+json_leaves = (st.none() | st.booleans() | st.integers()
+               | st.integers(-10 ** 400, 10 ** 400) | json_strings
+               | st.floats(allow_nan=False, allow_infinity=False)
+               | st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                                  -1.7976931348623157e308, 1e16, 1e-7, 0.1]))
+json_trees = st.recursive(
+    json_leaves,
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(json_strings, kids, max_size=4)),
+    max_leaves=40)
+
+
+class TestJsonWriter:
+    @pytest.mark.parametrize("text", GOLDEN_CORPUS + CURVE_MODE + LARGE_ORDERS)
+    def test_reports_as_the_stdlib_writes_them(self, monkeypatch, text):
+        # every fixed input of tests/report_digests.py, under each JSON command
+        rendered = _rendered(monkeypatch, text, Options(fmt="json"),
+                             [cmd_analyze, cmd_classify, cmd_series, cmd_residues])
+        assert len(rendered) == 4
+        for x, out in rendered:
+            assert out == _stdlib_json(x)
+
+    def test_unclassified_fuzz_reports_as_the_stdlib_writes_them(self, monkeypatch):
+        # the well-formed seed-1 fuzz inputs of tests/report_digests.py,
+        # without classification (classify refuses that option)
+        opts = Options(fmt="json", no_classify=True)
+        count = 0
+        for text, malformed in fuzz_equations(1):
+            if malformed:
+                continue
+            rendered = _rendered(monkeypatch, text, opts,
+                                 [cmd_analyze, cmd_series, cmd_residues])
+            for x, out in rendered:
+                assert out == _stdlib_json(x)
+            count += len(rendered)
+        assert count >= 500
+
+    @settings(max_examples=150, deadline=None)
+    @given(json_trees)
+    def test_trees_as_the_stdlib_writes_them(self, tree):
+        assert render_json(tree) == _stdlib_json(tree)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_floats_raise_value_error(self, value):
+        for tree in (value, {"a": [1, value]}):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                render_json(tree)
+            with pytest.raises(ValueError):
+                _stdlib_json(tree)
+
+    @pytest.mark.parametrize("tree", [{1, 2}, 1j, [Fraction(1, 3)], {"a": {1j}},
+                                      {1: "a"}, {"a": {None: 1}}, {(1, 2): 3}])
+    def test_other_types_and_keys_raise_type_error(self, tree):
+        with pytest.raises(TypeError):
+            render_json(tree)
+
+    def test_one_writer(self):
+        # no indented json.dumps (or json.dump) is left in the package
+        pkg = os.path.join(SRC, "bbsolve")
+        for name in sorted(os.listdir(pkg)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(pkg, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            bad = [node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Call)
+                   and getattr(node.func, "attr", getattr(node.func, "id", None))
+                   in ("dumps", "dump")
+                   and any(kw.arg == "indent" for kw in node.keywords)]
+            assert bad == [], f"{name}: indented json.dumps at lines {bad}"

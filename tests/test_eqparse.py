@@ -1,5 +1,6 @@
 """Parsing, canonicalisation, and rejection diagnostics."""
 
+import math
 from decimal import Decimal
 from fractions import Fraction
 
@@ -8,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from bbsolve.algebra import (BiPoly, GaussianRational, primitive_in_q,
                              squarefree_part_in_p)
-from bbsolve.eqparse import (EquationSpec, _digits_int, _fraction_str, canonical_string,
-                             gaussian_str, parse_constant, parse_equation, upoly_str)
+from bbsolve.eqparse import (_ONE_BP, EquationSpec, _Parser, _Rat, _digits_int,
+                             _fraction_str, _tokenize, canonical_string, gaussian_str,
+                             parse_constant, parse_equation, upoly_str)
 from bbsolve.errors import (DegenerateInput, EquationSyntaxError,
                             NotPolynomial, UnsupportedForm)
+from oracle_tokenize import tokenize as oracle_tokenize
 
 
 class TestParse:
@@ -216,3 +219,68 @@ class TestPastTheDigitLimit:
         g = GaussianRational(Fraction(1, big), -big)
         assert gaussian_str(g) == f"(1/{Decimal(big)} - {Decimal(big)}*i)"
         assert parse_constant(gaussian_str(g)) == g
+
+
+def _repeated_power(base, e):
+    """base^e as _Rat.pow formed it before binary powering: e products."""
+    out = _Rat(_ONE_BP)
+    for _ in range(e):
+        out = out * base
+    return out
+
+
+class TestPowers:
+    @pytest.mark.parametrize("text, variables", [("y + 1", "y"), ("p*q - 1/2", "pq")])
+    def test_binary_powering_equals_repeated_products(self, text, variables):
+        names = {"y": (0, 1), "p": (1, 0), "q": (0, 1)}
+        base = _Parser(text, {v: _Rat(BiPoly({names[v]: 1})) for v in variables}).parse_expr()
+        for e in range(41):
+            got, want = base.pow(e), _repeated_power(base, e)
+            assert (got.num, got.den) == (want.num, want.den), e
+
+    def test_power_takes_logarithmically_many_products(self, monkeypatch):
+        count = 0
+        mul = _Rat.__mul__
+
+        def counting(self, other):
+            nonlocal count
+            count += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(_Rat, "__mul__", counting)
+        spec = parse_equation("y' = (y + 1)^999")
+        assert count <= 2 * math.ceil(math.log2(999))
+        assert spec.P == BiPoly([((1, 0), 1)] + [((0, j), -math.comb(999, j))
+                                                  for j in range(1000)])
+
+
+# the pieces tokenizer inputs are drawn from: ASCII operators, "**", ".",
+# digits (an Arabic-Indic three, and a superscript two that is no decimal),
+# a letter outside ASCII, an em space and the parser's letters
+TOKEN_PIECES = list("+-*/^()=;:'.!,") + ["**", "0", "7", "٣", "²", "é",
+                                         "\u2003", " ", "\t", "y", "p", "q", "i", "z",
+                                         "P", "k"]
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except EquationSyntaxError as exc:
+        return str(exc), exc.position
+
+
+class TestTokenizerOracle:
+    """_tokenize against the tokenizer it replaced (tests/oracle_tokenize.py):
+    the same tokens, or the same error at the same position."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.sampled_from(TOKEN_PIECES), max_size=24).map("".join))
+    def test_drawn_texts(self, text):
+        assert _tokens_or_error(_tokenize, text) == _tokens_or_error(oracle_tokenize, text)
+
+    @pytest.mark.parametrize("text", [
+        "y'' = 6*y**2 - 2", "P: p^2 - 4*q^3 + 4*q ; k=1", "y''' = 1.5*y^2 + .25",
+        "y* **y", "***", "y = 2²", "y' = ٣*y", "y' = é", "\u2003y'=y", "",
+        "1..2.3", "y' = y # c", "y' = 3.*y"])
+    def test_examples(self, text):
+        assert _tokens_or_error(_tokenize, text) == _tokens_or_error(oracle_tokenize, text)
